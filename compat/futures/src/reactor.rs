@@ -87,7 +87,6 @@ const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: c_int = 1;
-const EPOLL_CTL_DEL: c_int = 2;
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EFD_CLOEXEC: c_int = 0o2000000;
@@ -234,10 +233,11 @@ impl Reactor {
     /// The descriptor **must already be non-blocking**; consumers must
     /// follow the attempt-then-await protocol in the module docs.
     ///
-    /// The registration does not own the descriptor. Readiness routing
-    /// stops when the last [`Registration`] clone drops; the kernel
-    /// drops its side of the registration when the last descriptor for
-    /// the open file closes.
+    /// The registration does not own the descriptor, so it never touches
+    /// it again: readiness routing stops when the last [`Registration`]
+    /// clone drops, and the kernel drops its side of the registration
+    /// when the last descriptor for the open file closes. (Deregistering
+    /// by descriptor number at drop would race the number's reuse.)
     ///
     /// # Errors
     ///
@@ -417,14 +417,14 @@ impl Drop for Registration {
         if self.handles.fetch_sub(1, Ordering::AcqRel) != 1 {
             return;
         }
+        // Only the routing entry goes. No `EPOLL_CTL_DEL`: the
+        // registration does not own the descriptor, so by now its number
+        // may already be closed and reused by a newer registration, and
+        // a DEL would silently remove *that* one. The kernel drops the
+        // epoll entry itself when the file's last descriptor closes, and
+        // tokens are never reused, so a late event for this one is
+        // routed nowhere.
         if self.fd >= 0 {
-            // Best-effort: the kernel also deregisters when the last
-            // descriptor for the file closes, and the token is never
-            // reused, so a late event for it is routed nowhere.
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            unsafe {
-                let _ = epoll_ctl(self.shared.epfd, EPOLL_CTL_DEL, self.fd, &mut ev);
-            }
             self.shared.sources().remove(&self.token);
         }
     }

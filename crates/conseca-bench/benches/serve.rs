@@ -106,8 +106,8 @@ fn bench_round_trip(c: &mut Criterion) {
 /// is the reported time divided by `clients * DEPTH`. The sync shape
 /// pays a full round trip of exclusive connection time per check; the
 /// async shape keeps `DEPTH` requests in flight per socket, which lets
-/// the dispatcher coalesce each connection's queued checks into one
-/// engine batch.
+/// the server coalesce the same-key checks it finds buffered on each
+/// connection into one engine batch.
 fn bench_concurrent_clients(c: &mut Criterion) {
     const DEPTH: usize = 32;
     let engine = Arc::new(Engine::default());

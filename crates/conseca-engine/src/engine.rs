@@ -548,8 +548,23 @@ impl Engine {
         session: &mut SessionState,
         calls: &[ApiCall],
     ) -> Option<Vec<Decision>> {
+        self.check_all_session_key(tenant, &EngineKey::new(tenant, task, context), session, calls)
+    }
+
+    /// [`check_all_session`](Self::check_all_session) under an
+    /// already-computed key (`key` must be `tenant`'s key for the task
+    /// and context), for callers that need the key for their own
+    /// bookkeeping too: fingerprinting a context costs microseconds,
+    /// more than the check itself. Billing is identical.
+    pub fn check_all_session_key(
+        &self,
+        tenant: &str,
+        key: &EngineKey,
+        session: &mut SessionState,
+        calls: &[ApiCall],
+    ) -> Option<Vec<Decision>> {
         let stats = self.tenant(tenant);
-        let found = self.store.get(&EngineKey::new(tenant, task, context));
+        let found = self.store.get(key);
         stats.record_lookup(found.is_some());
         let policy = found?;
         Some(

@@ -59,9 +59,10 @@
 //! Responses complete in whatever order the server finishes them;
 //! correlation ids — not arrival order — pair answers with requests.
 //! Requests submitted from one thread are still *processed* in
-//! submission order (the connection preserves frame order and the
-//! dispatcher coalesces in arrival order), so an `install` followed by
-//! pipelined `check`s behaves exactly as the sync client would.
+//! submission order (the connection preserves frame order, and the
+//! server never lets a check overtake an earlier request from the same
+//! connection), so an `install` followed by pipelined `check`s behaves
+//! exactly as the sync client would.
 //!
 //! # Push frames
 //!

@@ -8,12 +8,15 @@
 //! [`Engine`](conseca_engine::Engine) in an event-driven core: every
 //! connection is two cooperative tasks (read + write) parked on an
 //! epoll reactor and run on a small fixed worker pool — the thread
-//! budget is O(workers), not O(connections) — and a batching
-//! dispatcher in the middle **coalesces each connection's queued check
-//! requests into one
-//! [`check_all`](conseca_engine::Engine::check_all)** per policy key,
-//! so load from many agents (and from one pipelined agent) amortises
-//! store lookups instead of multiplying them.
+//! budget is O(workers), not O(connections). Each connection's read
+//! task **answers its checks itself**: it reads frames through a
+//! buffer and evaluates a check together with the same-key checks
+//! already buffered behind it as one
+//! [`check_all_session_key`](conseca_engine::Engine::check_all_session_key),
+//! so a pipelined agent amortises store lookups instead of multiplying
+//! them, and no check waits in a shared queue. Mutations and admin
+//! requests go through one dispatcher task; a connection's checks queue
+//! behind its own unanswered mutation, so effects keep arrival order.
 //!
 //! The protocol is a small length-prefixed binary format — fully
 //! specified in `docs/serving.md`, implemented in [`wire`] — carrying
@@ -42,7 +45,7 @@
 //! over one socket using the protocol v7 correlation envelope —
 //! submit-then-wait (or `.await`) with responses matched by id, dozens
 //! of checks in flight at once, which is exactly the shape that keeps
-//! the dispatcher's coalescing queue full. [`ClientPool`] fans that
+//! the server's read buffers full of checks to coalesce. [`ClientPool`] fans that
 //! out across connections with policy-key affinity. See [`aclient`].
 //!
 //! # Examples

@@ -8,19 +8,21 @@
 //!        │ readiness edges
 //!        ▼
 //!   accept task ──────────► per-connection READ task
-//!   (non-blocking listener,     │ await frame → decode → Request
-//!    woken by the reactor,      │ (handshake, envelope, and framing
-//!    shutdown = one notify)     │  errors answered inline;
-//!                               │  engine work forwarded)
-//!                               ▼
+//!   (non-blocking listener,     │ buffered frame reads → decode;
+//!    woken by the reactor,      │ ANSWERS CHECKS ITSELF (each plus the
+//!    shutdown = one notify)     │ same-key checks buffered behind it, as
+//!                               │ one group), and handshake, envelope,
+//!                               │ framing and subscription traffic
+//!                               │
+//!                               │ mutations, admin requests, and checks
+//!                               ▼ queued behind an unanswered one
 //!                      mpsc job queue  ◄─── all connections share it
 //!                               │
 //!                               ▼
 //!                     dispatcher task (futures::ThreadPool)
-//!                        drains the queue, COALESCES every queued
-//!                        Check/CheckBatch with the same policy key into
-//!                        one Engine::check_all, answers each job through
-//!                        its oneshot
+//!                        drains the queue, coalesces each connection's
+//!                        queued same-key checks, answers each job
+//!                        through its oneshot
 //!                               │
 //!                               ▼
 //!                      per-connection WRITE task
@@ -28,7 +30,8 @@
 //!                        (responses in request order) and the
 //!                        out-of-band push lane (invalidation frames,
 //!                        which must never queue behind a response
-//!                        that is itself waiting on a push ack)
+//!                        that is itself waiting on a push ack); all
+//!                        that is already answerable goes in one write
 //! ```
 //!
 //! A connection is a *state machine driven by two cooperative tasks*,
@@ -38,13 +41,18 @@
 //! a thousand idle connections cost two parked tasks each and zero
 //! threads.
 //!
-//! The dispatcher is where the async layer earns its keep: under
-//! concurrent load the queue fills between polls, so one store lookup and
-//! one tenant-stats resolution serve a connection's queued checks
-//! (visible in [`ServeMetrics::coalesced_checks`]). The engine itself is
-//! untouched — every verdict is produced by the same
-//! [`Engine::check_all_session`] the in-process path uses, which is what
-//! keeps served decisions byte-identical.
+//! Checks — the per-action hot path — skip the dispatcher whenever the
+//! connection has nothing queued there: the read task evaluates them on
+//! the spot, with no queue hop, no oneshot and no extra task wake, and a
+//! mutation wedged on the dispatcher cannot stall them. A connection
+//! counts its unanswered dispatcher jobs; while any are out, its checks
+//! queue behind them, so effects keep arrival order. Either way a group
+//! of checks is answered by one function with one store lookup and one
+//! tenant-stats resolution (visible in
+//! [`ServeMetrics::coalesced_checks`]). The engine itself is untouched —
+//! every verdict is produced by the same session check the in-process
+//! path uses ([`Engine::check_all_session`]), which is what keeps served
+//! decisions byte-identical.
 //!
 //! # Pipelining (wire v7)
 //!
@@ -68,16 +76,18 @@
 //! budgets, never each other's.
 
 use std::collections::{HashMap, HashSet};
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
+use conseca_core::TrustedContext;
 use conseca_engine::{Engine, EngineKey, Invalidation, RevocationJournal, SessionState};
 use conseca_shell::ApiCall;
-use futures::channel::{mpsc, oneshot};
+use futures::channel::mpsc::{self, TryRecvError};
+use futures::channel::oneshot;
 use futures::reactor::{Reactor, Registration};
 use futures::{select2, Either, JoinHandle, ThreadPool};
 
@@ -85,9 +95,12 @@ use crate::client::{Client, ClientError};
 use crate::daemon::{DaemonConfig, LifecycleDaemon};
 use crate::transport::{duplex, DuplexStream, NbReader, NbWriter, Stream};
 use crate::wire::{
-    code, unwrap_tagged, wrap_tagged, Frame, FrameReadError, Request, Response, WireErrorCode,
-    PROTOCOL_VERSION, TAG_TAGGED,
+    code, unwrap_tagged, wrap_tagged, Frame, FrameReadError, Request, Response, WireError,
+    WireErrorCode, PROTOCOL_VERSION, TAG_TAGGED,
 };
+
+/// Most bytes the write task gathers into one write.
+const WRITE_BATCH: usize = 64 * 1024;
 
 /// Server sizing and limits.
 #[derive(Debug, Clone, Copy)]
@@ -107,7 +120,8 @@ pub struct ServeConfig {
     /// worker inside a push-ack wait and the subscriber's connection
     /// tasks need a worker left to produce that very ack.
     pub worker_threads: usize,
-    /// Most jobs one dispatch round will coalesce.
+    /// Most jobs one dispatch round takes, and most checks a connection
+    /// coalesces into one group.
     pub max_batch: usize,
     /// How long a push fan-out waits for subscribers'
     /// [`Request::PushAck`]s before force-closing the stragglers. The
@@ -137,15 +151,18 @@ fn detected_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).max(2)
 }
 
-/// Point-in-time dispatcher counters.
+/// Point-in-time serving counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
-    /// Engine requests processed (Hello and framing errors excluded).
+    /// Engine requests processed (Hello and framing errors excluded),
+    /// whether a connection answered them itself or the dispatcher did.
     pub requests: u64,
-    /// Dispatch rounds run (each drains the queue once).
+    /// Evaluation rounds run: each dispatcher round (one drain of the
+    /// queue) and each check group a connection answered itself.
     pub batches: u64,
-    /// Calls that shared a store lookup with another request because the
-    /// dispatcher coalesced them into one `check_all`.
+    /// Calls that shared a store lookup with another request because
+    /// they were coalesced into one group check — by a connection over
+    /// the checks it had buffered, or by the dispatcher over its queue.
     pub coalesced_checks: u64,
     /// Worker threads the server is running (the effective
     /// [`ServeConfig::worker_threads`] after clamping) — not a counter,
@@ -165,8 +182,49 @@ struct Job {
     /// Which connection sent the request; checks from one connection
     /// share that connection's trajectory session state.
     conn_id: u64,
-    request: Request,
-    reply: oneshot::Sender<Response>,
+    work: Work,
+    reply: Reply,
+}
+
+/// What a decoded request asks for: checks, which a connection may
+/// answer itself, or anything else.
+enum Work {
+    Check(CheckRequest),
+    Other(Request),
+}
+
+/// A `Check` or `CheckBatch`: its policy key's parts and its calls.
+struct CheckRequest {
+    tenant: String,
+    task: String,
+    context: TrustedContext,
+    calls: Vec<ApiCall>,
+    /// A single `Check`, answered with `Verdict` (not `VerdictBatch`).
+    single: bool,
+}
+
+impl CheckRequest {
+    /// Whether `other` names the same policy key as `self`.
+    fn same_key(&self, other: &CheckRequest) -> bool {
+        self.tenant == other.tenant && self.task == other.task && self.context == other.context
+    }
+}
+
+/// A dispatched job's answer slot. Sending the answer also releases the
+/// job from its connection's count of unanswered dispatcher jobs.
+struct Reply {
+    tx: oneshot::Sender<Response>,
+    in_flight: Arc<AtomicUsize>,
+}
+
+impl Reply {
+    fn send(self, response: Response) {
+        let _ = self.tx.send(response);
+        // Release pairs with the read task's Acquire load: once it reads
+        // zero, the effects of every answered job (store, session table)
+        // are visible to the checks it then answers itself.
+        self.in_flight.fetch_sub(1, Ordering::Release);
+    }
 }
 
 /// One connection registered for a tenant's invalidation pushes.
@@ -231,13 +289,44 @@ impl Subscriber {
 /// order. `id` is the v7 correlation id when the request arrived
 /// enveloped (`None` for bare requests — the answer goes out bare too).
 enum Outgoing {
-    /// An answer the read task produced inline (handshake, framing and
-    /// envelope errors, subscriptions).
+    /// An answer the read task produced itself (checks, handshake,
+    /// framing and envelope errors, subscriptions).
     Ready { id: Option<u64>, response: Response },
     /// An answer the dispatcher will produce.
     Pending { id: Option<u64>, reply: oneshot::Receiver<Response> },
     /// Close the connection after everything queued so far is written.
     Close,
+}
+
+/// A request split off its frame: the correlation id and the work, or
+/// why the frame did not decode (with the id to answer under, if any).
+type Inbound = Result<(Option<u64>, Work), (Option<u64>, WireError)>;
+
+/// Splits the v7 envelope off a frame and decodes the request inside.
+fn decode_inbound(frame: Frame) -> Inbound {
+    // The envelope goes first, so inner failures are answered inside
+    // the sender's envelope and a pipelining client can attribute them.
+    let (id, frame) = if frame.tag == TAG_TAGGED {
+        match unwrap_tagged(&frame) {
+            Ok((id, inner)) => (Some(id), inner),
+            // The envelope itself is unusable (no trustworthy id to
+            // echo): answer bare.
+            Err(e) => return Err((None, e)),
+        }
+    } else {
+        (None, frame)
+    };
+    let work = match Request::decode(&frame) {
+        Ok(Request::Check { tenant, task, context, call }) => {
+            Work::Check(CheckRequest { tenant, task, context, calls: vec![call], single: true })
+        }
+        Ok(Request::CheckBatch { tenant, task, context, calls }) => {
+            Work::Check(CheckRequest { tenant, task, context, calls, single: false })
+        }
+        Ok(request) => Work::Other(request),
+        Err(e) => return Err((id, e)),
+    };
+    Ok((id, work))
 }
 
 struct ServerState {
@@ -662,9 +751,19 @@ async fn read_task<S: Stream>(
 ) {
     let max = state.config.max_frame_len;
     let mut greeted = false;
+    // Jobs this connection has handed the dispatcher that are not yet
+    // answered. While any are out, checks queue behind them too, so
+    // effects keep arrival order.
+    let in_flight = Arc::new(AtomicUsize::new(0));
+    // A request read ahead while coalescing checks; handled next.
+    let mut carried: Option<Inbound> = None;
     loop {
-        let frame = match reader.read_frame(max).await {
-            Ok(Some(frame)) => frame,
+        let next = match carried.take() {
+            Some(inbound) => Ok(Some(inbound)),
+            None => reader.read_frame(max).await.map(|frame| frame.map(decode_inbound)),
+        };
+        let inbound = match next {
+            Ok(Some(inbound)) => inbound,
             // Clean EOF, or a truncated frame / transport error: either
             // way the conversation is over and there is nobody to answer.
             Ok(None) | Err(FrameReadError::Io(_)) => break,
@@ -688,41 +787,19 @@ async fn read_task<S: Stream>(
                 break;
             }
         };
-        // v7 envelope: split the correlation id off before decoding, so
-        // inner failures are answered inside the sender's envelope and a
-        // pipelining client can attribute them.
-        let (id, frame) = if frame.tag == TAG_TAGGED {
-            match unwrap_tagged(&frame) {
-                Ok((id, inner)) => (Some(id), inner),
-                Err(e) => {
-                    // The envelope itself is unusable (no trustworthy
-                    // id to echo): answer bare. The frame boundary is
-                    // intact, so the conversation continues.
-                    let _ = out.send(Outgoing::Ready {
-                        id: None,
-                        response: Response::Error { code: e.error_code(), message: e.to_string() },
-                    });
-                    continue;
-                }
-            }
-        } else {
-            (None, frame)
-        };
-        let request = match Request::decode(&frame) {
+        let (id, work) = match inbound {
             Ok(request) => request,
-            Err(e) => {
-                // Unknown tags and undecodable payloads are answered and
-                // the conversation continues — the frame boundary is
-                // intact, so the stream is still in sync.
-                let _ = out.send(Outgoing::Ready {
-                    id,
-                    response: Response::Error { code: e.error_code(), message: e.to_string() },
-                });
+            Err((id, e)) => {
+                // Unusable envelopes, unknown tags and undecodable
+                // payloads are answered and the conversation continues —
+                // the frame boundary is intact, so the stream is in sync.
+                let response = Response::Error { code: e.error_code(), message: e.to_string() };
+                let _ = out.send(Outgoing::Ready { id, response });
                 continue;
             }
         };
-        match request {
-            Request::Hello { version } => {
+        match work {
+            Work::Other(Request::Hello { version }) => {
                 if version == PROTOCOL_VERSION {
                     greeted = true;
                     let _ = out.send(Outgoing::Ready {
@@ -758,7 +835,7 @@ async fn read_task<S: Stream>(
             // dispatcher can be *blocked inside a mutation* waiting for
             // this very connection's ack, so an ack routed through the
             // job queue would deadlock behind the mutation it completes.
-            Request::Subscribe { tenant } => {
+            Work::Other(Request::Subscribe { tenant }) => {
                 let subscriber = Arc::new(Subscriber {
                     tenant,
                     push_tx: push_tx.clone(),
@@ -771,16 +848,25 @@ async fn read_task<S: Stream>(
                 state.subscribers().insert(conn_id, subscriber);
                 let _ = out.send(Outgoing::Ready { id, response: Response::Subscribed });
             }
-            Request::PushAck { seq } => {
+            Work::Other(Request::PushAck { seq }) => {
                 // Acks answer pushes; they get no response of their own.
                 let subscriber = state.subscribers().get(&conn_id).cloned();
                 if let Some(subscriber) = subscriber {
                     subscriber.record_ack(seq);
                 }
             }
-            request => {
-                let (reply_tx, reply_rx) = oneshot::channel();
-                if state.jobs.send(Job { conn_id, request, reply: reply_tx }).is_err() {
+            // Nothing of this connection's is waiting on the dispatcher,
+            // so the check cannot overtake an effect: answer it here.
+            Work::Check(check) if in_flight.load(Ordering::Acquire) == 0 => {
+                carried = answer_checks(&state, conn_id, &mut reader, &out, id, check);
+            }
+            work => {
+                // Never awaited: the read task keeps reading (PushAcks
+                // above all) while the dispatcher works on this.
+                let (tx, reply_rx) = oneshot::channel();
+                in_flight.fetch_add(1, Ordering::Relaxed);
+                let reply = Reply { tx, in_flight: Arc::clone(&in_flight) };
+                if state.jobs.send(Job { conn_id, work, reply }).is_err() {
                     // The dispatcher is gone: the server is shutting down.
                     let _ = out.send(Outgoing::Ready {
                         id,
@@ -813,7 +899,8 @@ async fn read_task<S: Stream>(
 /// select — the out-of-band push lane always wins ties over the ordered
 /// response lane, and keeps being serviced even while a dispatcher
 /// answer is pending (the dispatcher may be blocked on this very
-/// connection's push ack).
+/// connection's push ack). Whatever is already sendable when it wakes
+/// goes out in one write.
 async fn write_task<S: Stream>(
     mut writer: NbWriter<S>,
     mut ordered: mpsc::UnboundedReceiver<Outgoing>,
@@ -824,47 +911,119 @@ async fn write_task<S: Stream>(
     max_len: u32,
     close: Arc<dyn Fn() + Send + Sync>,
 ) {
-    'conn: loop {
-        match select2(pushes.recv(), ordered.recv()).await {
-            Either::Left(Some(push)) => {
-                if writer.write_frame(&push, max_len).await.is_err() {
-                    break 'conn;
-                }
-            }
-            Either::Left(None) => unreachable!("the write task holds a push-lane sender"),
-            Either::Right(Some(Outgoing::Ready { id, response })) => {
-                if emit(&mut writer, &response, id, max_len).await.is_err() {
-                    break 'conn;
-                }
-            }
-            Either::Right(Some(Outgoing::Pending { id, mut reply })) => {
-                let response = loop {
-                    match select2(pushes.recv(), &mut reply).await {
-                        Either::Left(Some(push)) => {
-                            if writer.write_frame(&push, max_len).await.is_err() {
-                                break 'conn;
-                            }
-                        }
-                        Either::Left(None) => {
-                            unreachable!("the write task holds a push-lane sender")
-                        }
-                        Either::Right(Ok(response)) => break response,
-                        // The dispatcher dropped the job (shutdown
-                        // mid-flight); nothing left to say here.
-                        Either::Right(Err(_)) => break 'conn,
-                    }
-                };
-                if emit(&mut writer, &response, id, max_len).await.is_err() {
-                    break 'conn;
-                }
-            }
-            Either::Right(Some(Outgoing::Close)) | Either::Right(None) => break 'conn,
-        }
-    }
+    let _ = write_loop(&mut writer, &mut ordered, &mut pushes, max_len).await;
+    // Whatever was queued before the loop stopped still goes out.
+    let _ = writer.flush().await;
     close();
 }
 
-/// Encodes and writes one correlated response. Encoding happens against
+/// The ordered lane's head while the dispatcher is still producing its
+/// answer: the correlation id and the answer's oneshot.
+type Waiting = (Option<u64>, oneshot::Receiver<Response>);
+
+/// Writes until the ordered lane closes (`Ok`) or the connection fails
+/// (`Err`).
+async fn write_loop<S: Write>(
+    writer: &mut NbWriter<S>,
+    ordered: &mut mpsc::UnboundedReceiver<Outgoing>,
+    pushes: &mut mpsc::UnboundedReceiver<Frame>,
+    max_len: u32,
+) -> Result<(), ()> {
+    const KEEPALIVE: &str = "the write task holds a push-lane sender";
+    let mut head: Option<Waiting> = None;
+    loop {
+        // Park until something is sendable: a push, or the ordered
+        // lane's next answer.
+        let open = match head.take() {
+            None => match select2(pushes.recv(), ordered.recv()).await {
+                Either::Left(push) => {
+                    writer.queue_frame(&push.expect(KEEPALIVE), max_len).map_err(drop)?;
+                    true
+                }
+                Either::Right(item) => take_item(writer, &mut head, item, max_len)?,
+            },
+            Some((id, mut reply)) => {
+                let next = select2(pushes.recv(), &mut reply).await;
+                match next {
+                    Either::Left(push) => {
+                        head = Some((id, reply));
+                        writer.queue_frame(&push.expect(KEEPALIVE), max_len).map_err(drop)?;
+                    }
+                    Either::Right(Ok(response)) => emit(writer, &response, id, max_len)?,
+                    // The dispatcher dropped the job (shutdown
+                    // mid-flight); nothing left to say here.
+                    Either::Right(Err(_)) => return Err(()),
+                }
+                true
+            }
+        };
+        if !open {
+            return Ok(());
+        }
+        // Then gather everything else already sendable, without waiting,
+        // and write it all at once.
+        let open = gather(writer, ordered, pushes, &mut head, max_len).await?;
+        writer.flush().await.map_err(drop)?;
+        if !open {
+            return Ok(());
+        }
+    }
+}
+
+/// Queues every push, then every ordered answer up to the first one
+/// still being produced (which becomes `head`), up to [`WRITE_BATCH`]
+/// bytes. `Ok(false)` once the ordered lane says to close.
+async fn gather<S: Write>(
+    writer: &mut NbWriter<S>,
+    ordered: &mut mpsc::UnboundedReceiver<Outgoing>,
+    pushes: &mut mpsc::UnboundedReceiver<Frame>,
+    head: &mut Option<Waiting>,
+    max_len: u32,
+) -> Result<bool, ()> {
+    while writer.queued() < WRITE_BATCH {
+        while let Ok(push) = pushes.try_recv() {
+            writer.queue_frame(&push, max_len).map_err(drop)?;
+        }
+        match head.take() {
+            Some((id, reply)) if reply.is_ready() => match reply.await {
+                Ok(response) => emit(writer, &response, id, max_len)?,
+                Err(_) => return Err(()),
+            },
+            Some(waiting) => {
+                *head = Some(waiting);
+                break;
+            }
+            None => match ordered.try_recv() {
+                Ok(item) => {
+                    if !take_item(writer, head, Some(item), max_len)? {
+                        return Ok(false);
+                    }
+                }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return Ok(false),
+            },
+        }
+    }
+    Ok(true)
+}
+
+/// Takes one ordered-lane item: a ready answer is queued, a pending one
+/// becomes `head`. `Ok(false)` when the lane says to close.
+fn take_item<S: Write>(
+    writer: &mut NbWriter<S>,
+    head: &mut Option<Waiting>,
+    item: Option<Outgoing>,
+    max_len: u32,
+) -> Result<bool, ()> {
+    match item {
+        Some(Outgoing::Ready { id, response }) => emit(writer, &response, id, max_len)?,
+        Some(Outgoing::Pending { id, reply }) => *head = Some((id, reply)),
+        Some(Outgoing::Close) | None => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Encodes and queues one correlated response. Encoding happens against
 /// the server's own frame cap — minus the 9-byte envelope header when
 /// the answer must be wrapped — and a response too big to send is
 /// downgraded to a (small) typed error in the same response slot, so
@@ -873,7 +1032,7 @@ async fn write_task<S: Stream>(
 /// not fit — then the only honest move left is closing the connection
 /// (`Err`; never a panic, never a silent skip that would desynchronise
 /// response ordering).
-async fn emit<S: Stream>(
+fn emit<S: Write>(
     writer: &mut NbWriter<S>,
     response: &Response,
     id: Option<u64>,
@@ -894,7 +1053,7 @@ async fn emit<S: Stream>(
         Some(id) => wrap_tagged(id, &frame),
         None => frame,
     };
-    writer.write_frame(&frame, max_len).await.map_err(|_| ())
+    writer.queue_frame(&frame, max_len).map_err(drop)
 }
 
 /// Forwards one engine invalidation to every subscriber of its tenant
@@ -968,26 +1127,107 @@ fn drop_subscriber(state: &Arc<ServerState>, conn_id: u64, subscriber: &Subscrib
     (subscriber.close)();
 }
 
-/// One coalescable check: where its calls start in the group's combined
-/// batch, how many there are, and whether it was a single `Check`.
-struct PendingCheck {
-    reply: oneshot::Sender<Response>,
-    start: usize,
+/// One coalesced check: where its answer goes (`R`: a correlation id on
+/// the read task, a [`Reply`] on the dispatcher), how many of the
+/// group's calls are its own, and whether it was a single `Check`.
+struct PendingCheck<R> {
+    reply: R,
     len: usize,
     single: bool,
 }
 
-/// All checks sharing one policy key *and one connection* within a
-/// dispatch round. Grouping is per-connection because each connection
-/// owns its trajectory session: two connections checking the same policy
-/// must spend their own budgets, not each other's.
-struct CheckGroup {
+/// Checks sharing one policy key *and one connection*, answered by one
+/// evaluation. Grouping is per-connection because each connection owns
+/// its trajectory session: two connections checking the same policy
+/// must spend their own budgets, not each other's. The key is computed
+/// once, when the group opens, and serves both the session table and
+/// the store lookup.
+struct CheckGroup<R> {
     conn_id: u64,
+    key: EngineKey,
     tenant: String,
-    task: String,
-    context: conseca_core::TrustedContext,
+    /// Every member's calls, in arrival order.
     calls: Vec<ApiCall>,
-    pending: Vec<PendingCheck>,
+    pending: Vec<PendingCheck<R>>,
+}
+
+impl<R> CheckGroup<R> {
+    fn new(conn_id: u64, key: EngineKey, tenant: String) -> Self {
+        CheckGroup { conn_id, key, tenant, calls: Vec::new(), pending: Vec::new() }
+    }
+
+    fn push(&mut self, reply: R, calls: Vec<ApiCall>, single: bool) {
+        self.pending.push(PendingCheck { reply, len: calls.len(), single });
+        self.calls.extend(calls);
+    }
+}
+
+/// Evaluates one check group and pairs each member with its response —
+/// the one check implementation behind both the read task and the
+/// dispatcher. The connection's trajectory session is checked out for
+/// the group, advanced through its calls in order, and checked back in.
+fn answer_group<R>(state: &ServerState, group: CheckGroup<R>) -> Vec<(R, Response)> {
+    if group.pending.len() > 1 {
+        state.metrics.coalesced_checks.fetch_add(group.calls.len() as u64, Ordering::Relaxed);
+    }
+    let session_key = (group.conn_id, group.key);
+    let mut session = state.sessions().remove(&session_key).unwrap_or_default();
+    let decisions =
+        state.engine.check_all_session_key(&group.tenant, &group.key, &mut session, &group.calls);
+    state.sessions().insert(session_key, session);
+    let mut decisions = decisions.map(Vec::into_iter);
+    group
+        .pending
+        .into_iter()
+        .map(|pending| {
+            let response = match (decisions.as_mut(), pending.single) {
+                (None, true) => Response::Verdict { decision: None },
+                (None, false) => Response::VerdictBatch { decisions: None },
+                (Some(all), true) => Response::Verdict { decision: all.next() },
+                (Some(all), false) => {
+                    Response::VerdictBatch { decisions: Some(all.take(pending.len).collect()) }
+                }
+            };
+            (pending.reply, response)
+        })
+        .collect()
+}
+
+/// Answers a check on the connection's own read task, together with the
+/// checks under the same policy key already buffered behind it (no I/O
+/// is awaited), as one group. Returns the first buffered request that
+/// did not join, for the read task to handle next.
+fn answer_checks<S: Read>(
+    state: &ServerState,
+    conn_id: u64,
+    reader: &mut NbReader<S>,
+    out: &mpsc::UnboundedSender<Outgoing>,
+    id: Option<u64>,
+    mut first: CheckRequest,
+) -> Option<Inbound> {
+    let key = EngineKey::new(&first.tenant, &first.task, &first.context);
+    let mut group = CheckGroup::new(conn_id, key, first.tenant.clone());
+    group.push(id, std::mem::take(&mut first.calls), first.single);
+    let mut carried = None;
+    while group.pending.len() < state.config.max_batch {
+        // A framing error stays in the reader for the read task to meet.
+        let Some(Ok(frame)) = reader.buffered_frame(state.config.max_frame_len) else { break };
+        match decode_inbound(frame) {
+            Ok((id, Work::Check(next))) if next.same_key(&first) => {
+                group.push(id, next.calls, next.single)
+            }
+            other => {
+                carried = Some(other);
+                break;
+            }
+        }
+    }
+    state.metrics.batches.fetch_add(1, Ordering::Relaxed);
+    state.metrics.requests.fetch_add(group.pending.len() as u64, Ordering::Relaxed);
+    for (id, response) in answer_group(state, group) {
+        let _ = out.send(Outgoing::Ready { id, response });
+    }
+    carried
 }
 
 async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job>) {
@@ -1006,274 +1246,156 @@ async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job
 }
 
 fn process_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
-    let engine = &state.engine;
-    // Coalesce contiguous runs of checks by policy key so each group
-    // costs one store lookup + one stats resolution regardless of how
-    // many clients contributed to it. The accumulated run is flushed
-    // before any mutating/admin job executes, so effects apply in
-    // arrival order — a pipelined client's Check can never observe its
-    // own later Install or Flush (docs/serving.md §1 permits
-    // pipelining).
-    let mut groups: Vec<CheckGroup> = Vec::new();
-    let mut index: std::collections::HashMap<(u64, EngineKey), usize> =
-        std::collections::HashMap::new();
-
+    // Coalesce each connection's checks by policy key so each group
+    // costs one store lookup + one stats resolution. The accumulated
+    // groups are flushed before any mutating/admin job executes, so
+    // effects apply in arrival order — a pipelined client's Check can
+    // never observe its own later Install or Flush (docs/serving.md §1
+    // permits pipelining).
+    let mut groups: Vec<CheckGroup<Reply>> = Vec::new();
+    let mut index: HashMap<(u64, EngineKey), usize> = HashMap::new();
+    let answer_all = |groups: &mut Vec<CheckGroup<Reply>>| {
+        for group in groups.drain(..) {
+            for (reply, response) in answer_group(state, group) {
+                reply.send(response);
+            }
+        }
+    };
     for job in batch {
-        match job.request {
-            Request::Check { tenant, task, context, call } => {
-                push_check(
-                    &mut groups,
-                    &mut index,
-                    job.conn_id,
-                    tenant,
-                    task,
-                    context,
-                    vec![call],
-                    true,
-                    job.reply,
-                );
+        match job.work {
+            Work::Check(check) => {
+                let key = EngineKey::new(&check.tenant, &check.task, &check.context);
+                let slot = *index.entry((job.conn_id, key)).or_insert_with(|| {
+                    groups.push(CheckGroup::new(job.conn_id, key, check.tenant));
+                    groups.len() - 1
+                });
+                groups[slot].push(job.reply, check.calls, check.single);
             }
-            Request::CheckBatch { tenant, task, context, calls } => {
-                push_check(
-                    &mut groups,
-                    &mut index,
-                    job.conn_id,
-                    tenant,
-                    task,
-                    context,
-                    calls,
-                    false,
-                    job.reply,
-                );
-            }
-            other => {
-                flush_checks(state, &mut groups, &mut index);
-                match other {
-                    Request::Install { tenant, task, context, policy } => {
-                        let fingerprint = policy.fingerprint();
-                        let entries = policy.len() as u64;
-                        engine.install(&tenant, &task, &context, &policy);
-                        // A deliberate reinstall makes the fingerprint
-                        // live (and restorable) again — durably, so a
-                        // crash after the reply doesn't resurrect the
-                        // old retirement order.
-                        let _ = state.ledger.record_reinstate(&tenant, fingerprint);
-                        if let Some(daemon) = &state.daemon {
-                            daemon.on_installed(&tenant, &task, &context, fingerprint);
-                        }
-                        let _ = job.reply.send(Response::Installed { fingerprint, entries });
-                    }
-                    Request::FetchPolicy { tenant, task, context } => {
-                        let policy = engine
-                            .lookup(&tenant, &task, &context)
-                            .map(|compiled| (*compiled.source_handle()).clone());
-                        let _ = job.reply.send(Response::PolicyOk { policy });
-                    }
-                    Request::Flush { tenant } => {
-                        let removed = engine.flush_tenant(&tenant) as u64;
-                        let _ = job.reply.send(Response::Flushed { removed });
-                    }
-                    Request::Revoke { tenant, fingerprint } => {
-                        // Journal first — durable before acknowledged.
-                        // A revocation the server cannot persist is
-                        // still applied in memory (fail closed for the
-                        // running process), but the client is told the
-                        // durability guarantee does not hold.
-                        match state.ledger.record_revoke(&tenant, fingerprint) {
-                            Ok(()) => {
-                                let removed =
-                                    engine.revoke_fingerprint(&tenant, fingerprint) as u64;
-                                if let Some(daemon) = &state.daemon {
-                                    daemon.on_revoked(&tenant, fingerprint);
-                                }
-                                let _ = job.reply.send(Response::Revoked { removed });
-                            }
-                            Err(e) => {
-                                engine.revoke_fingerprint(&tenant, fingerprint);
-                                let _ = job.reply.send(Response::Error {
-                                    code: code::PERSISTENCE,
-                                    message: format!(
-                                        "revocation applied in memory but not journaled: {e}"
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    Request::Reload { tenant, task, context, policy } => {
-                        let fingerprint = policy.fingerprint();
-                        let entries = policy.len() as u64;
-                        let receipt = engine.reload(&tenant, &task, &context, &policy);
-                        // The reloaded fingerprint is live again; the
-                        // displaced one stays un-ledgered (explicit wire
-                        // Revokes, not displacements, define the set —
-                        // a displaced policy is replaceable history, not
-                        // a standing retirement order).
-                        let _ = state.ledger.record_reinstate(&tenant, fingerprint);
-                        if let Some(daemon) = &state.daemon {
-                            daemon.on_installed(&tenant, &task, &context, fingerprint);
-                        }
-                        let _ = job.reply.send(Response::Reloaded {
-                            old_fingerprint: receipt.old_fingerprint,
-                            fingerprint,
-                            entries,
-                        });
-                    }
-                    Request::Snapshot { tenant } => {
-                        let response = match engine.store().export_snapshot(&tenant) {
-                            Ok(snapshot) => Response::SnapshotOk {
-                                entries: snapshot.entries as u64,
-                                snapshot: snapshot.bytes,
-                            },
-                            Err(e) => {
-                                Response::Error { code: code::BAD_SNAPSHOT, message: e.to_string() }
-                            }
-                        };
-                        let _ = job.reply.send(response);
-                    }
-                    Request::Restore { tenant, revoked, snapshot } => {
-                        // The effective revocation set is the request's
-                        // list unioned with the server-side durable
-                        // ledger. If the ledger cannot be read the
-                        // restore is refused outright: importing with a
-                        // partial revocation set could resurrect a
-                        // revoked policy, which is the exact hole the
-                        // ledger closes.
-                        let response = match state.ledger.revoked_snapshot(&tenant) {
-                            Ok(ledgered) => {
-                                let mut revoked: HashSet<u64> = revoked.into_iter().collect();
-                                revoked.extend(ledgered);
-                                match engine.store().import_snapshot(&tenant, &snapshot, &revoked) {
-                                    Ok(report) => Response::Restored {
-                                        installed: report.installed as u64,
-                                        skipped_revoked: report.skipped_revoked as u64,
-                                        skipped_live: report.skipped_live as u64,
-                                    },
-                                    Err(e) => Response::Error {
-                                        code: code::BAD_SNAPSHOT,
-                                        message: e.to_string(),
-                                    },
-                                }
-                            }
-                            Err(e) => Response::Error {
-                                code: code::PERSISTENCE,
-                                message: format!(
-                                    "restore refused: revocation ledger unreadable: {e}"
-                                ),
-                            },
-                        };
-                        let _ = job.reply.send(response);
-                    }
-                    Request::Stats { tenant } => {
-                        let counters = engine.tenant_counters(&tenant);
-                        let daemon = state.daemon.as_ref().map(|d| d.counters());
-                        let _ = job.reply.send(Response::StatsOk {
-                            counters,
-                            daemon,
-                            workers: state.config.worker_threads as u64,
-                        });
-                    }
-                    Request::Shutdown => {
-                        let _ = job.reply.send(Response::ShuttingDown);
-                        state.initiate_shutdown();
-                    }
-                    Request::Hello { .. } => {
-                        // Handshakes are answered by the read task; one
-                        // reaching the dispatcher is a server bug, not a
-                        // client error.
-                        let _ = job.reply.send(Response::Error {
-                            code: code::MALFORMED,
-                            message: "Hello is handled during the handshake".into(),
-                        });
-                    }
-                    Request::Subscribe { .. } | Request::PushAck { .. } => {
-                        // Subscription traffic is answered inline by the
-                        // connection's read task; one reaching the
-                        // dispatcher is a server bug, not a client error.
-                        let _ = job.reply.send(Response::Error {
-                            code: code::MALFORMED,
-                            message: "subscription frames are handled by the connection reader"
-                                .into(),
-                        });
-                    }
-                    Request::Check { .. } | Request::CheckBatch { .. } => unreachable!(),
-                }
+            Work::Other(request) => {
+                index.clear();
+                answer_all(&mut groups);
+                job.reply.send(execute(state, request));
             }
         }
     }
-    flush_checks(state, &mut groups, &mut index);
+    answer_all(&mut groups);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_check(
-    groups: &mut Vec<CheckGroup>,
-    index: &mut std::collections::HashMap<(u64, EngineKey), usize>,
-    conn_id: u64,
-    tenant: String,
-    task: String,
-    context: conseca_core::TrustedContext,
-    calls: Vec<ApiCall>,
-    single: bool,
-    reply: oneshot::Sender<Response>,
-) {
-    let key = EngineKey::new(&tenant, &task, &context);
-    let slot = *index.entry((conn_id, key)).or_insert_with(|| {
-        groups.push(CheckGroup {
-            conn_id,
-            tenant,
-            task,
-            context,
-            calls: Vec::new(),
-            pending: Vec::new(),
-        });
-        groups.len() - 1
-    });
-    let group = &mut groups[slot];
-    let start = group.calls.len();
-    let len = calls.len();
-    group.calls.extend(calls);
-    group.pending.push(PendingCheck { reply, start, len, single });
-}
-
-/// Evaluates and answers every accumulated check group, leaving the
-/// accumulators empty.
-fn flush_checks(
-    state: &Arc<ServerState>,
-    groups: &mut Vec<CheckGroup>,
-    index: &mut std::collections::HashMap<(u64, EngineKey), usize>,
-) {
-    index.clear();
-    for group in groups.drain(..) {
-        if group.pending.len() > 1 {
-            state.metrics.coalesced_checks.fetch_add(group.calls.len() as u64, Ordering::Relaxed);
+/// Executes one mutating or admin request on the dispatcher.
+fn execute(state: &ServerState, request: Request) -> Response {
+    let engine = &state.engine;
+    match request {
+        Request::Install { tenant, task, context, policy } => {
+            let fingerprint = policy.fingerprint();
+            let entries = policy.len() as u64;
+            engine.install(&tenant, &task, &context, &policy);
+            // A deliberate reinstall makes the fingerprint live (and
+            // restorable) again — durably, so a crash after the reply
+            // doesn't resurrect the old retirement order.
+            let _ = state.ledger.record_reinstate(&tenant, fingerprint);
+            if let Some(daemon) = &state.daemon {
+                daemon.on_installed(&tenant, &task, &context, fingerprint);
+            }
+            Response::Installed { fingerprint, entries }
         }
-        // The connection's trajectory session is checked out for the
-        // group, advanced through the coalesced batch, and checked back
-        // in — never held across the engine call's store lookup under the
-        // table lock's critical section twice, and never shared between
-        // connections.
-        let session_key =
-            (group.conn_id, EngineKey::new(&group.tenant, &group.task, &group.context));
-        let mut session = state.sessions().remove(&session_key).unwrap_or_default();
-        let decisions = state.engine.check_all_session(
-            &group.tenant,
-            &group.task,
-            &group.context,
-            &mut session,
-            &group.calls,
-        );
-        state.sessions().insert(session_key, session);
-        for pending in group.pending {
-            let response = match (&decisions, pending.single) {
-                (None, true) => Response::Verdict { decision: None },
-                (None, false) => Response::VerdictBatch { decisions: None },
-                (Some(all), true) => {
-                    Response::Verdict { decision: Some(all[pending.start].clone()) }
+        Request::FetchPolicy { tenant, task, context } => {
+            let policy = engine
+                .lookup(&tenant, &task, &context)
+                .map(|compiled| (*compiled.source_handle()).clone());
+            Response::PolicyOk { policy }
+        }
+        Request::Flush { tenant } => {
+            Response::Flushed { removed: engine.flush_tenant(&tenant) as u64 }
+        }
+        Request::Revoke { tenant, fingerprint } => {
+            // Journal first — durable before acknowledged. A revocation
+            // the server cannot persist is still applied in memory (fail
+            // closed for the running process), but the client is told
+            // the durability guarantee does not hold.
+            match state.ledger.record_revoke(&tenant, fingerprint) {
+                Ok(()) => {
+                    let removed = engine.revoke_fingerprint(&tenant, fingerprint) as u64;
+                    if let Some(daemon) = &state.daemon {
+                        daemon.on_revoked(&tenant, fingerprint);
+                    }
+                    Response::Revoked { removed }
                 }
-                (Some(all), false) => Response::VerdictBatch {
-                    decisions: Some(all[pending.start..pending.start + pending.len].to_vec()),
-                },
-            };
-            let _ = pending.reply.send(response);
+                Err(e) => {
+                    engine.revoke_fingerprint(&tenant, fingerprint);
+                    Response::Error {
+                        code: code::PERSISTENCE,
+                        message: format!("revocation applied in memory but not journaled: {e}"),
+                    }
+                }
+            }
         }
+        Request::Reload { tenant, task, context, policy } => {
+            let fingerprint = policy.fingerprint();
+            let entries = policy.len() as u64;
+            let receipt = engine.reload(&tenant, &task, &context, &policy);
+            // The reloaded fingerprint is live again; the displaced one
+            // stays un-ledgered (explicit wire Revokes, not
+            // displacements, define the set — a displaced policy is
+            // replaceable history, not a standing retirement order).
+            let _ = state.ledger.record_reinstate(&tenant, fingerprint);
+            if let Some(daemon) = &state.daemon {
+                daemon.on_installed(&tenant, &task, &context, fingerprint);
+            }
+            Response::Reloaded { old_fingerprint: receipt.old_fingerprint, fingerprint, entries }
+        }
+        Request::Snapshot { tenant } => match engine.store().export_snapshot(&tenant) {
+            Ok(snapshot) => {
+                Response::SnapshotOk { entries: snapshot.entries as u64, snapshot: snapshot.bytes }
+            }
+            Err(e) => Response::Error { code: code::BAD_SNAPSHOT, message: e.to_string() },
+        },
+        Request::Restore { tenant, revoked, snapshot } => {
+            // The effective revocation set is the request's list unioned
+            // with the server-side durable ledger. If the ledger cannot
+            // be read the restore is refused outright: importing with a
+            // partial revocation set could resurrect a revoked policy,
+            // which is the exact hole the ledger closes.
+            match state.ledger.revoked_snapshot(&tenant) {
+                Ok(ledgered) => {
+                    let mut revoked: HashSet<u64> = revoked.into_iter().collect();
+                    revoked.extend(ledgered);
+                    match engine.store().import_snapshot(&tenant, &snapshot, &revoked) {
+                        Ok(report) => Response::Restored {
+                            installed: report.installed as u64,
+                            skipped_revoked: report.skipped_revoked as u64,
+                            skipped_live: report.skipped_live as u64,
+                        },
+                        Err(e) => {
+                            Response::Error { code: code::BAD_SNAPSHOT, message: e.to_string() }
+                        }
+                    }
+                }
+                Err(e) => Response::Error {
+                    code: code::PERSISTENCE,
+                    message: format!("restore refused: revocation ledger unreadable: {e}"),
+                },
+            }
+        }
+        Request::Stats { tenant } => Response::StatsOk {
+            counters: engine.tenant_counters(&tenant),
+            daemon: state.daemon.as_ref().map(|d| d.counters()),
+            workers: state.config.worker_threads as u64,
+        },
+        Request::Shutdown => {
+            state.initiate_shutdown();
+            Response::ShuttingDown
+        }
+        // Handshakes and subscription traffic are answered by the read
+        // task, and checks never arrive as `Work::Other`; one reaching
+        // here is a server bug, not a client error.
+        Request::Hello { .. } => Response::Error {
+            code: code::MALFORMED,
+            message: "Hello is handled during the handshake".into(),
+        },
+        Request::Subscribe { .. } | Request::PushAck { .. } => Response::Error {
+            code: code::MALFORMED,
+            message: "subscription frames are handled by the connection reader".into(),
+        },
+        Request::Check { .. } | Request::CheckBatch { .. } => unreachable!(),
     }
 }

@@ -20,8 +20,13 @@
 //! Unregistered streams keep their blocking behaviour — the sync client
 //! path still does plain blocking reads.
 //!
-//! `NbReader` / `NbWriter` adapt a registered stream to async frame
-//! I/O with the same framing semantics as [`wire::read_frame`](crate::wire::read_frame) /
+//! `NbReader` / `NbWriter` adapt a registered stream to *buffered*
+//! async frame I/O. The reader pulls in whatever the transport has with
+//! one syscall and hands out every complete frame from its buffer, so a
+//! pipelined burst of frames costs one read, not three or four per
+//! frame; its framing errors are those of
+//! [`wire::read_frame`](crate::wire::read_frame). The writer queues
+//! frames and flushes them with one write, through the same encoder as
 //! [`wire::write_frame`](crate::wire::write_frame).
 
 use std::collections::VecDeque;
@@ -33,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use futures::reactor::{Reactor, Registration};
 
-use crate::wire::{Frame, FrameReadError, FrameWriteError};
+use crate::wire::{announced_len, append_frame, Frame, FrameReadError, FrameWriteError};
 
 /// A connection transport: a byte stream that can be split into
 /// independently owned reader/writer handles, closed out-of-band, and
@@ -150,10 +155,15 @@ impl Pipe {
         let mut state = self.lock();
         loop {
             if !state.buf.is_empty() {
-                let n = out.len().min(state.buf.len());
-                for slot in out.iter_mut().take(n) {
-                    *slot = state.buf.pop_front().expect("n bounded by len");
-                }
+                // Bulk copy from both halves of the ring, so a read
+                // comes back short only when the pipe is empty — the
+                // async reader treats a short read as "drained".
+                let (front, back) = state.buf.as_slices();
+                let n = out.len().min(front.len() + back.len());
+                let from_front = n.min(front.len());
+                out[..from_front].copy_from_slice(&front[..from_front]);
+                out[from_front..n].copy_from_slice(&back[..n - from_front]);
+                state.buf.drain(..n);
                 return Ok(n);
             }
             if state.closed {
@@ -260,48 +270,61 @@ impl Stream for DuplexStream {
 
 // ------------------------------------------------------ async frame I/O
 
-/// Async frame reader over a [`register`](Stream::register)ed stream.
+/// Size a reader's buffer starts at: a few typical frames.
+const READ_BUF: usize = 4 * 1024;
+
+/// Largest buffer an idle reader or writer keeps; one grown past this
+/// for a large frame is released once that frame is done.
+const KEEP_BUF: usize = 64 * 1024;
+
+/// Buffered async frame reader over a [`register`](Stream::register)ed
+/// stream.
 ///
-/// [`read_frame`](Self::read_frame) mirrors [`wire::read_frame`](crate::wire::read_frame)
-/// exactly: `Ok(None)` for a clean close at a frame boundary,
-/// `UnexpectedEof` inside a frame, [`FrameReadError::Empty`] for a
-/// zero-length prefix, and [`FrameReadError::Oversized`] *before* the
-/// payload is read.
+/// Each read syscall pulls in as many bytes as the buffer holds, and
+/// every complete frame already buffered is handed out with no syscall
+/// at all ([`buffered_frame`](Self::buffered_frame)). The buffer starts
+/// at [`READ_BUF`] and grows only to fit the frame in progress.
+///
+/// A read that comes back short has drained the transport, so the next
+/// read awaits a readiness edge instead of spending a syscall just to
+/// learn `WouldBlock`. That is sound for edge-triggered epoll (bytes
+/// arriving after the read raise a fresh edge) and for duplex pipes
+/// (every write notifies the reader).
+///
+/// Framing semantics are the wire's: `Ok(None)` for a clean close at a
+/// frame boundary, `UnexpectedEof` mid-length or mid-frame,
+/// [`FrameReadError::Empty`] for a zero-length prefix, and
+/// [`FrameReadError::Oversized`] as soon as the prefix is in — *before*
+/// the payload is read.
 pub(crate) struct NbReader<S> {
     stream: S,
     reg: Registration,
+    /// Bytes read but not yet handed out live in `buf[start..end]`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// The last read came back short: wait for an edge before the next.
+    drained: bool,
 }
 
 impl<S: Read> NbReader<S> {
     pub(crate) fn new(stream: S, reg: Registration) -> Self {
-        NbReader { stream, reg }
+        NbReader { stream, reg, buf: Vec::new(), start: 0, end: 0, drained: false }
     }
 
-    /// One non-blocking read attempt, awaiting readiness on `WouldBlock`.
-    async fn read_some(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.stream.read(buf) {
-                Ok(n) => return Ok(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.reg.readable().await,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    async fn read_exact(&mut self, mut buf: &mut [u8]) -> io::Result<()> {
-        while !buf.is_empty() {
-            match self.read_some(buf).await? {
-                0 => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame",
-                    ))
-                }
-                n => buf = &mut buf[n..],
-            }
-        }
-        Ok(())
+    /// The next frame, if it is already whole in the buffer — no I/O.
+    /// `None` means more bytes are needed. A bad length prefix is
+    /// reported (and left in place) as soon as its four bytes are in.
+    pub(crate) fn buffered_frame(&mut self, max_len: u32) -> Option<Result<Frame, FrameReadError>> {
+        let pending = &self.buf[self.start..self.end];
+        let len = match announced_len(pending, max_len)? {
+            Ok(len) => len,
+            Err(e) => return Some(Err(e)),
+        };
+        let body = pending.get(4..4 + len)?;
+        let frame = Frame { tag: body[0], payload: body[1..].to_vec() };
+        self.start += 4 + len;
+        Some(Ok(frame))
     }
 
     /// Reads one frame; see the type docs for semantics.
@@ -309,84 +332,129 @@ impl<S: Read> NbReader<S> {
         &mut self,
         max_len: u32,
     ) -> Result<Option<Frame>, FrameReadError> {
-        let mut len_bytes = [0u8; 4];
-        let mut filled = 0;
-        while filled < 4 {
-            match self.read_some(&mut len_bytes[filled..]).await? {
-                0 if filled == 0 => return Ok(None),
-                0 => {
-                    return Err(FrameReadError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-length",
-                    )))
-                }
-                n => filled += n,
+        loop {
+            if let Some(frame) = self.buffered_frame(max_len) {
+                return frame.map(Some);
+            }
+            if self.fill(max_len).await? == 0 {
+                let what = match self.end - self.start {
+                    0 => return Ok(None),
+                    1..=3 => "connection closed mid-length",
+                    _ => "connection closed mid-frame",
+                };
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, what).into());
             }
         }
-        let len = u32::from_be_bytes(len_bytes);
-        if len == 0 {
-            return Err(FrameReadError::Empty);
-        }
-        if len > max_len {
-            return Err(FrameReadError::Oversized { len, max: max_len });
-        }
-        let mut tag = [0u8; 1];
-        self.read_exact(&mut tag).await?;
-        let mut payload = vec![0u8; len as usize - 1];
-        self.read_exact(&mut payload).await?;
-        Ok(Some(Frame { tag: tag[0], payload }))
-    }
-}
-
-/// Async frame writer over a [`register`](Stream::register)ed stream;
-/// the async twin of [`wire::write_frame`](crate::wire::write_frame), with the same encode-time
-/// length cap.
-pub(crate) struct NbWriter<S> {
-    stream: S,
-    reg: Registration,
-}
-
-impl<S: Write> NbWriter<S> {
-    pub(crate) fn new(stream: S, reg: Registration) -> Self {
-        NbWriter { stream, reg }
     }
 
-    async fn write_all(&mut self, mut data: &[u8]) -> io::Result<()> {
-        while !data.is_empty() {
-            match self.stream.write(data) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "stream accepted zero bytes",
-                    ))
+    /// Reads more bytes behind the buffered partial frame, first making
+    /// room for that whole frame. `Ok(0)` is EOF.
+    async fn fill(&mut self, max_len: u32) -> io::Result<usize> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let frame = match announced_len(&self.buf[..self.end], max_len) {
+            Some(Ok(len)) => 4 + len,
+            _ => 0,
+        };
+        let want = frame.max(READ_BUF);
+        if self.buf.len() > want.max(KEEP_BUF) {
+            self.buf.truncate(want);
+            self.buf.shrink_to_fit();
+        }
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        // Room is guaranteed: a buffer holding `want` bytes would have
+        // held a whole frame, and `buffered_frame` would have taken it.
+        debug_assert!(self.end < self.buf.len());
+        loop {
+            if self.drained {
+                self.reg.readable().await;
+                self.drained = false;
+            }
+            match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.drained = n > 0 && self.end + n < self.buf.len();
+                    self.end += n;
+                    return Ok(n);
                 }
-                Ok(n) => data = &data[n..],
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.reg.writable().await,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.drained = true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        self.stream.flush()
+    }
+}
+
+/// Buffered async frame writer over a [`register`](Stream::register)ed
+/// stream: [`queue_frame`](Self::queue_frame) appends a frame (with the
+/// [`wire::write_frame`](crate::wire::write_frame) encode-time length
+/// cap) and [`flush`](Self::flush) writes everything queued, so a batch
+/// of frames costs one syscall.
+pub(crate) struct NbWriter<S> {
+    stream: S,
+    reg: Registration,
+    /// Queued frame bytes not yet written.
+    buf: Vec<u8>,
+}
+
+impl<S: Write> NbWriter<S> {
+    pub(crate) fn new(stream: S, reg: Registration) -> Self {
+        NbWriter { stream, reg, buf: Vec::new() }
     }
 
-    /// Writes one frame, bound-checking the length against `max_len`
-    /// before any bytes go out (the [`wire::write_frame`](crate::wire::write_frame) contract).
+    /// Queues one frame, bound-checking its length against `max_len`
+    /// first; a refused frame queues nothing.
+    pub(crate) fn queue_frame(
+        &mut self,
+        frame: &Frame,
+        max_len: u32,
+    ) -> Result<(), FrameWriteError> {
+        append_frame(&mut self.buf, frame, max_len)
+    }
+
+    /// Bytes queued and not yet flushed.
+    pub(crate) fn queued(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Writes everything queued. The queue is emptied either way: after
+    /// a failed write the stream is dead.
+    pub(crate) async fn flush(&mut self) -> io::Result<()> {
+        let mut written = 0;
+        let result = loop {
+            if written == self.buf.len() {
+                break self.stream.flush();
+            }
+            match self.stream.write(&self.buf[written..]) {
+                Ok(0) => {
+                    break Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "stream accepted zero bytes",
+                    ))
+                }
+                Ok(n) => written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.reg.writable().await,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        self.buf.clear();
+        if self.buf.capacity() > KEEP_BUF {
+            self.buf = Vec::new();
+        }
+        result
+    }
+
+    /// Queues and flushes one frame.
     pub(crate) async fn write_frame(
         &mut self,
         frame: &Frame,
         max_len: u32,
     ) -> Result<(), FrameWriteError> {
-        let len = 1u64 + frame.payload.len() as u64;
-        if len > max_len as u64 {
-            return Err(FrameWriteError::Oversized { len, max: max_len });
-        }
-        // One contiguous buffer so a frame is at most a handful of
-        // syscalls, not four tiny ones.
-        let mut buf = Vec::with_capacity(5 + frame.payload.len());
-        buf.extend_from_slice(&(len as u32).to_be_bytes());
-        buf.push(frame.tag);
-        buf.extend_from_slice(&frame.payload);
-        self.write_all(&buf).await?;
+        self.queue_frame(frame, max_len)?;
+        self.flush().await?;
         Ok(())
     }
 }
@@ -540,6 +608,105 @@ mod tests {
         block_on(async {
             assert!(reader.read_frame(10).await.unwrap().is_none());
         });
+    }
+
+    #[test]
+    fn duplex_reads_take_the_whole_ring_at_once() {
+        // Wrap the ring buffer: a read must still return every buffered
+        // byte, so a short read really means "empty".
+        let (mut a, mut b) = duplex();
+        a.write_all(&[1u8; 6]).unwrap();
+        let mut buf = [0u8; 4];
+        b.read_exact(&mut buf).unwrap();
+        a.write_all(&[2u8; 64]).unwrap();
+        let mut all = [0u8; 128];
+        assert_eq!(b.read(&mut all).unwrap(), 66);
+        assert_eq!(&all[..2], &[1, 1]);
+        assert!(all[2..66].iter().all(|&byte| byte == 2));
+    }
+
+    #[test]
+    fn nb_reader_hands_out_buffered_frames_without_io() {
+        let (a, b) = duplex();
+        let reg_a = a.register().unwrap();
+        let reg_b = b.register().unwrap();
+        let mut writer = NbWriter::new(a, reg_a);
+        let mut reader = NbReader::new(b, reg_b);
+        let frames: Vec<Frame> =
+            (0..3u8).map(|i| Frame { tag: 0x10 + i, payload: vec![i; 3 + i as usize] }).collect();
+        // Queued frames leave in one write...
+        for frame in &frames {
+            writer.queue_frame(frame, 1024).unwrap();
+        }
+        block_on(writer.flush()).unwrap();
+        assert_eq!(writer.queued(), 0);
+        // ...and one read takes them all in: the rest come from the buffer.
+        assert!(reader.buffered_frame(1024).is_none(), "nothing read yet");
+        let first = block_on(reader.read_frame(1024)).unwrap().unwrap();
+        assert_eq!(first, frames[0]);
+        assert_eq!(reader.buffered_frame(1024).unwrap().unwrap(), frames[1]);
+        assert_eq!(reader.buffered_frame(1024).unwrap().unwrap(), frames[2]);
+        assert!(reader.buffered_frame(1024).is_none());
+    }
+
+    #[test]
+    fn nb_reader_reassembles_frames_arriving_byte_by_byte() {
+        let (mut a, b) = duplex();
+        let reg_b = b.register().unwrap();
+        let mut reader = NbReader::new(b, reg_b);
+        let frames = [
+            Frame { tag: 0x01, payload: b"first".to_vec() },
+            Frame { tag: 0x02, payload: vec![7u8; 40] },
+        ];
+        let mut bytes = Vec::new();
+        for frame in &frames {
+            append_frame(&mut bytes, frame, 1024).unwrap();
+        }
+        let writer = thread::spawn(move || {
+            for byte in bytes {
+                a.write_all(&[byte]).unwrap();
+                thread::sleep(std::time::Duration::from_micros(200));
+            }
+            a
+        });
+        for frame in &frames {
+            assert_eq!(&block_on(reader.read_frame(1024)).unwrap().unwrap(), frame);
+        }
+        drop(writer.join().unwrap());
+        assert!(block_on(reader.read_frame(1024)).unwrap().is_none(), "clean close");
+    }
+
+    #[test]
+    fn nb_reader_grows_for_a_large_frame_and_lets_the_buffer_go_after() {
+        let (a, b) = duplex();
+        let reg_a = a.register().unwrap();
+        let reg_b = b.register().unwrap();
+        let mut writer = NbWriter::new(a, reg_a);
+        let mut reader = NbReader::new(b, reg_b);
+        let big = Frame { tag: 0x05, payload: vec![3u8; 4 * KEEP_BUF] };
+        let small = Frame { tag: 0x06, payload: vec![1, 2] };
+        block_on(async {
+            writer.write_frame(&big, 1 << 20).await.unwrap();
+            assert_eq!(reader.read_frame(1 << 20).await.unwrap().unwrap(), big);
+            writer.write_frame(&small, 1 << 20).await.unwrap();
+            assert_eq!(reader.read_frame(1 << 20).await.unwrap().unwrap(), small);
+        });
+        assert!(reader.buf.len() <= KEEP_BUF, "an idle reader keeps a small buffer");
+    }
+
+    #[test]
+    fn nb_reader_reports_eof_mid_length() {
+        let (a, b) = duplex();
+        let reg_b = b.register().unwrap();
+        let mut reader = NbReader::new(b, reg_b);
+        let mut a2 = a.try_split().unwrap();
+        a2.write_all(&[0, 0]).unwrap(); // two of four prefix bytes
+        drop(a2);
+        drop(a);
+        match block_on(reader.read_frame(1024)) {
+            Err(FrameReadError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected UnexpectedEof, got {other:?}"),
+        }
     }
 
     #[test]

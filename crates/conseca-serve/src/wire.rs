@@ -291,14 +291,31 @@ impl From<io::Error> for FrameWriteError {
 ///
 /// [`FrameWriteError::Oversized`] or transport failures.
 pub fn write_frame(w: &mut impl Write, frame: &Frame, max_len: u32) -> Result<(), FrameWriteError> {
+    // One contiguous write: one syscall (one TCP segment, one wake of a
+    // duplex peer) per frame, not one per field.
+    let mut buf = Vec::new();
+    append_frame(&mut buf, frame, max_len)?;
+    w.write_all(&buf)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Appends one frame's wire bytes (length prefix, tag, payload) to
+/// `buf`, bound-checking the length first; on error `buf` is untouched.
+/// The one encoder behind both [`write_frame`] and the async writer.
+pub(crate) fn append_frame(
+    buf: &mut Vec<u8>,
+    frame: &Frame,
+    max_len: u32,
+) -> Result<(), FrameWriteError> {
     let len = 1u64 + frame.payload.len() as u64;
     if len > max_len as u64 {
         return Err(FrameWriteError::Oversized { len, max: max_len });
     }
-    w.write_all(&(len as u32).to_be_bytes())?;
-    w.write_all(&[frame.tag])?;
-    w.write_all(&frame.payload)?;
-    w.flush()?;
+    buf.reserve(4 + len as usize);
+    buf.extend_from_slice(&(len as u32).to_be_bytes());
+    buf.push(frame.tag);
+    buf.extend_from_slice(&frame.payload);
     Ok(())
 }
 
@@ -320,18 +337,26 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Frame>, Fram
             n => filled += n,
         }
     }
-    let len = u32::from_be_bytes(len_bytes);
-    if len == 0 {
-        return Err(FrameReadError::Empty);
-    }
-    if len > max_len {
-        return Err(FrameReadError::Oversized { len, max: max_len });
-    }
+    let len = announced_len(&len_bytes, max_len).expect("the prefix is four bytes")?;
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
-    let mut payload = vec![0u8; len as usize - 1];
+    let mut payload = vec![0u8; len - 1];
     r.read_exact(&mut payload)?;
     Ok(Some(Frame { tag: tag[0], payload }))
+}
+
+/// The announced length (tag + payload) of the frame `pending` starts
+/// with, once its four prefix bytes are in (`None` before that). A
+/// zero length is [`FrameReadError::Empty`] and one over `max_len` is
+/// [`FrameReadError::Oversized`] — reported before any payload is read.
+/// The one length check behind [`read_frame`] and the async reader.
+pub(crate) fn announced_len(pending: &[u8], max_len: u32) -> Option<Result<usize, FrameReadError>> {
+    let prefix: [u8; 4] = pending.get(..4)?.try_into().expect("four bytes");
+    Some(match u32::from_be_bytes(prefix) {
+        0 => Err(FrameReadError::Empty),
+        len if len > max_len => Err(FrameReadError::Oversized { len, max: max_len }),
+        len => Ok(len as usize),
+    })
 }
 
 // ------------------------------------------------- v7 pipelining envelope

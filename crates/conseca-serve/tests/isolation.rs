@@ -1,0 +1,110 @@
+//! Isolation between connections and ordering within one: a mutation
+//! wedged on the dispatcher must not stall another tenant's checks, and
+//! a connection's own checks must still queue behind its unanswered
+//! mutation without the read task ever waiting on the dispatcher.
+
+use std::io::{Read, Write};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use conseca_core::{Policy, PolicyEntry, TrustedContext};
+use conseca_engine::Engine;
+use conseca_serve::wire::{read_frame, write_frame, Request, Response, DEFAULT_MAX_FRAME_LEN};
+use conseca_serve::{AsyncClient, ServeConfig, Server};
+use conseca_shell::ApiCall;
+
+fn ctx() -> TrustedContext {
+    TrustedContext::for_user("alice")
+}
+
+fn policy() -> Policy {
+    let mut p = Policy::new("t");
+    p.set("send_email", PolicyEntry::allow_any("the task sends"));
+    p
+}
+
+fn call() -> ApiCall {
+    ApiCall::new("email", "send_email", vec!["alice".into()])
+}
+
+/// Raw-stream handshake + subscribe, for a subscriber that then never
+/// reads (and so never acks) anything.
+fn subscribe(stream: &mut (impl Read + Write), tenant: &str) {
+    for request in [
+        Request::Hello { version: conseca_serve::PROTOCOL_VERSION },
+        Request::Subscribe { tenant: tenant.into() },
+    ] {
+        write_frame(stream, &request.encode(), DEFAULT_MAX_FRAME_LEN).unwrap();
+        let frame = read_frame(stream, 1 << 20).unwrap().expect("a response");
+        assert!(matches!(
+            Response::decode(&frame).unwrap(),
+            Response::HelloOk { .. } | Response::Subscribed
+        ));
+    }
+}
+
+#[test]
+fn a_wedged_revoke_on_one_tenant_does_not_stall_another_tenants_checks() {
+    let config =
+        ServeConfig { push_ack_timeout: Duration::from_millis(1500), ..ServeConfig::default() };
+    let server = Server::start(Arc::new(Engine::default()), config);
+    let context = ctx();
+    let mut admin = server.connect().unwrap();
+    admin.install("tenant-a", "t", &context, &policy()).unwrap();
+    admin.install("tenant-b", "t", &context, &policy()).unwrap();
+    let mut wedged = server.connect_stream().unwrap();
+    subscribe(&mut wedged, "tenant-a");
+    let mut checker = server.connect().unwrap();
+    assert!(checker.check("tenant-b", "t", &context, &call()).unwrap().is_some());
+
+    std::thread::scope(|scope| {
+        let revoker = scope.spawn(|| {
+            let mut client = server.connect().unwrap();
+            client.revoke("tenant-a", policy().fingerprint()).unwrap()
+        });
+        // The push reaching the subscriber means the revoke is now
+        // waiting for an ack that never comes.
+        let push = read_frame(&mut wedged, 1 << 20).unwrap().expect("the revoke's push");
+        assert!(matches!(Response::decode(&push).unwrap(), Response::PushRevoke { .. }));
+        for _ in 0..10 {
+            let start = Instant::now();
+            let decision = checker.check("tenant-b", "t", &context, &call()).unwrap();
+            let took = start.elapsed();
+            assert!(decision.expect("tenant B's policy").allowed);
+            assert!(took < Duration::from_millis(100), "tenant B's check took {took:?}");
+        }
+        assert!(!revoker.is_finished(), "the checks must overlap the wedged revoke");
+        // The revoke still completes, by force-closing the subscriber.
+        assert_eq!(revoker.join().unwrap(), 1);
+    });
+    assert!(read_frame(&mut wedged, 1 << 20).unwrap().is_none(), "the subscriber was closed");
+    server.shutdown();
+}
+
+#[test]
+fn a_subscribed_connection_pipelines_a_check_behind_its_own_revoke() {
+    // The check is queued behind the revoke, and the revoke waits for
+    // this very connection's push ack: the connection must keep reading
+    // while its check waits, or the two deadlock until the ack timeout.
+    let config =
+        ServeConfig { push_ack_timeout: Duration::from_secs(10), ..ServeConfig::default() };
+    let server = Server::start(Arc::new(Engine::default()), config);
+    let context = ctx();
+    let client = AsyncClient::over(server.connect_stream().unwrap()).unwrap();
+    client.install("acme", "t", &context, &policy()).unwrap().wait().unwrap();
+    let subscribed = client.request(&Request::Subscribe { tenant: "acme".into() }).unwrap();
+    assert!(matches!(subscribed.wait().unwrap(), Response::Subscribed));
+
+    let start = Instant::now();
+    let revoke = client
+        .request(&Request::Revoke { tenant: "acme".into(), fingerprint: policy().fingerprint() })
+        .unwrap();
+    let check = client.check("acme", "t", &context, &call()).unwrap();
+    assert!(matches!(revoke.wait().unwrap(), Response::Revoked { removed: 1 }));
+    assert_eq!(check.wait().unwrap(), None, "the check runs after the revoke");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(5), "the pair took {took:?}: the ack was not read");
+    // Acked, not force-closed: the connection still serves.
+    assert!(client.check("acme", "t", &context, &call()).unwrap().wait().unwrap().is_none());
+    server.shutdown();
+}

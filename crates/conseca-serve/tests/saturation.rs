@@ -1,14 +1,17 @@
 //! Load-shape tests for the event-driven serving core: connection
-//! counts far beyond the thread budget, deep pipelines on one socket,
-//! and adversarially reordered responses against the async client's
-//! correlation layer.
+//! counts far beyond the thread budget, connection churn over TCP, deep
+//! pipelines on one socket, and adversarially reordered responses
+//! against the async client's correlation layer.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
 
 use conseca_core::{ArgConstraint, Policy, PolicyEntry, TrustedContext};
 use conseca_engine::Engine;
 use conseca_serve::wire::{read_frame, unwrap_tagged, wrap_tagged, Request, Response};
-use conseca_serve::{transport::duplex, AsyncClient, ClientPool, ServeConfig, Server};
+use conseca_serve::{transport::duplex, AsyncClient, Client, ClientPool, ServeConfig, Server};
 use conseca_shell::ApiCall;
 
 fn policy() -> Policy {
@@ -85,6 +88,37 @@ fn a_thousand_connections_cost_no_threads_and_counters_reconcile_exactly() {
 
     drop(clients);
     server.shutdown();
+}
+
+#[test]
+fn tcp_connection_churn_never_strands_a_new_connection() {
+    // A closed connection's descriptor number is soon reused by `accept`;
+    // tearing the old connection down must never touch the new one's
+    // reactor registration. Each round connects, checks and drops.
+    const ROUNDS: usize = 200;
+    let server = Server::bind(Arc::new(Engine::default()), "127.0.0.1:0", ServeConfig::default())
+        .expect("bind loopback");
+    let addr = server.local_addr().unwrap().to_string();
+    server.connect().unwrap().install("acme", "t", &ctx(), &policy()).unwrap();
+    let (done_tx, done_rx) = mpsc::channel();
+    thread::spawn(move || {
+        for round in 0..ROUNDS {
+            let mut client = Client::connect(&addr).expect("connect");
+            let decision = client.check("acme", "t", &ctx(), &call(&["alice"])).expect("check");
+            assert!(decision.expect("installed").allowed, "round {round}");
+        }
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => server.shutdown(),
+        Err(RecvTimeoutError::Disconnected) => panic!("the churn loop failed"),
+        Err(RecvTimeoutError::Timeout) => {
+            // The stranded connection's tasks never see their close edge,
+            // so a shutdown would hang as well: leave the server be.
+            std::mem::forget(server);
+            panic!("a connect → check → drop round hung");
+        }
+    }
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! paper's §4.1 policy through the pipelined [`AsyncClient`], then
 //! screens a 64-call trace by submitting every check *before* waiting
 //! on any of them. With the whole window in flight, the server's
-//! dispatcher coalesces each connection's queued requests into single
-//! engine batches — the amortisation the `serve_concurrent` rows in
+//! connection task finds same-key checks already buffered and answers
+//! each run as one engine batch — the amortisation the `serve_concurrent` rows in
 //! `BENCH_serve.json` measure. A second act routes the same work
 //! through a [`ClientPool`], which keeps every policy key on one
 //! affine connection so trajectory sessions stay coherent.
@@ -80,8 +80,8 @@ fn main() {
     }
     println!("pipelined 64 checks on one socket: {allowed} allowed, {} denied", 64 - allowed);
 
-    // Batched serving stats prove the dispatcher saw the pipeline: with
-    // the window full, queued checks coalesce into engine batches.
+    // Batched serving stats prove the server saw the pipeline: with the
+    // window full, buffered checks coalesce into engine batches.
     let stats = client.stats_full("acme").expect("submit").wait().expect("stats");
     let metrics = server.metrics();
     println!(
