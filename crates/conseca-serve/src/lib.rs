@@ -45,8 +45,9 @@
 //! over one socket using the protocol v7 correlation envelope —
 //! submit-then-wait (or `.await`) with responses matched by id, dozens
 //! of checks in flight at once, which is exactly the shape that keeps
-//! the server's read buffers full of checks to coalesce. [`ClientPool`] fans that
-//! out across connections with policy-key affinity. See [`aclient`].
+//! the server's read buffers full of checks to coalesce. [`ClientPool`]
+//! fans that out across connections with policy-key affinity. See
+//! [`aclient`].
 //!
 //! # Examples
 //!

@@ -20,9 +20,9 @@
 //!                               │
 //!                               ▼
 //!                     dispatcher task (futures::ThreadPool)
-//!                        drains the queue, coalesces each connection's
-//!                        queued same-key checks, answers each job
-//!                        through its oneshot
+//!                        drains the queue, groups adjacent same-key
+//!                        checks from one connection as the read task
+//!                        does, answers each job through its oneshot
 //!                               │
 //!                               ▼
 //!                      per-connection WRITE task
@@ -1246,39 +1246,37 @@ async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job
 }
 
 fn process_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
-    // Coalesce each connection's checks by policy key so each group
-    // costs one store lookup + one stats resolution. The accumulated
-    // groups are flushed before any mutating/admin job executes, so
-    // effects apply in arrival order — a pipelined client's Check can
-    // never observe its own later Install or Flush (docs/serving.md §1
-    // permits pipelining).
-    let mut groups: Vec<CheckGroup<Reply>> = Vec::new();
-    let mut index: HashMap<(u64, EngineKey), usize> = HashMap::new();
-    let answer_all = |groups: &mut Vec<CheckGroup<Reply>>| {
-        for group in groups.drain(..) {
-            for (reply, response) in answer_group(state, group) {
-                reply.send(response);
-            }
+    // Adjacent checks from one connection under one policy key form one
+    // group, exactly as on the read task; any other job closes the open
+    // group first, so effects apply in arrival order — a pipelined
+    // client's Check can never observe its own later Install or Flush
+    // (docs/serving.md §1 permits pipelining).
+    let mut open: Option<CheckGroup<Reply>> = None;
+    let answer = |group: Option<CheckGroup<Reply>>| {
+        for (reply, response) in group.into_iter().flat_map(|g| answer_group(state, g)) {
+            reply.send(response);
         }
     };
     for job in batch {
         match job.work {
             Work::Check(check) => {
                 let key = EngineKey::new(&check.tenant, &check.task, &check.context);
-                let slot = *index.entry((job.conn_id, key)).or_insert_with(|| {
-                    groups.push(CheckGroup::new(job.conn_id, key, check.tenant));
-                    groups.len() - 1
-                });
-                groups[slot].push(job.reply, check.calls, check.single);
+                let group = match open.take() {
+                    Some(group) if group.conn_id == job.conn_id && group.key == key => group,
+                    other => {
+                        answer(other);
+                        CheckGroup::new(job.conn_id, key, check.tenant)
+                    }
+                };
+                open.insert(group).push(job.reply, check.calls, check.single);
             }
             Work::Other(request) => {
-                index.clear();
-                answer_all(&mut groups);
+                answer(open.take());
                 job.reply.send(execute(state, request));
             }
         }
     }
-    answer_all(&mut groups);
+    answer(open);
 }
 
 /// Executes one mutating or admin request on the dispatcher.

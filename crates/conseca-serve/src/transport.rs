@@ -155,9 +155,8 @@ impl Pipe {
         let mut state = self.lock();
         loop {
             if !state.buf.is_empty() {
-                // Bulk copy from both halves of the ring, so a read
-                // comes back short only when the pipe is empty — the
-                // async reader treats a short read as "drained".
+                // Bulk copy from both halves of the ring: one read takes
+                // everything buffered, up to `out`'s length.
                 let (front, back) = state.buf.as_slices();
                 let n = out.len().min(front.len() + back.len());
                 let from_front = n.min(front.len());
@@ -285,11 +284,11 @@ const KEEP_BUF: usize = 64 * 1024;
 /// at all ([`buffered_frame`](Self::buffered_frame)). The buffer starts
 /// at [`READ_BUF`] and grows only to fit the frame in progress.
 ///
-/// A read that comes back short has drained the transport, so the next
-/// read awaits a readiness edge instead of spending a syscall just to
-/// learn `WouldBlock`. That is sound for edge-triggered epoll (bytes
-/// arriving after the read raise a fresh edge) and for duplex pipes
-/// (every write notifies the reader).
+/// Reads follow the reactor's attempt-then-await protocol: the reader
+/// awaits readiness only after a read returned `WouldBlock`, never
+/// after a merely short one. One edge can carry both the peer's last
+/// bytes and its close, and no further edge follows the close, so only
+/// a read that finds nothing proves the next edge is still to come.
 ///
 /// Framing semantics are the wire's: `Ok(None)` for a clean close at a
 /// frame boundary, `UnexpectedEof` mid-length or mid-frame,
@@ -303,13 +302,11 @@ pub(crate) struct NbReader<S> {
     buf: Vec<u8>,
     start: usize,
     end: usize,
-    /// The last read came back short: wait for an edge before the next.
-    drained: bool,
 }
 
 impl<S: Read> NbReader<S> {
     pub(crate) fn new(stream: S, reg: Registration) -> Self {
-        NbReader { stream, reg, buf: Vec::new(), start: 0, end: 0, drained: false }
+        NbReader { stream, reg, buf: Vec::new(), start: 0, end: 0 }
     }
 
     /// The next frame, if it is already whole in the buffer — no I/O.
@@ -369,17 +366,12 @@ impl<S: Read> NbReader<S> {
         // held a whole frame, and `buffered_frame` would have taken it.
         debug_assert!(self.end < self.buf.len());
         loop {
-            if self.drained {
-                self.reg.readable().await;
-                self.drained = false;
-            }
             match self.stream.read(&mut self.buf[self.end..]) {
                 Ok(n) => {
-                    self.drained = n > 0 && self.end + n < self.buf.len();
                     self.end += n;
                     return Ok(n);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.drained = true,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.reg.readable().await,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -612,8 +604,8 @@ mod tests {
 
     #[test]
     fn duplex_reads_take_the_whole_ring_at_once() {
-        // Wrap the ring buffer: a read must still return every buffered
-        // byte, so a short read really means "empty".
+        // Wrap the ring buffer: one read must still return every
+        // buffered byte, not just the front half.
         let (mut a, mut b) = duplex();
         a.write_all(&[1u8; 6]).unwrap();
         let mut buf = [0u8; 4];
@@ -727,6 +719,61 @@ mod tests {
                 other => panic!("expected UnexpectedEof, got {other:?}"),
             }
         });
+    }
+
+    /// Parks `reader` in `read_frame`, then has `peer` write one frame and
+    /// close before the reader runs again, so a single readiness edge
+    /// carries both. The reader must hand out the frame and then see the
+    /// clean close, within a deadline.
+    fn last_frame_then_close<S, P>(reader: S, peer: P)
+    where
+        S: Stream,
+        P: Write + Send + 'static,
+    {
+        use std::future::Future;
+        use std::task::{Context, Waker};
+
+        let reg = reader.register().unwrap();
+        let mut reader = NbReader::new(reader, reg);
+        let frame = Frame { tag: 0x09, payload: vec![4, 2] };
+        let sent = frame.clone();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let mut peer = peer;
+            let got = {
+                let mut first = std::pin::pin!(reader.read_frame(1024));
+                let mut cx = Context::from_waker(Waker::noop());
+                assert!(first.as_mut().poll(&mut cx).is_pending(), "nothing sent yet");
+                let mut bytes = Vec::new();
+                append_frame(&mut bytes, &sent, 1024).unwrap();
+                peer.write_all(&bytes).unwrap();
+                drop(peer);
+                // Let a socket's data and FIN edges both land first.
+                thread::sleep(std::time::Duration::from_millis(20));
+                block_on(first).unwrap().unwrap()
+            };
+            let after = block_on(reader.read_frame(1024)).unwrap();
+            let _ = done_tx.send((got, after));
+        });
+        let (got, after) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the reader must not wait for an edge after the peer closed");
+        assert_eq!(got, frame);
+        assert!(after.is_none(), "clean close after the last frame");
+    }
+
+    #[test]
+    fn nb_reader_sees_the_close_behind_a_last_duplex_frame() {
+        let (a, b) = duplex();
+        last_frame_then_close(b, a);
+    }
+
+    #[test]
+    fn nb_reader_sees_the_close_behind_a_last_tcp_frame() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        last_frame_then_close(server, client);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Load-shape tests for the event-driven serving core: connection
 //! counts far beyond the thread budget, connection churn over TCP, deep
-//! pipelines on one socket, and adversarially reordered responses
-//! against the async client's correlation layer.
+//! pipelines on one socket, adversarially reordered responses against
+//! the async client's correlation layer, and a server's error-then-close
+//! reaching every request still in flight.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -11,7 +12,9 @@ use std::time::Duration;
 use conseca_core::{ArgConstraint, Policy, PolicyEntry, TrustedContext};
 use conseca_engine::Engine;
 use conseca_serve::wire::{read_frame, unwrap_tagged, wrap_tagged, Request, Response};
-use conseca_serve::{transport::duplex, AsyncClient, Client, ClientPool, ServeConfig, Server};
+use conseca_serve::{
+    transport::duplex, AsyncClient, Client, ClientError, ClientPool, ServeConfig, Server,
+};
 use conseca_shell::ApiCall;
 
 fn policy() -> Policy {
@@ -196,6 +199,69 @@ fn correlation_survives_adversarially_reordered_responses() {
         assert_eq!(p.wait().expect("response"), i, "response routed to the wrong request");
     }
     client.close();
+    mock.join().expect("mock server");
+}
+
+#[test]
+fn an_error_then_close_fails_every_pending_request() {
+    // The server's answer to an oversized frame: one bare error, then the
+    // close, written back to back. The mock plays that server once every
+    // pipelined request has arrived, so the rest are still pending when
+    // the close lands. The first request gets the error, and every later
+    // one must fail `Closed` promptly rather than hang.
+    const CAP: u32 = 256;
+    const LATER: usize = 8;
+    let (client_end, server_end) = duplex();
+    let mock = std::thread::spawn(move || {
+        let mut stream = server_end;
+        let max = conseca_serve::wire::DEFAULT_MAX_FRAME_LEN;
+        let hello = read_frame(&mut stream, max).unwrap().expect("hello");
+        assert!(matches!(Request::decode(&hello).unwrap(), Request::Hello { .. }));
+        conseca_serve::wire::write_frame(
+            &mut stream,
+            &Response::HelloOk { version: conseca_serve::PROTOCOL_VERSION }.encode(),
+            max,
+        )
+        .unwrap();
+        let oversized = read_frame(&mut stream, max).unwrap().expect("the oversized request");
+        assert!(oversized.payload.len() + 1 > CAP as usize);
+        for _ in 0..LATER {
+            read_frame(&mut stream, max).unwrap().expect("a later request");
+        }
+        let error = Response::Error {
+            code: conseca_serve::wire::code::FRAME_TOO_LARGE,
+            message: format!("frame exceeds {CAP} bytes"),
+        };
+        conseca_serve::wire::write_frame(&mut stream, &error.encode(), max).unwrap();
+        drop(stream);
+    });
+
+    let client = AsyncClient::over(client_end).expect("handshake");
+    let big = vec!["a".repeat(CAP as usize)];
+    let first = client
+        .check("acme", "t", &ctx(), &ApiCall::new("test", "send_email", big))
+        .expect("submit");
+    let later: Vec<_> = (0..LATER)
+        .map(|_| client.check("acme", "t", &ctx(), &call(&["alice"])).expect("submit"))
+        .collect();
+    let (done_tx, done_rx) = mpsc::channel();
+    thread::spawn(move || {
+        let first = first.wait();
+        let later: Vec<_> = later.into_iter().map(|p| p.wait()).collect();
+        let _ = done_tx.send((first, later));
+    });
+    let (first, later) = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("pending requests must fail once the server closes");
+    match first {
+        Err(ClientError::Server { code, .. }) => {
+            assert_eq!(code, conseca_serve::wire::code::FRAME_TOO_LARGE)
+        }
+        other => panic!("expected the server's error, got {other:?}"),
+    }
+    for outcome in later {
+        assert!(matches!(outcome, Err(ClientError::Closed)), "got {outcome:?}");
+    }
     mock.join().expect("mock server");
 }
 
