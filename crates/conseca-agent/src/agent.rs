@@ -23,7 +23,7 @@ use conseca_core::{
 use conseca_engine::{CompiledPolicy, Engine, SnapshotError, WarmStartReport};
 use conseca_llm::{ObsKind, Observation, PlannerAction, PlannerState, ScriptedPlanner};
 use conseca_mail::MailSystem;
-use conseca_serve::{CachedClient, CachedSessionLayer, Client, ClientError, RemoteSessionLayer};
+use conseca_serve::{CachedClient, Client, ClientError, RemoteSessionLayer};
 use conseca_shell::{parse_command, Executor, OutputTrust, ToolRegistry};
 use conseca_vfs::SharedVfs;
 
@@ -672,7 +672,7 @@ impl<M: PolicyModel> Agent<M> {
                 ResolvedBackend::CachedRemote { store_task, context } => {
                     let client =
                         self.cached.as_mut().expect("cached backend implies a cached client");
-                    builder.layer(CachedSessionLayer::new(
+                    builder.layer(RemoteSessionLayer::cached(
                         client,
                         &store_task,
                         context,

@@ -66,13 +66,17 @@
 //!
 //! # Push frames
 //!
-//! An `AsyncClient` holds no local policy cache, so if the connection is
-//! subscribed to a tenant's invalidation channel (via a raw
+//! The demux task is also the connection core of
+//! [`CachedClient`](crate::CachedClient), which hands it the client's
+//! [`LocalPolicyCache`]. On a push frame the task applies the push to
+//! that cache and only then acknowledges it; on exit it flushes the
+//! cache before any request can observe [`ClientError::Closed`]. A plain
+//! `AsyncClient` holds no cache, so if the connection is subscribed to a
+//! tenant's invalidation channel (via a raw
 //! [`request`](AsyncClient::request) with [`Request::Subscribe`]) the
 //! demux task acknowledges pushes immediately: with nothing cached there
 //! is nothing to invalidate, and a prompt ack keeps the server's
-//! fan-out from stalling on us. Cached clients with real apply-before-ack
-//! obligations use [`CachedClient`](crate::CachedClient).
+//! fan-out from stalling on us.
 
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
@@ -89,7 +93,11 @@ use conseca_shell::ApiCall;
 use futures::channel::oneshot;
 use futures::ThreadPool;
 
-use crate::client::{unexpected, ClientError, InstallReceipt, ServerStats};
+use crate::cache::LocalPolicyCache;
+use crate::client::{
+    flushed, hello_ok, installed, stats_ok, verdict, verdict_batch, ClientError, InstallReceipt,
+    ResponseMap, ServerStats,
+};
 use crate::transport::{NbReader, NbWriter, Stream};
 use crate::wire::{
     unwrap_tagged, wrap_tagged, Request, Response, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
@@ -148,10 +156,6 @@ impl PendingMap {
             state.order.retain(|id| live.contains(id));
         }
         Ok(())
-    }
-
-    fn remove(&self, id: u64) {
-        self.lock().slots.remove(&id);
     }
 
     /// Routes a correlated response to its request.
@@ -251,6 +255,18 @@ impl AsyncClient {
     ///
     /// Handshake failures.
     pub fn over_with<S: Stream>(stream: S, max_frame_len: u32) -> Result<AsyncClient, ClientError> {
+        AsyncClient::start(stream, max_frame_len, None)
+    }
+
+    /// Handshakes and spawns the demux task. With a `cache`, the task
+    /// applies every push to it before acking, and flushes it before the
+    /// connection reports [`ClientError::Closed`]: the core of
+    /// [`CachedClient`](crate::CachedClient).
+    pub(crate) fn start<S: Stream>(
+        stream: S,
+        max_frame_len: u32,
+        cache: Option<Arc<LocalPolicyCache>>,
+    ) -> Result<AsyncClient, ClientError> {
         let reg = stream.register()?;
         let write_half: Box<dyn Stream> = Box::new(stream.try_split()?);
         let close_half = stream.try_split()?;
@@ -266,16 +282,14 @@ impl AsyncClient {
         write_shared(&writer, &hello, max_frame_len)?;
         let frame =
             futures::block_on(reader.read_frame(max_frame_len))?.ok_or(ClientError::Closed)?;
-        match Response::decode(&frame)? {
-            Response::HelloOk { .. } => {}
-            other => return Err(unexpected(other, "HelloOk")),
-        }
+        hello_ok(Response::decode(&frame)?)?;
 
         let pending = PendingMap::new();
         let demux = demux_pool().spawn(demux_task(
             reader,
             Arc::clone(&writer),
             Arc::clone(&pending),
+            cache,
             max_frame_len,
         ));
         let closer: Box<dyn Fn() + Send + Sync> = {
@@ -292,11 +306,6 @@ impl AsyncClient {
         })
     }
 
-    /// The frame cap this client encodes against and accepts.
-    pub fn max_frame_len(&self) -> u32 {
-        self.max_frame_len
-    }
-
     /// Submits one raw request, returning a handle to its eventual
     /// response. The request goes out enveloped; the handle resolves
     /// when the correlated response arrives, however many other requests
@@ -305,15 +314,16 @@ impl AsyncClient {
     /// # Errors
     ///
     /// Encoding failures (e.g. the request exceeds the frame cap) and a
-    /// closed or failed connection.
+    /// closed connection. A write that fails closes the connection, and
+    /// the handle then resolves to [`ClientError::Closed`].
     pub fn request(&self, request: &Request) -> Result<Pending<Response>, ClientError> {
         self.submit(request, Ok)
     }
 
-    fn submit<T>(
+    pub(crate) fn submit<T>(
         &self,
         request: &Request,
-        map: fn(Response) -> Result<T, ClientError>,
+        map: ResponseMap<T>,
     ) -> Result<Pending<T>, ClientError> {
         // The inner frame must leave room for the 9-byte envelope
         // header, so the wrapped frame respects the shared cap.
@@ -326,13 +336,14 @@ impl AsyncClient {
         // Registered before the bytes leave: a response can never race
         // an absent slot.
         self.pending.insert(id, tx)?;
-        match write_shared(&self.writer, &frame, self.max_frame_len) {
-            Ok(()) => Ok(Pending { rx, map }),
-            Err(e) => {
-                self.pending.remove(id);
-                Err(e)
-            }
+        if write_shared(&self.writer, &frame, self.max_frame_len).is_err() {
+            // A failed write can leave part of a frame on the wire, so
+            // the stream is unusable: close it. The demux task exits on
+            // the close (flushing a cache first) and this request
+            // resolves as `Closed`.
+            (self.closer)();
         }
+        Ok(Pending { rx, map })
     }
 
     /// Pipelined [`Client::check`](crate::Client::check): one policy
@@ -357,10 +368,7 @@ impl AsyncClient {
                 context: context.clone(),
                 call: call.clone(),
             },
-            |response| match response {
-                Response::Verdict { decision } => Ok(decision),
-                other => Err(unexpected(other, "Verdict")),
-            },
+            verdict,
         )
     }
 
@@ -385,10 +393,7 @@ impl AsyncClient {
                 context: context.clone(),
                 calls: calls.to_vec(),
             },
-            |response| match response {
-                Response::VerdictBatch { decisions } => Ok(decisions),
-                other => Err(unexpected(other, "VerdictBatch")),
-            },
+            verdict_batch,
         )
     }
 
@@ -412,12 +417,7 @@ impl AsyncClient {
                 context: context.clone(),
                 policy: policy.clone(),
             },
-            |response| match response {
-                Response::Installed { fingerprint, entries } => {
-                    Ok(InstallReceipt { fingerprint, entries })
-                }
-                other => Err(unexpected(other, "Installed")),
-            },
+            installed,
         )
     }
 
@@ -429,10 +429,7 @@ impl AsyncClient {
     /// Submission failures now; transport, protocol, or server errors at
     /// the [`Pending`].
     pub fn flush(&self, tenant: &str) -> Result<Pending<u64>, ClientError> {
-        self.submit(&Request::Flush { tenant: tenant.into() }, |response| match response {
-            Response::Flushed { removed } => Ok(removed),
-            other => Err(unexpected(other, "Flushed")),
-        })
+        self.submit(&Request::Flush { tenant: tenant.into() }, flushed)
     }
 
     /// Pipelined [`Client::stats_full`](crate::Client::stats_full):
@@ -443,12 +440,7 @@ impl AsyncClient {
     /// Submission failures now; transport, protocol, or server errors at
     /// the [`Pending`].
     pub fn stats_full(&self, tenant: &str) -> Result<Pending<ServerStats>, ClientError> {
-        self.submit(&Request::Stats { tenant: tenant.into() }, |response| match response {
-            Response::StatsOk { counters, daemon, workers } => {
-                Ok(ServerStats { counters, daemon, workers })
-            }
-            other => Err(unexpected(other, "StatsOk")),
-        })
+        self.submit(&Request::Stats { tenant: tenant.into() }, stats_ok)
     }
 
     /// Closes the connection. Every unresolved [`Pending`] fails with
@@ -468,14 +460,16 @@ impl Drop for AsyncClient {
 }
 
 /// The demultiplexer: reads every frame the server sends and routes it —
-/// correlated envelopes by id, pushes to an immediate ack, bare errors
-/// to the oldest in-flight request. Exits on EOF, transport error, or a
-/// protocol violation; exit fails all in-flight requests (fail closed:
-/// an unattributable stream is a dead stream, not a guessing game).
+/// correlated envelopes by id, pushes to the cache (if any) and then an
+/// ack, bare errors to the oldest in-flight request. Exits on EOF,
+/// transport error, or a protocol violation; exit flushes the cache and
+/// then fails all in-flight requests (fail closed: an unattributable
+/// stream is a dead stream, not a guessing game).
 async fn demux_task(
     mut reader: NbReader<Box<dyn Stream>>,
     writer: SharedWriter,
     pending: Arc<PendingMap>,
+    cache: Option<Arc<LocalPolicyCache>>,
     max_frame_len: u32,
 ) {
     loop {
@@ -491,12 +485,16 @@ async fn demux_task(
         }
         match Response::decode(&frame) {
             Ok(
-                Response::PushRevoke { seq, .. }
+                push @ (Response::PushRevoke { seq, .. }
                 | Response::PushReload { seq, .. }
-                | Response::PushFlush { seq, .. },
+                | Response::PushFlush { seq, .. }),
             ) => {
-                // Nothing is cached here, so "applied" is trivially
-                // true; ack straight away (acks are always bare).
+                // Applied before acked: once the server hears the ack
+                // (and lets the mutation return), the stale snapshot is
+                // gone from the cache. Acks are always bare.
+                if let Some(cache) = &cache {
+                    cache.apply_push(&push);
+                }
                 let Ok(ack) = Request::PushAck { seq }.encode_limited(max_frame_len) else {
                     break;
                 };
@@ -518,6 +516,11 @@ async fn demux_task(
             _ => break,
         }
     }
+    // With the push channel gone nothing the cache holds can be proven
+    // current: flush it before any request can observe `Closed`.
+    if let Some(cache) = &cache {
+        cache.flush_all();
+    }
     pending.close();
 }
 
@@ -527,7 +530,7 @@ async fn demux_task(
 /// the response (the request still executes server-side).
 pub struct Pending<T> {
     rx: oneshot::Receiver<Response>,
-    map: fn(Response) -> Result<T, ClientError>,
+    map: ResponseMap<T>,
 }
 
 impl<T> Pending<T> {
@@ -545,10 +548,11 @@ impl<T> Pending<T> {
 }
 
 fn finish<T>(
-    map: fn(Response) -> Result<T, ClientError>,
+    map: ResponseMap<T>,
     raw: Result<Response, oneshot::Canceled>,
 ) -> Result<T, ClientError> {
     match raw {
+        // Checked here too, so a raw `request` also surfaces typed errors.
         Ok(Response::Error { code, message }) => Err(ClientError::Server { code, message }),
         Ok(response) => map(response),
         Err(_) => Err(ClientError::Closed),

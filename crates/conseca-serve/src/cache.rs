@@ -10,10 +10,12 @@
 //!
 //! Caching a reference monitor's policies is only sound if the cache
 //! can never outlive the truth. The client therefore subscribes to the
-//! server's **push invalidation channel** (wire protocol v5): a reader
-//! thread demultiplexes server-initiated `PushRevoke` / `PushReload` /
-//! `PushFlush` frames from ordinary correlated responses, applies each
-//! to the local cache, and acknowledges it. The server does not let
+//! server's **push invalidation channel** (wire protocol v5). The
+//! connection is an [`AsyncClient`] whose demux task
+//! (on the shared demux pool; the client owns no thread) separates
+//! server-initiated `PushRevoke` / `PushReload` / `PushFlush` frames
+//! from correlated responses, applies each push to the local cache, and
+//! only then acknowledges it. The server does not let
 //! the triggering mutation (`Engine::revoke_fingerprint`, `reload`,
 //! `flush_tenant`, a `ReloadCoordinator` sweep) return until every
 //! subscriber has acknowledged — so once a revocation call completes
@@ -24,7 +26,7 @@
 //! Two fail-closed rules keep the soundness argument short:
 //!
 //! 1. **Disconnect ⇒ flush.** If the connection drops — EOF, transport
-//!    error, or an undecodable frame — the reader flushes the entire
+//!    error, or an undecodable frame — the demux task flushes the entire
 //!    local cache before reporting [`ClientError::Closed`]. A cache
 //!    that can no longer hear invalidations holds nothing.
 //! 2. **Pushes never install.** A push frame can only *remove* local
@@ -41,22 +43,20 @@
 
 use core::fmt;
 use std::collections::HashMap;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Mutex};
 
 use conseca_core::{CacheKey, Decision, Policy, TrustedContext};
 use conseca_engine::{CompiledPolicy, Engine, EngineKey, SessionState, TenantCounters};
 use conseca_shell::ApiCall;
 
+use crate::aclient::AsyncClient;
 use crate::client::{
-    unexpected, ClientError, InstallReceipt, ReloadReceipt, RestoreReceipt, SnapshotReceipt,
+    flushed, installed, policy_ok, reloaded, restored, revoked, snapshot_ok, stats_ok, subscribed,
+    ClientError, InstallReceipt, ReloadReceipt, ResponseMap, RestoreReceipt, SnapshotReceipt,
 };
 use crate::transport::Stream;
-use crate::wire::{
-    read_frame, write_frame, Request, Response, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
-};
+use crate::wire::{Request, Response, DEFAULT_MAX_FRAME_LEN};
 
 /// The client-side policy cache: a private single-tenant [`Engine`]
 /// that push frames may only ever shrink.
@@ -66,7 +66,7 @@ use crate::wire::{
 /// installs a policy — without a live server.
 pub struct LocalPolicyCache {
     /// The local L1. Nothing registers invalidation listeners on it,
-    /// and nothing but this client's thread ever bills it, so its
+    /// and nothing but the owning client's checks ever bill it, so its
     /// tenant counters are exactly the locally-answered share of the
     /// workload.
     engine: Engine,
@@ -202,20 +202,6 @@ impl fmt::Debug for LocalPolicyCache {
     }
 }
 
-/// What the reader thread fills and the request path drains: at most
-/// one outstanding correlated response (the client is strictly
-/// sequential), plus the closed flag that makes disconnects visible.
-struct Slot {
-    response: Option<Result<Response, ClientError>>,
-    closed: bool,
-}
-
-struct Shared {
-    cache: LocalPolicyCache,
-    slot: Mutex<Slot>,
-    available: Condvar,
-}
-
 /// A subscribed policy-decision client with a local L1 cache: the
 /// [`Client`](crate::client::Client) API, minus the per-call `tenant`
 /// parameter (the subscription fixes the tenant at construction), with
@@ -227,111 +213,26 @@ struct Shared {
 /// [`Engine::check_session`](conseca_engine::Engine::check_session)
 /// with the store lookup occasionally answered by the server.
 pub struct CachedClient {
-    tenant: String,
-    /// Write half, shared with the reader thread (which writes
-    /// `PushAck` frames). Locked per frame; duplex writes never block
-    /// and TCP writes only against the server's always-draining reader.
-    writer: Arc<Mutex<Box<dyn Stream>>>,
-    max_frame_len: u32,
-    shared: Arc<Shared>,
+    /// The connection. Its demux task applies pushes to `cache` before
+    /// acking them and flushes it before reporting a disconnect.
+    core: AsyncClient,
+    /// The L1; also the one record of the subscribed tenant.
+    cache: Arc<LocalPolicyCache>,
     /// Per-key session state — **client-owned** and deliberately not
     /// flushed by invalidations; see the module docs.
     sessions: HashMap<EngineKey, SessionState>,
     /// Checks that judged against an uncached ad-hoc compile because an
     /// invalidation raced the fetch (observability; billing unchanged).
     fallbacks: u64,
-    reader: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for CachedClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CachedClient")
-            .field("tenant", &self.tenant)
-            .field("cache", &self.shared.cache)
-            .finish_non_exhaustive()
+        f.debug_struct("CachedClient").field("cache", &*self.cache).finish_non_exhaustive()
     }
-}
-
-/// Reads frames until the connection dies, demultiplexing pushes
-/// (apply, then ack) from correlated responses (handed to the waiting
-/// request). On any exit the cache is flushed *before* the disconnect
-/// becomes visible — the fail-closed ordering.
-fn reader_loop(
-    stream: &mut Box<dyn Stream>,
-    shared: &Shared,
-    writer: &Mutex<Box<dyn Stream>>,
-    max_frame_len: u32,
-) {
-    let failure = loop {
-        let frame = match read_frame(stream, max_frame_len) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break None,
-            Err(e) => break Some(ClientError::from(e)),
-        };
-        let response = match Response::decode(&frame) {
-            Ok(response) => response,
-            // Undecodable bytes poison the whole stream: nothing after
-            // them can be attributed, so treat it as a disconnect.
-            Err(e) => break Some(ClientError::Wire(e)),
-        };
-        if let Some(seq) = shared.cache.apply_push(&response) {
-            // Applied before acked: once the server hears this ack (and
-            // lets the mutation return), the stale snapshot is gone here.
-            let ack = match (Request::PushAck { seq }).encode_limited(max_frame_len) {
-                Ok(frame) => frame,
-                Err(e) => break Some(ClientError::Wire(e)),
-            };
-            let mut conn = writer.lock().unwrap_or_else(|e| e.into_inner());
-            if let Err(e) = write_frame(&mut *conn, &ack, max_frame_len) {
-                break Some(ClientError::from(e));
-            }
-        } else {
-            let mut slot = shared.slot.lock().unwrap_or_else(|e| e.into_inner());
-            slot.response = Some(Ok(response));
-            shared.available.notify_all();
-        }
-    };
-    // Fail closed: with the push channel gone, nothing the cache holds
-    // can be proven current. Flush before reporting the disconnect so
-    // no check observes "closed" yet still hits the cache.
-    shared.cache.flush_all();
-    let mut slot = shared.slot.lock().unwrap_or_else(|e| e.into_inner());
-    if slot.response.is_none() {
-        if let Some(error) = failure {
-            slot.response = Some(Err(error));
-        }
-    }
-    slot.closed = true;
-    shared.available.notify_all();
 }
 
 impl CachedClient {
-    /// Connects over TCP, completes the handshake, and subscribes to
-    /// `tenant`'s push channel.
-    ///
-    /// # Errors
-    ///
-    /// Connection, handshake, or subscription failures.
-    pub fn connect(addr: &str, tenant: &str) -> Result<CachedClient, ClientError> {
-        CachedClient::connect_with(addr, tenant, DEFAULT_MAX_FRAME_LEN)
-    }
-
-    /// [`connect`](Self::connect) with a non-default frame cap (keep it
-    /// in lockstep with the server's `ServeConfig::max_frame_len`).
-    ///
-    /// # Errors
-    ///
-    /// Connection, handshake, or subscription failures.
-    pub fn connect_with(
-        addr: &str,
-        tenant: &str,
-        max_frame_len: u32,
-    ) -> Result<CachedClient, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        CachedClient::over_with(stream, tenant, max_frame_len)
-    }
-
     /// Wraps an already-established stream, completes the handshake,
     /// and subscribes to `tenant`'s push channel.
     ///
@@ -342,7 +243,8 @@ impl CachedClient {
         CachedClient::over_with(stream, tenant, DEFAULT_MAX_FRAME_LEN)
     }
 
-    /// [`over`](Self::over) with a non-default frame cap.
+    /// [`over`](Self::over) with a non-default frame cap (keep it in
+    /// lockstep with the server's `ServeConfig::max_frame_len`).
     ///
     /// # Errors
     ///
@@ -352,56 +254,16 @@ impl CachedClient {
         tenant: &str,
         max_frame_len: u32,
     ) -> Result<CachedClient, ClientError> {
-        let write_half = stream.try_split()?;
-        let writer: Arc<Mutex<Box<dyn Stream>>> = Arc::new(Mutex::new(Box::new(write_half)));
-        let shared = Arc::new(Shared {
-            cache: LocalPolicyCache::new(tenant),
-            slot: Mutex::new(Slot { response: None, closed: false }),
-            available: Condvar::new(),
-        });
-        // The reader starts before the handshake: from the very first
-        // frame, responses and pushes arrive on one stream and only the
-        // demultiplexer may touch it.
-        let reader = {
-            let shared = Arc::clone(&shared);
-            let writer = Arc::clone(&writer);
-            thread::spawn(move || {
-                let mut stream: Box<dyn Stream> = Box::new(stream);
-                reader_loop(&mut stream, &shared, &writer, max_frame_len);
-            })
-        };
-        let mut client = CachedClient {
-            tenant: tenant.to_owned(),
-            writer,
-            max_frame_len,
-            shared,
-            sessions: HashMap::new(),
-            fallbacks: 0,
-            reader: Some(reader),
-        };
-        match client.roundtrip(&Request::Hello { version: PROTOCOL_VERSION })? {
-            Response::HelloOk { .. } => {}
-            other => return Err(unexpected(other, "HelloOk")),
-        }
-        match client.roundtrip(&Request::Subscribe { tenant: tenant.to_owned() })? {
-            Response::Subscribed => Ok(client),
-            other => Err(unexpected(other, "Subscribed")),
-        }
-    }
-
-    /// The tenant this client is subscribed for.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-
-    /// The frame cap this client encodes against and accepts.
-    pub fn max_frame_len(&self) -> u32 {
-        self.max_frame_len
+        let cache = Arc::new(LocalPolicyCache::new(tenant));
+        let core = AsyncClient::start(stream, max_frame_len, Some(Arc::clone(&cache)))?;
+        let client = CachedClient { core, cache, sessions: HashMap::new(), fallbacks: 0 };
+        client.call(&Request::Subscribe { tenant: tenant.to_owned() }, subscribed)?;
+        Ok(client)
     }
 
     /// The local cache (policy count, epoch, local counters).
     pub fn cache(&self) -> &LocalPolicyCache {
-        &self.shared.cache
+        &self.cache
     }
 
     /// How many checks fell back to an uncached ad-hoc compile because
@@ -410,22 +272,9 @@ impl CachedClient {
         self.fallbacks
     }
 
-    fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let frame = request.encode_limited(self.max_frame_len).map_err(ClientError::Wire)?;
-        {
-            let mut conn = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-            write_frame(&mut *conn, &frame, self.max_frame_len)?;
-        }
-        let mut slot = self.shared.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = slot.response.take() {
-                return result;
-            }
-            if slot.closed {
-                return Err(ClientError::Closed);
-            }
-            slot = self.shared.available.wait(slot).unwrap_or_else(|e| e.into_inner());
-        }
+    /// One request on the shared core, waited for on this thread.
+    fn call<T>(&self, request: &Request, map: ResponseMap<T>) -> Result<T, ClientError> {
+        self.core.submit(request, map)?.wait()
     }
 
     /// One policy decision for one call — answered locally when the
@@ -463,7 +312,7 @@ impl CachedClient {
         context: &TrustedContext,
         calls: &[ApiCall],
     ) -> Result<Option<Vec<Decision>>, ClientError> {
-        let key = EngineKey::new(&self.tenant, task, context);
+        let key = EngineKey::new(self.cache.tenant(), task, context);
         let mut session = self.sessions.remove(&key).unwrap_or_default();
         let result = self.check_calls(task, context, &mut session, calls);
         self.sessions.insert(key, session);
@@ -478,8 +327,8 @@ impl CachedClient {
         calls: &[ApiCall],
     ) -> Result<Option<Vec<Decision>>, ClientError> {
         // L1 hit: the whole batch resolves locally at engine speed.
-        let cached = self.shared.cache.engine().check_all_session_cached(
-            &self.tenant,
+        let cached = self.cache.engine().check_all_session_cached(
+            self.cache.tenant(),
             task,
             context,
             session,
@@ -490,11 +339,11 @@ impl CachedClient {
         }
         // Miss: observe the epoch, then ask the server (which bills the
         // authoritative hit or miss for this lookup).
-        let epoch = self.shared.cache.epoch();
+        let epoch = self.cache.epoch();
         let Some(policy) = self.fetch_policy(task, context)? else {
             return Ok(None);
         };
-        let compiled = match self.shared.cache.install_if_epoch(task, context, &policy, epoch) {
+        let compiled = match self.cache.install_if_epoch(task, context, &policy, epoch) {
             Some(compiled) => compiled,
             None => {
                 // An invalidation raced the fetch. The fetched policy is
@@ -507,11 +356,11 @@ impl CachedClient {
                 Arc::new(CompiledPolicy::compile(&policy))
             }
         };
-        let engine = self.shared.cache.engine();
+        let (engine, tenant) = (self.cache.engine(), self.cache.tenant());
         Ok(Some(
             calls
                 .iter()
-                .map(|call| engine.check_compiled_session(&self.tenant, &compiled, session, call))
+                .map(|call| engine.check_compiled_session(tenant, &compiled, session, call))
                 .collect(),
         ))
     }
@@ -532,17 +381,13 @@ impl CachedClient {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<InstallReceipt, ClientError> {
-        match self.roundtrip(&Request::Install {
-            tenant: self.tenant.clone(),
+        let request = Request::Install {
+            tenant: self.cache.tenant().into(),
             task: task.into(),
             context: context.clone(),
             policy: policy.clone(),
-        })? {
-            Response::Installed { fingerprint, entries } => {
-                Ok(InstallReceipt { fingerprint, entries })
-            }
-            other => Err(unexpected(other, "Installed")),
-        }
+        };
+        self.call(&request, installed)
     }
 
     /// Retrieves the source policy installed server-side for (task,
@@ -556,14 +401,12 @@ impl CachedClient {
         task: &str,
         context: &TrustedContext,
     ) -> Result<Option<Policy>, ClientError> {
-        match self.roundtrip(&Request::FetchPolicy {
-            tenant: self.tenant.clone(),
+        let request = Request::FetchPolicy {
+            tenant: self.cache.tenant().into(),
             task: task.into(),
             context: context.clone(),
-        })? {
-            Response::PolicyOk { policy } => Ok(policy),
-            other => Err(unexpected(other, "PolicyOk")),
-        }
+        };
+        self.call(&request, policy_ok)
     }
 
     /// Revokes every snapshot carrying `fingerprint` server-side. By
@@ -575,10 +418,7 @@ impl CachedClient {
     ///
     /// Transport, protocol, or server errors.
     pub fn revoke(&mut self, fingerprint: u64) -> Result<u64, ClientError> {
-        match self.roundtrip(&Request::Revoke { tenant: self.tenant.clone(), fingerprint })? {
-            Response::Revoked { removed } => Ok(removed),
-            other => Err(unexpected(other, "Revoked")),
-        }
+        self.call(&Request::Revoke { tenant: self.cache.tenant().into(), fingerprint }, revoked)
     }
 
     /// Revoke-and-replace in one round-trip, server-side; the
@@ -594,17 +434,13 @@ impl CachedClient {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<ReloadReceipt, ClientError> {
-        match self.roundtrip(&Request::Reload {
-            tenant: self.tenant.clone(),
+        let request = Request::Reload {
+            tenant: self.cache.tenant().into(),
             task: task.into(),
             context: context.clone(),
             policy: policy.clone(),
-        })? {
-            Response::Reloaded { old_fingerprint, fingerprint, entries } => {
-                Ok(ReloadReceipt { old_fingerprint, fingerprint, entries })
-            }
-            other => Err(unexpected(other, "Reloaded")),
-        }
+        };
+        self.call(&request, reloaded)
     }
 
     /// Exports everything the tenant has installed server-side as a
@@ -614,10 +450,7 @@ impl CachedClient {
     ///
     /// Transport, protocol, or server errors.
     pub fn snapshot(&mut self) -> Result<SnapshotReceipt, ClientError> {
-        match self.roundtrip(&Request::Snapshot { tenant: self.tenant.clone() })? {
-            Response::SnapshotOk { entries, snapshot } => Ok(SnapshotReceipt { entries, snapshot }),
-            other => Err(unexpected(other, "SnapshotOk")),
-        }
+        self.call(&Request::Snapshot { tenant: self.cache.tenant().into() }, snapshot_ok)
     }
 
     /// Warm-starts the tenant server-side from snapshot bytes (see
@@ -631,16 +464,12 @@ impl CachedClient {
         revoked: &[u64],
         snapshot: Vec<u8>,
     ) -> Result<RestoreReceipt, ClientError> {
-        match self.roundtrip(&Request::Restore {
-            tenant: self.tenant.clone(),
+        let request = Request::Restore {
+            tenant: self.cache.tenant().into(),
             revoked: revoked.to_vec(),
             snapshot,
-        })? {
-            Response::Restored { installed, skipped_revoked, skipped_live } => {
-                Ok(RestoreReceipt { installed, skipped_revoked, skipped_live })
-            }
-            other => Err(unexpected(other, "Restored")),
-        }
+        };
+        self.call(&request, restored)
     }
 
     /// Drops every policy installed for the tenant server-side; the
@@ -650,10 +479,7 @@ impl CachedClient {
     ///
     /// Transport, protocol, or server errors.
     pub fn flush(&mut self) -> Result<u64, ClientError> {
-        match self.roundtrip(&Request::Flush { tenant: self.tenant.clone() })? {
-            Response::Flushed { removed } => Ok(removed),
-            other => Err(unexpected(other, "Flushed")),
-        }
+        self.call(&Request::Flush { tenant: self.cache.tenant().into() }, flushed)
     }
 
     /// The server-side counters alone (lookups the server answered,
@@ -663,16 +489,14 @@ impl CachedClient {
     ///
     /// Transport, protocol, or server errors.
     pub fn server_stats(&mut self) -> Result<TenantCounters, ClientError> {
-        match self.roundtrip(&Request::Stats { tenant: self.tenant.clone() })? {
-            Response::StatsOk { counters, .. } => Ok(counters),
-            other => Err(unexpected(other, "StatsOk")),
-        }
+        self.call(&Request::Stats { tenant: self.cache.tenant().into() }, stats_ok)
+            .map(|s| s.counters)
     }
 
     /// The locally-billed counters alone (cache hits and the decisions
     /// this client judged).
     pub fn local_counters(&self) -> TenantCounters {
-        self.shared.cache.counters()
+        self.cache.counters()
     }
 
     /// The tenant's counters with the locally-answered share folded in:
@@ -697,31 +521,7 @@ impl CachedClient {
         })
     }
 
-    /// Asks the server to stop accepting new connections.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors.
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            other => Err(unexpected(other, "ShuttingDown")),
-        }
-    }
-
-    /// Closes the connection (also done on drop). The reader flushes
-    /// the cache and exits; the server reaps the subscription.
+    /// Closes the connection (also done on drop). The demux task
+    /// flushes the cache and exits; the server reaps the subscription.
     pub fn close(self) {}
-}
-
-impl Drop for CachedClient {
-    fn drop(&mut self) {
-        {
-            let conn = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-            conn.close();
-        }
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-    }
 }

@@ -153,6 +153,43 @@ pub struct ServerStats {
     pub workers: u64,
 }
 
+/// How a client turns the response to one request kind into its typed
+/// answer. Every client shares the table below, one mapper per kind.
+pub(crate) type ResponseMap<T> = fn(Response) -> Result<T, ClientError>;
+
+/// Defines one [`ResponseMap`]: the expected variant's value, the
+/// server's typed error, or [`ClientError::Unexpected`].
+macro_rules! response_map {
+    ($name:ident: $variant:ident { $($fields:tt)* } -> $t:ty = $value:expr) => {
+        pub(crate) fn $name(response: Response) -> Result<$t, ClientError> {
+            match response {
+                Response::$variant { $($fields)* } => Ok($value),
+                Response::Error { code, message } => Err(ClientError::Server { code, message }),
+                _ => Err(ClientError::Unexpected { expected: stringify!($variant) }),
+            }
+        }
+    };
+}
+
+response_map!(hello_ok: HelloOk { .. } -> () = ());
+response_map!(subscribed: Subscribed {} -> () = ());
+response_map!(verdict: Verdict { decision } -> Option<Decision> = decision);
+response_map!(verdict_batch: VerdictBatch { decisions } -> Option<Vec<Decision>> = decisions);
+response_map!(installed: Installed { fingerprint, entries } -> InstallReceipt =
+    InstallReceipt { fingerprint, entries });
+response_map!(policy_ok: PolicyOk { policy } -> Option<Policy> = policy);
+response_map!(revoked: Revoked { removed } -> u64 = removed);
+response_map!(reloaded: Reloaded { old_fingerprint, fingerprint, entries } -> ReloadReceipt =
+    ReloadReceipt { old_fingerprint, fingerprint, entries });
+response_map!(snapshot_ok: SnapshotOk { entries, snapshot } -> SnapshotReceipt =
+    SnapshotReceipt { entries, snapshot });
+response_map!(restored: Restored { installed, skipped_revoked, skipped_live } -> RestoreReceipt =
+    RestoreReceipt { installed, skipped_revoked, skipped_live });
+response_map!(flushed: Flushed { removed } -> u64 = removed);
+response_map!(stats_ok: StatsOk { counters, daemon, workers } -> ServerStats =
+    ServerStats { counters, daemon, workers });
+response_map!(shutting_down: ShuttingDown {} -> () = ());
+
 /// A connected, handshaken policy-decision client.
 pub struct Client {
     conn: Box<dyn Stream>,
@@ -177,20 +214,6 @@ impl Client {
         Client::over(stream)
     }
 
-    /// [`connect`](Self::connect) with a non-default frame cap — raise
-    /// it in lockstep with the server's `ServeConfig::max_frame_len`
-    /// when legitimate payloads (large policies, snapshots) exceed the
-    /// 1 MiB default.
-    ///
-    /// # Errors
-    ///
-    /// Connection or handshake failures.
-    pub fn connect_with(addr: &str, max_frame_len: u32) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        Client::over_with(stream, max_frame_len)
-    }
-
     /// Wraps an already-established stream (TCP or
     /// [`DuplexStream`](crate::transport::DuplexStream)) and completes
     /// the handshake.
@@ -202,39 +225,30 @@ impl Client {
         Client::over_with(stream, DEFAULT_MAX_FRAME_LEN)
     }
 
-    /// [`over`](Self::over) with a non-default frame cap (see
-    /// [`connect_with`](Self::connect_with)).
+    /// [`over`](Self::over) with a non-default frame cap — raise it in
+    /// lockstep with the server's `ServeConfig::max_frame_len` when
+    /// legitimate payloads (large policies, snapshots) exceed the 1 MiB
+    /// default.
     ///
     /// # Errors
     ///
     /// Handshake failures.
     pub fn over_with<S: Stream>(stream: S, max_frame_len: u32) -> Result<Client, ClientError> {
         let mut client = Client { conn: Box::new(stream), max_frame_len };
-        match client.roundtrip(&Request::Hello { version: PROTOCOL_VERSION })? {
-            Response::HelloOk { .. } => Ok(client),
-            other => Err(unexpected(other, "HelloOk")),
-        }
+        client.roundtrip(&Request::Hello { version: PROTOCOL_VERSION }, hello_ok)?;
+        Ok(client)
     }
 
-    /// The frame cap this client encodes against and accepts.
-    pub fn max_frame_len(&self) -> u32 {
-        self.max_frame_len
-    }
-
-    /// Changes the frame cap mid-connection (both directions). The
-    /// server's cap is configured independently; keep them in lockstep.
-    pub fn set_max_frame_len(&mut self, max_frame_len: u32) {
-        self.max_frame_len = max_frame_len;
-    }
-
-    fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
+    /// One request, answered on the caller's thread: no handoff, so a
+    /// one-at-a-time caller pays only the wire.
+    fn roundtrip<T>(&mut self, request: &Request, map: ResponseMap<T>) -> Result<T, ClientError> {
         // The cap is enforced while encoding, so an oversized request is
         // a typed local error naming the field — not a server-side
         // rejection after the bytes crossed the wire.
         let frame = request.encode_limited(self.max_frame_len).map_err(ClientError::Wire)?;
         write_frame(&mut self.conn, &frame, self.max_frame_len)?;
         let frame = read_frame(&mut self.conn, self.max_frame_len)?.ok_or(ClientError::Closed)?;
-        Ok(Response::decode(&frame)?)
+        map(Response::decode(&frame)?)
     }
 
     /// One policy decision for one call. `Ok(None)` means no policy is
@@ -250,15 +264,13 @@ impl Client {
         context: &TrustedContext,
         call: &ApiCall,
     ) -> Result<Option<Decision>, ClientError> {
-        match self.roundtrip(&Request::Check {
+        let request = Request::Check {
             tenant: tenant.into(),
             task: task.into(),
             context: context.clone(),
             call: call.clone(),
-        })? {
-            Response::Verdict { decision } => Ok(decision),
-            other => Err(unexpected(other, "Verdict")),
-        }
+        };
+        self.roundtrip(&request, verdict)
     }
 
     /// Decisions for a batch of calls against one policy key (one store
@@ -276,15 +288,13 @@ impl Client {
         context: &TrustedContext,
         calls: &[ApiCall],
     ) -> Result<Option<Vec<Decision>>, ClientError> {
-        match self.roundtrip(&Request::CheckBatch {
+        let request = Request::CheckBatch {
             tenant: tenant.into(),
             task: task.into(),
             context: context.clone(),
             calls: calls.to_vec(),
-        })? {
-            Response::VerdictBatch { decisions } => Ok(decisions),
-            other => Err(unexpected(other, "VerdictBatch")),
-        }
+        };
+        self.roundtrip(&request, verdict_batch)
     }
 
     /// Compiles and installs `policy` for (tenant, task, context) on the
@@ -301,17 +311,13 @@ impl Client {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<InstallReceipt, ClientError> {
-        match self.roundtrip(&Request::Install {
+        let request = Request::Install {
             tenant: tenant.into(),
             task: task.into(),
             context: context.clone(),
             policy: policy.clone(),
-        })? {
-            Response::Installed { fingerprint, entries } => {
-                Ok(InstallReceipt { fingerprint, entries })
-            }
-            other => Err(unexpected(other, "Installed")),
-        }
+        };
+        self.roundtrip(&request, installed)
     }
 
     /// Retrieves the source policy installed for (tenant, task, context),
@@ -326,14 +332,12 @@ impl Client {
         task: &str,
         context: &TrustedContext,
     ) -> Result<Option<Policy>, ClientError> {
-        match self.roundtrip(&Request::FetchPolicy {
+        let request = Request::FetchPolicy {
             tenant: tenant.into(),
             task: task.into(),
             context: context.clone(),
-        })? {
-            Response::PolicyOk { policy } => Ok(policy),
-            other => Err(unexpected(other, "PolicyOk")),
-        }
+        };
+        self.roundtrip(&request, policy_ok)
     }
 
     /// Revokes every snapshot `tenant` has installed whose source policy
@@ -348,10 +352,7 @@ impl Client {
     ///
     /// Transport, protocol, or server errors.
     pub fn revoke(&mut self, tenant: &str, fingerprint: u64) -> Result<u64, ClientError> {
-        match self.roundtrip(&Request::Revoke { tenant: tenant.into(), fingerprint })? {
-            Response::Revoked { removed } => Ok(removed),
-            other => Err(unexpected(other, "Revoked")),
-        }
+        self.roundtrip(&Request::Revoke { tenant: tenant.into(), fingerprint }, revoked)
     }
 
     /// Revoke-and-replace in one round-trip: atomically swaps `policy` in
@@ -369,17 +370,13 @@ impl Client {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<ReloadReceipt, ClientError> {
-        match self.roundtrip(&Request::Reload {
+        let request = Request::Reload {
             tenant: tenant.into(),
             task: task.into(),
             context: context.clone(),
             policy: policy.clone(),
-        })? {
-            Response::Reloaded { old_fingerprint, fingerprint, entries } => {
-                Ok(ReloadReceipt { old_fingerprint, fingerprint, entries })
-            }
-            other => Err(unexpected(other, "Reloaded")),
-        }
+        };
+        self.roundtrip(&request, reloaded)
     }
 
     /// Asks the server to export everything `tenant` has installed as a
@@ -392,12 +389,9 @@ impl Client {
     /// Transport, protocol, or server errors — including
     /// [`code::FRAME_TOO_LARGE`](crate::wire::code::FRAME_TOO_LARGE) if
     /// the snapshot exceeds the frame cap (raise it on both sides; see
-    /// [`connect_with`](Self::connect_with)).
+    /// [`over_with`](Self::over_with)).
     pub fn snapshot(&mut self, tenant: &str) -> Result<SnapshotReceipt, ClientError> {
-        match self.roundtrip(&Request::Snapshot { tenant: tenant.into() })? {
-            Response::SnapshotOk { entries, snapshot } => Ok(SnapshotReceipt { entries, snapshot }),
-            other => Err(unexpected(other, "SnapshotOk")),
-        }
+        self.roundtrip(&Request::Snapshot { tenant: tenant.into() }, snapshot_ok)
     }
 
     /// Warm-starts `tenant` on the server from snapshot bytes. The
@@ -418,16 +412,9 @@ impl Client {
         revoked: &[u64],
         snapshot: Vec<u8>,
     ) -> Result<RestoreReceipt, ClientError> {
-        match self.roundtrip(&Request::Restore {
-            tenant: tenant.into(),
-            revoked: revoked.to_vec(),
-            snapshot,
-        })? {
-            Response::Restored { installed, skipped_revoked, skipped_live } => {
-                Ok(RestoreReceipt { installed, skipped_revoked, skipped_live })
-            }
-            other => Err(unexpected(other, "Restored")),
-        }
+        let request =
+            Request::Restore { tenant: tenant.into(), revoked: revoked.to_vec(), snapshot };
+        self.roundtrip(&request, restored)
     }
 
     /// Drops every policy installed for `tenant`, returning how many
@@ -437,10 +424,7 @@ impl Client {
     ///
     /// Transport, protocol, or server errors.
     pub fn flush(&mut self, tenant: &str) -> Result<u64, ClientError> {
-        match self.roundtrip(&Request::Flush { tenant: tenant.into() })? {
-            Response::Flushed { removed } => Ok(removed),
-            other => Err(unexpected(other, "Flushed")),
-        }
+        self.roundtrip(&Request::Flush { tenant: tenant.into() }, flushed)
     }
 
     /// Reads `tenant`'s counters.
@@ -449,20 +433,7 @@ impl Client {
     ///
     /// Transport, protocol, or server errors.
     pub fn stats(&mut self, tenant: &str) -> Result<TenantCounters, ClientError> {
-        self.stats_with_daemon(tenant).map(|(counters, _)| counters)
-    }
-
-    /// Reads `tenant`'s counters plus the server's lifecycle-daemon
-    /// counters (`None` when the server runs without a daemon).
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors.
-    pub fn stats_with_daemon(
-        &mut self,
-        tenant: &str,
-    ) -> Result<(TenantCounters, Option<crate::daemon::DaemonCounters>), ClientError> {
-        self.stats_full(tenant).map(|stats| (stats.counters, stats.daemon))
+        self.stats_full(tenant).map(|stats| stats.counters)
     }
 
     /// Reads everything the server's `StatsOk` carries: `tenant`'s
@@ -473,12 +444,7 @@ impl Client {
     ///
     /// Transport, protocol, or server errors.
     pub fn stats_full(&mut self, tenant: &str) -> Result<ServerStats, ClientError> {
-        match self.roundtrip(&Request::Stats { tenant: tenant.into() })? {
-            Response::StatsOk { counters, daemon, workers } => {
-                Ok(ServerStats { counters, daemon, workers })
-            }
-            other => Err(unexpected(other, "StatsOk")),
-        }
+        self.roundtrip(&Request::Stats { tenant: tenant.into() }, stats_ok)
     }
 
     /// Asks the server to stop accepting new connections. This
@@ -488,21 +454,11 @@ impl Client {
     ///
     /// Transport, protocol, or server errors.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            other => Err(unexpected(other, "ShuttingDown")),
-        }
+        self.roundtrip(&Request::Shutdown, shutting_down)
     }
 
     /// Closes the connection.
     pub fn close(self) {
         self.conn.close();
-    }
-}
-
-pub(crate) fn unexpected(response: Response, expected: &'static str) -> ClientError {
-    match response {
-        Response::Error { code, message } => ClientError::Server { code, message },
-        _ => ClientError::Unexpected { expected },
     }
 }

@@ -28,26 +28,30 @@
 //!
 //! Transports: plain TCP ([`Server::bind`]) for deployments, an
 //! in-process [`DuplexStream`] pair ([`ServerHandle::connect`]) for
-//! tests, benches, and single-process setups. Agents join the party via
-//! [`RemoteSessionLayer`] (a drop-in pipeline policy layer) or
-//! `Agent::with_remote_engine` in `conseca-agent`.
+//! tests, benches, and single-process setups.
 //!
-//! For latency-sensitive callers there is a third shape:
-//! [`CachedClient`] subscribes to the server's **push invalidation
-//! channel** (protocol v5) and keeps an L1 of compiled policies
-//! locally, so after a one-time fetch each check runs at in-process
-//! engine speed — kept sound by server-initiated
-//! `PushRevoke`/`PushReload`/`PushFlush` frames that are acknowledged
-//! before the triggering mutation returns, and by a fail-closed
-//! disconnect rule (connection lost ⇒ cache flushed). See [`cache`].
+//! Clients come in two connection cores, picked by call shape, and all
+//! of them map responses through one shared table in [`client`]:
 //!
-//! And a fourth, for throughput: [`AsyncClient`] pipelines requests
-//! over one socket using the protocol v7 correlation envelope —
-//! submit-then-wait (or `.await`) with responses matched by id, dozens
-//! of checks in flight at once, which is exactly the shape that keeps
-//! the server's read buffers full of checks to coalesce. [`ClientPool`]
-//! fans that out across connections with policy-key affinity. See
-//! [`aclient`].
+//! - [`Client`] sends one request at a time and reads its answer on the
+//!   caller's thread, with no handoff. Agents join the party via
+//!   [`RemoteSessionLayer`] (a drop-in pipeline policy layer) or
+//!   `Agent::with_remote_engine` in `conseca-agent`.
+//! - [`AsyncClient`] keeps many requests in flight on one socket using
+//!   the protocol v7 correlation envelope: submit-then-wait (or
+//!   `.await`) with responses matched by id by a demux task on a shared
+//!   two-thread pool, which is exactly the shape that keeps the server's
+//!   read buffers full of checks to coalesce. [`ClientPool`] fans that
+//!   out across connections with policy-key affinity. See [`aclient`].
+//! - [`CachedClient`], for latency-sensitive callers, is an
+//!   `AsyncClient` plus a local L1 of compiled policies, so after a
+//!   one-time fetch each check runs at in-process engine speed. It
+//!   subscribes to the server's **push invalidation channel**
+//!   (protocol v5); its demux task applies each
+//!   `PushRevoke`/`PushReload`/`PushFlush` to the L1 before acking it,
+//!   and the server does not let the triggering mutation return before
+//!   the ack. Losing the connection flushes the L1 (fail closed). See
+//!   [`cache`]; [`RemoteSessionLayer::cached`] is its pipeline layer.
 //!
 //! # Examples
 //!
@@ -134,7 +138,7 @@ pub use daemon::{
     ContextResolver, DaemonConfig, DaemonCounters, LifecycleDaemon, PolicyRegenerator,
 };
 pub use server::{ServeConfig, ServeMetrics, Server, ServerHandle};
-pub use session::{CachedSessionLayer, RemoteSessionLayer};
+pub use session::RemoteSessionLayer;
 pub use transport::{duplex, DuplexStream, Stream};
 pub use wire::{
     Frame, FrameReadError, FrameWriteError, Request, Response, WireError, WireErrorCode,
@@ -327,7 +331,8 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
         assert_eq!(cached.cache().policies(), 0);
-        assert!(cached.check("t", &ctx, &call("send_email", &["alice"])).is_err());
+        let after = cached.check("t", &ctx, &call("send_email", &["alice"]));
+        assert!(matches!(after, Err(ClientError::Closed)), "got {after:?}");
     }
 
     #[test]

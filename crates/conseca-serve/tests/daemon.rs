@@ -220,7 +220,7 @@ fn daemon_counters_travel_over_v6_stats() {
     server.daemon().unwrap().snapshot_now();
     client.revoke("acme", installed.fingerprint()).unwrap();
 
-    let (_counters, daemon) = client.stats_with_daemon("acme").unwrap();
+    let daemon = client.stats_full("acme").unwrap().daemon;
     let daemon = daemon.expect("a daemon-backed server reports daemon counters");
     assert_eq!(daemon.snapshot_ticks, 1);
     assert_eq!(daemon.segments_written, 1);
@@ -232,7 +232,7 @@ fn daemon_counters_travel_over_v6_stats() {
     // block, not zeros — the client can tell "no daemon" from "idle".
     let bare = Server::start(Arc::new(Engine::default()), ServeConfig::default());
     let mut client = bare.connect().unwrap();
-    let (_counters, daemon) = client.stats_with_daemon("acme").unwrap();
+    let daemon = client.stats_full("acme").unwrap().daemon;
     assert!(daemon.is_none());
     bare.shutdown();
 }

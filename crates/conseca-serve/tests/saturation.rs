@@ -1,19 +1,21 @@
 //! Load-shape tests for the event-driven serving core: connection
 //! counts far beyond the thread budget, connection churn over TCP, deep
 //! pipelines on one socket, adversarially reordered responses against
-//! the async client's correlation layer, and a server's error-then-close
-//! reaching every request still in flight.
+//! the async client's correlation layer, a server's error-then-close
+//! reaching every request still in flight, and cached subscribers that
+//! cost no threads yet still hold the push-ack barrier.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use conseca_core::{ArgConstraint, Policy, PolicyEntry, TrustedContext};
 use conseca_engine::Engine;
 use conseca_serve::wire::{read_frame, unwrap_tagged, wrap_tagged, Request, Response};
 use conseca_serve::{
-    transport::duplex, AsyncClient, Client, ClientError, ClientPool, ServeConfig, Server,
+    transport::duplex, AsyncClient, CachedClient, Client, ClientError, ClientPool, ServeConfig,
+    Server,
 };
 use conseca_shell::ApiCall;
 
@@ -90,6 +92,52 @@ fn a_thousand_connections_cost_no_threads_and_counters_reconcile_exactly() {
     assert_eq!((counters.allowed, counters.denied), (allowed, denied));
 
     drop(clients);
+    server.shutdown();
+}
+
+#[test]
+fn cached_subscribers_cost_no_threads_and_a_revoke_still_reaches_every_cache() {
+    const SUBSCRIBERS: usize = 64;
+    let config = ServeConfig::default();
+    let ack_timeout = config.push_ack_timeout;
+    let server = Server::start(Arc::new(Engine::default()), config);
+    let mut admin = server.connect().unwrap();
+    admin.install("acme", "t", &ctx(), &policy()).unwrap();
+    // Any client-side pool threads exist before the baseline, so the
+    // bound below measures what each subscriber costs.
+    drop(AsyncClient::over(server.connect_stream().unwrap()).expect("handshake"));
+    let baseline = thread_count();
+    assert!(baseline > 0, "/proc/self/task must be readable for this test");
+
+    let mut caches: Vec<CachedClient> = (0..SUBSCRIBERS)
+        .map(|_| CachedClient::over(server.connect_stream().unwrap(), "acme").expect("subscribe"))
+        .collect();
+    for cached in &mut caches {
+        let decision = cached.check("t", &ctx(), &call(&["alice"])).expect("check");
+        assert!(decision.expect("installed").allowed);
+        assert_eq!(cached.cache().policies(), 1, "the check warms the L1");
+    }
+    let with_all_subscribed = thread_count();
+    assert!(
+        with_all_subscribed <= baseline + 4,
+        "{SUBSCRIBERS} cached clients grew the thread count from {baseline} to \
+         {with_all_subscribed}; a cached client must not own a thread"
+    );
+
+    // The barrier: once the revoke returns, every subscriber has applied
+    // the push, so no cache can still answer from the revoked policy.
+    let started = Instant::now();
+    assert_eq!(admin.revoke("acme", policy().fingerprint()).unwrap(), 1);
+    let took = started.elapsed();
+    for (i, cached) in caches.iter().enumerate() {
+        assert_eq!(cached.cache().policies(), 0, "subscriber {i} still caches the policy");
+    }
+    assert!(
+        took < ack_timeout / 4,
+        "the revoke took {took:?}: some subscriber's ack ran into the {ack_timeout:?} timeout"
+    );
+
+    drop(caches);
     server.shutdown();
 }
 

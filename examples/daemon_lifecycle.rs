@@ -106,7 +106,7 @@ fn main() {
     assert!(decision.allowed);
 
     // The daemon's counters travel in the v6 stats frame.
-    let (_, daemon_counters) = client.stats_with_daemon("acme").expect("stats");
+    let daemon_counters = client.stats_full("acme").expect("stats").daemon;
     let daemon_counters = daemon_counters.expect("daemon-backed server");
     println!(
         "v6 stats: recovered_installed={} recovered_skipped_revoked={} io_errors={}",
