@@ -143,7 +143,14 @@ impl ThreadPool {
     /// joins the workers, then cancels (drops) any task still pending —
     /// their [`JoinHandle`]s resolve to `None`.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it under
+        // that lock before it waits, so storing it unlocked could land
+        // between the check and the wait and lose the wakeup, leaving
+        // the join below waiting forever.
+        {
+            let _queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.available.notify_all();
         let workers: Vec<_> =
             self.workers.lock().unwrap_or_else(|e| e.into_inner()).drain(..).collect();

@@ -129,4 +129,19 @@ mod tests {
             Some(Some(v)) => panic!("value {v} appeared from nowhere"),
         }
     }
+
+    #[test]
+    fn shutdown_right_after_start_never_loses_the_wakeup() {
+        // Shutting down while the workers are still on their way into
+        // their first wait: a flag store racing a worker's check-then-
+        // wait would lose the notify and hang the join.
+        let (done, finished) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            for _ in 0..5_000 {
+                ThreadPool::new(2).shutdown();
+            }
+            done.send(()).unwrap();
+        });
+        finished.recv_timeout(Duration::from_secs(60)).expect("a pool shutdown hung");
+    }
 }

@@ -11,7 +11,6 @@
 //! The layering itself lives in [`conseca_core::pipeline`]; `run_task`
 //! only assembles an [`EnforcementSession`] per task and drives it.
 
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -425,7 +424,9 @@ impl<M: PolicyModel> Agent<M> {
     /// stale context's cache key).
     fn revoke_stale_snapshot(&mut self, fingerprint: u64) {
         if let Some((engine, tenant)) = self.engine.as_ref() {
-            engine.revoke_fingerprint(tenant, fingerprint);
+            engine
+                .revoke_fingerprint(tenant, fingerprint)
+                .expect("policy revocation journal append failed (fail-closed)");
         } else if let Some(client) = self.cached.as_mut() {
             // By the time this returns, the revocation has been pushed
             // to — and acknowledged by — every subscriber, this client's
@@ -476,61 +477,35 @@ impl<M: PolicyModel> Agent<M> {
     /// a covered (task, context) is a store hit — no generation, no
     /// compile — instead of a cold regeneration.
     ///
-    /// Composes with hot-reload: pass the fingerprints revoked since the
-    /// snapshot was exported (e.g.
-    /// [`ReloadCoordinator::revoked_fingerprints`](conseca_engine::ReloadCoordinator::revoked_fingerprints))
-    /// and those entries stay dead; [`warm_start`](Self::warm_start) is
-    /// the no-revocations convenience.
+    /// Composes with hot-reload with no caller bookkeeping: the backend
+    /// engine (local or server-side) skips every fingerprint its own
+    /// revocation journal holds as revoked, so a policy revoked since
+    /// the snapshot was exported stays dead.
     ///
     /// # Errors
     ///
     /// [`PersistenceError::NoBackend`] on the in-process interpreted
     /// path; otherwise snapshot verification or transport failures
     /// (fail-closed: nothing was installed).
-    pub fn warm_start_with_revocations(
-        &mut self,
-        path: impl AsRef<Path>,
-        revoked: &HashSet<u64>,
-    ) -> Result<WarmStartReport, PersistenceError> {
-        if let Some((engine, tenant)) = self.engine.as_ref() {
-            return Ok(engine.warm_start_from(tenant, path, revoked)?);
-        }
-        if let Some(client) = self.cached.as_mut() {
-            let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
-            let mut fingerprints: Vec<u64> = revoked.iter().copied().collect();
-            fingerprints.sort_unstable();
-            let receipt = client.restore(&fingerprints, bytes)?;
-            return Ok(WarmStartReport {
-                installed: receipt.installed as usize,
-                skipped_revoked: receipt.skipped_revoked as usize,
-                skipped_live: receipt.skipped_live as usize,
-            });
-        }
-        if let Some((client, tenant)) = self.remote.as_mut() {
-            let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
-            let mut fingerprints: Vec<u64> = revoked.iter().copied().collect();
-            fingerprints.sort_unstable();
-            let receipt = client.restore(tenant, &fingerprints, bytes)?;
-            return Ok(WarmStartReport {
-                installed: receipt.installed as usize,
-                skipped_revoked: receipt.skipped_revoked as usize,
-                skipped_live: receipt.skipped_live as usize,
-            });
-        }
-        Err(PersistenceError::NoBackend)
-    }
-
-    /// [`warm_start_with_revocations`](Self::warm_start_with_revocations)
-    /// with an empty revocation set.
-    ///
-    /// # Errors
-    ///
-    /// As [`warm_start_with_revocations`](Self::warm_start_with_revocations).
     pub fn warm_start(
         &mut self,
         path: impl AsRef<Path>,
     ) -> Result<WarmStartReport, PersistenceError> {
-        self.warm_start_with_revocations(path, &HashSet::new())
+        if let Some((engine, tenant)) = self.engine.as_ref() {
+            return Ok(engine.warm_start_from(tenant, path)?);
+        }
+        let receipt = if let Some(client) = self.cached.as_mut() {
+            client.restore(std::fs::read(path).map_err(SnapshotError::Io)?)?
+        } else if let Some((client, tenant)) = self.remote.as_mut() {
+            client.restore(tenant, std::fs::read(path).map_err(SnapshotError::Io)?)?
+        } else {
+            return Err(PersistenceError::NoBackend);
+        };
+        Ok(WarmStartReport {
+            installed: receipt.installed as usize,
+            skipped_revoked: receipt.skipped_revoked as usize,
+            skipped_live: receipt.skipped_live as usize,
+        })
     }
 
     /// Runs one task to completion, stall, or budget exhaustion.
@@ -1599,24 +1574,41 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_respects_revocations_and_regenerates() {
-        let path = temp_snapshot_path("revoked.csnap");
+    fn warm_start_gates_on_the_backends_own_revocations() {
+        // install → snapshot → revoke → flush → warm start, with no
+        // revocation set anywhere: the backend's engine gates the
+        // restore, whether it runs in-process or behind a server.
         let task = "do some file work";
-        let engine_a = Arc::new(conseca_engine::Engine::default());
-        let mut first = setup(PolicyMode::Conseca).with_engine(Arc::clone(&engine_a), "acme");
-        let r1 = first.run_task(task, simple_planner(vec!["ls /home/alice"]));
-        first.snapshot_policies(&path).unwrap();
-
-        // The policy is revoked after the snapshot was taken; the next
-        // process's warm start must not resurrect it.
-        let revoked: std::collections::HashSet<u64> = [r1.policy.fingerprint()].into();
-        let engine_b = Arc::new(conseca_engine::Engine::default());
-        let mut second = setup(PolicyMode::Conseca).with_engine(Arc::clone(&engine_b), "acme");
-        let report = second.warm_start_with_revocations(&path, &revoked).unwrap();
-        assert_eq!((report.installed, report.skipped_revoked), (0, 1));
-        let r2 = second.run_task(task, simple_planner(vec!["ls /home/alice"]));
-        assert!(!r2.generation.cache_hit, "the revoked entry must be regenerated, not loaded");
-        std::fs::remove_file(&path).unwrap();
+        let engine = Arc::new(conseca_engine::Engine::default());
+        let server = conseca_serve::Server::start(
+            Arc::new(conseca_engine::Engine::default()),
+            conseca_serve::ServeConfig::default(),
+        );
+        let backends = [
+            (
+                "engine",
+                setup(PolicyMode::Conseca).with_engine(Arc::clone(&engine), "acme"),
+                &engine,
+            ),
+            (
+                "server",
+                setup(PolicyMode::Conseca).with_remote_engine(server.connect().unwrap(), "acme"),
+                server.engine(),
+            ),
+        ];
+        for (name, mut agent, backend) in backends {
+            let path = temp_snapshot_path(&format!("revoked-{name}.csnap"));
+            let r1 = agent.run_task(task, simple_planner(vec!["ls /home/alice"]));
+            assert_eq!(agent.snapshot_policies(&path).unwrap(), 1);
+            agent.revoke_stale_snapshot(r1.policy.fingerprint());
+            backend.flush_tenant("acme");
+            let report = agent.warm_start(&path).unwrap();
+            assert_eq!((report.installed, report.skipped_revoked), (0, 1), "{name} resurrected");
+            let r2 = agent.run_task(task, simple_planner(vec!["ls /home/alice"]));
+            assert!(!r2.generation.cache_hit, "{name}: the revoked entry must be regenerated");
+            std::fs::remove_file(&path).unwrap();
+        }
+        server.shutdown();
     }
 
     #[test]

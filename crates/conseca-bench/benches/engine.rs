@@ -9,7 +9,6 @@
 //! `BENCH_engine.json` at the repository root alongside the hardware
 //! caveats.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -148,7 +147,7 @@ fn bench_store_path(c: &mut Criterion) {
     let engine = Engine::new(EngineConfig::default());
     let ctx = TrustedContext::for_user("alice");
     let policy = regex_policy();
-    engine.install("acme", &policy.task, &ctx, &policy);
+    engine.install("acme", &policy.task, &ctx, &policy).expect("in-memory journal");
     let task = policy.task.clone();
     let call = send_call(4);
     let mut group = c.benchmark_group("engine_store");
@@ -172,7 +171,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
     let mut jobs = Vec::with_capacity(JOBS);
     let tenants: Vec<String> = (0..16).map(|i| format!("tenant-{i:02}")).collect();
     for tenant in &tenants {
-        engine.install(tenant, &policy.task, &ctx, &policy);
+        engine.install(tenant, &policy.task, &ctx, &policy).expect("in-memory journal");
     }
     for i in 0..JOBS {
         let tenant = &tenants[i % tenants.len()];
@@ -219,14 +218,13 @@ fn bench_warm_start(c: &mut Criterion) {
             .with_golden_examples(golden_examples());
         for task in tasks {
             let (policy, _) = generator.set_policy(task, &ctx);
-            engine.install("acme", task, &ctx, &policy);
+            engine.install("acme", task, &ctx, &policy).expect("in-memory journal");
         }
         engine
     };
 
     // The snapshot a prior process persisted.
     let snapshot = cold_start(&tasks).store().export_snapshot("acme").expect("export").bytes;
-    let no_revocations = HashSet::new();
 
     let mut group = c.benchmark_group("engine_startup_24_policies");
     group.sample_size(10);
@@ -235,10 +233,8 @@ fn bench_warm_start(c: &mut Criterion) {
     });
     group.bench_function("warm_start_import", |b| {
         b.iter(|| {
-            let engine = Engine::default();
-            engine
-                .store()
-                .import_snapshot("acme", black_box(&snapshot), &no_revocations)
+            Engine::default()
+                .import_snapshot("acme", black_box(&snapshot))
                 .expect("import")
                 .installed
         })

@@ -49,7 +49,7 @@ fn bench_round_trip(c: &mut Criterion) {
     let ctx = TrustedContext::for_user("alice");
     let policy = regex_policy();
     let task = policy.task.clone();
-    engine.install("acme", &task, &ctx, &policy);
+    engine.install("acme", &task, &ctx, &policy).expect("in-memory journal");
     let call = send_call(4);
 
     let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default())
@@ -114,7 +114,7 @@ fn bench_concurrent_clients(c: &mut Criterion) {
     let ctx = TrustedContext::for_user("alice");
     let policy = regex_policy();
     let task = policy.task.clone();
-    engine.install("acme", &task, &ctx, &policy);
+    engine.install("acme", &task, &ctx, &policy).expect("in-memory journal");
     let call = send_call(4);
 
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());

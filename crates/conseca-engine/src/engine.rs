@@ -7,7 +7,7 @@
 //! generating load — and which is tripping denials — without touching the
 //! audit stream.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,6 +17,7 @@ use conseca_shell::ApiCall;
 use parking_lot::RwLock;
 
 use crate::compile::CompiledPolicy;
+use crate::journal::{JournalError, RevocationJournal};
 use crate::store::{EngineKey, PolicyStore, StoreConfig};
 use crate::trajectory_compile::TrajectoryState;
 
@@ -261,10 +262,16 @@ impl SessionState {
 ///
 /// Shared by reference (`&Engine` / `Arc<Engine>`) across any number of
 /// threads; every method takes `&self`.
+///
+/// The engine is the one revocation authority: its one
+/// [`RevocationJournal`] (in memory until [`recover`](crate::recover)
+/// attaches a durable one) records every revoke and install/reload
+/// reinstatement, and gates every snapshot import.
 pub struct Engine {
     store: PolicyStore,
     tenants: RwLock<HashMap<Box<str>, Arc<TenantStats>>>,
     listeners: RwLock<Vec<InvalidationListener>>,
+    journal: RwLock<Arc<RevocationJournal>>,
 }
 
 impl Default for Engine {
@@ -280,7 +287,31 @@ impl Engine {
             store: PolicyStore::new(config.store),
             tenants: RwLock::new(HashMap::new()),
             listeners: RwLock::new(Vec::new()),
+            journal: RwLock::new(Arc::new(RevocationJournal::in_memory())),
         }
+    }
+
+    /// Makes `journal` this engine's revocation journal, first copying
+    /// every revocation the current one holds into it so no revoke is
+    /// lost.
+    pub(crate) fn attach_journal(
+        &self,
+        journal: Arc<RevocationJournal>,
+    ) -> Result<(), JournalError> {
+        let mut current = self.journal.write();
+        for (tenant, fingerprints) in current.revoked_by_tenant()? {
+            for fingerprint in fingerprints {
+                journal.record_revoke(&tenant, fingerprint)?;
+            }
+        }
+        *current = journal;
+        Ok(())
+    }
+
+    /// `tenant`'s revoked fingerprints: the set every import is gated
+    /// on.
+    pub(crate) fn revoked(&self, tenant: &str) -> Result<HashSet<u64>, JournalError> {
+        self.journal.read().revoked_snapshot(tenant)
     }
 
     /// Registers an [`Invalidation`] observer, called synchronously at
@@ -319,15 +350,22 @@ impl Engine {
     /// Compiles `policy` and installs it for (`tenant`, `task`,
     /// `context`), returning the shared snapshot. Re-installing a key
     /// atomically replaces the snapshot for *future* lookups; in-flight
-    /// holders of the old `Arc` are unaffected.
+    /// holders of the old `Arc` are unaffected. The install reinstates
+    /// the fingerprint in the journal; a displaced one stays off it.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError`] if the reinstate cannot be journaled; nothing
+    /// is installed. The in-memory journal never fails.
     pub fn install(
         &self,
         tenant: &str,
         task: &str,
         context: &TrustedContext,
         policy: &Policy,
-    ) -> Arc<CompiledPolicy> {
+    ) -> Result<Arc<CompiledPolicy>, JournalError> {
         let compiled = Arc::new(CompiledPolicy::compile(policy));
+        self.journal.read().record_reinstate(tenant, compiled.fingerprint())?;
         let key = EngineKey::new(tenant, task, context);
         let (old_fingerprint, _) = self.store.replace(key, Arc::clone(&compiled));
         // An install that displaces a *different* live policy is a
@@ -341,7 +379,7 @@ impl Engine {
                 fingerprint: compiled.fingerprint(),
             });
         }
-        compiled
+        Ok(compiled)
     }
 
     /// Fetches the compiled policy for (`tenant`, `task`, `context`),
@@ -711,8 +749,20 @@ impl Engine {
     /// future check in any execution mode fronting this engine) can
     /// resolve the revoked snapshot; checks against the swept keys fail
     /// closed (miss → no decision) until a reload installs a replacement.
-    /// The sweep is counted in the tenant's `revoked` counter.
-    pub fn revoke_fingerprint(&self, tenant: &str, fingerprint: u64) -> usize {
+    /// The sweep is counted in the tenant's `revoked` counter. The
+    /// revoke is journaled *before* the sweep: durable before anyone can
+    /// observe it.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError`] if the append failed. The sweep still ran (fail
+    /// closed), but the revoke is not durable.
+    pub fn revoke_fingerprint(
+        &self,
+        tenant: &str,
+        fingerprint: u64,
+    ) -> Result<usize, JournalError> {
+        let journaled = self.journal.read().record_revoke(tenant, fingerprint);
         let removed = self.store.revoke_fingerprint(tenant, fingerprint);
         if removed > 0 {
             self.tenant(tenant).revoked.fetch_add(removed as u64, Ordering::Relaxed);
@@ -720,7 +770,7 @@ impl Engine {
         // Fires even when the local sweep removed nothing: a downstream
         // cache may still hold a snapshot this store already evicted.
         self.notify(Invalidation::Revoked { tenant: tenant.to_owned(), fingerprint });
-        removed
+        journaled.map(|()| removed)
     }
 
     /// Revoke-and-replace in one atomic step: compiles `policy` and swaps
@@ -730,15 +780,17 @@ impl Engine {
     /// mix. Returns the receipt: the fingerprint of the snapshot that was
     /// replaced (if the key was live) plus the new compiled snapshot.
     /// Counted in the tenant's `reloads` counter (and `revoked`, when a
-    /// live snapshot was displaced).
+    /// live snapshot was displaced). Journals, and fails, like
+    /// [`install`](Self::install).
     pub fn reload(
         &self,
         tenant: &str,
         task: &str,
         context: &TrustedContext,
         policy: &Policy,
-    ) -> ReloadReceipt {
+    ) -> Result<ReloadReceipt, JournalError> {
         let compiled = Arc::new(CompiledPolicy::compile(policy));
+        self.journal.read().record_reinstate(tenant, compiled.fingerprint())?;
         let key = EngineKey::new(tenant, task, context);
         let (old_fingerprint, generation) = self.store.replace(key, Arc::clone(&compiled));
         let stats = self.tenant(tenant);
@@ -752,7 +804,7 @@ impl Engine {
             context_fp: key.policy_key().context_fp(),
             fingerprint: compiled.fingerprint(),
         });
-        ReloadReceipt { old_fingerprint, generation, policy: compiled }
+        Ok(ReloadReceipt { old_fingerprint, generation, policy: compiled })
     }
 
     /// A tenant's counters (zeros for a tenant the engine has never seen).
@@ -803,7 +855,7 @@ mod tests {
     fn install_then_check_counts_per_tenant() {
         let engine = Engine::default();
         let policy = send_policy();
-        engine.install("acme", &policy.task, &ctx(), &policy);
+        engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let task = policy.task.clone();
         let ok = engine.check("acme", &task, &ctx(), &call("send_email", &["alice"])).unwrap();
         assert!(ok.allowed);
@@ -844,7 +896,7 @@ mod tests {
     fn check_all_uses_one_lookup() {
         let engine = Engine::default();
         let policy = send_policy();
-        engine.install("acme", "t", &ctx(), &policy);
+        engine.install("acme", "t", &ctx(), &policy).unwrap();
         let calls =
             vec![call("send_email", &["alice"]), call("send_email", &["eve"]), call("ls", &[])];
         let decisions = engine.check_all("acme", "t", &ctx(), &calls).unwrap();
@@ -863,7 +915,7 @@ mod tests {
         let context = ctx();
         let mut jobs = Vec::new();
         for tenant in ["acme", "globex"] {
-            engine.install(tenant, "t", &context, &policy);
+            engine.install(tenant, "t", &context, &policy).unwrap();
             let key = EngineKey::new(tenant, "t", &context);
             for i in 0..50 {
                 let call = if i % 5 == 0 {
@@ -897,8 +949,8 @@ mod tests {
         let engine = Engine::default();
         let policy = send_policy();
         let task = policy.task.clone();
-        engine.install("acme", &task, &ctx(), &policy);
-        engine.install("globex", &task, &ctx(), &policy);
+        engine.install("acme", &task, &ctx(), &policy).unwrap();
+        engine.install("globex", &task, &ctx(), &policy).unwrap();
         engine.check("acme", &task, &ctx(), &call("send_email", &["alice"])).unwrap();
         assert_eq!(engine.flush_tenant("acme"), 1);
         // The policy is gone for acme, present for globex.
@@ -909,7 +961,7 @@ mod tests {
         assert_eq!(counters.checks, 1);
         assert_eq!((counters.hits, counters.misses), (1, 1));
         // Re-install restores service.
-        engine.install("acme", &task, &ctx(), &policy);
+        engine.install("acme", &task, &ctx(), &policy).unwrap();
         assert!(engine.check("acme", &task, &ctx(), &call("send_email", &["alice"])).is_some());
     }
 
@@ -918,9 +970,9 @@ mod tests {
         let engine = Engine::default();
         let policy = send_policy();
         let task = policy.task.clone();
-        engine.install("acme", &task, &ctx(), &policy);
+        engine.install("acme", &task, &ctx(), &policy).unwrap();
         assert!(engine.check("acme", &task, &ctx(), &call("send_email", &["alice"])).is_some());
-        assert_eq!(engine.revoke_fingerprint("acme", policy.fingerprint()), 1);
+        assert_eq!(engine.revoke_fingerprint("acme", policy.fingerprint()).unwrap(), 1);
         // Fail closed: the key resolves nothing until a reload lands.
         assert!(
             engine.check("acme", &task, &ctx(), &call("send_email", &["alice"])).is_none(),
@@ -928,7 +980,7 @@ mod tests {
         );
         let mut replacement = Policy::new(&task);
         replacement.set("send_email", PolicyEntry::deny("context changed: no more sends"));
-        let receipt = engine.reload("acme", &task, &ctx(), &replacement);
+        let receipt = engine.reload("acme", &task, &ctx(), &replacement).unwrap();
         assert_eq!(receipt.old_fingerprint, None, "the revoked key was empty at reload time");
         let decision =
             engine.check("acme", &task, &ctx(), &call("send_email", &["alice"])).unwrap();
@@ -943,10 +995,10 @@ mod tests {
         let engine = Engine::default();
         let policy = send_policy();
         let task = policy.task.clone();
-        engine.install("acme", &task, &ctx(), &policy);
+        engine.install("acme", &task, &ctx(), &policy).unwrap();
         let mut regenerated = Policy::new(&task);
         regenerated.set("send_email", PolicyEntry::allow_any("regenerated"));
-        let receipt = engine.reload("acme", &task, &ctx(), &regenerated);
+        let receipt = engine.reload("acme", &task, &ctx(), &regenerated).unwrap();
         assert_eq!(receipt.old_fingerprint, Some(policy.fingerprint()));
         assert_eq!(receipt.policy.fingerprint(), regenerated.fingerprint());
         let counters = engine.tenant_counters("acme");
@@ -959,10 +1011,36 @@ mod tests {
     #[test]
     fn revoking_an_unknown_fingerprint_is_a_counted_noop() {
         let engine = Engine::default();
-        engine.install("acme", "t", &ctx(), &send_policy());
-        assert_eq!(engine.revoke_fingerprint("acme", 0xdead_beef), 0);
+        engine.install("acme", "t", &ctx(), &send_policy()).unwrap();
+        assert_eq!(engine.revoke_fingerprint("acme", 0xdead_beef).unwrap(), 0);
         assert_eq!(engine.tenant_counters("acme").revoked, 0, "no-op sweeps are not counted");
         assert!(engine.check("acme", "t", &ctx(), &call("delete_email", &["1"])).is_some());
+    }
+
+    #[test]
+    fn revocations_gate_imports_per_tenant_until_a_reinstall() {
+        let engine = Engine::default();
+        let policy = send_policy();
+        let task = policy.task.clone();
+        let snapshots: Vec<Vec<u8>> = ["a", "b"]
+            .iter()
+            .map(|tenant| {
+                engine.install(tenant, &task, &ctx(), &policy).unwrap();
+                engine.store().export_snapshot(tenant).unwrap().bytes
+            })
+            .collect();
+        engine.revoke_fingerprint("a", policy.fingerprint()).unwrap();
+        engine.flush_tenant("b");
+        let a = engine.import_snapshot("a", &snapshots[0]).unwrap();
+        assert_eq!((a.installed, a.skipped_revoked), (0, 1), "tenant a revoked the fingerprint");
+        let b = engine.import_snapshot("b", &snapshots[1]).unwrap();
+        assert_eq!((b.installed, b.skipped_revoked), (1, 0), "tenant a's revoke must not gate b");
+        // A deliberate reinstall in `a` makes the fingerprint restorable
+        // there again.
+        engine.install("a", &task, &ctx(), &policy).unwrap();
+        engine.flush_tenant("a");
+        let a = engine.import_snapshot("a", &snapshots[0]).unwrap();
+        assert_eq!((a.installed, a.skipped_revoked), (1, 0));
     }
 
     #[test]
@@ -984,7 +1062,7 @@ mod tests {
     fn session_checks_exhaust_budgets_and_bill_like_check() {
         let engine = Engine::default();
         let policy = budgeted_policy(2);
-        engine.install("acme", &policy.task, &ctx(), &policy);
+        engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
         let list = call("list_emails", &["Inbox"]);
         for _ in 0..2 {
@@ -1007,7 +1085,7 @@ mod tests {
     fn session_denied_by_policy_does_not_spend_the_budget() {
         let engine = Engine::default();
         let policy = budgeted_policy(5);
-        engine.install("acme", &policy.task, &ctx(), &policy);
+        engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
         let denied = engine
             .check_session("acme", &policy.task, &ctx(), &mut session, &call("rm", &["-rf"]))
@@ -1020,7 +1098,7 @@ mod tests {
     fn revoke_and_reinstall_does_not_resurrect_spent_budgets() {
         let engine = Engine::default();
         let policy = budgeted_policy(1);
-        engine.install("acme", &policy.task, &ctx(), &policy);
+        engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
         let list = call("list_emails", &["Inbox"]);
         assert!(
@@ -1032,9 +1110,9 @@ mod tests {
         // Revoke, then reinstall the byte-identical policy (what a
         // warm-start from a snapshot does). Same fingerprint → the
         // session's spent state still governs.
-        assert_eq!(engine.revoke_fingerprint("acme", policy.fingerprint()), 1);
+        assert_eq!(engine.revoke_fingerprint("acme", policy.fingerprint()).unwrap(), 1);
         assert!(engine.check_session("acme", &policy.task, &ctx(), &mut session, &list).is_none());
-        engine.install("acme", &policy.task, &ctx(), &policy);
+        engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let after =
             engine.check_session("acme", &policy.task, &ctx(), &mut session, &list).unwrap();
         assert!(!after.allowed, "reinstalling the same policy must not reset the budget");
@@ -1045,7 +1123,7 @@ mod tests {
     fn a_semantically_new_policy_rebuilds_session_state() {
         let engine = Engine::default();
         let policy = budgeted_policy(1);
-        engine.install("acme", &policy.task, &ctx(), &policy);
+        engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
         let list = call("list_emails", &["Inbox"]);
         assert!(
@@ -1056,7 +1134,7 @@ mod tests {
         );
         let regenerated = budgeted_policy(3);
         assert_ne!(regenerated.fingerprint(), policy.fingerprint());
-        engine.reload("acme", &policy.task, &ctx(), &regenerated);
+        engine.reload("acme", &policy.task, &ctx(), &regenerated).unwrap();
         // New semantics, new state: the budget-of-3 clock starts fresh.
         assert!(
             engine
@@ -1074,7 +1152,7 @@ mod tests {
         let mut policy = Policy::new("t");
         policy.set("ping", PolicyEntry::allow_any("ok"));
         policy.set_trajectory(TrajectoryPolicy::new().limit_in_window("ping", 2, 10, "no bursts"));
-        engine.install("acme", "t", &ctx(), &policy);
+        engine.install("acme", "t", &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
         let calls = vec![call("ping", &[]), call("ping", &[]), call("ping", &[])];
         let decisions =
@@ -1100,7 +1178,7 @@ mod tests {
             .is_none());
         assert_eq!(engine.tenant_counters("acme"), TenantCounters::default());
         // Hit: bills exactly like check_session — one hit, one decision.
-        engine.install("acme", &policy.task, &ctx(), &policy);
+        engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let d =
             engine.check_session_cached("acme", &policy.task, &ctx(), &mut session, &send).unwrap();
         assert!(d.allowed);
@@ -1134,14 +1212,14 @@ mod tests {
 
         // A first install (empty key) and an identical re-install
         // invalidate nothing.
-        engine.install("acme", &task, &ctx(), &policy);
-        engine.install("acme", &task, &ctx(), &policy);
+        engine.install("acme", &task, &ctx(), &policy).unwrap();
+        engine.install("acme", &task, &ctx(), &policy).unwrap();
         assert!(events.lock().unwrap().is_empty());
 
         // An install that displaces a different policy is a reload.
         let mut regenerated = Policy::new(&task);
         regenerated.set("send_email", PolicyEntry::allow_any("regenerated"));
-        engine.install("acme", &task, &ctx(), &regenerated);
+        engine.install("acme", &task, &ctx(), &regenerated).unwrap();
         assert_eq!(
             events.lock().unwrap().last(),
             Some(&Invalidation::Reloaded {
@@ -1154,7 +1232,7 @@ mod tests {
 
         // Revoke fires even when the sweep removes nothing (fail-closed
         // for downstream caches holding locally evicted entries).
-        engine.revoke_fingerprint("acme", 0xdead_beef);
+        engine.revoke_fingerprint("acme", 0xdead_beef).unwrap();
         assert_eq!(
             events.lock().unwrap().last(),
             Some(&Invalidation::Revoked { tenant: "acme".into(), fingerprint: 0xdead_beef })
@@ -1162,7 +1240,7 @@ mod tests {
 
         // Reload and flush fire unconditionally, after the sweep: by
         // listener time the store already serves the new state.
-        engine.reload("acme", &task, &ctx(), &policy);
+        engine.reload("acme", &task, &ctx(), &policy).unwrap();
         assert_eq!(
             events.lock().unwrap().last(),
             Some(&Invalidation::Reloaded {
@@ -1185,7 +1263,7 @@ mod tests {
     fn sessions_with_no_trajectory_block_record_nothing() {
         let engine = Engine::default();
         let policy = send_policy();
-        engine.install("acme", &policy.task, &ctx(), &policy);
+        engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
         for _ in 0..4 {
             engine

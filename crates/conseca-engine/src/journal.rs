@@ -1,11 +1,13 @@
 //! The durable revocation ledger: an append-only, checksummed journal
 //! of revoke/reinstate events that survives crashes.
 //!
-//! The rest of the crate treats revocation as an in-memory fact: the
-//! [`ReloadCoordinator`](crate::ReloadCoordinator) keeps a
-//! `HashSet<u64>` ledger, and `conseca-serve` kept a per-tenant map of
-//! wire-revoked fingerprints. Both forget everything on restart — the
-//! exact "crash-forgets-revocation" hole this module closes. A
+//! Every [`Engine`](crate::Engine) owns exactly one journal: its
+//! revokes, install/reload reinstatements and snapshot imports all go
+//! through it, so the engine is the one place that decides whether a
+//! fingerprint is revoked. The journal starts in memory
+//! ([`RevocationJournal::in_memory`]), which forgets everything on
+//! restart. [`recover`](crate::recover) attaches a file-backed one,
+//! closing that "crash-forgets-revocation" hole: a durable
 //! [`RevocationJournal`] appends every revocation (and every deliberate
 //! reinstatement) to a checksummed on-disk record *before* the caller
 //! acknowledges it, so a fingerprint revoked before a crash can never
@@ -43,7 +45,7 @@
 //! # Bounded resident memory
 //!
 //! The journal keeps a per-tenant resident set of revoked fingerprints
-//! for fast `is_revoked` checks, capped at
+//! for fast revoke/reinstate bookkeeping, capped at
 //! [`JournalOptions::resident_cap`] entries per tenant. When a revoke
 //! storm overflows the cap, the tenant is marked *spilled*: the
 //! resident set becomes a recent-window cache and authoritative reads
@@ -347,24 +349,25 @@ struct Inner {
     appended_since_compact: u64,
 }
 
-/// The durable revocation ledger. All methods take `&self`; share it in
-/// an `Arc` between the serving dispatcher, the lifecycle daemon, and a
-/// [`ReloadCoordinator`](crate::ReloadCoordinator).
+/// The durable revocation ledger. All methods take `&self`; an
+/// [`Engine`](crate::Engine) holds it in an `Arc`, shared with the
+/// lifecycle daemon that opened it.
 ///
 /// A journal without a path ([`in_memory`](Self::in_memory)) keeps the
 /// same semantics minus durability — the resident sets are then exact
 /// (nothing ever spills, because there is no file to read back from)
-/// and every `record_*` call trivially succeeds. This is the mode a
-/// server without a configured data directory runs in, preserving the
-/// old purely-resident ledger behaviour.
+/// and every `record_*` call trivially succeeds. Every engine starts
+/// with one, and a server without a configured data directory keeps
+/// it.
 pub struct RevocationJournal {
     path: Option<PathBuf>,
     options: JournalOptions,
     inner: Mutex<Inner>,
-    /// Appends that failed at the I/O layer (the in-memory effect still
-    /// applied — more revocation is the safe direction — but durability
-    /// was not achieved; callers that must guarantee it inspect the
-    /// `record_*` result instead).
+    /// Appends that failed at the I/O layer. A failed revoke still
+    /// applies in memory and a failed reinstate does not — more
+    /// revocation is the safe direction — but durability was not
+    /// achieved; callers that must guarantee it inspect the `record_*`
+    /// result instead.
     io_errors: AtomicU64,
     /// Total records appended over this journal's lifetime.
     appended_total: AtomicU64,
@@ -527,20 +530,20 @@ impl RevocationJournal {
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] if the append or sync failed.
+    /// [`JournalError::Io`] if the append or sync failed. The
+    /// fingerprint then stays revoked in memory too (fail closed).
     pub fn record_reinstate(&self, tenant: &str, fingerprint: u64) -> Result<(), JournalError> {
         let mut inner = self.lock();
         let spilled = inner.spilled.contains(tenant);
         let known = inner.resident.get(tenant).is_some_and(|set| set.contains(&fingerprint));
-        let mut result = Ok(());
         if known || spilled {
-            result = self.append(&mut inner, JournalOp::Reinstate, tenant, fingerprint);
+            self.append(&mut inner, JournalOp::Reinstate, tenant, fingerprint)?;
         }
         if let Some(set) = inner.resident.get_mut(tenant) {
             set.remove(&fingerprint);
         }
         self.maybe_compact(&mut inner);
-        result
+        Ok(())
     }
 
     fn append(
@@ -573,27 +576,8 @@ impl RevocationJournal {
         }
     }
 
-    /// Whether `fingerprint` is currently revoked for `tenant`. Exact
-    /// for unspilled tenants; a spilled tenant replays the file, and an
-    /// unreadable file answers `true` — treating unknowable revocation
-    /// state as revoked is the fail-closed direction.
-    pub fn is_revoked(&self, tenant: &str, fingerprint: u64) -> bool {
-        let inner = self.lock();
-        if inner.resident.get(tenant).is_some_and(|set| set.contains(&fingerprint)) {
-            return true;
-        }
-        if !inner.spilled.contains(tenant) {
-            return false;
-        }
-        drop(inner);
-        match self.replay_tenant(tenant) {
-            Ok(set) => set.contains(&fingerprint),
-            Err(_) => true,
-        }
-    }
-
-    /// The authoritative revoked set for `tenant` — what a `Restore`
-    /// must union into its revocation list. Resident (exact) for
+    /// The authoritative revoked set for `tenant` — what every snapshot
+    /// import is gated on. Resident (exact) for
     /// unspilled tenants; replayed from the file for spilled ones.
     ///
     /// # Errors
@@ -610,21 +594,22 @@ impl RevocationJournal {
         self.replay_tenant(tenant)
     }
 
-    /// Every currently revoked fingerprint across all tenants — the set
-    /// to seed a [`ReloadCoordinator`](crate::ReloadCoordinator) ledger
-    /// from at boot.
+    /// Every currently revoked fingerprint, by tenant — what
+    /// [`Engine`](crate::Engine) copies into a durable journal it
+    /// attaches.
     ///
     /// # Errors
     ///
     /// [`JournalError`] if a spilled journal cannot be replayed.
-    pub fn all_revoked_fingerprints(&self) -> Result<HashSet<u64>, JournalError> {
+    pub(crate) fn revoked_by_tenant(
+        &self,
+    ) -> Result<HashMap<Box<str>, HashSet<u64>>, JournalError> {
         let inner = self.lock();
         if inner.spilled.is_empty() {
-            return Ok(inner.resident.values().flatten().copied().collect());
+            return Ok(inner.resident.clone());
         }
         drop(inner);
-        let records = self.read_records()?;
-        Ok(project(&records).values().flatten().copied().collect())
+        Ok(project(&self.read_records()?))
     }
 
     fn replay_tenant(&self, tenant: &str) -> Result<HashSet<u64>, JournalError> {
@@ -774,10 +759,10 @@ mod tests {
         assert_eq!(report.revoked, 2);
         assert_eq!(report.tenants, 2);
         assert!(!report.repaired_torn_tail);
-        assert!(journal.is_revoked("acme", 7));
-        assert!(!journal.is_revoked("acme", 8), "reinstate survives too");
-        assert!(journal.is_revoked("globex", 7));
-        assert!(!journal.is_revoked("globex", 8));
+        assert!(journal.revoked_snapshot("acme").unwrap().contains(&7));
+        assert!(!journal.revoked_snapshot("acme").unwrap().contains(&8), "reinstate survives too");
+        assert!(journal.revoked_snapshot("globex").unwrap().contains(&7));
+        assert!(!journal.revoked_snapshot("globex").unwrap().contains(&8));
     }
 
     #[test]
@@ -814,15 +799,18 @@ mod tests {
                 RevocationJournal::open(&path, JournalOptions::default()).unwrap();
             assert!(report.repaired_torn_tail, "cut of {cut} must read as a torn tail");
             assert_eq!(report.records, 1, "only the complete record survives");
-            assert!(journal.is_revoked("acme", 1));
-            assert!(!journal.is_revoked("acme", 2), "the torn record was never acknowledged");
+            assert!(journal.revoked_snapshot("acme").unwrap().contains(&1));
+            assert!(
+                !journal.revoked_snapshot("acme").unwrap().contains(&2),
+                "the torn record was never acknowledged"
+            );
             // The journal keeps working after the repair.
             journal.record_revoke("acme", 3).unwrap();
             drop(journal);
             let (journal, report) =
                 RevocationJournal::open(&path, JournalOptions::default()).unwrap();
             assert_eq!(report.records, 2);
-            assert!(journal.is_revoked("acme", 3));
+            assert!(journal.revoked_snapshot("acme").unwrap().contains(&3));
             // Restore the two-record file for the next cut length.
             std::fs::write(&path, &bytes).unwrap();
         }
@@ -902,12 +890,12 @@ mod tests {
         // Authoritative reads stay exact by replaying the file.
         let snapshot = journal.revoked_snapshot("acme").unwrap();
         assert_eq!(snapshot.len(), 10_000);
-        assert!(journal.is_revoked("acme", 0));
-        assert!(journal.is_revoked("acme", 9_999));
-        assert!(!journal.is_revoked("acme", 10_000));
+        assert!(journal.revoked_snapshot("acme").unwrap().contains(&0));
+        assert!(journal.revoked_snapshot("acme").unwrap().contains(&9_999));
+        assert!(!journal.revoked_snapshot("acme").unwrap().contains(&10_000));
         // Reinstates against a spilled tenant are honoured.
         journal.record_reinstate("acme", 5_000).unwrap();
-        assert!(!journal.is_revoked("acme", 5_000));
+        assert!(!journal.revoked_snapshot("acme").unwrap().contains(&5_000));
         assert_eq!(journal.revoked_snapshot("acme").unwrap().len(), 9_999);
     }
 
@@ -929,15 +917,15 @@ mod tests {
         assert_eq!(report, CompactReport { before: 990, after: 10 });
         assert!(std::fs::metadata(&path).unwrap().len() < before_len / 10);
         for fp in 490..500u64 {
-            assert!(journal.is_revoked("acme", fp));
+            assert!(journal.revoked_snapshot("acme").unwrap().contains(&fp));
         }
-        assert!(!journal.is_revoked("acme", 0));
+        assert!(!journal.revoked_snapshot("acme").unwrap().contains(&0));
         // Appends keep working after the rename swapped the file.
         journal.record_revoke("acme", 1_000).unwrap();
         drop(journal);
         let (journal, report) = RevocationJournal::open(&path, options).unwrap();
         assert_eq!(report.revoked, 11);
-        assert!(journal.is_revoked("acme", 1_000));
+        assert!(journal.revoked_snapshot("acme").unwrap().contains(&1_000));
     }
 
     #[test]
@@ -971,7 +959,7 @@ mod tests {
         assert_eq!(journal.resident_entries(), 10_000);
         assert_eq!(journal.revoked_snapshot("acme").unwrap().len(), 10_000);
         journal.record_reinstate("acme", 1).unwrap();
-        assert!(!journal.is_revoked("acme", 1));
+        assert!(!journal.revoked_snapshot("acme").unwrap().contains(&1));
         assert_eq!(journal.records(), 0);
         assert_eq!(journal.compact().unwrap(), CompactReport::default());
     }

@@ -52,7 +52,7 @@
 //!
 //! let engine = Engine::new(EngineConfig::default());
 //! let ctx = TrustedContext::for_user("alice");
-//! engine.install("acme", "respond to urgent work emails", &ctx, &policy);
+//! engine.install("acme", "respond to urgent work emails", &ctx, &policy).unwrap();
 //!
 //! let call = ApiCall::new("email", "send_email",
 //!     vec!["alice".into(), "bob@work.com".into(), "urgent".into(), "done".into()]);
@@ -75,7 +75,7 @@
 //! let ctx = TrustedContext::for_user("alice");
 //! let mut policy = Policy::new("triage the inbox");
 //! policy.set("list_emails", PolicyEntry::allow_any("listing is the task"));
-//! engine.install("acme", "triage the inbox", &ctx, &policy);
+//! engine.install("acme", "triage the inbox", &ctx, &policy).unwrap();
 //!
 //! let calls = vec![
 //!     ApiCall::new("email", "list_emails", vec!["Inbox".into()]),

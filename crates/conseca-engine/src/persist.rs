@@ -23,12 +23,12 @@
 //!   recorded fingerprint — the "Ghost in the Context" integrity
 //!   binding), re-keyed, and **re-compiled**; the compiled form is never
 //!   deserialised.
-//! - **Revocation survives restarts.** [`PolicyStore::import_snapshot`]
-//!   takes a revocation set: any entry whose source fingerprint was
-//!   revoked after the snapshot was taken is skipped, so a warm start
-//!   can never resurrect a policy hot-reload already retired. The
-//!   [`ReloadCoordinator`](crate::ReloadCoordinator) exposes its ledger
-//!   via `revoked_fingerprints()` for exactly this hand-off.
+//! - **Revocation survives restarts.** [`Engine::import_snapshot`]
+//!   gates every entry on the engine's own revocation journal: an entry
+//!   whose source fingerprint was revoked after the snapshot was taken
+//!   (and not reinstalled since) is skipped, so a warm start can never
+//!   resurrect a policy hot-reload already retired. No caller passes a
+//!   revocation set.
 //! - **Concurrent installs win.** Import is compare-and-install
 //!   ([`PolicyStore::install_absent`]): a key that is already live —
 //!   because a fresher install or reload landed while the restore was in
@@ -70,6 +70,7 @@ use conseca_core::{fnv1a, CacheKey, Policy};
 
 use crate::compile::CompiledPolicy;
 use crate::engine::Engine;
+use crate::journal::JournalError;
 use crate::store::{EngineKey, PolicyStore};
 
 /// First bytes of every snapshot file.
@@ -133,6 +134,9 @@ pub enum SnapshotError {
     },
     /// A policy block failed to encode or decode.
     Codec(WireError),
+    /// The engine's revocation journal could not be read, so the import
+    /// was refused: it must never run against a partial revocation set.
+    Journal(JournalError),
 }
 
 impl fmt::Display for SnapshotError {
@@ -159,6 +163,7 @@ impl fmt::Display for SnapshotError {
                 "entry #{entry}: policy hashes to {computed:016x}, snapshot claims {recorded:016x}"
             ),
             SnapshotError::Codec(e) => write!(f, "snapshot policy block: {e}"),
+            SnapshotError::Journal(e) => write!(f, "revocation journal unreadable: {e}"),
         }
     }
 }
@@ -215,15 +220,16 @@ pub struct Snapshot {
     pub entries: Vec<SnapshotEntry>,
 }
 
-/// What one [`PolicyStore::import_snapshot`] did. The three counters
+/// What one [`Engine::import_snapshot`] did. The three counters
 /// partition the snapshot's entries exactly:
 /// `installed + skipped_revoked + skipped_live == entries`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStartReport {
     /// Entries re-compiled and installed into empty keys.
     pub installed: usize,
-    /// Entries skipped because their source fingerprint is in the
-    /// revocation set — a warm start never resurrects a revoked policy.
+    /// Entries skipped because the engine's journal holds their source
+    /// fingerprint as revoked — a warm start never resurrects a revoked
+    /// policy.
     pub skipped_revoked: usize,
     /// Entries skipped because the key was already live (a concurrent —
     /// hence newer — install wins over the restore).
@@ -380,42 +386,12 @@ impl PolicyStore {
         })
     }
 
-    /// Verifies, re-keys, re-compiles, and installs a snapshot's
-    /// policies for `tenant` — the warm-start path. Fail-closed: any
-    /// corruption, version skew, tenant mismatch, or fingerprint-binding
-    /// failure aborts the whole import with nothing installed. Entries
-    /// whose source fingerprint is in `revoked` are skipped (a warm
-    /// start must not resurrect a fingerprint revoked after the snapshot
-    /// was taken), and keys that are already live are left to the
-    /// concurrent install that got there first
-    /// ([`install_absent`](Self::install_absent) semantics).
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`].
-    pub fn import_snapshot(
-        &self,
-        tenant: &str,
-        bytes: &[u8],
-        revoked: &HashSet<u64>,
-    ) -> Result<WarmStartReport, SnapshotError> {
-        let snapshot = decode_snapshot(bytes)?;
-        if snapshot.tenant != tenant {
-            return Err(SnapshotError::TenantMismatch {
-                expected: tenant.to_owned(),
-                found: snapshot.tenant,
-            });
-        }
-        Ok(self.import_entries(tenant, snapshot.entries, revoked))
-    }
-
     /// The install half of a warm start, for entries already decoded
-    /// and verified (a single snapshot via
-    /// [`import_snapshot`](Self::import_snapshot), or a merged snapshot
-    /// log projection at crash recovery). Same semantics: revoked
-    /// fingerprints are skipped, live keys win, everything else is
+    /// and verified (a single snapshot, or a merged snapshot log
+    /// projection at crash recovery): fingerprints in `revoked` (the
+    /// engine's journal) are skipped, live keys win, everything else is
     /// compiled fresh from the verified source policy.
-    pub fn import_entries(
+    pub(crate) fn import_entries(
         &self,
         tenant: &str,
         entries: Vec<SnapshotEntry>,
@@ -468,24 +444,48 @@ impl Engine {
         Ok(SnapshotReceipt { entries: snapshot.entries, bytes: snapshot.bytes.len() })
     }
 
-    /// Warm-starts `tenant` from a snapshot file: every verified entry
-    /// whose fingerprint is not in `revoked` is re-compiled and
-    /// installed where the store does not already hold something newer.
-    /// Pass [`ReloadCoordinator::revoked_fingerprints`](crate::ReloadCoordinator::revoked_fingerprints)
-    /// (or any revocation set persisted alongside the snapshot) so
-    /// revocations issued after the export are honoured.
+    /// Verifies, re-keys, re-compiles, and installs a snapshot's
+    /// policies for `tenant` — the warm-start path. Fail-closed: any
+    /// corruption, version skew, tenant mismatch, or fingerprint-binding
+    /// failure aborts the whole import with nothing installed. Entries
+    /// whose fingerprint this engine's journal holds as revoked are
+    /// skipped (a warm start must not resurrect a fingerprint revoked
+    /// after the snapshot was taken), and keys that are already live
+    /// are left to the concurrent install that got there first
+    /// ([`PolicyStore::install_absent`] semantics).
     ///
     /// # Errors
     ///
-    /// Any [`SnapshotError`]; on error nothing was installed.
+    /// Any [`SnapshotError`]; [`SnapshotError::Journal`] when the
+    /// journal cannot be read. On error nothing was installed.
+    pub fn import_snapshot(
+        &self,
+        tenant: &str,
+        bytes: &[u8],
+    ) -> Result<WarmStartReport, SnapshotError> {
+        let snapshot = decode_snapshot(bytes)?;
+        if snapshot.tenant != tenant {
+            return Err(SnapshotError::TenantMismatch {
+                expected: tenant.to_owned(),
+                found: snapshot.tenant,
+            });
+        }
+        let revoked = self.revoked(tenant).map_err(SnapshotError::Journal)?;
+        Ok(self.store().import_entries(tenant, snapshot.entries, &revoked))
+    }
+
+    /// Warm-starts `tenant` from a snapshot file via
+    /// [`import_snapshot`](Self::import_snapshot).
+    ///
+    /// # Errors
+    ///
+    /// As [`import_snapshot`](Self::import_snapshot), plus file I/O.
     pub fn warm_start_from(
         &self,
         tenant: &str,
         path: impl AsRef<Path>,
-        revoked: &HashSet<u64>,
     ) -> Result<WarmStartReport, SnapshotError> {
-        let bytes = std::fs::read(path)?;
-        self.store().import_snapshot(tenant, &bytes, revoked)
+        self.import_snapshot(tenant, &std::fs::read(path)?)
     }
 }
 
@@ -513,25 +513,20 @@ mod tests {
         ApiCall::new("test", name, args.iter().map(|s| s.to_string()).collect())
     }
 
-    fn none_revoked() -> HashSet<u64> {
-        HashSet::new()
-    }
-
     #[test]
     fn export_import_roundtrips_into_a_fresh_store() {
         let source = Engine::default();
         let p1 = policy("task one");
         let p2 = policy("task two");
-        source.install("acme", &p1.task, &ctx(), &p1);
-        source.install("acme", &p2.task, &ctx(), &p2);
-        source.install("globex", &p1.task, &ctx(), &p1); // other tenant: excluded
+        source.install("acme", &p1.task, &ctx(), &p1).unwrap();
+        source.install("acme", &p2.task, &ctx(), &p2).unwrap();
+        source.install("globex", &p1.task, &ctx(), &p1).unwrap(); // other tenant: excluded
 
         let snapshot = source.store().export_snapshot("acme").unwrap();
         assert_eq!(snapshot.entries, 2);
 
         let fresh = Engine::default();
-        let report =
-            fresh.store().import_snapshot("acme", &snapshot.bytes, &none_revoked()).unwrap();
+        let report = fresh.import_snapshot("acme", &snapshot.bytes).unwrap();
         assert_eq!(report, WarmStartReport { installed: 2, skipped_revoked: 0, skipped_live: 0 });
         // The restored store serves byte-identical decisions to a fresh
         // compile of the same policies.
@@ -558,7 +553,7 @@ mod tests {
             "delete_email",
             "order",
         ));
-        source.install("acme", &p.task, &ctx(), &p);
+        source.install("acme", &p.task, &ctx(), &p).unwrap();
 
         // Spend the budget against the source engine's session.
         let mut session = SessionState::new();
@@ -569,7 +564,7 @@ mod tests {
 
         let snapshot = source.store().export_snapshot("acme").unwrap();
         let fresh = Engine::default();
-        fresh.store().import_snapshot("acme", &snapshot.bytes, &none_revoked()).unwrap();
+        fresh.import_snapshot("acme", &snapshot.bytes).unwrap();
 
         // The warm-started snapshot decodes the trajectory block: same
         // fingerprint, compiled automata present.
@@ -600,13 +595,13 @@ mod tests {
         let path = dir.join("acme.csnap");
         let source = Engine::default();
         let p = policy("file roundtrip");
-        source.install("acme", &p.task, &ctx(), &p);
+        source.install("acme", &p.task, &ctx(), &p).unwrap();
         let receipt = source.snapshot_to("acme", &path).unwrap();
         assert_eq!(receipt.entries, 1);
         assert!(receipt.bytes >= MIN_LEN);
 
         let fresh = Engine::default();
-        let report = fresh.warm_start_from("acme", &path, &none_revoked()).unwrap();
+        let report = fresh.warm_start_from("acme", &path).unwrap();
         assert_eq!(report.installed, 1);
         assert!(fresh.check("acme", &p.task, &ctx(), &call("send_email", &["alice"])).is_some());
         std::fs::remove_file(&path).unwrap();
@@ -614,19 +609,18 @@ mod tests {
 
     #[test]
     fn a_revoked_fingerprint_is_never_resurrected() {
-        let source = Engine::default();
+        let engine = Engine::default();
         let p = policy("revoked later");
-        source.install("acme", &p.task, &ctx(), &p);
-        let snapshot = source.store().export_snapshot("acme").unwrap();
-        // The fingerprint is revoked *after* the snapshot was taken.
-        source.revoke_fingerprint("acme", p.fingerprint());
+        engine.install("acme", &p.task, &ctx(), &p).unwrap();
+        let snapshot = engine.store().export_snapshot("acme").unwrap();
+        // The fingerprint is revoked *after* the snapshot was taken; the
+        // engine's own journal gates the import, no caller set needed.
+        engine.revoke_fingerprint("acme", p.fingerprint()).unwrap();
 
-        let fresh = Engine::default();
-        let revoked: HashSet<u64> = [p.fingerprint()].into_iter().collect();
-        let report = fresh.store().import_snapshot("acme", &snapshot.bytes, &revoked).unwrap();
+        let report = engine.import_snapshot("acme", &snapshot.bytes).unwrap();
         assert_eq!(report, WarmStartReport { installed: 0, skipped_revoked: 1, skipped_live: 0 });
         assert!(
-            fresh.check("acme", &p.task, &ctx(), &call("send_email", &["alice"])).is_none(),
+            engine.check("acme", &p.task, &ctx(), &call("send_email", &["alice"])).is_none(),
             "a warm start must not resurrect a revoked policy"
         );
     }
@@ -635,15 +629,14 @@ mod tests {
     fn a_concurrent_install_wins_over_a_stale_restore() {
         let engine = Engine::default();
         let stale = policy("contested task");
-        engine.install("acme", &stale.task, &ctx(), &stale);
+        engine.install("acme", &stale.task, &ctx(), &stale).unwrap();
         let snapshot = engine.store().export_snapshot("acme").unwrap();
         // A newer policy lands at the same key before the restore runs.
         let mut fresh = Policy::new("contested task");
         fresh.set("send_email", PolicyEntry::deny("locked down since the export"));
-        engine.reload("acme", &stale.task, &ctx(), &fresh);
+        engine.reload("acme", &stale.task, &ctx(), &fresh).unwrap();
 
-        let report =
-            engine.store().import_snapshot("acme", &snapshot.bytes, &none_revoked()).unwrap();
+        let report = engine.import_snapshot("acme", &snapshot.bytes).unwrap();
         assert_eq!(report, WarmStartReport { installed: 0, skipped_revoked: 0, skipped_live: 1 });
         let decision =
             engine.check("acme", &stale.task, &ctx(), &call("send_email", &["alice"])).unwrap();
@@ -654,7 +647,7 @@ mod tests {
     fn corruption_fails_closed() {
         let engine = Engine::default();
         let p = policy("integrity");
-        engine.install("acme", &p.task, &ctx(), &p);
+        engine.install("acme", &p.task, &ctx(), &p).unwrap();
         let snapshot = engine.store().export_snapshot("acme").unwrap();
         let bytes = snapshot.bytes;
 
@@ -662,7 +655,7 @@ mod tests {
         for cut in 0..bytes.len() {
             let fresh = Engine::default();
             assert!(
-                fresh.store().import_snapshot("acme", &bytes[..cut], &none_revoked()).is_err(),
+                fresh.import_snapshot("acme", &bytes[..cut]).is_err(),
                 "prefix of {cut} bytes must not load"
             );
             assert!(fresh.store().is_empty(), "nothing may install from a truncated snapshot");
@@ -673,22 +666,12 @@ mod tests {
             let mut corrupt = bytes.clone();
             corrupt[at] ^= 0x40;
             assert!(
-                Engine::default()
-                    .store()
-                    .import_snapshot("acme", &corrupt, &none_revoked())
-                    .is_err(),
+                Engine::default().import_snapshot("acme", &corrupt).is_err(),
                 "flip at {at} must not load"
             );
         }
         // The pristine bytes still load.
-        assert_eq!(
-            Engine::default()
-                .store()
-                .import_snapshot("acme", &bytes, &none_revoked())
-                .unwrap()
-                .installed,
-            1
-        );
+        assert_eq!(Engine::default().import_snapshot("acme", &bytes).unwrap().installed, 1);
     }
 
     /// Rewrites the trailing checksum so tampered bytes pass the
@@ -704,7 +687,7 @@ mod tests {
     fn version_skew_is_a_typed_error() {
         let engine = Engine::default();
         let p = policy("versioned");
-        engine.install("acme", &p.task, &ctx(), &p);
+        engine.install("acme", &p.task, &ctx(), &p).unwrap();
         let bytes = engine.store().export_snapshot("acme").unwrap().bytes;
 
         let mut skewed = bytes.clone();
@@ -728,12 +711,12 @@ mod tests {
     fn tenant_and_fingerprint_bindings_hold() {
         let engine = Engine::default();
         let p = policy("bound");
-        engine.install("acme", &p.task, &ctx(), &p);
+        engine.install("acme", &p.task, &ctx(), &p).unwrap();
         let bytes = engine.store().export_snapshot("acme").unwrap().bytes;
 
         // Importing under another tenant is refused even though the
         // bytes are pristine — snapshots cannot cross tenants.
-        match Engine::default().store().import_snapshot("globex", &bytes, &none_revoked()) {
+        match Engine::default().import_snapshot("globex", &bytes) {
             Err(SnapshotError::TenantMismatch { expected, found }) => {
                 assert_eq!((expected.as_str(), found.as_str()), ("globex", "acme"));
             }
@@ -758,8 +741,7 @@ mod tests {
         let snapshot = engine.store().export_snapshot("acme").unwrap();
         assert_eq!(snapshot.entries, 0);
         assert_eq!(snapshot.bytes.len(), MIN_LEN + "acme".len());
-        let report =
-            Engine::default().store().import_snapshot("acme", &snapshot.bytes, &none_revoked());
+        let report = Engine::default().import_snapshot("acme", &snapshot.bytes);
         assert_eq!(report.unwrap(), WarmStartReport::default());
     }
 
@@ -767,7 +749,7 @@ mod tests {
     fn import_assigns_fresh_generations() {
         let source = Engine::default();
         let p = policy("generations");
-        source.install("acme", &p.task, &ctx(), &p);
+        source.install("acme", &p.task, &ctx(), &p).unwrap();
         let snapshot = source.store().export_snapshot("acme").unwrap();
         let decoded = decode_snapshot(&snapshot.bytes).unwrap();
         assert_eq!(decoded.entries.len(), 1);
@@ -777,9 +759,9 @@ mod tests {
         // Burn some generations so a naive reuse would collide.
         for i in 0..3 {
             let filler = policy(&format!("filler {i}"));
-            fresh.install("acme", &filler.task, &ctx(), &filler);
+            fresh.install("acme", &filler.task, &ctx(), &filler).unwrap();
         }
-        fresh.store().import_snapshot("acme", &snapshot.bytes, &none_revoked()).unwrap();
+        fresh.import_snapshot("acme", &snapshot.bytes).unwrap();
         let key = EngineKey::new("acme", &p.task, &ctx());
         let (_, generation) = fresh.store().get_with_generation(&key).expect("restored");
         assert!(generation > 3, "restores are stamped with the importing store's next generation");

@@ -28,7 +28,7 @@
 //! same clobber-safety from the store primitive
 //! [`PolicyStore::revoke_if_generation`](crate::PolicyStore::revoke_if_generation).)
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use conseca_core::{AuditEvent, AuditSink, Policy, TrustedContext};
@@ -36,7 +36,7 @@ use parking_lot::RwLock;
 
 use crate::compile::CompiledPolicy;
 use crate::engine::Engine;
-use crate::journal::RevocationJournal;
+use crate::journal::JournalError;
 
 /// Identity of one tracked policy: the tenant it bills to and the task
 /// text it is keyed by (the same strings the engine's store fingerprints).
@@ -87,64 +87,26 @@ pub struct SweepReport {
     /// Keys whose context could not be resolved (revoked, not reloaded —
     /// a context that no longer exists cannot justify any policy).
     pub orphaned: usize,
+    /// Keys whose revoke or reinstate the engine's journal failed to
+    /// record. Their snapshots were still swept (fail closed), but the
+    /// key is no longer tracked and the revoke may not be durable.
+    pub journal_errors: usize,
 }
 
 /// Tracks live (tenant, task, context) policies on an [`Engine`] and
-/// reloads them when their trusted context drifts.
+/// reloads them when their trusted context drifts. Revocation state is
+/// the engine's alone: the coordinator only tracks drift.
 ///
 /// Shared by reference across threads; every method takes `&self`.
 pub struct ReloadCoordinator {
     engine: Arc<Engine>,
     live: RwLock<HashMap<LiveKey, LiveEntry>>,
-    /// Fingerprints this coordinator has revoked and not since seen
-    /// reinstated — the revocation set a warm start consults so that
-    /// restoring a snapshot taken *before* a revocation cannot
-    /// resurrect the revoked policy
-    /// ([`Engine::warm_start_from`](crate::Engine::warm_start_from)).
-    revoked: RwLock<HashSet<u64>>,
-    /// Durable mirror of the ledger, when one is attached
-    /// ([`with_journal`](Self::with_journal)). Every revoke is journaled
-    /// *before* the engine sweep, every reinstate after tracking, so the
-    /// resident set above never remembers less than the file. Journal
-    /// I/O failures are absorbed (the journal self-counts them): the
-    /// in-memory revocation still applies, which errs in the revoked —
-    /// fail-closed — direction.
-    journal: Option<Arc<RevocationJournal>>,
 }
 
 impl ReloadCoordinator {
     /// A coordinator fronting `engine`.
     pub fn new(engine: Arc<Engine>) -> Self {
-        ReloadCoordinator {
-            engine,
-            live: RwLock::new(HashMap::new()),
-            revoked: RwLock::new(HashSet::new()),
-            journal: None,
-        }
-    }
-
-    /// A coordinator whose revocation ledger is mirrored to (and seeded
-    /// from) a durable [`RevocationJournal`]: revocations recorded
-    /// before a crash are revocations this coordinator still knows
-    /// after it.
-    pub fn with_journal(engine: Arc<Engine>, journal: Arc<RevocationJournal>) -> Self {
-        let seeded = journal.all_revoked_fingerprints().unwrap_or_default();
-        ReloadCoordinator {
-            engine,
-            live: RwLock::new(HashMap::new()),
-            revoked: RwLock::new(seeded),
-            journal: Some(journal),
-        }
-    }
-
-    /// The attached durable journal, if any.
-    pub fn journal(&self) -> Option<&Arc<RevocationJournal>> {
-        self.journal.as_ref()
-    }
-
-    /// The engine this coordinator reloads policies on.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
+        ReloadCoordinator { engine, live: RwLock::new(HashMap::new()) }
     }
 
     /// Number of (tenant, task) keys currently tracked.
@@ -154,27 +116,24 @@ impl ReloadCoordinator {
 
     /// Compiles and installs `policy` for (`tenant`, `task`, `context`)
     /// through the engine, and starts watching the key for context drift.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::install`]; the key is then not tracked.
     pub fn install(
         &self,
         tenant: &str,
         task: &str,
         context: &TrustedContext,
         policy: &Policy,
-    ) -> Arc<CompiledPolicy> {
-        let compiled = self.engine.install(tenant, task, context, policy);
+    ) -> Result<Arc<CompiledPolicy>, JournalError> {
+        let compiled = self.engine.install(tenant, task, context, policy)?;
         self.track(tenant, task, context, policy.fingerprint());
-        compiled
+        Ok(compiled)
     }
 
     /// Starts watching a key that was installed directly on the engine.
-    /// Tracking a fingerprint also clears it from the revocation ledger:
-    /// a policy deliberately reinstalled after a revocation is live
-    /// again, and a warm start may restore it.
     pub fn track(&self, tenant: &str, task: &str, context: &TrustedContext, policy_fp: u64) {
-        self.revoked.write().remove(&policy_fp);
-        if let Some(journal) = &self.journal {
-            let _ = journal.record_reinstate(tenant, policy_fp);
-        }
         self.live.write().insert(
             LiveKey::new(tenant, task),
             LiveEntry {
@@ -185,74 +144,14 @@ impl ReloadCoordinator {
         );
     }
 
-    /// Whether `fingerprint` is in this coordinator's revocation ledger
-    /// (revoked and not since reinstated). With a journal attached the
-    /// in-memory set is a bounded recent window; a miss falls through to
-    /// the durable ledger, and an *unreadable* ledger answers revoked —
-    /// fail closed.
-    pub fn is_revoked(&self, fingerprint: u64) -> bool {
-        if self.revoked.read().contains(&fingerprint) {
-            return true;
-        }
-        match &self.journal {
-            Some(journal) => journal
-                .all_revoked_fingerprints()
-                .map(|set| set.contains(&fingerprint))
-                .unwrap_or(true),
-            None => false,
-        }
-    }
-
-    /// A snapshot of the revocation ledger — the set to hand to
-    /// [`Engine::warm_start_from`](crate::Engine::warm_start_from) so a
-    /// restore cannot resurrect anything this coordinator retired after
-    /// the snapshot was exported. With a journal attached this is the
-    /// durable set unioned with the recent in-memory window.
-    pub fn revoked_fingerprints(&self) -> HashSet<u64> {
-        match &self.journal {
-            Some(journal) => {
-                let mut set = journal.all_revoked_fingerprints().unwrap_or_default();
-                set.extend(self.revoked.read().iter().copied());
-                set
-            }
-            None => self.revoked.read().clone(),
-        }
-    }
-
-    /// Adds `fingerprint` to the in-memory revocation mirror. Without a
-    /// journal the mirror *is* the ledger and must hold everything; with
-    /// one, the journal is authoritative and the mirror is a recent
-    /// window kept from growing linearly under a revoke storm —
-    /// overflow drops the window entirely and reads fall through to the
-    /// file ([`is_revoked`](Self::is_revoked)).
-    fn note_revoked(&self, fingerprint: u64) {
-        const MIRROR_CAP: usize = 4096;
-        let mut revoked = self.revoked.write();
-        if self.journal.is_some() && revoked.len() >= MIRROR_CAP {
-            revoked.clear();
-            revoked.shrink_to_fit();
-        }
-        revoked.insert(fingerprint);
-    }
-
-    /// Folds an externally applied revocation into this coordinator's
-    /// view: the fingerprint joins the in-memory ledger and any tracked
-    /// key serving it is dropped. For callers (the serving dispatcher)
-    /// that already journaled and engine-swept the revocation
-    /// themselves — this method deliberately does neither, it only
-    /// reconciles the coordinator so a later
-    /// [`sweep`](Self::sweep) does not regenerate the dead policy.
-    /// Returns how many tracked keys were dropped.
-    pub fn retire_fingerprint(&self, tenant: &str, fingerprint: u64) -> usize {
-        let mut live = self.live.write();
-        let before = live.len();
-        live.retain(|key, entry| {
+    /// Stops watching every key of `tenant` that serves `fingerprint`,
+    /// for revocations applied outside the coordinator (a wire
+    /// `Revoke`), so a later [`sweep`](Self::sweep) does not regenerate
+    /// the dead policy.
+    pub fn retire_fingerprint(&self, tenant: &str, fingerprint: u64) {
+        self.live.write().retain(|key, entry| {
             !(key.tenant.as_ref() == tenant && entry.policy_fp == fingerprint)
         });
-        let dropped = before - live.len();
-        drop(live);
-        self.note_revoked(fingerprint);
-        dropped
     }
 
     /// Whether the tracked policy for (`tenant`, `task`) was generated
@@ -267,34 +166,36 @@ impl ReloadCoordinator {
             .unwrap_or(false)
     }
 
-    /// Revokes the tracked policy for (`tenant`, `task`) — sweeps every
-    /// snapshot carrying its fingerprint out of the store, stops watching
-    /// the key, and audits the revocation. Returns how many store entries
-    /// the sweep removed, or `None` if the key was not tracked. Checks
-    /// against the swept keys fail closed until something reinstalls.
+    /// Revokes the tracked policy for (`tenant`, `task`) through
+    /// [`Engine::revoke_fingerprint`] — journals the revoke, sweeps every
+    /// snapshot carrying its fingerprint out of the store — then stops
+    /// watching the key and audits the revocation. Returns how many
+    /// store entries the sweep removed, or `None` if the key was not
+    /// tracked. Checks against the swept keys fail closed until
+    /// something reinstalls.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::revoke_fingerprint`]: the sweep ran and was audited,
+    /// but the revoke is not durable.
     pub fn revoke(
         &self,
         tenant: &str,
         task: &str,
         reason: &str,
         sink: &mut dyn AuditSink,
-    ) -> Option<usize> {
-        let entry = self.live.write().remove(&LiveKey::new(tenant, task))?;
-        // Durable before applied: once the engine sweep runs, callers
-        // may observe (and acknowledge) the revocation, so the journal
-        // record has to already be on disk.
-        if let Some(journal) = &self.journal {
-            let _ = journal.record_revoke(tenant, entry.policy_fp);
-        }
+    ) -> Result<Option<usize>, JournalError> {
+        let Some(entry) = self.live.write().remove(&LiveKey::new(tenant, task)) else {
+            return Ok(None);
+        };
         let removed = self.engine.revoke_fingerprint(tenant, entry.policy_fp);
-        self.note_revoked(entry.policy_fp);
         sink.record(AuditEvent::PolicyRevoked {
             task: task.to_owned(),
             fingerprint: entry.policy_fp,
             context_fingerprint: entry.context_fp,
             reason: reason.to_owned(),
         });
-        Some(removed)
+        removed.map(Some)
     }
 
     /// The revoke → regenerate → reinstall sequence for one key, run only
@@ -306,6 +207,10 @@ impl ReloadCoordinator {
     /// key resolves nothing and checks are denied by default; the
     /// regenerated policy then lands atomically under the new context key
     /// via [`Engine::reload`].
+    ///
+    /// # Errors
+    ///
+    /// As [`reload_now`](Self::reload_now).
     pub fn reload_if_stale(
         &self,
         tenant: &str,
@@ -313,9 +218,9 @@ impl ReloadCoordinator {
         current: &TrustedContext,
         regenerate: impl FnOnce(&TrustedContext) -> Policy,
         sink: &mut dyn AuditSink,
-    ) -> Option<ReloadOutcome> {
+    ) -> Result<Option<ReloadOutcome>, JournalError> {
         if !self.is_stale(tenant, task, current) {
-            return None;
+            return Ok(None);
         }
         self.reload_now(tenant, task, current, regenerate, sink)
     }
@@ -332,6 +237,12 @@ impl ReloadCoordinator {
     /// that arrives *after* a reload has claimed the entry also returns
     /// `None`; the operator then sees the key untracked and can revoke
     /// the reloaded fingerprint explicitly.)
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::revoke_fingerprint`] (the stale snapshot was swept,
+    /// nothing was reinstalled) or [`Engine::reload`]. Either way the
+    /// key is no longer tracked and fails closed until reinstalled.
     pub fn reload_now(
         &self,
         tenant: &str,
@@ -339,18 +250,16 @@ impl ReloadCoordinator {
         current: &TrustedContext,
         regenerate: impl FnOnce(&TrustedContext) -> Policy,
         sink: &mut dyn AuditSink,
-    ) -> Option<ReloadOutcome> {
+    ) -> Result<Option<ReloadOutcome>, JournalError> {
         // 0. Claim the entry. Reading without removing would let a
         // racing revoke() complete in the window before our reinstall,
         // which this reload would then reverse.
-        let stale = self.live.write().remove(&LiveKey::new(tenant, task))?;
+        let Some(stale) = self.live.write().remove(&LiveKey::new(tenant, task)) else {
+            return Ok(None);
+        };
         // 1. Fail closed: sweep the stale snapshot before regenerating —
-        // journaled first, so a crash anywhere in this sequence leaves
-        // the stale fingerprint durably revoked. (If regeneration comes
-        // out identical, `track` below reinstates it, journal included.)
-        if let Some(journal) = &self.journal {
-            let _ = journal.record_revoke(tenant, stale.policy_fp);
-        }
+        // the engine journals the revoke first, so a crash anywhere in
+        // this sequence leaves the stale fingerprint durably revoked.
         let revoked_entries = self.engine.revoke_fingerprint(tenant, stale.policy_fp);
         sink.record(AuditEvent::PolicyRevoked {
             task: task.to_owned(),
@@ -358,18 +267,14 @@ impl ReloadCoordinator {
             context_fingerprint: stale.context_fp,
             reason: "trusted context drifted".to_owned(),
         });
+        let revoked_entries = revoked_entries?;
         // 2. Regenerate against the current context and reinstall. The
-        // old fingerprint joins the revocation ledger unless the
-        // regenerated policy came out identical — a fingerprint that is
-        // live again must stay warm-start-restorable (`track` below
-        // clears it regardless, but never ledger a fingerprint we are
-        // about to serve).
+        // reload reinstates the new fingerprint, so a regeneration that
+        // came out identical leaves nothing revoked; otherwise the old
+        // fingerprint stays revoked.
         let policy = regenerate(current);
         let new_fingerprint = policy.fingerprint();
-        if new_fingerprint != stale.policy_fp {
-            self.note_revoked(stale.policy_fp);
-        }
-        let receipt = self.engine.reload(tenant, task, current, &policy);
+        let receipt = self.engine.reload(tenant, task, current, &policy)?;
         sink.record(AuditEvent::PolicyReloaded {
             task: task.to_owned(),
             old_fingerprint: stale.policy_fp,
@@ -379,12 +284,12 @@ impl ReloadCoordinator {
         });
         // 3. Keep watching under the new identity.
         self.track(tenant, task, current, new_fingerprint);
-        Some(ReloadOutcome {
+        Ok(Some(ReloadOutcome {
             old_fingerprint: stale.policy_fp,
             new_fingerprint,
             revoked_entries,
             policy: receipt.policy,
-        })
+        }))
     }
 
     /// The regeneration-watcher pass: re-resolves every tracked key's
@@ -392,7 +297,8 @@ impl ReloadCoordinator {
     /// `regenerate`, and revokes keys whose context can no longer be
     /// resolved at all. One call is one watch tick; deployments run it
     /// from whatever cadence (timer, inotify-style hook, post-commit) the
-    /// context source supports.
+    /// context source supports. A journal failure on one key is counted
+    /// in [`SweepReport::journal_errors`] and the sweep moves on.
     pub fn sweep(
         &self,
         resolve: impl Fn(&str, &str) -> Option<TrustedContext>,
@@ -403,24 +309,23 @@ impl ReloadCoordinator {
         let mut report = SweepReport { scanned: tracked.len(), ..SweepReport::default() };
         for key in tracked {
             match resolve(&key.tenant, &key.task) {
-                Some(current) => {
-                    let reloaded = self.reload_if_stale(
-                        &key.tenant,
-                        &key.task,
-                        &current,
-                        |ctx| regenerate(&key.tenant, &key.task, ctx),
-                        sink,
-                    );
-                    if reloaded.is_some() {
-                        report.reloaded += 1;
-                    }
-                }
+                Some(current) => match self.reload_if_stale(
+                    &key.tenant,
+                    &key.task,
+                    &current,
+                    |ctx| regenerate(&key.tenant, &key.task, ctx),
+                    sink,
+                ) {
+                    Ok(Some(_)) => report.reloaded += 1,
+                    Ok(None) => {}
+                    Err(_) => report.journal_errors += 1,
+                },
                 None => {
-                    if self
-                        .revoke(&key.tenant, &key.task, "context no longer resolvable", sink)
-                        .is_some()
+                    match self.revoke(&key.tenant, &key.task, "context no longer resolvable", sink)
                     {
-                        report.orphaned += 1;
+                        Ok(Some(_)) => report.orphaned += 1,
+                        Ok(None) => {}
+                        Err(_) => report.journal_errors += 1,
                     }
                 }
             }
@@ -461,7 +366,7 @@ mod tests {
         let mut log = AuditLog::new();
         let before = ctx("alice", "alice/\n");
         let policy = policy_for("t", &before);
-        coordinator.install("acme", "t", &before, &policy);
+        coordinator.install("acme", "t", &before, &policy).unwrap();
         assert_eq!(coordinator.tracked(), 1);
         assert!(!coordinator.is_stale("acme", "t", &before));
 
@@ -471,6 +376,7 @@ mod tests {
         assert!(!coordinator.is_stale("acme", "t", &ticked));
         assert!(coordinator
             .reload_if_stale("acme", "t", &ticked, |c| policy_for("t", c), &mut log)
+            .unwrap()
             .is_none());
 
         // A grown fs tree is.
@@ -478,6 +384,7 @@ mod tests {
         assert!(coordinator.is_stale("acme", "t", &after));
         let outcome = coordinator
             .reload_if_stale("acme", "t", &after, |c| policy_for("t", c), &mut log)
+            .unwrap()
             .expect("drift must reload");
         assert_eq!(outcome.old_fingerprint, policy.fingerprint());
         assert_eq!(outcome.revoked_entries, 1);
@@ -511,19 +418,21 @@ mod tests {
         let mut sink = CountingSink::default();
         let context = ctx("alice", "alice/\n");
         let policy = policy_for("t", &context);
-        coordinator.install("acme", "t", &context, &policy);
-        let removed = coordinator.revoke("acme", "t", "operator request", &mut sink).unwrap();
+        coordinator.install("acme", "t", &context, &policy).unwrap();
+        let removed =
+            coordinator.revoke("acme", "t", "operator request", &mut sink).unwrap().unwrap();
         assert_eq!(removed, 1);
         assert!(engine.check("acme", "t", &context, &ls()).is_none());
         assert!(engine.check_all("acme", "t", &context, &[ls()]).is_none());
         assert!(engine.lookup("acme", "t", &context).is_none());
         assert_eq!(coordinator.tracked(), 0);
-        assert!(coordinator.revoke("acme", "t", "again", &mut sink).is_none());
+        assert!(coordinator.revoke("acme", "t", "again", &mut sink).unwrap().is_none());
         // A reload that lost the claim race to the revocation must not
         // reinstall the key — the revocation stands.
         assert!(
             coordinator
                 .reload_now("acme", "t", &context, |c| policy_for("t", c), &mut sink)
+                .unwrap()
                 .is_none(),
             "an in-flight reload must not undo a completed revocation"
         );
@@ -537,9 +446,9 @@ mod tests {
         let mut log = AuditLog::new();
         let stable = ctx("alice", "alice/\n");
         let drifting = ctx("bob", "bob/\n");
-        coordinator.install("acme", "stable", &stable, &policy_for("stable", &stable));
-        coordinator.install("acme", "drifts", &drifting, &policy_for("drifts", &drifting));
-        coordinator.install("acme", "orphan", &stable, &policy_for("orphan", &stable));
+        coordinator.install("acme", "stable", &stable, &policy_for("stable", &stable)).unwrap();
+        coordinator.install("acme", "drifts", &drifting, &policy_for("drifts", &drifting)).unwrap();
+        coordinator.install("acme", "orphan", &stable, &policy_for("orphan", &stable)).unwrap();
 
         let drifted = ctx("bob", "bob/\n  Downloads/\n");
         let report = coordinator.sweep(
@@ -551,7 +460,7 @@ mod tests {
             |_tenant, task, current| policy_for(task, current),
             &mut log,
         );
-        assert_eq!(report, SweepReport { scanned: 3, reloaded: 1, orphaned: 1 });
+        assert_eq!(report, SweepReport { scanned: 3, reloaded: 1, orphaned: 1, journal_errors: 0 });
         assert_eq!(coordinator.tracked(), 2, "the orphan is no longer watched");
         assert!(engine.check("acme", "stable", &stable, &ls()).is_some());
         assert!(engine.check("acme", "drifts", &drifted, &ls()).is_some());
@@ -567,7 +476,7 @@ mod tests {
             |_tenant, task, current| policy_for(task, current),
             &mut log,
         );
-        assert_eq!(report, SweepReport { scanned: 2, reloaded: 0, orphaned: 0 });
+        assert_eq!(report, SweepReport { scanned: 2, ..SweepReport::default() });
     }
 
     #[test]
@@ -577,15 +486,14 @@ mod tests {
         let mut sink = CountingSink::default();
         let before = ctx("alice", "alice/\n");
         let stale = policy_for("t", &before);
-        coordinator.install("acme", "t", &before, &stale);
-        assert!(!coordinator.is_revoked(stale.fingerprint()));
+        coordinator.install("acme", "t", &before, &stale).unwrap();
 
         // A snapshot taken while the stale policy is live...
         let snapshot = engine.store().export_snapshot("acme").unwrap();
 
         // ...then the context drifts and the reload regenerates a
         // semantically different policy (same-fingerprint regenerations
-        // deliberately stay off the ledger — see the next test).
+        // stay restorable — see the next test).
         let after = ctx("alice", "alice/\n  New/\n");
         coordinator
             .reload_now(
@@ -599,23 +507,21 @@ mod tests {
                 },
                 &mut sink,
             )
+            .unwrap()
             .expect("tracked key reloads");
-        assert!(coordinator.is_revoked(stale.fingerprint()), "the displaced fp is ledgered");
 
-        // A warm start gated on the ledger cannot resurrect it.
-        let fresh = Engine::default();
-        let report = fresh
-            .store()
-            .import_snapshot("acme", &snapshot.bytes, &coordinator.revoked_fingerprints())
-            .unwrap();
+        // The engine journaled the displaced fingerprint, so a warm start
+        // cannot resurrect it.
+        let report = engine.import_snapshot("acme", &snapshot.bytes).unwrap();
         assert_eq!((report.installed, report.skipped_revoked), (0, 1));
-        assert!(fresh.check("acme", "t", &before, &ls()).is_none());
+        assert!(engine.check("acme", "t", &before, &ls()).is_none());
 
-        // Deliberately reinstalling the fingerprint clears the ledger:
-        // the policy is live again and restorable again.
-        coordinator.install("acme", "t", &before, &stale);
-        assert!(!coordinator.is_revoked(stale.fingerprint()));
-        assert!(coordinator.revoked_fingerprints().is_empty());
+        // Deliberately reinstalling the fingerprint reinstates it: the
+        // policy is live again and restorable again.
+        coordinator.install("acme", "t", &before, &stale).unwrap();
+        engine.flush_tenant("acme");
+        let report = engine.import_snapshot("acme", &snapshot.bytes).unwrap();
+        assert_eq!((report.installed, report.skipped_revoked), (1, 0));
     }
 
     #[test]
@@ -629,14 +535,18 @@ mod tests {
         let before = ctx("alice", "alice/\n");
         let mut fixed = Policy::new("t");
         fixed.set("ls", PolicyEntry::allow_any("always the same"));
-        coordinator.install("acme", "t", &before, &fixed);
+        coordinator.install("acme", "t", &before, &fixed).unwrap();
+        let snapshot = engine.store().export_snapshot("acme").unwrap();
         let after = ctx("alice", "alice/\n  New/\n");
         let rekeyed = fixed.clone();
         coordinator
             .reload_now("acme", "t", &after, move |_| rekeyed, &mut sink)
+            .unwrap()
             .expect("tracked key reloads");
-        assert!(
-            !coordinator.is_revoked(fixed.fingerprint()),
+        engine.flush_tenant("acme");
+        assert_eq!(
+            engine.import_snapshot("acme", &snapshot.bytes).unwrap().skipped_revoked,
+            0,
             "an identical regeneration must not ledger its own fingerprint"
         );
     }
@@ -647,12 +557,13 @@ mod tests {
         let coordinator = ReloadCoordinator::new(Arc::clone(&engine));
         let mut sink = CountingSink::default();
         let context = ctx("alice", "alice/\n");
-        coordinator.install("acme", "t", &context, &policy_for("t", &context));
+        coordinator.install("acme", "t", &context, &policy_for("t", &context)).unwrap();
         let mut tightened = Policy::new("t");
         tightened.set("ls", PolicyEntry::deny("operator lockdown"));
         let fp = tightened.fingerprint();
         let outcome = coordinator
             .reload_now("acme", "t", &context, move |_| tightened, &mut sink)
+            .unwrap()
             .expect("tracked key reloads on demand");
         assert_eq!(outcome.new_fingerprint, fp);
         assert!(!engine.check("acme", "t", &context, &ls()).unwrap().allowed);

@@ -9,11 +9,11 @@
 //! marker records that the tenant's store was emptied, so replay does
 //! not resurrect pre-flush entries.
 //!
-//! [`recover`] is the boot path: open the revocation journal, merge
-//! every tenant's log into its live projection, gate each entry on the
-//! replayed revocation set, and re-compile from verified source — the
-//! `load ledger → load snapshots → re-key, re-compile, never
-//! resurrect` sequence. Recovery is fail-closed at every layer: a
+//! [`recover`] is the boot path: open the revocation journal, attach it
+//! to the engine, merge every tenant's log into its live projection,
+//! gate each entry on the replayed revocation set, and re-compile from
+//! verified source — the `load ledger → load snapshots → re-key,
+//! re-compile, never resurrect` sequence. Recovery is fail-closed at every layer: a
 //! ledger that cannot be verified aborts recovery entirely (revocation
 //! state must never be guessed at), and a snapshot log that cannot be
 //! verified is set aside and its tenant starts cold (a missing policy
@@ -52,7 +52,7 @@
 //! missing policy regenerates cold on first use, and the periodic full
 //! rewrite repairs the gap. See `docs/persistence.md`.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
@@ -483,8 +483,8 @@ impl RecoveryReport {
 /// A recovered durable state: the (re-)opened journal plus the report.
 #[derive(Debug)]
 pub struct Recovery {
-    /// The revocation journal, replayed and ready for appends — share
-    /// it with the serving dispatcher and the lifecycle daemon.
+    /// The revocation journal, replayed, ready for appends, and already
+    /// attached to the engine as its one revocation journal.
     pub journal: Arc<RevocationJournal>,
     /// What was recovered.
     pub report: RecoveryReport,
@@ -492,9 +492,11 @@ pub struct Recovery {
 
 /// Crash recovery for a data directory: replay the revocation journal
 /// (fail-closed — a ledger that cannot be verified aborts recovery,
-/// because restores must never run against guessed revocation state),
-/// then merge each tenant's snapshot log and warm-start the engine from
-/// it, gating every entry on the replayed revocation set and
+/// because restores must never run against guessed revocation state)
+/// and attach it to `engine`, which copies any revocations the engine
+/// already held into it and makes every later revoke, install and
+/// import durable; then merge each tenant's snapshot log and warm-start
+/// the engine from it, gating every entry on the journal and
 /// re-compiling from verified source. A snapshot log that fails
 /// verification is renamed aside with a `.corrupt` suffix and its
 /// tenant starts cold: a policy that cannot be verified is regenerated,
@@ -502,7 +504,8 @@ pub struct Recovery {
 ///
 /// # Errors
 ///
-/// [`JournalError`] if the ledger cannot be opened or replayed.
+/// [`JournalError`] if the ledger cannot be opened, replayed, or
+/// attached.
 pub fn recover(
     engine: &Engine,
     data_dir: &Path,
@@ -511,6 +514,8 @@ pub fn recover(
     std::fs::create_dir_all(data_dir)?;
     let (journal, journal_report) =
         RevocationJournal::open(ledger_path(data_dir), options.journal)?;
+    let journal = Arc::new(journal);
+    engine.attach_journal(Arc::clone(&journal))?;
     let mut report = RecoveryReport { journal: journal_report, ..Default::default() };
     let snapshots_dir = data_dir.join("snapshots");
     let mut log_paths: Vec<PathBuf> = match std::fs::read_dir(&snapshots_dir) {
@@ -530,8 +535,8 @@ pub fn recover(
         });
         match recovered {
             Ok(Some((tenant, entries))) => {
-                let revoked: HashSet<u64> = journal.revoked_snapshot(&tenant)?;
-                let warm = engine.store().import_entries(&tenant, entries, &revoked);
+                let warm =
+                    engine.store().import_entries(&tenant, entries, &engine.revoked(&tenant)?);
                 report.tenants.push((tenant, warm));
             }
             Ok(None) => {}
@@ -543,7 +548,7 @@ pub fn recover(
             }
         }
     }
-    Ok(Recovery { journal: Arc::new(journal), report })
+    Ok(Recovery { journal, report })
 }
 
 #[cfg(test)]
@@ -583,7 +588,7 @@ mod tests {
     }
 
     fn install(engine: &Engine, tenant: &str, task: &str, method: &str) -> u64 {
-        engine.install(tenant, task, &ctx(), &policy(task, method)).fingerprint()
+        engine.install(tenant, task, &ctx(), &policy(task, method)).unwrap().fingerprint()
     }
 
     #[test]
@@ -710,29 +715,33 @@ mod tests {
         let dir = tmp_dir("recover");
         let _cleanup = Cleanup(dir.clone());
         // A server's lifetime before the crash: two installs, one
-        // revocation, both recorded durably.
+        // revocation, both recorded durably. A revoke issued before
+        // recovery attaches the durable journal is copied into it.
         let engine = Engine::default();
         let fp_triage = install(&engine, "acme", "triage", "mail.read");
         let fp_summarise = install(&engine, "acme", "summarise", "docs.read");
-        let (journal, _) =
-            RevocationJournal::open(ledger_path(&dir), JournalOptions::default()).unwrap();
+        engine.revoke_fingerprint("acme", 0xdead).unwrap();
+        let booted = recover(&engine, &dir, RecoverOptions::default()).unwrap();
+        assert!(
+            booted.journal.revoked_snapshot("acme").unwrap().contains(&0xdead),
+            "in-memory revokes carry over"
+        );
         let full = engine.store().export_snapshot("acme").unwrap();
         let (mut log, _) = SnapshotLog::create_or_open(tenant_log_path(&dir, "acme")).unwrap();
         log.rewrite_full(&full.bytes).unwrap();
         // The revocation lands AFTER the snapshot tick — the exact
         // crash window the durable ledger exists for.
-        journal.record_revoke("acme", fp_triage).unwrap();
-        engine.revoke_fingerprint("acme", fp_triage);
-        drop((journal, log, engine));
+        engine.revoke_fingerprint("acme", fp_triage).unwrap();
+        drop((booted, log, engine));
 
         // Crash. Restart from disk alone.
         let fresh = Engine::default();
         let recovery = recover(&fresh, &dir, RecoverOptions::default()).unwrap();
-        assert_eq!(recovery.report.journal.revoked, 1);
+        assert_eq!(recovery.report.journal.revoked, 2);
         assert_eq!(recovery.report.corrupt_logs, 0);
         assert_eq!(recovery.report.installed(), 1, "only the unrevoked policy restores");
         assert_eq!(recovery.report.skipped_revoked(), 1, "the revoked one stays dead");
-        assert!(recovery.journal.is_revoked("acme", fp_triage));
+        assert!(recovery.journal.revoked_snapshot("acme").unwrap().contains(&fp_triage));
         // The restored store serves the live policy and not the dead one.
         let restored = fresh.store().export_snapshot("acme").unwrap();
         let snapshot = decode_snapshot(&restored.bytes).unwrap();

@@ -241,7 +241,7 @@ fn parallel_engine_agrees_with_sequential_interpreter() {
     let mut jobs = Vec::new();
     let mut expected_allowed = 0u64;
     for tenant in ["acme", "globex", "initech"] {
-        engine.install(tenant, &policy.task, &ctx, &policy);
+        engine.install(tenant, &policy.task, &ctx, &policy).unwrap();
         let key = EngineKey::new(tenant, &policy.task, &ctx);
         for i in 0..200usize {
             let call = match i % 4 {

@@ -54,7 +54,7 @@ fn snapshots_taken_mid_churn_are_never_torn() {
         p.set("ls", PolicyEntry::allow_any("always fine"));
         p
     };
-    engine.install("acme", &bystander.task, &context, &bystander);
+    engine.install("acme", &bystander.task, &context, &bystander).unwrap();
 
     // Every fingerprint the churn will ever install, for invariant 1.
     let valid_fps: HashSet<u64> = (0..CYCLES)
@@ -94,8 +94,7 @@ fn snapshots_taken_mid_churn_are_never_torn() {
                     // store.
                     let fresh = Engine::default();
                     let report = fresh
-                        .store()
-                        .import_snapshot("acme", &exported.bytes, &HashSet::new())
+                        .import_snapshot("acme", &exported.bytes)
                         .expect("verified snapshots import");
                     assert_eq!(report.installed, snapshot.entries.len());
                     exports_checked.fetch_add(1, Ordering::Relaxed);
@@ -107,10 +106,10 @@ fn snapshots_taken_mid_churn_are_never_torn() {
         // as race.rs, exports sampling every phase.
         for cycle in 0..CYCLES {
             let a = policy_a(cycle);
-            engine.install("acme", &a.task, &context, &a);
-            engine.revoke_fingerprint("acme", a.fingerprint());
+            engine.install("acme", &a.task, &context, &a).unwrap();
+            engine.revoke_fingerprint("acme", a.fingerprint()).unwrap();
             let b = policy_b(cycle);
-            engine.reload("acme", &b.task, &context, &b);
+            engine.reload("acme", &b.task, &context, &b).unwrap();
             engine.store().export_snapshot("acme").expect("exports interleave with churn");
         }
         stop.store(true, Ordering::Release);
@@ -141,7 +140,7 @@ fn a_restore_racing_installs_never_displaces_newer_policies() {
         p
     }
 
-    engine.install("acme", "contested task", &context, &live_policy(0));
+    engine.install("acme", "contested task", &context, &live_policy(0)).unwrap();
     let snapshot = engine.store().export_snapshot("acme").expect("export");
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -157,10 +156,7 @@ fn a_restore_racing_installs_never_displaces_newer_policies() {
                 // is not scheduled until the churn loop has finished (a
                 // real starvation mode on single-vCPU hosts).
                 loop {
-                    let report = engine
-                        .store()
-                        .import_snapshot("acme", &bytes, &HashSet::new())
-                        .expect("import");
+                    let report = engine.import_snapshot("acme", &bytes).expect("import");
                     // The key is live for the whole run (install/reload
                     // replace atomically, they never leave a gap), so
                     // the stale restore must always lose.
@@ -176,7 +172,7 @@ fn a_restore_racing_installs_never_displaces_newer_policies() {
 
         for cycle in 1..CYCLES {
             let p = live_policy(cycle);
-            let receipt = engine.reload("acme", "contested task", &context, &p);
+            let receipt = engine.reload("acme", "contested task", &context, &p).unwrap();
             assert_eq!(receipt.policy.fingerprint(), p.fingerprint());
             // Whatever the restorer did, the decision always comes from
             // some churn-installed policy — never from the stale

@@ -64,9 +64,9 @@ fn concurrent_revoke_and_flush_never_leak_a_revoked_snapshot() {
     const CYCLES: usize = 300;
     let engine = Arc::new(Engine::default());
     let context = ctx();
-    engine.install("acme", "raced task", &context, &policy_a(0));
+    engine.install("acme", "raced task", &context, &policy_a(0)).unwrap();
     // A bystander tenant the churn must never touch.
-    engine.install("globex", "raced task", &context, &policy_a(0));
+    engine.install("globex", "raced task", &context, &policy_a(0)).unwrap();
 
     let state = Arc::new(AtomicU64::new(pack(0, PH_A_LIVE)));
     let stop = Arc::new(AtomicBool::new(false));
@@ -130,19 +130,21 @@ fn concurrent_revoke_and_flush_never_leak_a_revoked_snapshot() {
             for cycle in 0..CYCLES {
                 // Sweep A#cycle — alternating the two invalidation paths.
                 if cycle % 2 == 0 {
-                    cycle_engine.revoke_fingerprint("acme", policy_a(cycle).fingerprint());
+                    cycle_engine.revoke_fingerprint("acme", policy_a(cycle).fingerprint()).unwrap();
                 } else {
                     cycle_engine.flush_tenant("acme");
                 }
                 cycle_state.store(pack(cycle, PH_REVOKED), Ordering::Release);
                 // Reload B#cycle (atomic swap onto the empty key).
-                cycle_engine.reload("acme", "raced task", &cycle_ctx, &policy_b(cycle));
+                cycle_engine.reload("acme", "raced task", &cycle_ctx, &policy_b(cycle)).unwrap();
                 cycle_state.store(pack(cycle, PH_B_LIVE), Ordering::Release);
                 // Retire B#cycle, restore A for the next cycle; only then
                 // publish, so "saw A#(cycle+1)" is legal strictly after
                 // the install returned.
-                cycle_engine.revoke_fingerprint("acme", policy_b(cycle).fingerprint());
-                cycle_engine.install("acme", "raced task", &cycle_ctx, &policy_a(cycle + 1));
+                cycle_engine.revoke_fingerprint("acme", policy_b(cycle).fingerprint()).unwrap();
+                cycle_engine
+                    .install("acme", "raced task", &cycle_ctx, &policy_a(cycle + 1))
+                    .unwrap();
                 cycle_state.store(pack(cycle + 1, PH_A_LIVE), Ordering::Release);
             }
             cycle_stop.store(true, Ordering::Release);
@@ -197,20 +199,20 @@ fn revocation_sweeps_are_atomic_per_shard_under_concurrent_installs() {
             scope.spawn(move || {
                 for round in 0..ROUNDS {
                     let task = format!("task-{worker}-{}", round % 8);
-                    engine.install("acme", &task, &context, &policy);
+                    engine.install("acme", &task, &context, &policy).unwrap();
                 }
             });
         }
         let engine = Arc::clone(&engine);
         scope.spawn(move || {
             for _ in 0..ROUNDS {
-                engine.revoke_fingerprint("acme", fp);
+                engine.revoke_fingerprint("acme", fp).unwrap();
             }
         });
     });
 
     // Quiesced: one final sweep removes whatever the installers left.
-    engine.revoke_fingerprint("acme", fp);
+    engine.revoke_fingerprint("acme", fp).unwrap();
     for worker in 0..INSTALLERS {
         for slot in 0..8 {
             let task = format!("task-{worker}-{slot}");

@@ -161,7 +161,7 @@ proptest! {
 
         let engine = Engine::default();
         let ctx = TrustedContext::for_user("alice");
-        engine.install("acme", &policy.task, &ctx, &policy);
+        engine.install("acme", &policy.task, &ctx, &policy).unwrap();
         let mut session = SessionState::new();
 
         let mut reference = TrajectoryEnforcer::new(trajectory);

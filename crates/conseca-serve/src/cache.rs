@@ -188,7 +188,7 @@ impl LocalPolicyCache {
         if self.epoch.load(Ordering::SeqCst) != epoch {
             return None;
         }
-        Some(self.engine.install(&self.tenant, task, context, policy))
+        self.engine.install(&self.tenant, task, context, policy).ok()
     }
 }
 
@@ -459,17 +459,8 @@ impl CachedClient {
     /// # Errors
     ///
     /// Transport, protocol, or server errors.
-    pub fn restore(
-        &mut self,
-        revoked: &[u64],
-        snapshot: Vec<u8>,
-    ) -> Result<RestoreReceipt, ClientError> {
-        let request = Request::Restore {
-            tenant: self.cache.tenant().into(),
-            revoked: revoked.to_vec(),
-            snapshot,
-        };
-        self.call(&request, restored)
+    pub fn restore(&mut self, snapshot: Vec<u8>) -> Result<RestoreReceipt, ClientError> {
+        self.call(&Request::Restore { tenant: self.cache.tenant().into(), snapshot }, restored)
     }
 
     /// Drops every policy installed for the tenant server-side; the

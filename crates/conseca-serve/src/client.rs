@@ -124,7 +124,7 @@ pub struct SnapshotReceipt {
     pub entries: u64,
     /// The snapshot bytes — checksummed and self-describing; persist
     /// them as-is and hand them back to [`Client::restore`] (or load
-    /// them into an engine with `PolicyStore::import_snapshot`).
+    /// them into an engine with `Engine::import_snapshot`).
     pub snapshot: Vec<u8>,
 }
 
@@ -396,25 +396,24 @@ impl Client {
 
     /// Warm-starts `tenant` on the server from snapshot bytes. The
     /// server verifies the blob fail-closed (checksum, versions, tenant,
-    /// per-entry fingerprint binding), skips every fingerprint in
-    /// `revoked` — a restore must not resurrect a policy revoked after
-    /// the snapshot was taken — and leaves already-live keys to the
-    /// newer install that got there first.
+    /// per-entry fingerprint binding), skips every fingerprint its
+    /// engine's journal holds as revoked — a restore must not resurrect
+    /// a policy revoked after the snapshot was taken — and leaves
+    /// already-live keys to the newer install that got there first.
     ///
     /// # Errors
     ///
     /// Transport, protocol, or server errors
     /// ([`code::BAD_SNAPSHOT`](crate::wire::code::BAD_SNAPSHOT) for a
-    /// blob that fails verification; nothing was installed).
+    /// blob that fails verification,
+    /// [`code::PERSISTENCE`](crate::wire::code::PERSISTENCE) for an
+    /// unreadable journal; either way nothing was installed).
     pub fn restore(
         &mut self,
         tenant: &str,
-        revoked: &[u64],
         snapshot: Vec<u8>,
     ) -> Result<RestoreReceipt, ClientError> {
-        let request =
-            Request::Restore { tenant: tenant.into(), revoked: revoked.to_vec(), snapshot };
-        self.roundtrip(&request, restored)
+        self.roundtrip(&Request::Restore { tenant: tenant.into(), snapshot }, restored)
     }
 
     /// Drops every policy installed for `tenant`, returning how many

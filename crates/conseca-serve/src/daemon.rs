@@ -4,15 +4,17 @@
 //! Before this module, policy lifecycle was client-driven: drift sweeps
 //! ran wherever the embedding application chose to call
 //! [`ReloadCoordinator::sweep`], snapshots were exported when a client
-//! sent `Request::Snapshot`, and the server's revocation ledger lived
+//! sent `Request::Snapshot`, and the engine's revocation journal lived
 //! in memory — a crash forgot every wire-issued revocation. The
 //! [`LifecycleDaemon`] moves all three server-side:
 //!
 //! - **Crash recovery at startup**: [`conseca_engine::recover`] replays
 //!   the durable revocation journal (fail-closed — an unverifiable
-//!   ledger aborts startup), merges each tenant's snapshot log, and
-//!   warm-starts the engine, re-compiling every entry from verified
-//!   source and never resurrecting a revoked fingerprint.
+//!   ledger aborts startup), attaches it to the engine so every later
+//!   revoke, install and restore is journaled durably, merges each
+//!   tenant's snapshot log, and warm-starts the engine, re-compiling
+//!   every entry from verified source and never resurrecting a revoked
+//!   fingerprint.
 //! - **Sweep tick**: a scheduled thread runs the coordinator's drift
 //!   sweep with the configured context resolver and policy regenerator,
 //!   so drift detection no longer trusts clients to call in. Reloads
@@ -281,14 +283,11 @@ impl LifecycleDaemon {
     ) -> Result<Arc<Self>, conseca_engine::JournalError> {
         let recovery =
             recover(&engine, &config.data_dir, RecoverOptions { journal: config.journal })?;
-        let journal = recovery.journal;
-        let coordinator =
-            ReloadCoordinator::with_journal(Arc::clone(&engine), Arc::clone(&journal));
         let daemon = Arc::new(LifecycleDaemon {
             engine: Arc::clone(&engine),
             config,
-            journal,
-            coordinator,
+            journal: recovery.journal,
+            coordinator: ReloadCoordinator::new(Arc::clone(&engine)),
             recovery: recovery.report,
             tenants: Mutex::new(HashMap::new()),
             counters: Counters::default(),
@@ -303,16 +302,21 @@ impl LifecycleDaemon {
         for tenant in recovered {
             daemon.register_tenant(&tenant);
         }
-        // Observe flushes through the engine's invalidation channel —
-        // the same ordering the push fan-out sees, fired by whichever
-        // thread mutated the engine. Weak, so a dropped daemon does not
+        // Observe flushes and revokes through the engine's invalidation
+        // channel — the same ordering the push fan-out sees, fired by
+        // whichever thread mutated the engine. A revoke retires the
+        // fingerprint's tracked keys so a later sweep does not
+        // regenerate the dead policy. Weak, so a dropped daemon does not
         // linger behind the engine's listener list.
         let weak: Weak<LifecycleDaemon> = Arc::downgrade(&daemon);
         engine.add_invalidation_listener(Box::new(move |event| {
-            if let Invalidation::Flushed { tenant } = event {
-                if let Some(daemon) = weak.upgrade() {
-                    daemon.on_flushed(tenant);
+            let Some(daemon) = weak.upgrade() else { return };
+            match event {
+                Invalidation::Flushed { tenant } => daemon.on_flushed(tenant),
+                Invalidation::Revoked { tenant, fingerprint } => {
+                    daemon.coordinator.retire_fingerprint(tenant, *fingerprint);
                 }
+                Invalidation::Reloaded { .. } => {}
             }
         }));
         if daemon.config.sweep_interval.is_some() || daemon.config.snapshot_interval.is_some() {
@@ -323,7 +327,8 @@ impl LifecycleDaemon {
         Ok(daemon)
     }
 
-    /// The durable revocation journal — the server's ledger.
+    /// The durable revocation journal, attached to the engine by
+    /// recovery.
     pub fn journal(&self) -> &Arc<RevocationJournal> {
         &self.journal
     }
@@ -357,8 +362,8 @@ impl LifecycleDaemon {
     }
 
     /// Called by the dispatcher after an `Install`/`Reload` lands:
-    /// tracks the key for drift sweeps (which also journals the
-    /// reinstatement) and registers the tenant for snapshot ticks.
+    /// tracks the key for drift sweeps and registers the tenant for
+    /// snapshot ticks.
     pub fn on_installed(
         &self,
         tenant: &str,
@@ -370,15 +375,10 @@ impl LifecycleDaemon {
         self.register_tenant(tenant);
     }
 
-    /// Called by the dispatcher after a wire `Revoke` it has already
-    /// journaled and applied: reconciles the coordinator so a later
-    /// sweep does not regenerate the dead policy.
-    pub fn on_revoked(&self, tenant: &str, fingerprint: u64) {
-        self.coordinator.retire_fingerprint(tenant, fingerprint);
-    }
-
     /// Runs one drift sweep now (also what the sweep tick calls).
-    /// `None` when no resolver/regenerator is configured.
+    /// `None` when no resolver/regenerator is configured. Journal
+    /// failures the report counts are already in
+    /// [`DaemonCounters::io_errors`] through the journal's own count.
     pub fn sweep_now(&self) -> Option<SweepReport> {
         let resolver = self.config.resolver.as_ref()?;
         let regenerator = self.config.regenerator.as_ref()?;
@@ -423,7 +423,10 @@ impl LifecycleDaemon {
         }
     }
 
-    fn register_tenant(&self, tenant: &str) {
+    /// Registers `tenant` for snapshot ticks (idempotent). Installs,
+    /// reloads and restores all call it, so whatever the store holds is
+    /// made durable by the next tick.
+    pub(crate) fn register_tenant(&self, tenant: &str) {
         let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
         if !tenants.contains_key(tenant) {
             tenants.insert(
@@ -667,7 +670,7 @@ mod tests {
 
     fn install(daemon: &LifecycleDaemon, tenant: &str, task: &str) -> u64 {
         let p = policy(task);
-        let fp = daemon.engine().install(tenant, task, &ctx(), &p).fingerprint();
+        let fp = daemon.engine().install(tenant, task, &ctx(), &p).unwrap().fingerprint();
         daemon.on_installed(tenant, task, &ctx(), fp);
         fp
     }
@@ -804,7 +807,10 @@ mod tests {
         daemon.snapshot_now();
         let report = daemon.sweep_now().unwrap();
         assert_eq!(report.orphaned, 1);
-        assert!(daemon.journal().is_revoked("acme", fp), "sweep revocations are journaled");
+        assert!(
+            daemon.journal().revoked_snapshot("acme").unwrap().contains(&fp),
+            "sweep revocations are journaled"
+        );
 
         // The orphan stays dead across a crash even though the snapshot
         // log still carries its entry.

@@ -75,7 +75,7 @@
 //! two connections checking under the same policy spend their own
 //! budgets, never each other's.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
@@ -84,7 +84,7 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use conseca_core::TrustedContext;
-use conseca_engine::{Engine, EngineKey, Invalidation, RevocationJournal, SessionState};
+use conseca_engine::{Engine, EngineKey, Invalidation, JournalError, SessionState, SnapshotError};
 use conseca_shell::ApiCall;
 use futures::channel::mpsc::{self, TryRecvError};
 use futures::channel::oneshot;
@@ -343,19 +343,6 @@ struct ServerState {
     /// Close hooks + task handles for every spawned connection.
     conns: Mutex<Vec<ConnEntry>>,
     metrics: Metrics,
-    /// The server-side revocation ledger: every wire `Revoke` is
-    /// recorded here *before* it is acknowledged, every `Restore`
-    /// unions the ledger into the request's own revocation list, so a
-    /// warm start through this server cannot resurrect a policy some
-    /// client revoked earlier even if the restoring client never
-    /// learned the fingerprint. A later `Install`/`Reload` of the same
-    /// fingerprint reinstates it (a deliberately reinstated policy is
-    /// live again and restorable again), mirroring the
-    /// `ReloadCoordinator` ledger semantics. Servers started with a
-    /// [`LifecycleDaemon`] share the daemon's *durable* journal, so the
-    /// ledger survives crashes; plain servers get an in-memory journal
-    /// with the old purely-resident behaviour.
-    ledger: Arc<RevocationJournal>,
     /// The lifecycle daemon, when this server was started with one.
     daemon: Option<Arc<LifecycleDaemon>>,
     /// Connection-id allocator; ids are never reused within a server's
@@ -421,8 +408,8 @@ pub struct Server;
 
 impl Server {
     /// Starts an in-process server (no TCP listener); connect with
-    /// [`ServerHandle::connect`]. No daemon: the revocation ledger is
-    /// in-memory and lifecycle stays client-driven.
+    /// [`ServerHandle::connect`]. No daemon: the engine's revocation
+    /// journal stays in memory and lifecycle stays client-driven.
     pub fn start(engine: Arc<Engine>, config: ServeConfig) -> ServerHandle {
         Self::build(engine, config, None, None).expect("in-process start cannot fail")
     }
@@ -430,7 +417,7 @@ impl Server {
     /// Starts an in-process server with a [`LifecycleDaemon`]: crash
     /// recovery runs first (the engine is warm-started from the data
     /// directory, revoked fingerprints staying dead), the daemon's
-    /// durable journal becomes the server's revocation ledger, and any
+    /// durable journal becomes the engine's revocation journal, and any
     /// configured sweep/snapshot ticks start.
     ///
     /// # Errors
@@ -508,10 +495,6 @@ impl Server {
             accept_reg: listener.as_ref().map(|(_, _, reg)| reg.clone()),
             conns: Mutex::new(Vec::new()),
             metrics: Metrics::default(),
-            ledger: daemon
-                .as_ref()
-                .map(|d| Arc::clone(d.journal()))
-                .unwrap_or_else(|| Arc::new(RevocationJournal::in_memory())),
             daemon,
             next_conn: AtomicU64::new(0),
             sessions: Mutex::new(HashMap::new()),
@@ -657,7 +640,7 @@ impl Drop for ServerHandle {
         // it, and shutdown cancels the parked task.
         self.pool.shutdown();
         // Stop the daemon last: the dispatcher may have been feeding it
-        // install/revoke notifications until the pool drained. The
+        // install notifications until the pool drained. The
         // journal stays valid on disk — stop only halts the ticks.
         if let Some(daemon) = &self.state.daemon {
             daemon.stop();
@@ -1279,6 +1262,10 @@ fn process_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
     answer(open);
 }
 
+fn persistence_error(what: &str, e: JournalError) -> Response {
+    Response::Error { code: code::PERSISTENCE, message: format!("{what}: {e}") }
+}
+
 /// Executes one mutating or admin request on the dispatcher.
 fn execute(state: &ServerState, request: Request) -> Response {
     let engine = &state.engine;
@@ -1286,11 +1273,11 @@ fn execute(state: &ServerState, request: Request) -> Response {
         Request::Install { tenant, task, context, policy } => {
             let fingerprint = policy.fingerprint();
             let entries = policy.len() as u64;
-            engine.install(&tenant, &task, &context, &policy);
-            // A deliberate reinstall makes the fingerprint live (and
-            // restorable) again — durably, so a crash after the reply
-            // doesn't resurrect the old retirement order.
-            let _ = state.ledger.record_reinstate(&tenant, fingerprint);
+            // The engine journals the reinstatement: a deliberately
+            // reinstalled fingerprint is live (and restorable) again.
+            if let Err(e) = engine.install(&tenant, &task, &context, &policy) {
+                return persistence_error("install refused", e);
+            }
             if let Some(daemon) = &state.daemon {
                 daemon.on_installed(&tenant, &task, &context, fingerprint);
             }
@@ -1305,37 +1292,22 @@ fn execute(state: &ServerState, request: Request) -> Response {
         Request::Flush { tenant } => {
             Response::Flushed { removed: engine.flush_tenant(&tenant) as u64 }
         }
+        // The engine journals the revoke before it sweeps. A revoke it
+        // cannot journal is still applied in memory (fail closed), but
+        // the client is told the durability guarantee does not hold.
         Request::Revoke { tenant, fingerprint } => {
-            // Journal first — durable before acknowledged. A revocation
-            // the server cannot persist is still applied in memory (fail
-            // closed for the running process), but the client is told
-            // the durability guarantee does not hold.
-            match state.ledger.record_revoke(&tenant, fingerprint) {
-                Ok(()) => {
-                    let removed = engine.revoke_fingerprint(&tenant, fingerprint) as u64;
-                    if let Some(daemon) = &state.daemon {
-                        daemon.on_revoked(&tenant, fingerprint);
-                    }
-                    Response::Revoked { removed }
-                }
-                Err(e) => {
-                    engine.revoke_fingerprint(&tenant, fingerprint);
-                    Response::Error {
-                        code: code::PERSISTENCE,
-                        message: format!("revocation applied in memory but not journaled: {e}"),
-                    }
-                }
+            match engine.revoke_fingerprint(&tenant, fingerprint) {
+                Ok(removed) => Response::Revoked { removed: removed as u64 },
+                Err(e) => persistence_error("revocation applied in memory but not journaled", e),
             }
         }
         Request::Reload { tenant, task, context, policy } => {
             let fingerprint = policy.fingerprint();
             let entries = policy.len() as u64;
-            let receipt = engine.reload(&tenant, &task, &context, &policy);
-            // The reloaded fingerprint is live again; the displaced one
-            // stays un-ledgered (explicit wire Revokes, not
-            // displacements, define the set — a displaced policy is
-            // replaceable history, not a standing retirement order).
-            let _ = state.ledger.record_reinstate(&tenant, fingerprint);
+            let receipt = match engine.reload(&tenant, &task, &context, &policy) {
+                Ok(receipt) => receipt,
+                Err(e) => return persistence_error("reload refused", e),
+            };
             if let Some(daemon) = &state.daemon {
                 daemon.on_installed(&tenant, &task, &context, fingerprint);
             }
@@ -1347,33 +1319,22 @@ fn execute(state: &ServerState, request: Request) -> Response {
             }
             Err(e) => Response::Error { code: code::BAD_SNAPSHOT, message: e.to_string() },
         },
-        Request::Restore { tenant, revoked, snapshot } => {
-            // The effective revocation set is the request's list unioned
-            // with the server-side durable ledger. If the ledger cannot
-            // be read the restore is refused outright: importing with a
-            // partial revocation set could resurrect a revoked policy,
-            // which is the exact hole the ledger closes.
-            match state.ledger.revoked_snapshot(&tenant) {
-                Ok(ledgered) => {
-                    let mut revoked: HashSet<u64> = revoked.into_iter().collect();
-                    revoked.extend(ledgered);
-                    match engine.store().import_snapshot(&tenant, &snapshot, &revoked) {
-                        Ok(report) => Response::Restored {
-                            installed: report.installed as u64,
-                            skipped_revoked: report.skipped_revoked as u64,
-                            skipped_live: report.skipped_live as u64,
-                        },
-                        Err(e) => {
-                            Response::Error { code: code::BAD_SNAPSHOT, message: e.to_string() }
-                        }
-                    }
+        // The engine gates the import on its own revocation journal and
+        // refuses it outright when the journal cannot be read.
+        Request::Restore { tenant, snapshot } => match engine.import_snapshot(&tenant, &snapshot) {
+            Ok(report) => {
+                if let Some(daemon) = &state.daemon {
+                    daemon.register_tenant(&tenant);
                 }
-                Err(e) => Response::Error {
-                    code: code::PERSISTENCE,
-                    message: format!("restore refused: revocation ledger unreadable: {e}"),
-                },
+                Response::Restored {
+                    installed: report.installed as u64,
+                    skipped_revoked: report.skipped_revoked as u64,
+                    skipped_live: report.skipped_live as u64,
+                }
             }
-        }
+            Err(SnapshotError::Journal(e)) => persistence_error("restore refused", e),
+            Err(e) => Response::Error { code: code::BAD_SNAPSHOT, message: e.to_string() },
+        },
         Request::Stats { tenant } => Response::StatsOk {
             counters: engine.tenant_counters(&tenant),
             daemon: state.daemon.as_ref().map(|d| d.counters()),

@@ -45,7 +45,10 @@ pub use conseca_core::codec::{WireError, MAX_PREDICATE_DEPTH};
 /// are additive (receivers answer unknown tags with
 /// [`code::UNKNOWN_TAG`]).
 ///
-/// Version history: **7** added the pipelining envelope: a client may
+/// Version history: **8** dropped the `revoked` list from `Restore`:
+/// the server's engine gates every restore on its own revocation
+/// journal, so the request carries only `tenant` and `snapshot`. **7**
+/// added the pipelining envelope: a client may
 /// wrap any request in a `TAG_TAGGED`-framed envelope (an 8-byte
 /// big-endian correlation id followed by the complete inner frame —
 /// inner tag byte, then inner payload) and the server answers with the
@@ -85,7 +88,7 @@ pub use conseca_core::codec::{WireError, MAX_PREDICATE_DEPTH};
 /// (a payload change to `StatsOk`, hence the bump) and added the
 /// `Revoke`/`Reload` hot-reload messages. **1** was the initial
 /// protocol.
-pub const PROTOCOL_VERSION: u16 = 7;
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Default cap on `length` (tag + payload) a peer will accept. Frames
 /// above the cap are answered with [`code::FRAME_TOO_LARGE`] and the
@@ -126,9 +129,9 @@ pub mod code {
     /// The durable revocation ledger could not be written or replayed,
     /// so the operation's durability (or its revocation gating) cannot
     /// be guaranteed. For a `Revoke` this means the in-memory
-    /// revocation *was* applied but did not persist; for a `Restore`
-    /// nothing was installed (a restore must never run against a
-    /// partial revocation set). Connection stays open.
+    /// revocation *was* applied but did not persist; for an `Install`,
+    /// `Reload` or `Restore` nothing was installed (a restore must never
+    /// run against a partial revocation set). Connection stays open.
     pub const PERSISTENCE: u16 = 9;
 }
 
@@ -405,23 +408,6 @@ pub fn unwrap_tagged(frame: &Frame) -> Result<(u64, Frame), WireError> {
 
 // ---------------------------------------------------- shared field codecs
 
-fn put_u64_list(w: &mut Writer, items: &[u64], what: &'static str) -> Result<(), WireError> {
-    w.count(items.len(), what)?;
-    for item in items {
-        w.u64(*item, what)?;
-    }
-    Ok(())
-}
-
-fn read_u64_list(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<u64>, WireError> {
-    let count = r.u32(what)? as usize;
-    let mut items = Vec::new();
-    for _ in 0..count {
-        items.push(r.u64(what)?);
-    }
-    Ok(items)
-}
-
 fn put_counters(w: &mut Writer, c: &TenantCounters) -> Result<(), WireError> {
     w.u64(c.hits, "counters.hits")?;
     w.u64(c.misses, "counters.misses")?;
@@ -595,15 +581,13 @@ pub enum Request {
         tenant: String,
     },
     /// Warm-starts the tenant from a snapshot blob: the server verifies,
-    /// re-keys, and re-compiles every entry, skipping fingerprints in
-    /// `revoked` (a restore must not resurrect a policy revoked after
-    /// the snapshot was taken) and keys that are already live (a
-    /// concurrent install wins).
+    /// re-keys, and re-compiles every entry, skipping fingerprints its
+    /// engine's journal holds as revoked (a restore must not resurrect a
+    /// policy revoked after the snapshot was taken) and keys that are
+    /// already live (a concurrent install wins).
     Restore {
         /// The tenant to warm-start; must match the snapshot's tenant.
         tenant: String,
-        /// Fingerprints revoked since the snapshot was exported.
-        revoked: Vec<u64>,
         /// The snapshot bytes, exactly as `Snapshot` handed them out.
         snapshot: Vec<u8>,
     },
@@ -836,9 +820,8 @@ impl Request {
                 w.str_(tenant, "snapshot.tenant")?;
                 TAG_SNAPSHOT
             }
-            Request::Restore { tenant, revoked, snapshot } => {
+            Request::Restore { tenant, snapshot } => {
                 w.str_(tenant, "restore.tenant")?;
-                put_u64_list(&mut w, revoked, "restore.revoked")?;
                 w.bytes(snapshot, "restore.snapshot")?;
                 TAG_RESTORE
             }
@@ -922,7 +905,6 @@ impl Request {
             TAG_SNAPSHOT => Request::Snapshot { tenant: r.str_("snapshot.tenant")? },
             TAG_RESTORE => Request::Restore {
                 tenant: r.str_("restore.tenant")?,
-                revoked: read_u64_list(&mut r, "restore.revoked")?,
                 snapshot: r.bytes("restore.snapshot")?.to_vec(),
             },
             TAG_SUBSCRIBE => Request::Subscribe { tenant: r.str_("subscribe.tenant")? },
@@ -1237,11 +1219,7 @@ mod tests {
                 policy: sample_policy(),
             },
             Request::Snapshot { tenant: "acme".into() },
-            Request::Restore {
-                tenant: "acme".into(),
-                revoked: vec![0xdead_beef, 0xfeed_f00d],
-                snapshot: vec![0xC5, 0x00, 0x01, 0x7F],
-            },
+            Request::Restore { tenant: "acme".into(), snapshot: vec![0xC5, 0x00, 0x01, 0x7F] },
             Request::Subscribe { tenant: "acme".into() },
             Request::PushAck { seq: u64::MAX },
         ];

@@ -126,7 +126,7 @@ fn a_wire_revocation_survives_a_forced_restart() {
     // A client that slept through the revocation restores last night's
     // snapshot knowing nothing (`revoked: []`): the replayed journal
     // still gates it.
-    let restored = client.restore("acme", &[], pre_crash_snapshot).unwrap();
+    let restored = client.restore("acme", pre_crash_snapshot).unwrap();
     assert_eq!(
         (restored.installed, restored.skipped_revoked, restored.skipped_live),
         (0, 1, 1),

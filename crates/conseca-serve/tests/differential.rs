@@ -131,7 +131,7 @@ proptest! {
 
         // The local reference engine is fresh per case.
         let local = Engine::default();
-        local.install("acme", &task, &ctx, &policy);
+        local.install("acme", &task, &ctx, &policy).unwrap();
 
         let mut client = server.connect().expect("handshake");
         client.install("acme", &task, &ctx, &policy).expect("install");

@@ -372,14 +372,12 @@ proptest! {
 //
 // The engine's on-disk policy snapshots share the wire codec, and their
 // decoder (`conseca_engine::decode_snapshot` +
-// `PolicyStore::import_snapshot`) sits on the same trust boundary: any
+// `Engine::import_snapshot`) sits on the same trust boundary: any
 // file handed to a warm start may be truncated, bit-flipped, version
 // skewed, or outright junk. The properties below hold the same bar as
 // the frame decoders — structured `SnapshotError`s, never panics, and
 // *never* a partial load — plus the positive property that a clean
 // export → import round-trip produces byte-identical compiled checks.
-
-use std::collections::HashSet;
 
 use conseca_engine::{decode_snapshot, Engine};
 use conseca_serve::wire::encode_decision;
@@ -411,7 +409,7 @@ fn exported_bytes(task_seed: u64, entries: u64) -> Vec<u8> {
     let engine = Engine::default();
     let ctx = sample_context();
     let policy = snapshot_policy(task_seed, entries);
-    engine.install("acme", &policy.task, &ctx, &policy);
+    engine.install("acme", &policy.task, &ctx, &policy).unwrap();
     engine.store().export_snapshot("acme").unwrap().bytes
 }
 
@@ -420,10 +418,7 @@ fn assert_never_loads(bytes: &[u8]) {
     // of that nothing may ever install partially.
     assert!(decode_snapshot(bytes).is_err(), "corrupted snapshot decoded");
     let fresh = Engine::default();
-    assert!(
-        fresh.store().import_snapshot("acme", bytes, &HashSet::new()).is_err(),
-        "corrupted snapshot imported"
-    );
+    assert!(fresh.import_snapshot("acme", bytes).is_err(), "corrupted snapshot imported");
     assert!(fresh.store().is_empty(), "a rejected snapshot installed something");
 }
 
@@ -492,13 +487,12 @@ proptest! {
         let ctx = sample_context();
         let policy = snapshot_policy(seed, entries);
         let source = Engine::default();
-        source.install("acme", &policy.task, &ctx, &policy);
+        source.install("acme", &policy.task, &ctx, &policy).unwrap();
         let exported = source.store().export_snapshot("acme").unwrap();
 
         let warmed = Engine::default();
         let report = warmed
-            .store()
-            .import_snapshot("acme", &exported.bytes, &HashSet::new())
+            .import_snapshot("acme", &exported.bytes)
             .expect("clean snapshots import");
         prop_assert_eq!(report.installed, 1);
 

@@ -460,21 +460,21 @@ fn snapshot_restore_roundtrip_over_the_wire() {
         .unwrap()
         .is_none());
 
-    let restored = client.restore("acme", &[], receipt.snapshot.clone()).unwrap();
+    let restored = client.restore("acme", receipt.snapshot.clone()).unwrap();
     assert_eq!((restored.installed, restored.skipped_revoked, restored.skipped_live), (1, 0, 0));
     let decision =
         client.check("acme", "t", &context, &call("send_email", &["alice"])).unwrap().unwrap();
     assert!(decision.allowed, "the restored policy serves decisions again");
 
     // Restoring over a live key defers to the newer install.
-    let again = client.restore("acme", &[], receipt.snapshot.clone()).unwrap();
+    let again = client.restore("acme", receipt.snapshot.clone()).unwrap();
     assert_eq!((again.installed, again.skipped_live), (0, 1));
 
     // A fingerprint revoked after the snapshot was taken can never come
     // back through a restore.
     let fp = policy().fingerprint();
     assert_eq!(client.revoke("acme", fp).unwrap(), 1);
-    let blocked = client.restore("acme", &[fp], receipt.snapshot).unwrap();
+    let blocked = client.restore("acme", receipt.snapshot).unwrap();
     assert_eq!((blocked.installed, blocked.skipped_revoked), (0, 1));
     assert!(
         client.check("acme", "t", &context, &call("send_email", &["alice"])).unwrap().is_none(),
@@ -496,7 +496,7 @@ fn corrupt_or_cross_tenant_snapshots_are_refused_with_bad_snapshot() {
     let mut corrupt = receipt.snapshot.clone();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x40;
-    match client.restore("acme", &[], corrupt) {
+    match client.restore("acme", corrupt) {
         Err(conseca_serve::ClientError::Server { code: c, .. }) => {
             assert_eq!(c, code::BAD_SNAPSHOT)
         }
@@ -505,7 +505,7 @@ fn corrupt_or_cross_tenant_snapshots_are_refused_with_bad_snapshot() {
 
     // A pristine snapshot restored under another tenant is refused too —
     // snapshots cannot cross tenants.
-    match client.restore("globex", &[], receipt.snapshot) {
+    match client.restore("globex", receipt.snapshot) {
         Err(conseca_serve::ClientError::Server { code: c, .. }) => {
             assert_eq!(c, code::BAD_SNAPSHOT)
         }
@@ -574,7 +574,7 @@ fn oversized_snapshots_have_a_sanctioned_path_via_raised_frame_caps() {
     }
     let receipt = client.snapshot("acme").unwrap();
     assert_eq!(receipt.entries, 24);
-    let restored = client.restore("acme", &[], receipt.snapshot).unwrap();
+    let restored = client.restore("acme", receipt.snapshot).unwrap();
     assert_eq!(restored.skipped_live, 24, "every key is still live on this server");
     big.shutdown();
 }
@@ -604,10 +604,10 @@ fn oversized_client_requests_fail_locally_with_a_typed_error() {
 }
 
 #[test]
-fn wire_revocations_gate_restores_even_with_an_empty_request_set() {
-    // The server keeps its own ledger of wire-revoked fingerprints: a
-    // client that restores last night's snapshot without knowing what
-    // was revoked since (revoked = []) must still not resurrect it.
+fn wire_revocations_gate_restores_until_a_reinstall() {
+    // The server's engine journals every wire revoke: a client that
+    // restores last night's snapshot without knowing what was revoked
+    // since must still not resurrect it.
     let server = start();
     let mut client = server.connect().unwrap();
     let context = ctx();
@@ -616,27 +616,26 @@ fn wire_revocations_gate_restores_even_with_an_empty_request_set() {
     let fp = policy().fingerprint();
     assert_eq!(client.revoke("acme", fp).unwrap(), 1);
 
-    let restored = client.restore("acme", &[], receipt.snapshot.clone()).unwrap();
+    let restored = client.restore("acme", receipt.snapshot.clone()).unwrap();
     assert_eq!(
         (restored.installed, restored.skipped_revoked),
         (0, 1),
-        "the server-side ledger must gate the restore"
+        "the engine's journal must gate the restore"
     );
     assert!(client
         .check("acme", "t", &context, &call("send_email", &["alice"]))
         .unwrap()
         .is_none());
 
-    // The ledger is per tenant: another tenant revoking the same
-    // fingerprint does not block acme... and a deliberate reinstall
-    // clears acme's entry, making the snapshot restorable again.
+    // A deliberate reinstall clears acme's entry, making the snapshot
+    // restorable again.
     client.install("acme", "t", &context, &policy()).unwrap();
     assert!(client
         .check("acme", "t", &context, &call("send_email", &["alice"]))
         .unwrap()
         .is_some());
     assert_eq!(client.flush("acme").unwrap(), 1);
-    let restored = client.restore("acme", &[], receipt.snapshot).unwrap();
+    let restored = client.restore("acme", receipt.snapshot).unwrap();
     assert_eq!(
         (restored.installed, restored.skipped_revoked),
         (1, 0),

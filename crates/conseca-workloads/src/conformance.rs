@@ -26,9 +26,8 @@ use conseca_agent::TaskReport;
 use conseca_core::pipeline::PipelineBuilder;
 use conseca_core::{render_policy, Decision, Policy, TrajectoryEnforcer, TrustedContext};
 use conseca_engine::{
-    decode_snapshot, decode_snapshot_log, ledger_path, merge_segments, recover, tenant_log_path,
-    Engine, JournalOptions, RecoverOptions, RecoveryReport, RevocationJournal, SessionState,
-    SnapshotLog, TenantCounters,
+    decode_snapshot, decode_snapshot_log, merge_segments, recover, tenant_log_path, Engine,
+    RecoverOptions, RecoveryReport, SessionState, SnapshotLog, TenantCounters,
 };
 use conseca_serve::wire::encode_decision;
 use conseca_serve::{CachedClient, Client, DaemonConfig, ServeConfig, Server, ServerHandle};
@@ -53,11 +52,13 @@ pub enum PolicyOp {
     /// Persist the tenant's installed policies into the script's
     /// snapshot slot (overwriting any earlier snapshot).
     Snapshot,
-    /// Warm-start from the snapshot slot. Every fingerprint a
-    /// [`PolicyOp::Revoke`] earlier in the script named is passed as the
-    /// revocation set, so the script proves install → snapshot → revoke
-    /// → warm-start cannot resurrect a revoked policy. Keys that are
-    /// live stay with the newer install.
+    /// Warm-start from the snapshot slot. No path passes a revocation
+    /// set: each backend gates the import on its own revocation state,
+    /// where a fingerprint stays revoked from a [`PolicyOp::Revoke`]
+    /// until an [`PolicyOp::Install`] or [`PolicyOp::Reload`] of it, so
+    /// the script proves install → snapshot → revoke → warm-start cannot
+    /// resurrect a revoked policy. Keys that are live stay with the
+    /// newer install.
     WarmStart,
     /// One lifecycle-daemon snapshot tick: persist the tenant's live
     /// store to its durable snapshot log (a full segment — the harness
@@ -234,16 +235,16 @@ fn encode_recovery(report: &RecoveryReport) -> Vec<u8> {
 /// currently installed policy, screened through the enforcement pipeline.
 fn run_pipeline(ops: &[PolicyOp], durable: bool) -> Vec<Vec<u8>> {
     let mut current: Option<Arc<Policy>> = None;
-    // Snapshot slot + revocation set: the pipeline's one-key "store"
-    // mirrors the persistence semantics the engine-backed paths get
-    // from `PolicyStore::{export,import}_snapshot`.
+    // Snapshot slot: the pipeline's one-key "store" mirrors the
+    // persistence semantics the engine-backed paths get from
+    // `export_snapshot`/`Engine::import_snapshot`.
     let mut snapshot: Option<Vec<Arc<Policy>>> = None;
-    let mut revoked_fps: HashSet<u64> = HashSet::new();
-    // The interpreted siblings of the durable machinery: `durable` is
-    // the merged snapshot-log projection (what the last SnapshotTick
-    // persisted, cleared by Flush's marker), `ledger` the replayed
-    // revocation journal (Revoke appends, Install/Reload reinstate).
-    // Both survive a CrashRecover — they are "the disk".
+    // The interpreted siblings of the engine's revocation journal and
+    // the durable machinery: `ledger` is the journal (Revoke appends,
+    // Install/Reload reinstate; WarmStart and CrashRecover gate on it),
+    // `durable_slot` the merged snapshot-log projection (what the last
+    // SnapshotTick persisted, cleared by Flush's marker). Both survive a
+    // CrashRecover — they are "the disk".
     let mut durable_slot: Option<Arc<Policy>> = None;
     let mut ledger: HashSet<u64> = HashSet::new();
     // The interpreted sibling of the engine's `SessionState`: one
@@ -329,7 +330,6 @@ fn run_pipeline(ops: &[PolicyOp], durable: bool) -> Vec<Vec<u8>> {
                 encode_opt_batch(&decisions)
             }
             PolicyOp::Revoke(fingerprint) => {
-                revoked_fps.insert(*fingerprint);
                 ledger.insert(*fingerprint);
                 let removed = match &current {
                     Some(p) if p.fingerprint() == *fingerprint => {
@@ -360,7 +360,7 @@ fn run_pipeline(ops: &[PolicyOp], durable: bool) -> Vec<Vec<u8>> {
             PolicyOp::WarmStart => {
                 let (mut installed, mut skipped_revoked, mut skipped_live) = (0u64, 0u64, 0u64);
                 for policy in snapshot.clone().unwrap_or_default() {
-                    if revoked_fps.contains(&policy.fingerprint()) {
+                    if ledger.contains(&policy.fingerprint()) {
                         skipped_revoked += 1;
                     } else if current.is_some() {
                         skipped_live += 1;
@@ -409,24 +409,20 @@ fn run_engine(
     ops: &[PolicyOp],
     data_dir: Option<&Path>,
 ) -> (Vec<Vec<u8>>, TenantCounters) {
+    // Durable runs drive the same snapshot-log machinery the server's
+    // lifecycle daemon does, inline: `recover` attaches the durable
+    // journal to the engine (so its revokes and installs are journaled
+    // exactly as the server's are), flush markers are appended when the
+    // store empties, every tick is a full segment.
     let mut engine = Engine::default();
+    if let Some(dir) = data_dir {
+        recover(&engine, dir, RecoverOptions::default()).expect("data dir opens");
+    }
     let mut snapshot: Option<Vec<u8>> = None;
-    let mut revoked_fps: HashSet<u64> = HashSet::new();
     // One trajectory session per script run, matching the one-client
     // connection the served path holds for the whole script.
     let mut session = SessionState::new();
-    // Durable runs drive the same journal + snapshot-log machinery the
-    // server's lifecycle daemon does, inline: revocations journaled
-    // before the engine applies them, flush markers appended when the
-    // store empties, full-segment ticks, `recover` at restart.
-    let mut journal: Option<Arc<RevocationJournal>> = None;
     let mut log: Option<SnapshotLog> = None;
-    if let Some(dir) = data_dir {
-        std::fs::create_dir_all(dir).expect("data dir");
-        let (opened, _) = RevocationJournal::open(ledger_path(dir), JournalOptions::default())
-            .expect("revocation journal opens");
-        journal = Some(Arc::new(opened));
-    }
     fn ensure_log<'a>(
         log: &'a mut Option<SnapshotLog>,
         dir: &Path,
@@ -439,102 +435,82 @@ fn run_engine(
         }
         log.as_mut().expect("just ensured")
     }
-    let outcomes = ops
-        .iter()
-        .map(|op| match op {
-            PolicyOp::Install(policy) => {
-                engine.install(tenant, task, context, policy);
-                if let Some(journal) = &journal {
-                    journal
-                        .record_reinstate(tenant, policy.fingerprint())
-                        .expect("journal reinstate");
+    let outcomes =
+        ops.iter()
+            .map(|op| match op {
+                PolicyOp::Install(policy) => {
+                    engine.install(tenant, task, context, policy).expect("install");
+                    encode_install(policy)
                 }
-                encode_install(policy)
-            }
-            PolicyOp::Check(call) => encode_opt_decision(&engine.check_session(
-                tenant,
-                task,
-                context,
-                &mut session,
-                call,
-            )),
-            PolicyOp::CheckBatch(calls) => encode_opt_batch(&engine.check_all_session(
-                tenant,
-                task,
-                context,
-                &mut session,
-                calls,
-            )),
-            PolicyOp::Revoke(fingerprint) => {
-                revoked_fps.insert(*fingerprint);
-                // Durable-before-acknowledged, same order as the server.
-                if let Some(journal) = &journal {
-                    journal.record_revoke(tenant, *fingerprint).expect("journal revoke");
+                PolicyOp::Check(call) => encode_opt_decision(&engine.check_session(
+                    tenant,
+                    task,
+                    context,
+                    &mut session,
+                    call,
+                )),
+                PolicyOp::CheckBatch(calls) => encode_opt_batch(&engine.check_all_session(
+                    tenant,
+                    task,
+                    context,
+                    &mut session,
+                    calls,
+                )),
+                PolicyOp::Revoke(fingerprint) => encode_count(
+                    engine.revoke_fingerprint(tenant, *fingerprint).expect("revoke") as u64,
+                ),
+                PolicyOp::Reload(policy) => {
+                    let receipt = engine.reload(tenant, task, context, policy).expect("reload");
+                    encode_reload(receipt.old_fingerprint, policy)
                 }
-                encode_count(engine.revoke_fingerprint(tenant, *fingerprint) as u64)
-            }
-            PolicyOp::Reload(policy) => {
-                let receipt = engine.reload(tenant, task, context, policy);
-                if let Some(journal) = &journal {
-                    journal
-                        .record_reinstate(tenant, policy.fingerprint())
-                        .expect("journal reinstate");
+                PolicyOp::Flush => {
+                    let flushed = engine.flush_tenant(tenant) as u64;
+                    // The daemon's flush listener appends the marker after
+                    // the engine empties the store; mirror it.
+                    if let Some(dir) = data_dir {
+                        ensure_log(&mut log, dir, tenant).append_flush().expect("flush marker");
+                    }
+                    encode_count(flushed)
                 }
-                encode_reload(receipt.old_fingerprint, policy)
-            }
-            PolicyOp::Flush => {
-                let flushed = engine.flush_tenant(tenant) as u64;
-                // The daemon's flush listener appends the marker after
-                // the engine empties the store; mirror it.
-                if let Some(dir) = data_dir {
-                    ensure_log(&mut log, dir, tenant).append_flush().expect("flush marker");
+                PolicyOp::Snapshot => {
+                    let exported = engine.store().export_snapshot(tenant).expect("export");
+                    let decoded = decode_snapshot(&exported.bytes).expect("own snapshot decodes");
+                    let mut fps: Vec<u64> = decoded.entries.iter().map(|e| e.source_fp).collect();
+                    snapshot = Some(exported.bytes);
+                    encode_snapshot_outcome(&mut fps)
                 }
-                encode_count(flushed)
-            }
-            PolicyOp::Snapshot => {
-                let exported = engine.store().export_snapshot(tenant).expect("export");
-                let decoded = decode_snapshot(&exported.bytes).expect("own snapshot decodes");
-                let mut fps: Vec<u64> = decoded.entries.iter().map(|e| e.source_fp).collect();
-                snapshot = Some(exported.bytes);
-                encode_snapshot_outcome(&mut fps)
-            }
-            PolicyOp::WarmStart => match &snapshot {
-                None => encode_warm_start(0, 0, 0),
-                Some(bytes) => {
-                    let report = engine
-                        .store()
-                        .import_snapshot(tenant, bytes, &revoked_fps)
-                        .expect("warm start");
-                    encode_warm_start(
-                        report.installed as u64,
-                        report.skipped_revoked as u64,
-                        report.skipped_live as u64,
-                    )
+                PolicyOp::WarmStart => match &snapshot {
+                    None => encode_warm_start(0, 0, 0),
+                    Some(bytes) => {
+                        let report = engine.import_snapshot(tenant, bytes).expect("warm start");
+                        encode_warm_start(
+                            report.installed as u64,
+                            report.skipped_revoked as u64,
+                            report.skipped_live as u64,
+                        )
+                    }
+                },
+                PolicyOp::SnapshotTick => {
+                    let dir = data_dir.expect(NEEDS_DURABLE);
+                    let exported =
+                        engine.store().export_snapshot_since(tenant, 0).expect("full export");
+                    ensure_log(&mut log, dir, tenant)
+                        .rewrite_full(&exported.bytes)
+                        .expect("full segment");
+                    encode_snapshot_outcome(&mut durable_projection_fps(dir, tenant))
                 }
-            },
-            PolicyOp::SnapshotTick => {
-                let dir = data_dir.expect(NEEDS_DURABLE);
-                let exported =
-                    engine.store().export_snapshot_since(tenant, 0).expect("full export");
-                ensure_log(&mut log, dir, tenant)
-                    .rewrite_full(&exported.bytes)
-                    .expect("full segment");
-                encode_snapshot_outcome(&mut durable_projection_fps(dir, tenant))
-            }
-            PolicyOp::CrashRecover => {
-                let dir = data_dir.expect(NEEDS_DURABLE);
-                // Crash: every open handle and all in-memory state dies.
-                log = None;
-                journal = None;
-                engine = Engine::default();
-                session = SessionState::new();
-                let recovery =
-                    recover(&engine, dir, RecoverOptions::default()).expect("crash recovery");
-                journal = Some(Arc::clone(&recovery.journal));
-                encode_recovery(&recovery.report)
-            }
-        })
-        .collect();
+                PolicyOp::CrashRecover => {
+                    let dir = data_dir.expect(NEEDS_DURABLE);
+                    // Crash: every open handle and all in-memory state dies.
+                    log = None;
+                    engine = Engine::default();
+                    session = SessionState::new();
+                    let recovery =
+                        recover(&engine, dir, RecoverOptions::default()).expect("crash recovery");
+                    encode_recovery(&recovery.report)
+                }
+            })
+            .collect();
     (outcomes, engine.tenant_counters(tenant))
 }
 
@@ -565,7 +541,6 @@ fn run_served(
     let mut client: Option<Client> =
         Some(server.as_ref().expect("server").connect().expect("handshake"));
     let mut snapshot: Option<Vec<u8>> = None;
-    let mut revoked_fps: Vec<u64> = Vec::new();
     let outcomes = ops
         .iter()
         .map(|op| match op {
@@ -590,16 +565,7 @@ fn run_served(
             }
             op => {
                 let client = client.as_mut().expect("connected");
-                run_client_op(
-                    client,
-                    tenant,
-                    task,
-                    context,
-                    op,
-                    batch_checks,
-                    &mut snapshot,
-                    &mut revoked_fps,
-                )
+                run_client_op(client, tenant, task, context, op, batch_checks, &mut snapshot)
             }
         })
         .collect();
@@ -614,7 +580,6 @@ fn run_served(
 /// One non-durable script op against a connected [`Client`] — the
 /// shared body of the remote and served-batch paths, factored out so
 /// the crash-recovery restart can swap the connection underneath it.
-#[allow(clippy::too_many_arguments)]
 fn run_client_op(
     client: &mut Client,
     tenant: &str,
@@ -623,7 +588,6 @@ fn run_client_op(
     op: &PolicyOp,
     batch_checks: bool,
     snapshot: &mut Option<Vec<u8>>,
-    revoked_fps: &mut Vec<u64>,
 ) -> Vec<u8> {
     match op {
         PolicyOp::Install(policy) => {
@@ -648,9 +612,6 @@ fn run_client_op(
             encode_opt_batch(&client.check_all(tenant, task, context, calls).expect("batch"))
         }
         PolicyOp::Revoke(fingerprint) => {
-            if !revoked_fps.contains(fingerprint) {
-                revoked_fps.push(*fingerprint);
-            }
             encode_count(client.revoke(tenant, *fingerprint).expect("revoke"))
         }
         PolicyOp::Reload(policy) => {
@@ -678,8 +639,7 @@ fn run_client_op(
         PolicyOp::WarmStart => match &*snapshot {
             None => encode_warm_start(0, 0, 0),
             Some(bytes) => {
-                let receipt =
-                    client.restore(tenant, revoked_fps, bytes.clone()).expect("warm start");
+                let receipt = client.restore(tenant, bytes.clone()).expect("warm start");
                 encode_warm_start(receipt.installed, receipt.skipped_revoked, receipt.skipped_live)
             }
         },
@@ -707,7 +667,6 @@ fn run_cached_remote(
     let mut client: Option<CachedClient> =
         Some(server.as_ref().expect("server").connect_cached(tenant).expect("subscribe handshake"));
     let mut snapshot: Option<Vec<u8>> = None;
-    let mut revoked_fps: Vec<u64> = Vec::new();
     let outcomes = ops
         .iter()
         .map(|op| match op {
@@ -732,7 +691,7 @@ fn run_cached_remote(
             }
             op => {
                 let client = client.as_mut().expect("subscribed");
-                run_cached_op(client, task, context, op, &mut snapshot, &mut revoked_fps)
+                run_cached_op(client, task, context, op, &mut snapshot)
             }
         })
         .collect();
@@ -751,7 +710,6 @@ fn run_cached_op(
     context: &TrustedContext,
     op: &PolicyOp,
     snapshot: &mut Option<Vec<u8>>,
-    revoked_fps: &mut Vec<u64>,
 ) -> Vec<u8> {
     match op {
         PolicyOp::Install(policy) => {
@@ -766,12 +724,7 @@ fn run_cached_op(
         PolicyOp::CheckBatch(calls) => {
             encode_opt_batch(&client.check_all(task, context, calls).expect("batch"))
         }
-        PolicyOp::Revoke(fingerprint) => {
-            if !revoked_fps.contains(fingerprint) {
-                revoked_fps.push(*fingerprint);
-            }
-            encode_count(client.revoke(*fingerprint).expect("revoke"))
-        }
+        PolicyOp::Revoke(fingerprint) => encode_count(client.revoke(*fingerprint).expect("revoke")),
         PolicyOp::Reload(policy) => {
             let receipt = client.reload(task, context, policy).expect("reload");
             let mut out = Vec::new();
@@ -797,7 +750,7 @@ fn run_cached_op(
         PolicyOp::WarmStart => match &*snapshot {
             None => encode_warm_start(0, 0, 0),
             Some(bytes) => {
-                let receipt = client.restore(revoked_fps, bytes.clone()).expect("warm start");
+                let receipt = client.restore(bytes.clone()).expect("warm start");
                 encode_warm_start(receipt.installed, receipt.skipped_revoked, receipt.skipped_live)
             }
         },
@@ -1191,12 +1144,14 @@ mod tests {
         assert_conformant(&transcripts);
         // Sanity: the engine path really produced a RateLimited violation.
         let engine = Engine::default();
-        engine.install(
-            "acme",
-            "t",
-            &ctx(),
-            &trajectory_policy(TrajectoryPolicy::new().limit("ls", 1, "one is plenty")),
-        );
+        engine
+            .install(
+                "acme",
+                "t",
+                &ctx(),
+                &trajectory_policy(TrajectoryPolicy::new().limit("ls", 1, "one is plenty")),
+            )
+            .unwrap();
         let mut session = SessionState::new();
         engine.check_session("acme", "t", &ctx(), &mut session, &call("ls", &[]));
         let denied = engine

@@ -12,8 +12,6 @@
 //!
 //! Run with: `cargo run --example trajectory_budget`
 
-use std::collections::HashSet;
-
 use conseca_core::{Policy, PolicyEntry, TrajectoryPolicy, TrustedContext};
 use conseca_engine::{Engine, SessionState};
 use conseca_shell::ApiCall;
@@ -38,7 +36,7 @@ fn main() {
 
     let engine = Engine::default();
     let ctx = TrustedContext::for_user("alice");
-    engine.install("acme", &policy.task, &ctx, &policy);
+    engine.install("acme", &policy.task, &ctx, &policy).expect("in-memory journal");
 
     // The session carries the trajectory state between checks; the
     // engine rebuilds it only when the resolved policy's fingerprint
@@ -78,8 +76,7 @@ fn main() {
     // state lives beside the store, not inside it.
     let snapshot = engine.store().export_snapshot("acme").expect("export").bytes;
     engine.flush_tenant("acme");
-    let report =
-        engine.store().import_snapshot("acme", &snapshot, &HashSet::new()).expect("import");
+    let report = engine.import_snapshot("acme", &snapshot).expect("import");
     println!("\nwarm-start: restored {} policy(ies) from the snapshot", report.installed);
     assert!(
         !judge(&call("read_email", &["13"]), &mut session),

@@ -5,17 +5,19 @@
 //! a few tasks (the expensive step the paper's §7 caching discussion
 //! wants to amortise), installs them into an engine, and snapshots the
 //! tenant to disk — then revokes one policy, the way a hot-reload would
-//! when its trusted context stops holding. Process two warm-starts a
-//! brand-new engine from the file with that revocation set: the live
-//! policies come back compiled and serving, the revoked one stays dead.
+//! when its trusted context stops holding. The engine journals that
+//! revoke in its data directory. Process two recovers a brand-new
+//! engine from the same directory and warm-starts it from the file,
+//! passing no revocation set: the live policies come back compiled and
+//! serving, and the engine's replayed journal keeps the revoked one
+//! dead.
 //!
 //! Run with: `cargo run --example warm_start`
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use conseca_core::{PolicyGenerator, TrustedContext};
-use conseca_engine::{Engine, ReloadCoordinator};
+use conseca_engine::{recover, Engine, RecoverOptions, ReloadCoordinator};
 use conseca_llm::TemplatePolicyModel;
 use conseca_shell::{default_registry, parse_command};
 use conseca_workloads::golden_examples;
@@ -31,16 +33,20 @@ fn main() {
         "summarise the Documents folder",
     ];
     let snapshot_path = std::env::temp_dir().join("conseca-warm-start-example.csnap");
+    let data_dir = std::env::temp_dir().join("conseca-warm-start-example-data");
+    let _ = std::fs::remove_dir_all(&data_dir);
 
     // ---- process one: generate, install, snapshot, revoke ----------
+    // Attaching the data directory's journal makes every revoke durable.
     let engine = Arc::new(Engine::default());
+    recover(&engine, &data_dir, RecoverOptions::default()).expect("open the data directory");
     let coordinator = ReloadCoordinator::new(Arc::clone(&engine));
     let mut generator = PolicyGenerator::new(TemplatePolicyModel::new(), &registry)
         .with_golden_examples(golden_examples());
     let mut fingerprints = Vec::new();
     for task in &tasks {
         let (policy, _) = generator.set_policy(task, &ctx);
-        coordinator.install("acme", task, &ctx, &policy);
+        coordinator.install("acme", task, &ctx, &policy).expect("install");
         fingerprints.push(policy.fingerprint());
         println!("generated + installed  {:016x}  {task}", policy.fingerprint());
     }
@@ -55,13 +61,13 @@ fn main() {
 
     // After the snapshot, task three's context stops holding: revoke it.
     let mut sink = conseca_core::AuditLog::new();
-    coordinator.revoke("acme", tasks[2], "context no longer holds", &mut sink);
-    let revoked: HashSet<u64> = coordinator.revoked_fingerprints();
+    coordinator.revoke("acme", tasks[2], "context no longer holds", &mut sink).expect("journaled");
     println!("revoked after snapshot: {:016x} ({})", fingerprints[2], tasks[2]);
 
     // ---- process two: warm-start a brand-new engine ----------------
     let fresh = Arc::new(Engine::default());
-    let report = fresh.warm_start_from("acme", &snapshot_path, &revoked).expect("warm start");
+    recover(&fresh, &data_dir, RecoverOptions::default()).expect("replay the journal");
+    let report = fresh.warm_start_from("acme", &snapshot_path).expect("warm start");
     println!(
         "\nwarm start: installed={} skipped_revoked={} skipped_live={}",
         report.installed, report.skipped_revoked, report.skipped_live
@@ -88,4 +94,5 @@ fn main() {
     println!("check under revoked task: absent (fail closed) — as it must be");
 
     let _ = std::fs::remove_file(&snapshot_path);
+    let _ = std::fs::remove_dir_all(&data_dir);
 }
