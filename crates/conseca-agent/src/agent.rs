@@ -334,7 +334,7 @@ impl<M: PolicyModel> Agent<M> {
             let registry = &self.registry;
             let generator = &mut self.generator;
             let mut generated: Option<GenerationStats> = None;
-            let (compiled, store_hit) = engine.get_or_compile(&tenant, &store_task, &ctx, || {
+            let resolved = engine.get_or_compile(&tenant, &store_task, &ctx, || {
                 match Self::static_policy(mode, registry) {
                     Some(policy) => Arc::new(policy),
                     None => {
@@ -344,6 +344,8 @@ impl<M: PolicyModel> Agent<M> {
                     }
                 }
             });
+            let (compiled, store_hit) =
+                resolved.expect("policy reinstate journal append failed (fail-closed)");
             let generation = if store_hit { hit_stats } else { generated.unwrap_or(none_stats) };
             return (
                 compiled.source_handle(),
@@ -1606,6 +1608,13 @@ mod tests {
             assert_eq!((report.installed, report.skipped_revoked), (0, 1), "{name} resurrected");
             let r2 = agent.run_task(task, simple_planner(vec!["ls /home/alice"]));
             assert!(!r2.generation.cache_hit, "{name}: the revoked entry must be regenerated");
+            // The regeneration is identical, so it reinstates the
+            // fingerprint: a snapshot of it restores on both backends.
+            assert_eq!(r2.policy.fingerprint(), r1.policy.fingerprint());
+            assert_eq!(agent.snapshot_policies(&path).unwrap(), 1);
+            backend.flush_tenant("acme");
+            let report = agent.warm_start(&path).unwrap();
+            assert_eq!((report.installed, report.skipped_revoked), (1, 0), "{name} stayed gated");
             std::fs::remove_file(&path).unwrap();
         }
         server.shutdown();

@@ -399,20 +399,22 @@ impl Engine {
     /// Fetches the compiled policy, generating (via `make`) and compiling
     /// it on a miss. Returns the snapshot plus whether it was served from
     /// cache. `make` hands over a shared policy handle, so the snapshot
-    /// keeps the caller's `Arc` instead of deep-cloning the policy.
+    /// keeps the caller's `Arc` instead of deep-cloning the policy. A
+    /// miss journals and fails like [`install`](Self::install).
     pub fn get_or_compile(
         &self,
         tenant: &str,
         task: &str,
         context: &TrustedContext,
         make: impl FnOnce() -> Arc<Policy>,
-    ) -> (Arc<CompiledPolicy>, bool) {
-        let stats = self.tenant(tenant);
+    ) -> Result<(Arc<CompiledPolicy>, bool), JournalError> {
+        if let Some(policy) = self.lookup(tenant, task, context) {
+            return Ok((policy, true));
+        }
+        let compiled = Arc::new(CompiledPolicy::compile_arc(make()));
+        self.journal.read().record_reinstate(tenant, compiled.fingerprint())?;
         let key = EngineKey::new(tenant, task, context);
-        let (policy, hit) =
-            self.store.get_or_insert_with(key, || Arc::new(CompiledPolicy::compile_arc(make())));
-        stats.record_lookup(hit);
-        (policy, hit)
+        Ok((self.store.get_or_insert_with(key, || compiled).0, false))
     }
 
     /// A pipeline policy layer over `policy` whose checks are billed to
@@ -878,15 +880,13 @@ mod tests {
     fn get_or_compile_compiles_once() {
         let engine = Engine::default();
         let mut compiles = 0;
-        let (first, hit) = engine.get_or_compile("acme", "t", &ctx(), || {
+        let mut make = || {
             compiles += 1;
             Arc::new(send_policy())
-        });
+        };
+        let (first, hit) = engine.get_or_compile("acme", "t", &ctx(), &mut make).unwrap();
         assert!(!hit);
-        let (second, hit) = engine.get_or_compile("acme", "t", &ctx(), || {
-            compiles += 1;
-            Arc::new(send_policy())
-        });
+        let (second, hit) = engine.get_or_compile("acme", "t", &ctx(), &mut make).unwrap();
         assert!(hit);
         assert_eq!(compiles, 1);
         assert!(Arc::ptr_eq(&first, &second));

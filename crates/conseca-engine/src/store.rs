@@ -415,11 +415,6 @@ impl PolicyStore {
         self.len() == 0
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total lookup hits across shards.
     pub fn hits(&self) -> u64 {
         self.shards.iter().map(|s| s.hits.load(Ordering::Relaxed)).sum()

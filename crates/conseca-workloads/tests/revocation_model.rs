@@ -6,8 +6,7 @@
 //! check) run through all five execution paths durably. Every path must
 //! agree byte for byte, and every warm-start and crash-recovery outcome
 //! must match a reference model that knows nothing but the invariant
-//! above. Seeded, so a failure names its case; rerun one with
-//! `CONSECA_MODEL_CASE=<n>`.
+//! above. Seeded, so a failure names its case and prints its script.
 
 use std::collections::HashMap;
 
@@ -119,13 +118,9 @@ impl Drop for Cleanup {
 fn random_lifecycles_match_the_revocation_model_on_every_path() {
     let policies = policies();
     let context = TrustedContext::for_user("alice");
-    let only: Option<u64> = std::env::var("CONSECA_MODEL_CASE").ok().map(|c| c.parse().unwrap());
     let mut rng = Rng(SEED);
     for case in 0..CASES {
         let ops = script(&mut rng, &policies);
-        if only.is_some_and(|only| only != case) {
-            continue;
-        }
         let root = std::env::temp_dir()
             .join(format!("conseca-revocation-model-{}-{case}", std::process::id()));
         let _cleanup = Cleanup(root.clone());

@@ -65,6 +65,8 @@ fn main() {
     println!("revoked after snapshot: {:016x} ({})", fingerprints[2], tasks[2]);
 
     // ---- process two: warm-start a brand-new engine ----------------
+    // Process one exits first, closing its handle on the journal file.
+    drop((coordinator, engine));
     let fresh = Arc::new(Engine::default());
     recover(&fresh, &data_dir, RecoverOptions::default()).expect("replay the journal");
     let report = fresh.warm_start_from("acme", &snapshot_path).expect("warm start");
