@@ -320,14 +320,17 @@ impl<M: PolicyModel> Agent<M> {
     /// store. The returned backend tells `run_task` what to build the
     /// session's policy layer from; the returned context is the trusted
     /// context the policy was resolved against, which the run loop
-    /// watches for drift.
+    /// watches for drift. `drifted` is the context a drift check just
+    /// built (nothing has executed since), reused instead of built again;
+    /// `None` builds the mode's context here.
     fn resolve_policy(
         &mut self,
         task: &str,
+        drifted: Option<TrustedContext>,
     ) -> (Arc<Policy>, GenerationStats, ResolvedBackend, TrustedContext) {
         let none_stats = GenerationStats { cache_hit: false, prompt_tokens: 0, output_tokens: 0 };
         let hit_stats = GenerationStats { cache_hit: true, prompt_tokens: 0, output_tokens: 0 };
-        let ctx = self.policy_context();
+        let ctx = drifted.unwrap_or_else(|| self.policy_context());
         if let Some((engine, tenant)) = self.engine.clone() {
             let store_task = self.keyed_task(task);
             let mode = self.config.policy_mode;
@@ -561,8 +564,9 @@ impl<M: PolicyModel> Agent<M> {
         enum RoundEnd {
             /// The task is over (`report.stop` is already set).
             Finished,
-            /// The trusted context drifted: revoke, re-resolve, go again.
-            Reload,
+            /// The trusted context drifted to this one: revoke, re-resolve
+            /// against it, go again.
+            Reload(TrustedContext),
         }
 
         // A proposal held back by a reload: it is screened in the next
@@ -587,9 +591,12 @@ impl<M: PolicyModel> Agent<M> {
         // reload regenerating the policy can never reset spent budgets,
         // fired ordering triggers, or window history.
         let mut policy_trajectory_history: Vec<conseca_shell::ApiCall> = Vec::new();
+        // The context the last drift check built, which the reload resolves
+        // against (nothing executes between detection and reload).
+        let mut drifted: Option<TrustedContext> = None;
 
         loop {
-            let (policy, generation, backend, context) = self.resolve_policy(task);
+            let (policy, generation, backend, context) = self.resolve_policy(task, drifted.take());
             let drift_fp = context.drift_fingerprint();
             if let Some((old_fp, old_ctx)) = stale {
                 // The policy was regenerated against the drifted context
@@ -727,7 +734,7 @@ impl<M: PolicyModel> Agent<M> {
                     if current.drift_fingerprint() != drift_fp {
                         stale = Some((policy.fingerprint(), context.fingerprint()));
                         carry = Some((cmd, was_injected));
-                        break RoundEnd::Reload;
+                        break RoundEnd::Reload(current);
                     }
                     context_dirty = false;
                 }
@@ -832,11 +839,12 @@ impl<M: PolicyModel> Agent<M> {
                     });
                     return report;
                 }
-                RoundEnd::Reload => {
+                RoundEnd::Reload(current) => {
                     // End the session's borrow, then reclaim the recorded
                     // history so the next round's rebuilt layer carries
                     // the budgets this round spent.
                     drop(session);
+                    drifted = Some(current);
                     if let Some(layer) = policy_trajectory_layer.take() {
                         policy_trajectory_history = layer.into_history();
                     }

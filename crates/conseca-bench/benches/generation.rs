@@ -1,5 +1,6 @@
-//! Benchmarks policy generation (§7 overhead): prompt assembly, template
-//! instantiation, and cache hits vs. misses.
+//! Benchmarks policy generation (§7 overhead): trusted-context
+//! extraction, prompt assembly, template instantiation, and cache hits
+//! vs. misses.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -13,6 +14,29 @@ fn bench_generation(c: &mut Criterion) {
     let registry = default_registry();
     let ctx = conseca_agent::build_trusted_context(&env.vfs, &env.mail, CURRENT_USER);
     let task = "Read any unread emails in my inbox related to work, respond to any that are urgent, and archive them into mail subfolders.";
+
+    // The agent's per-mutation cost under Conseca: one context build,
+    // and the drift check that hashes it (the reload reuses that build).
+    c.bench_function("trusted_context_build", |b| {
+        b.iter(|| {
+            conseca_agent::build_trusted_context(
+                black_box(&env.vfs),
+                black_box(&env.mail),
+                CURRENT_USER,
+            )
+        })
+    });
+
+    c.bench_function("drift_check", |b| {
+        b.iter(|| {
+            conseca_agent::build_trusted_context(
+                black_box(&env.vfs),
+                black_box(&env.mail),
+                CURRENT_USER,
+            )
+            .drift_fingerprint()
+        })
+    });
 
     c.bench_function("set_policy_uncached", |b| {
         let mut generator = PolicyGenerator::new(TemplatePolicyModel::new(), &registry)

@@ -74,63 +74,109 @@ impl Message {
     /// Returns [`MailError::MalformedMessage`] when mandatory headers are
     /// missing or unparsable.
     pub fn from_file(path: &str, text: &str) -> Result<Message, MailError> {
-        let mut id = None;
-        let mut from = None;
-        let mut to: Vec<String> = Vec::new();
-        let mut subject = String::new();
-        let mut category = None;
-        let mut read = false;
-        let mut timestamp = 0;
-        let mut attachments = Vec::new();
-
-        let malformed = |reason: &str| MailError::MalformedMessage {
-            path: path.to_owned(),
-            reason: reason.to_owned(),
-        };
-
-        let (headers, body) = match text.split_once("\n\n") {
-            Some((h, b)) => (h, b.to_owned()),
-            None => (text.trim_end_matches('\n'), String::new()),
-        };
-        for line in headers.lines() {
-            let (key, value) = line
-                .split_once(':')
-                .ok_or_else(|| malformed(&format!("header line without colon: {line:?}")))?;
-            let value = value.trim();
-            match key {
-                "Id" => id = Some(value.parse().map_err(|_| malformed("bad Id"))?),
-                "From" => from = Some(value.to_owned()),
-                "To" => {
-                    to = value
-                        .split(',')
-                        .map(|s| s.trim().to_owned())
-                        .filter(|s| !s.is_empty())
-                        .collect()
-                }
-                "Subject" => subject = value.to_owned(),
-                "Category" => category = Some(value.to_owned()),
-                "Read" => read = value == "true",
-                "Timestamp" => timestamp = value.parse().map_err(|_| malformed("bad Timestamp"))?,
-                "Attachment" => attachments.push(value.to_owned()),
-                _ => {} // Unknown headers are ignored for forward compatibility.
-            }
-        }
+        let (header_end, body_start) = header_bounds(text.as_bytes());
+        let headers = Headers::parse(&text[..header_end])
+            .map_err(|reason| MailError::MalformedMessage { path: path.to_owned(), reason })?;
         Ok(Message {
-            id: id.ok_or_else(|| malformed("missing Id"))?,
-            from: from.ok_or_else(|| malformed("missing From"))?,
-            to,
-            subject,
-            body,
-            category,
-            read,
-            timestamp,
-            attachments,
+            id: headers.id,
+            from: headers.from.to_owned(),
+            to: headers
+                .to
+                .split(',')
+                .map(|s| s.trim().to_owned())
+                .filter(|s| !s.is_empty())
+                .collect(),
+            subject: headers.subject.to_owned(),
+            body: text[body_start..].to_owned(),
+            category: headers.category.map(str::to_owned),
+            read: headers.read,
+            timestamp: headers.timestamp,
+            attachments: headers.attachments.into_iter().map(str::to_owned).collect(),
         })
     }
 
     /// The canonical file name for this message.
     pub fn file_name(&self) -> String {
         format!("msg-{}.eml", self.id)
+    }
+}
+
+/// Where a message file's header block ends and its body starts.
+///
+/// The headers end at the first blank line. A file without one is all
+/// headers (less its trailing newlines) and has an empty body. Both
+/// offsets sit next to a `\n`, so in a UTF-8 file they are `str` char
+/// boundaries.
+pub(crate) fn header_bounds(file: &[u8]) -> (usize, usize) {
+    match file.windows(2).position(|w| w == b"\n\n") {
+        Some(at) => (at, at + 2),
+        None => {
+            let end = file.iter().rposition(|&b| b != b'\n').map_or(0, |i| i + 1);
+            (end, file.len())
+        }
+    }
+}
+
+/// The header block of one message file, borrowed from its text: every
+/// field but the body.
+///
+/// [`Message::from_file`] and the mail system's category scan both parse
+/// through [`Headers::parse`], so a file is malformed for one exactly
+/// when it is malformed for the other.
+pub(crate) struct Headers<'a> {
+    pub(crate) id: MessageId,
+    pub(crate) from: &'a str,
+    /// The raw comma-separated `To` value.
+    pub(crate) to: &'a str,
+    pub(crate) subject: &'a str,
+    pub(crate) category: Option<&'a str>,
+    pub(crate) read: bool,
+    pub(crate) timestamp: u64,
+    pub(crate) attachments: Vec<&'a str>,
+}
+
+impl<'a> Headers<'a> {
+    /// Parses a header block (the text before [`header_bounds`]'s split).
+    /// A repeated header keeps its last value, except `Attachment`, which
+    /// accumulates.
+    ///
+    /// # Errors
+    ///
+    /// Returns why the block is malformed: a line without a colon, an
+    /// unparsable `Id` or `Timestamp`, or a missing `Id` or `From`.
+    pub(crate) fn parse(block: &'a str) -> Result<Headers<'a>, String> {
+        let mut id = None;
+        let mut from = None;
+        let mut headers = Headers {
+            id: 0,
+            from: "",
+            to: "",
+            subject: "",
+            category: None,
+            read: false,
+            timestamp: 0,
+            attachments: Vec::new(),
+        };
+        for line in block.lines() {
+            let (key, value) = line
+                .split_once(':')
+                .ok_or_else(|| format!("header line without colon: {line:?}"))?;
+            let value = value.trim();
+            match key {
+                "Id" => id = Some(value.parse().map_err(|_| "bad Id")?),
+                "From" => from = Some(value),
+                "To" => headers.to = value,
+                "Subject" => headers.subject = value,
+                "Category" => headers.category = Some(value),
+                "Read" => headers.read = value == "true",
+                "Timestamp" => headers.timestamp = value.parse().map_err(|_| "bad Timestamp")?,
+                "Attachment" => headers.attachments.push(value),
+                _ => {} // Unknown headers are ignored for forward compatibility.
+            }
+        }
+        headers.id = id.ok_or("missing Id")?;
+        headers.from = from.ok_or("missing From")?;
+        Ok(headers)
     }
 }
 
@@ -237,6 +283,25 @@ mod tests {
     fn missing_id_is_malformed() {
         let text = "From: a\nTo: b\n\nbody";
         assert!(matches!(Message::from_file("/x", text), Err(MailError::MalformedMessage { .. })));
+    }
+
+    #[test]
+    fn a_file_without_a_blank_line_is_all_headers() {
+        assert_eq!(header_bounds(b"Id: 1\nFrom: a\n\n\n"), (13, 15));
+        assert_eq!(header_bounds(b"Id: 1\nFrom: a\n\n"), (13, 15));
+        assert_eq!(header_bounds(b"Id: 1\nFrom: a\n"), (13, 14));
+        assert_eq!(header_bounds(b"\n"), (0, 1));
+        let m = Message::from_file("/x", "Id: 1\nFrom: a\nCategory: c\n").unwrap();
+        assert_eq!((m.category.as_deref(), m.body.as_str()), (Some("c"), ""));
+    }
+
+    #[test]
+    fn a_repeated_header_keeps_its_last_value() {
+        let text =
+            "Id: 1\nFrom: a\nCategory: first\nCategory: last\nAttachment: x\nAttachment: y\n\n";
+        let m = Message::from_file("/x", text).unwrap();
+        assert_eq!(m.category.as_deref(), Some("last"));
+        assert_eq!(m.attachments, vec!["x", "y"]);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 
 use bytes::Bytes;
 
-use conseca_vfs::SharedVfs;
+use conseca_vfs::{SharedVfs, Vfs};
 
 use crate::error::MailError;
-use crate::message::{Attachment, Message, MessageId, MessageSummary};
+use crate::message::{header_bounds, Attachment, Headers, Message, MessageId, MessageSummary};
 
 /// Folders every mailbox starts with.
 pub const DEFAULT_FOLDERS: [&str; 3] = ["Inbox", "Sent", "Archive"];
@@ -86,13 +86,17 @@ impl MailSystem {
 
     /// Addresses of every user with a mailbox, sorted.
     pub fn all_addresses(&self) -> Vec<String> {
-        self.vfs.with(|fs| {
-            fs.users()
-                .iter()
-                .filter(|u| fs.is_dir(&format!("/home/{}/Mail", u.name)))
-                .map(|u| self.address_of(&u.name))
-                .collect()
-        })
+        self.vfs.with(|fs| self.addresses_in(fs))
+    }
+
+    /// [`MailSystem::all_addresses`], read from `fs`: this mail system's
+    /// filesystem, borrowed under a lock the caller already holds.
+    pub fn addresses_in(&self, fs: &Vfs) -> Vec<String> {
+        fs.users()
+            .iter()
+            .filter(|u| fs.is_dir(&format!("/home/{}/Mail", u.name)))
+            .map(|u| self.address_of(&u.name))
+            .collect()
     }
 
     fn mail_dir(&self, user: &str) -> String {
@@ -408,10 +412,43 @@ impl MailSystem {
     ///
     /// Fails if the user has no mailbox.
     pub fn categories(&self, user: &str) -> Result<Vec<String>, MailError> {
-        let mut cats: Vec<String> =
-            self.list_all(user)?.into_iter().filter_map(|m| m.category).collect();
+        self.vfs.with(|fs| self.categories_in(fs, user))
+    }
+
+    /// [`MailSystem::categories`], read from `fs`: this mail system's
+    /// filesystem, borrowed under a lock the caller already holds.
+    ///
+    /// Only each message's header block is read, in place: no file copy,
+    /// no body. Folders and files are visited in name order and parsed by
+    /// the same header parser as [`Message::from_file`], so the result
+    /// (and the first malformed message's error) is exactly what listing
+    /// every message would give.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the user has no mailbox, or on the first malformed message.
+    pub fn categories_in(&self, fs: &Vfs, user: &str) -> Result<Vec<String>, MailError> {
+        let mut cats: Vec<String> = Vec::new();
+        for folder in fs.children(&self.mail_dir(user))? {
+            if !folder.is_dir() || folder.name() == ATTACHMENTS_DIR {
+                continue;
+            }
+            for file in folder.children() {
+                let Some(data) = file.data().filter(|_| file.name().ends_with(".eml")) else {
+                    continue;
+                };
+                let (header_end, _) = header_bounds(data);
+                let block = String::from_utf8_lossy(&data[..header_end]);
+                let headers = Headers::parse(&block)
+                    .map_err(|reason| MailError::MalformedMessage { path: file.path(), reason })?;
+                if let Some(cat) = headers.category {
+                    if !cats.iter().any(|c| c == cat) {
+                        cats.push(cat.to_owned());
+                    }
+                }
+            }
+        }
         cats.sort();
-        cats.dedup();
         Ok(cats)
     }
 

@@ -39,6 +39,53 @@ pub struct EntryInfo {
     pub modified: u64,
 }
 
+/// A borrowed view of one directory entry, yielded by [`Vfs::children`].
+///
+/// Scans that need only names and file bytes (trusted-context extraction,
+/// the mail category scan) read them through this view without building
+/// an [`EntryInfo`]: its canonical path is rendered only on request.
+#[derive(Clone, Copy)]
+pub struct Child<'a> {
+    fs: &'a Vfs,
+    id: InodeId,
+    name: &'a str,
+}
+
+impl<'a> Child<'a> {
+    /// Entry name within its parent.
+    pub fn name(&self) -> &'a str {
+        self.name
+    }
+
+    /// Whether the entry is a directory.
+    pub fn is_dir(&self) -> bool {
+        self.fs.node(self.id).is_dir()
+    }
+
+    /// The file's contents, or `None` for a directory.
+    pub fn data(&self) -> Option<&'a Bytes> {
+        match &self.fs.node(self.id).kind {
+            InodeKind::File { data } => Some(data),
+            InodeKind::Dir { .. } => None,
+        }
+    }
+
+    /// This entry's own children in name order (none for a file).
+    pub fn children(&self) -> impl Iterator<Item = Child<'a>> + 'a {
+        self.fs.children_of(self.id)
+    }
+
+    /// Canonical absolute path (allocates; for error reports).
+    pub fn path(&self) -> String {
+        self.fs.path_of(self.id)
+    }
+
+    /// The full listing entry for this child.
+    pub fn info(&self) -> EntryInfo {
+        self.fs.info(self.id)
+    }
+}
+
 /// A registered user account.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct User {
@@ -608,11 +655,36 @@ impl Vfs {
     ///
     /// Fails if the path is missing or is not a directory.
     pub fn ls(&self, p: &str) -> Result<Vec<EntryInfo>, VfsError> {
+        Ok(self.children(p)?.map(|c| c.info()).collect())
+    }
+
+    /// Iterates a directory's entries in name order, borrowing names and
+    /// file bytes in place.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Vfs::ls`].
+    pub fn children<'a>(
+        &'a self,
+        p: &str,
+    ) -> Result<impl Iterator<Item = Child<'a>> + 'a, VfsError> {
         let id = self.resolve(p)?;
-        match &self.node(id).kind {
-            InodeKind::Dir { children } => Ok(children.values().map(|&c| self.info(c)).collect()),
-            InodeKind::File { .. } => Err(VfsError::NotADirectory { path: p.to_owned() }),
+        if !self.node(id).is_dir() {
+            return Err(VfsError::NotADirectory { path: p.to_owned() });
         }
+        Ok(self.children_of(id))
+    }
+
+    fn children_of(&self, id: InodeId) -> impl Iterator<Item = Child<'_>> {
+        let children = match &self.node(id).kind {
+            InodeKind::Dir { children } => Some(children),
+            InodeKind::File { .. } => None,
+        };
+        children.into_iter().flatten().map(move |(name, &id)| Child {
+            fs: self,
+            id,
+            name: name.as_str(),
+        })
     }
 
     /// Walks the subtree at `p` in depth-first preorder (excluding `p`).
@@ -687,7 +759,9 @@ impl Vfs {
         }
         if let InodeKind::Dir { children } = &self.node(id).kind {
             for (name, &child) in children {
-                out.push_str(&"  ".repeat(depth));
+                for _ in 0..depth {
+                    out.push_str("  ");
+                }
                 out.push_str(name);
                 if self.node(child).is_dir() {
                     out.push('/');

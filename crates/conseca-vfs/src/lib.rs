@@ -35,7 +35,7 @@ pub mod path;
 pub mod shared;
 
 pub use error::VfsError;
-pub use fs::{Access, EntryInfo, User, Vfs};
+pub use fs::{Access, Child, EntryInfo, User, Vfs};
 pub use inode::{Inode, InodeId, InodeKind, Metadata, Snapshot};
 pub use journal::{Journal, JournalEntry, UndoData};
 pub use shared::SharedVfs;
