@@ -458,21 +458,20 @@ impl<M: PolicyModel> Agent<M> {
     /// [`PersistenceError::NoBackend`] on the in-process interpreted
     /// path; otherwise snapshot or transport failures.
     pub fn snapshot_policies(&mut self, path: impl AsRef<Path>) -> Result<usize, PersistenceError> {
-        if let Some((engine, tenant)) = self.engine.as_ref() {
-            let receipt = engine.snapshot_to(tenant, path)?;
-            return Ok(receipt.entries);
-        }
-        if let Some(client) = self.cached.as_mut() {
+        let (bytes, entries) = if let Some((engine, tenant)) = self.engine.as_ref() {
+            let snapshot = engine.store().export_snapshot(tenant)?;
+            (snapshot.bytes, snapshot.entries)
+        } else if let Some(client) = self.cached.as_mut() {
             let receipt = client.snapshot()?;
-            std::fs::write(path, &receipt.snapshot).map_err(SnapshotError::Io)?;
-            return Ok(receipt.entries as usize);
-        }
-        if let Some((client, tenant)) = self.remote.as_mut() {
+            (receipt.snapshot, receipt.entries as usize)
+        } else if let Some((client, tenant)) = self.remote.as_mut() {
             let receipt = client.snapshot(tenant)?;
-            std::fs::write(path, &receipt.snapshot).map_err(SnapshotError::Io)?;
-            return Ok(receipt.entries as usize);
-        }
-        Err(PersistenceError::NoBackend)
+            (receipt.snapshot, receipt.entries as usize)
+        } else {
+            return Err(PersistenceError::NoBackend);
+        };
+        std::fs::write(path, &bytes).map_err(SnapshotError::Io)?;
+        Ok(entries)
     }
 
     /// Warm-starts this agent's backend from a snapshot file, turning
@@ -497,7 +496,8 @@ impl<M: PolicyModel> Agent<M> {
         path: impl AsRef<Path>,
     ) -> Result<WarmStartReport, PersistenceError> {
         if let Some((engine, tenant)) = self.engine.as_ref() {
-            return Ok(engine.warm_start_from(tenant, path)?);
+            let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
+            return Ok(engine.import_snapshot(tenant, &bytes)?);
         }
         let receipt = if let Some(client) = self.cached.as_mut() {
             client.restore(std::fs::read(path).map_err(SnapshotError::Io)?)?

@@ -16,31 +16,19 @@
 //!
 //! # Journal format (version 1)
 //!
-//! All integers big-endian; `str` is a `u32` length + UTF-8 bytes.
+//! The journal is a record file (`docs/persistence.md` §9 and §12)
+//! headed by [`JOURNAL_MAGIC`] and [`JOURNAL_VERSION`], with bodies of
+//! at most [`MAX_RECORD_LEN`] bytes. A torn tail is cut off on open;
+//! corruption refuses the whole journal (fail-closed: revocation state
+//! that cannot be trusted is not loaded, and the caller must not serve
+//! restores). A record body is (integers big-endian, `str` a `u32`
+//! length + UTF-8):
 //!
 //! ```text
-//! header:
-//!   magic        8 bytes  "CSLEDGR\x01"
-//!   version      u16      JOURNAL_VERSION (1)
-//! record (repeated):
-//!   len          u32      length of body
-//!   body:
-//!     kind       u8       1 = revoke, 2 = reinstate
-//!     tenant     str
-//!     fingerprint u64
-//!   checksum     u64      fnv1a(len_be ++ body)
+//! kind         u8       1 = revoke, 2 = reinstate
+//! tenant       str
+//! fingerprint  u64
 //! ```
-//!
-//! Every record carries its own checksum (covering its length prefix,
-//! so a corrupted length cannot silently re-frame the stream), which
-//! gives the journal torn-write semantics an atomic whole-file
-//! checksum cannot: a crash mid-append leaves exactly one incomplete
-//! record at the tail, and [`RevocationJournal::open`] truncates it —
-//! the event it recorded was never acknowledged, so dropping it is
-//! correct. A *complete* record that fails its checksum is corruption,
-//! not a torn write, and replay refuses the journal outright
-//! (fail-closed: revocation state that cannot be trusted is not
-//! loaded, and the caller must not serve restores).
 //!
 //! # Bounded resident memory
 //!
@@ -63,14 +51,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use conseca_core::codec::{Reader, Writer};
-use conseca_core::fnv1a;
+
+pub use crate::record::JournalError;
+use crate::record::{Layout, RecordFile};
 
 /// First bytes of every journal file.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"CSLEDGR\x01";
@@ -79,12 +67,14 @@ pub const JOURNAL_MAGIC: [u8; 8] = *b"CSLEDGR\x01";
 /// replay refuses journals from other versions.
 pub const JOURNAL_VERSION: u16 = 1;
 
-const HEADER_LEN: usize = 8 + 2;
 /// Largest record body replay will allocate for. A genuine record is a
 /// kind byte, a tenant name, and a fingerprint; anything claiming more
 /// than this is corruption, refused before allocation (fail-closed,
 /// like the wire framing's length cap).
 pub const MAX_RECORD_LEN: u32 = 1 << 16;
+
+pub(crate) const LAYOUT: Layout =
+    Layout { magic: JOURNAL_MAGIC, version: JOURNAL_VERSION, max_len: MAX_RECORD_LEN };
 
 /// What one journal record says happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,68 +95,6 @@ pub struct JournalRecord {
     pub tenant: String,
     /// The policy source fingerprint.
     pub fingerprint: u64,
-}
-
-/// Why journal bytes could not be written or replayed. Every variant is
-/// fail-closed: an `Err` from replay means no revocation state was
-/// loaded and the caller must not trust (or serve) restores.
-#[derive(Debug)]
-pub enum JournalError {
-    /// Reading or writing the file failed.
-    Io(io::Error),
-    /// The bytes end before the header (or, in strict decoding, inside
-    /// a record).
-    Truncated,
-    /// The file does not start with [`JOURNAL_MAGIC`].
-    BadMagic,
-    /// The journal format version is not [`JOURNAL_VERSION`].
-    FormatSkew {
-        /// Version recorded in the file.
-        found: u16,
-        /// Version this build speaks.
-        expected: u16,
-    },
-    /// A record at `offset` claims a body larger than
-    /// [`MAX_RECORD_LEN`].
-    RecordTooLarge {
-        /// Byte offset of the record's length prefix.
-        offset: usize,
-        /// The claimed body length.
-        len: u32,
-    },
-    /// A complete record at `offset` failed its checksum or decoded to
-    /// garbage — corruption, never loaded.
-    CorruptRecord {
-        /// Byte offset of the record's length prefix.
-        offset: usize,
-    },
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "journal I/O failed: {e}"),
-            JournalError::Truncated => write!(f, "journal truncated mid-record"),
-            JournalError::BadMagic => write!(f, "not a revocation journal (bad magic)"),
-            JournalError::FormatSkew { found, expected } => {
-                write!(f, "journal format version {found}, this build speaks {expected}")
-            }
-            JournalError::RecordTooLarge { offset, len } => {
-                write!(f, "record at byte {offset} claims {len} bytes (cap {MAX_RECORD_LEN})")
-            }
-            JournalError::CorruptRecord { offset } => {
-                write!(f, "record at byte {offset} failed its checksum")
-            }
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
-
-impl From<io::Error> for JournalError {
-    fn from(e: io::Error) -> Self {
-        JournalError::Io(e)
-    }
 }
 
 /// Tuning for a file-backed journal.
@@ -195,8 +123,9 @@ pub struct JournalReplayReport {
     pub revoked: usize,
     /// Tenants with at least one live revocation.
     pub tenants: usize,
-    /// Whether an incomplete record at the tail (a crash mid-append)
-    /// was truncated away.
+    /// Whether a crash left the file torn and open repaired it: an
+    /// incomplete record at the tail (a crash mid-append) was cut off,
+    /// or a partial header (a crash mid-create) was completed.
     pub repaired_torn_tail: bool,
 }
 
@@ -221,68 +150,10 @@ pub struct CompactReport {
 ///
 /// Any [`JournalError`].
 pub fn decode_journal(bytes: &[u8]) -> Result<Vec<JournalRecord>, JournalError> {
-    let (records, consumed, _torn) = decode_journal_prefix(bytes)?;
-    if consumed != bytes.len() {
-        return Err(JournalError::Truncated);
-    }
-    Ok(records)
+    LAYOUT.decode(bytes, decode_body)
 }
 
-/// Lenient decoding for crash recovery: parses records until the bytes
-/// end, reporting how many bytes formed complete, verified records. A
-/// trailing *incomplete* record (a torn append) is not an error — the
-/// caller truncates to `consumed`. A complete record that fails its
-/// checksum still is.
-fn decode_journal_prefix(bytes: &[u8]) -> Result<(Vec<JournalRecord>, usize, bool), JournalError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(JournalError::Truncated);
-    }
-    if bytes[..8] != JOURNAL_MAGIC {
-        return Err(JournalError::BadMagic);
-    }
-    let version = u16::from_be_bytes(bytes[8..10].try_into().unwrap());
-    if version != JOURNAL_VERSION {
-        return Err(JournalError::FormatSkew { found: version, expected: JOURNAL_VERSION });
-    }
-    let mut records = Vec::new();
-    let mut offset = HEADER_LEN;
-    while offset < bytes.len() {
-        let remaining = &bytes[offset..];
-        if remaining.len() < 4 {
-            return Ok((records, offset, true));
-        }
-        let len = u32::from_be_bytes(remaining[..4].try_into().unwrap());
-        if len > MAX_RECORD_LEN {
-            // A torn append writes a prefix of a valid record, whose
-            // length field is either absent or honest — a huge length
-            // is corruption, not a crash.
-            return Err(JournalError::RecordTooLarge { offset, len });
-        }
-        let total = 4 + len as usize + 8;
-        if remaining.len() < total {
-            return Ok((records, offset, true));
-        }
-        let body = &remaining[4..4 + len as usize];
-        let recorded = u64::from_be_bytes(remaining[4 + len as usize..total].try_into().unwrap());
-        if recorded != record_checksum(len, body) {
-            return Err(JournalError::CorruptRecord { offset });
-        }
-        records.push(decode_record_body(body).ok_or(JournalError::CorruptRecord { offset })?);
-        offset += total;
-    }
-    Ok((records, offset, false))
-}
-
-/// The per-record checksum covers the length prefix too, so a flipped
-/// length cannot re-frame the stream without tripping it.
-fn record_checksum(len: u32, body: &[u8]) -> u64 {
-    let mut covered = Vec::with_capacity(4 + body.len());
-    covered.extend_from_slice(&len.to_be_bytes());
-    covered.extend_from_slice(body);
-    fnv1a(&covered)
-}
-
-fn encode_record(op: JournalOp, tenant: &str, fingerprint: u64) -> Vec<u8> {
+fn encode_body(op: JournalOp, tenant: &str, fingerprint: u64) -> Vec<u8> {
     let mut w = Writer::unbounded();
     let kind = match op {
         JournalOp::Revoke => 1u8,
@@ -291,27 +162,21 @@ fn encode_record(op: JournalOp, tenant: &str, fingerprint: u64) -> Vec<u8> {
     w.u8(kind, "record.kind").expect("unbounded");
     w.str_(tenant, "record.tenant").expect("tenant fits a record");
     w.u64(fingerprint, "record.fingerprint").expect("unbounded");
-    let body = w.finish();
-    let len = body.len() as u32;
-    debug_assert!(len <= MAX_RECORD_LEN);
-    let mut out = Vec::with_capacity(4 + body.len() + 8);
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&record_checksum(len, &body).to_be_bytes());
-    out
+    w.finish()
 }
 
-fn decode_record_body(body: &[u8]) -> Option<JournalRecord> {
+fn decode_body(offset: usize, body: &[u8]) -> Result<JournalRecord, JournalError> {
+    let corrupt = |_| JournalError::CorruptRecord { offset };
     let mut r = Reader::new(body);
-    let op = match r.u8("record.kind").ok()? {
+    let op = match r.u8("record.kind").map_err(corrupt)? {
         1 => JournalOp::Revoke,
         2 => JournalOp::Reinstate,
-        _ => return None,
+        _ => return Err(JournalError::CorruptRecord { offset }),
     };
-    let tenant = r.str_("record.tenant").ok()?;
-    let fingerprint = r.u64("record.fingerprint").ok()?;
-    r.finish().ok()?;
-    Some(JournalRecord { op, tenant, fingerprint })
+    let tenant = r.str_("record.tenant").map_err(corrupt)?;
+    let fingerprint = r.u64("record.fingerprint").map_err(corrupt)?;
+    r.finish().map_err(corrupt)?;
+    Ok(JournalRecord { op, tenant, fingerprint })
 }
 
 /// Replays a record stream into the live per-tenant projection.
@@ -336,7 +201,7 @@ fn project(records: &[JournalRecord]) -> HashMap<Box<str>, HashSet<u64>> {
 }
 
 struct Inner {
-    file: Option<File>,
+    file: Option<RecordFile>,
     /// Per-tenant revoked fingerprints resident in memory. Exact for
     /// unspilled tenants; a recent window for spilled ones.
     resident: HashMap<Box<str>, HashSet<u64>>,
@@ -347,6 +212,33 @@ struct Inner {
     records: u64,
     /// Appends since the last compaction, for the auto trigger.
     appended_since_compact: u64,
+}
+
+impl Inner {
+    fn new(file: Option<RecordFile>, records: u64) -> Self {
+        Inner {
+            file,
+            resident: HashMap::new(),
+            spilled: HashSet::new(),
+            records,
+            appended_since_compact: 0,
+        }
+    }
+
+    /// Re-seeds the resident sets from a replayed projection, spilling
+    /// every tenant whose live set exceeds `cap`.
+    fn seed(&mut self, live: HashMap<Box<str>, HashSet<u64>>, cap: usize) {
+        self.resident.clear();
+        self.spilled.clear();
+        for (tenant, set) in live {
+            if set.len() > cap {
+                self.spilled.insert(tenant.clone());
+                self.resident.insert(tenant, set.into_iter().take(cap).collect());
+            } else {
+                self.resident.insert(tenant, set);
+            }
+        }
+    }
 }
 
 /// The durable revocation ledger. All methods take `&self`; an
@@ -385,29 +277,28 @@ impl fmt::Debug for RevocationJournal {
 }
 
 impl RevocationJournal {
-    /// A volatile journal: identical semantics, no file, never spills.
-    pub fn in_memory() -> Self {
+    fn with_inner(path: Option<PathBuf>, options: JournalOptions, inner: Inner) -> Self {
         RevocationJournal {
-            path: None,
-            options: JournalOptions::default(),
-            inner: Mutex::new(Inner {
-                file: None,
-                resident: HashMap::new(),
-                spilled: HashSet::new(),
-                records: 0,
-                appended_since_compact: 0,
-            }),
+            path,
+            options,
+            inner: Mutex::new(inner),
             io_errors: AtomicU64::new(0),
             appended_total: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
         }
     }
 
+    /// A volatile journal: identical semantics, no file, never spills.
+    pub fn in_memory() -> Self {
+        Self::with_inner(None, JournalOptions::default(), Inner::new(None, 0))
+    }
+
     /// Opens (or creates) the journal at `path` and replays it. A torn
     /// record at the tail — the signature of a crash mid-append — is
-    /// truncated away: the event it recorded was never acknowledged.
-    /// Anything else wrong with the bytes is a hard error; revocation
-    /// state that cannot be verified is never loaded.
+    /// cut off, and a partial header — a crash mid-create — completed:
+    /// neither held an acknowledged event. Anything else wrong with the
+    /// bytes is a hard error; revocation state that cannot be verified
+    /// is never loaded.
     ///
     /// # Errors
     ///
@@ -417,60 +308,17 @@ impl RevocationJournal {
         options: JournalOptions,
     ) -> Result<(Self, JournalReplayReport), JournalError> {
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut report = JournalReplayReport::default();
-        let records = if path.exists() {
-            let bytes = std::fs::read(&path)?;
-            let (records, consumed, torn) = decode_journal_prefix(&bytes)?;
-            if torn {
-                // Truncate the torn tail so the next append starts at a
-                // record boundary.
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(consumed as u64)?;
-                file.sync_data()?;
-                report.repaired_torn_tail = true;
-            }
-            records
-        } else {
-            let mut file = File::create(&path)?;
-            file.write_all(&JOURNAL_MAGIC)?;
-            file.write_all(&JOURNAL_VERSION.to_be_bytes())?;
-            file.sync_data()?;
-            Vec::new()
-        };
-        report.records = records.len() as u64;
+        let (file, records, repaired) = RecordFile::open(path.clone(), LAYOUT, decode_body)?;
         let live = project(&records);
-        report.tenants = live.len();
-        report.revoked = live.values().map(HashSet::len).sum();
-        let file = OpenOptions::new().append(true).open(&path)?;
-        let mut resident = HashMap::new();
-        let mut spilled = HashSet::new();
-        for (tenant, set) in live {
-            if set.len() > options.resident_cap {
-                spilled.insert(tenant.clone());
-                let window: HashSet<u64> = set.into_iter().take(options.resident_cap).collect();
-                resident.insert(tenant, window);
-            } else {
-                resident.insert(tenant, set);
-            }
-        }
-        let journal = RevocationJournal {
-            path: Some(path),
-            options,
-            inner: Mutex::new(Inner {
-                file: Some(file),
-                resident,
-                spilled,
-                records: report.records,
-                appended_since_compact: 0,
-            }),
-            io_errors: AtomicU64::new(0),
-            appended_total: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
+        let report = JournalReplayReport {
+            records: records.len() as u64,
+            revoked: live.values().map(HashSet::len).sum(),
+            tenants: live.len(),
+            repaired_torn_tail: repaired,
         };
-        Ok((journal, report))
+        let mut inner = Inner::new(Some(file), report.records);
+        inner.seed(live, options.resident_cap);
+        Ok((Self::with_inner(Some(path), options, inner), report))
     }
 
     /// The backing file, if this journal is durable.
@@ -555,11 +403,9 @@ impl RevocationJournal {
     ) -> Result<(), JournalError> {
         self.appended_total.fetch_add(1, Ordering::Relaxed);
         if let Some(file) = inner.file.as_mut() {
-            let record = encode_record(op, tenant, fingerprint);
-            let result = file.write_all(&record).and_then(|()| file.sync_data());
-            if let Err(e) = result {
+            if let Err(e) = file.append(&encode_body(op, tenant, fingerprint)) {
                 self.io_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(JournalError::Io(e));
+                return Err(e);
             }
             inner.records += 1;
             inner.appended_since_compact += 1;
@@ -571,7 +417,8 @@ impl RevocationJournal {
         let threshold = self.options.compact_after;
         if threshold > 0 && inner.appended_since_compact >= threshold {
             // Best-effort: a failed auto-compaction leaves a longer but
-            // still-valid journal; the next append retries.
+            // still-valid journal behind the same handle (a rewrite
+            // never reopens), and the next append retries.
             let _ = self.compact_locked(inner);
         }
     }
@@ -618,13 +465,10 @@ impl RevocationJournal {
     }
 
     fn read_records(&self) -> Result<Vec<JournalRecord>, JournalError> {
-        let path = self.path.as_ref().expect("only durable journals replay");
         // Read under the inner lock so a concurrent append cannot hand
         // us a file with a record half-written.
-        let _guard = self.lock();
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        decode_journal(&bytes)
+        let inner = self.lock();
+        inner.file.as_ref().expect("only durable journals replay").read_all(decode_body)
     }
 
     /// Fingerprints currently resident in memory, across all tenants —
@@ -654,28 +498,26 @@ impl RevocationJournal {
     }
 
     /// Rewrites the journal down to its live projection — one revoke
-    /// record per still-revoked fingerprint — via a temp file and an
-    /// atomic rename, then re-seeds the resident sets (un-spilling any
+    /// record per still-revoked fingerprint — atomically (the record
+    /// file's rewrite), then re-seeds the resident sets (un-spilling any
     /// tenant whose live set now fits the cap). A no-op for in-memory
     /// journals.
     ///
     /// # Errors
     ///
-    /// [`JournalError`] on replay or rewrite failure; the original file
-    /// is untouched on error.
+    /// [`JournalError`] on replay or rewrite failure. The file is then
+    /// the original or the compacted one, never a mix, and appends keep
+    /// working on it.
     pub fn compact(&self) -> Result<CompactReport, JournalError> {
         let mut inner = self.lock();
         self.compact_locked(&mut inner)
     }
 
     fn compact_locked(&self, inner: &mut Inner) -> Result<CompactReport, JournalError> {
-        let Some(path) = self.path.as_ref() else {
+        let Some(file) = inner.file.as_mut() else {
             return Ok(CompactReport::default());
         };
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let records = decode_journal(&bytes)?;
-        let live = project(&records);
+        let live = project(&file.read_all(decode_body)?);
         let mut sorted: Vec<(&Box<str>, Vec<u64>)> = live
             .iter()
             .map(|(tenant, set)| {
@@ -685,36 +527,17 @@ impl RevocationJournal {
             })
             .collect();
         sorted.sort_by(|a, b| a.0.cmp(b.0));
-        let tmp = path.with_extension("csj.tmp");
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&JOURNAL_MAGIC)?;
-            file.write_all(&JOURNAL_VERSION.to_be_bytes())?;
-            for (tenant, fps) in &sorted {
-                for fp in fps {
-                    file.write_all(&encode_record(JournalOp::Revoke, tenant, *fp))?;
-                }
-            }
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        let after: u64 = live.values().map(|set| set.len() as u64).sum();
-        let report = CompactReport { before: inner.records, after };
-        inner.file = Some(OpenOptions::new().append(true).open(path)?);
-        inner.records = after;
+        let bodies: Vec<Vec<u8>> = sorted
+            .iter()
+            .flat_map(|(tenant, fps)| {
+                fps.iter().map(|fp| encode_body(JournalOp::Revoke, tenant, *fp))
+            })
+            .collect();
+        file.rewrite(bodies.iter().map(Vec::as_slice))?;
+        let report = CompactReport { before: inner.records, after: bodies.len() as u64 };
+        inner.records = report.after;
         inner.appended_since_compact = 0;
-        inner.resident.clear();
-        inner.spilled.clear();
-        for (tenant, set) in live {
-            if set.len() > self.options.resident_cap {
-                inner.spilled.insert(tenant.clone());
-                inner
-                    .resident
-                    .insert(tenant, set.into_iter().take(self.options.resident_cap).collect());
-            } else {
-                inner.resident.insert(tenant, set);
-            }
-        }
+        inner.seed(live, self.options.resident_cap);
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(report)
     }
@@ -723,6 +546,7 @@ impl RevocationJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::HEADER_LEN;
 
     fn tmp_path(name: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -920,7 +744,7 @@ mod tests {
             assert!(journal.revoked_snapshot("acme").unwrap().contains(&fp));
         }
         assert!(!journal.revoked_snapshot("acme").unwrap().contains(&0));
-        // Appends keep working after the rename swapped the file.
+        // Appends keep working after the compaction swapped the file.
         journal.record_revoke("acme", 1_000).unwrap();
         drop(journal);
         let (journal, report) = RevocationJournal::open(&path, options).unwrap();

@@ -98,6 +98,8 @@ pub mod engine;
 pub mod journal;
 pub mod layer;
 pub mod persist;
+mod record;
+pub mod recovery;
 pub mod reload;
 pub mod snaplog;
 pub mod store;
@@ -114,14 +116,16 @@ pub use journal::{
 };
 pub use layer::CompiledPolicyLayer;
 pub use persist::{
-    decode_snapshot, Snapshot, SnapshotEntry, SnapshotError, SnapshotReceipt, TenantSnapshot,
-    WarmStartReport, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    decode_snapshot, Snapshot, SnapshotEntry, SnapshotError, TenantSnapshot, WarmStartReport,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+};
+pub use recovery::{
+    ledger_path, recover, tenant_log_path, RecoverOptions, Recovery, RecoveryReport,
 };
 pub use reload::{ReloadCoordinator, ReloadOutcome, SweepReport};
 pub use snaplog::{
-    decode_snapshot_log, ledger_path, merge_segments, recover, segments_tenant, tenant_log_path,
-    LogSegment, RecoverOptions, Recovery, RecoveryReport, SnapshotLog, SnapshotLogError,
-    SNAPSHOT_LOG_MAGIC, SNAPSHOT_LOG_VERSION,
+    decode_snapshot_log, merge_segments, segments_tenant, LogSegment, SnapshotLog,
+    SnapshotLogError, SNAPSHOT_LOG_MAGIC, SNAPSHOT_LOG_VERSION,
 };
 pub use store::{EngineKey, ExportedSlot, PolicyStore, StoreConfig};
 pub use trajectory_compile::{CompiledTrajectory, TrajectoryState};

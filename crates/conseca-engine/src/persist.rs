@@ -62,7 +62,6 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 use conseca_core::codec::{self, Reader, WireError, Writer, CODEC_VERSION};
@@ -234,15 +233,6 @@ pub struct WarmStartReport {
     /// Entries skipped because the key was already live (a concurrent —
     /// hence newer — install wins over the restore).
     pub skipped_live: usize,
-}
-
-/// Receipt for an [`Engine::snapshot_to`].
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotReceipt {
-    /// Policy entries written.
-    pub entries: usize,
-    /// File size in bytes.
-    pub bytes: usize,
 }
 
 // The fixed-layout prefix: magic + snapshot version + codec version.
@@ -426,24 +416,6 @@ impl PolicyStore {
 }
 
 impl Engine {
-    /// Writes `tenant`'s installed policies to `path` as a snapshot
-    /// file (see the module docs for the format). The write is a plain
-    /// `fs::write`; the trailing checksum makes a torn or interrupted
-    /// write fail closed at load time.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] or [`SnapshotError::Codec`].
-    pub fn snapshot_to(
-        &self,
-        tenant: &str,
-        path: impl AsRef<Path>,
-    ) -> Result<SnapshotReceipt, SnapshotError> {
-        let snapshot = self.store().export_snapshot(tenant)?;
-        std::fs::write(path, &snapshot.bytes)?;
-        Ok(SnapshotReceipt { entries: snapshot.entries, bytes: snapshot.bytes.len() })
-    }
-
     /// Verifies, re-keys, re-compiles, and installs a snapshot's
     /// policies for `tenant` — the warm-start path. Fail-closed: any
     /// corruption, version skew, tenant mismatch, or fingerprint-binding
@@ -472,20 +444,6 @@ impl Engine {
         }
         let revoked = self.revoked(tenant).map_err(SnapshotError::Journal)?;
         Ok(self.store().import_entries(tenant, snapshot.entries, &revoked))
-    }
-
-    /// Warm-starts `tenant` from a snapshot file via
-    /// [`import_snapshot`](Self::import_snapshot).
-    ///
-    /// # Errors
-    ///
-    /// As [`import_snapshot`](Self::import_snapshot), plus file I/O.
-    pub fn warm_start_from(
-        &self,
-        tenant: &str,
-        path: impl AsRef<Path>,
-    ) -> Result<WarmStartReport, SnapshotError> {
-        self.import_snapshot(tenant, &std::fs::read(path)?)
     }
 }
 
@@ -596,12 +554,13 @@ mod tests {
         let source = Engine::default();
         let p = policy("file roundtrip");
         source.install("acme", &p.task, &ctx(), &p).unwrap();
-        let receipt = source.snapshot_to("acme", &path).unwrap();
-        assert_eq!(receipt.entries, 1);
-        assert!(receipt.bytes >= MIN_LEN);
+        let snapshot = source.store().export_snapshot("acme").unwrap();
+        assert_eq!(snapshot.entries, 1);
+        assert!(snapshot.bytes.len() >= MIN_LEN);
+        std::fs::write(&path, &snapshot.bytes).unwrap();
 
         let fresh = Engine::default();
-        let report = fresh.warm_start_from("acme", &path).unwrap();
+        let report = fresh.import_snapshot("acme", &std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(report.installed, 1);
         assert!(fresh.check("acme", &p.task, &ctx(), &call("send_email", &["alice"])).is_some());
         std::fs::remove_file(&path).unwrap();

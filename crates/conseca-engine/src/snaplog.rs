@@ -1,44 +1,28 @@
-//! Incremental, append-only snapshot logs and crash recovery.
+//! Incremental, append-only snapshot logs.
 //!
-//! A [`SnapshotLog`] is the durable form of one tenant's policy store:
-//! instead of rewriting a full snapshot file on every change (the
-//! [`Engine::snapshot_to`](crate::Engine::snapshot_to) shape), a
-//! lifecycle daemon appends *delta* segments — snapshots of only the
-//! entries installed since the last tick's generation watermark — and
-//! periodically compacts them into a single *full* segment. A `Flush`
-//! marker records that the tenant's store was emptied, so replay does
-//! not resurrect pre-flush entries.
-//!
-//! [`recover`] is the boot path: open the revocation journal, attach it
-//! to the engine, merge every tenant's log into its live projection,
-//! gate each entry on the replayed revocation set, and re-compile from
-//! verified source — the `load ledger → load snapshots → re-key,
-//! re-compile, never resurrect` sequence. Recovery is fail-closed at every layer: a
-//! ledger that cannot be verified aborts recovery entirely (revocation
-//! state must never be guessed at), and a snapshot log that cannot be
-//! verified is set aside and its tenant starts cold (a missing policy
-//! regenerates; a corrupt one must never load).
+//! A [`SnapshotLog`] is the durable form of one tenant's policy store,
+//! kept in the lifecycle daemon's data directory. Instead of rewriting a
+//! full snapshot on every change, the daemon appends *delta* segments —
+//! snapshots of only the entries installed since the last tick's
+//! generation watermark — and periodically compacts them into a single
+//! *full* segment. A `Flush` marker records that the tenant's store was
+//! emptied, so replay does not resurrect pre-flush entries.
+//! [`recover`](crate::recover) merges every tenant's log at boot.
 //!
 //! # Log format (version 1)
 //!
+//! The log is a record file (`docs/persistence.md` §10 and §12), like
+//! the revocation journal, headed by [`SNAPSHOT_LOG_MAGIC`] and
+//! [`SNAPSHOT_LOG_VERSION`], with one segment of at most
+//! [`MAX_SEGMENT_LEN`] bytes per record. A segment body is:
+//!
 //! ```text
-//! header:
-//!   magic        8 bytes  "CSNPLOG\x01"
-//!   version      u16      SNAPSHOT_LOG_VERSION (1)
-//! segment (repeated):
-//!   len          u32      length of body
-//!   body:
-//!     kind       u8       1 = full, 2 = delta, 3 = flush
-//!     snapshot   bytes    (kinds 1 and 2) a complete snapshot-v1 blob,
-//!                         verified by decode_snapshot on replay
-//!   checksum     u64      fnv1a(len_be ++ body)
+//! kind       u8       1 = full, 2 = delta, 3 = flush
+//! snapshot   bytes    (kinds 1 and 2) a complete snapshot-v1 blob,
+//!                     verified by decode_snapshot on replay
 //! ```
 //!
-//! Same torn-write semantics as the revocation journal: per-segment
-//! checksums cover the length prefix, a crash mid-append leaves exactly
-//! one incomplete tail segment (truncated on open), and a *complete*
-//! segment that fails verification is corruption. Nested snapshot
-//! blobs additionally pass the full snapshot-v1 trust boundary
+//! Nested snapshot blobs pass the full snapshot-v1 trust boundary
 //! ([`decode_snapshot`]) — magic, versions, whole-blob checksum, and
 //! per-entry fingerprint binding — so a resealed outer checksum cannot
 //! smuggle a tampered policy past replay.
@@ -54,16 +38,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use conseca_core::fnv1a;
-
-use crate::engine::Engine;
-use crate::journal::{JournalError, JournalOptions, JournalReplayReport, RevocationJournal};
-use crate::persist::{decode_snapshot, SnapshotEntry, SnapshotError, WarmStartReport};
+use crate::journal::JournalError;
+use crate::persist::{decode_snapshot, SnapshotEntry, SnapshotError};
+use crate::record::{Layout, RecordFile};
 
 /// First bytes of every snapshot log file.
 pub const SNAPSHOT_LOG_MAGIC: [u8; 8] = *b"CSNPLOG\x01";
@@ -72,11 +51,13 @@ pub const SNAPSHOT_LOG_MAGIC: [u8; 8] = *b"CSNPLOG\x01";
 /// replay refuses logs from other versions.
 pub const SNAPSHOT_LOG_VERSION: u16 = 1;
 
-const HEADER_LEN: usize = 8 + 2;
 /// Largest segment body replay will allocate for — comfortably above
 /// any real tenant snapshot, far below anything a bit-flipped length
 /// field could ask for.
 pub const MAX_SEGMENT_LEN: u32 = 1 << 26;
+
+pub(crate) const LAYOUT: Layout =
+    Layout { magic: SNAPSHOT_LOG_MAGIC, version: SNAPSHOT_LOG_VERSION, max_len: MAX_SEGMENT_LEN };
 
 const KIND_FULL: u8 = 1;
 const KIND_DELTA: u8 = 2;
@@ -100,34 +81,10 @@ pub enum LogSegment {
 /// like [`JournalError`]: an `Err` means nothing was loaded.
 #[derive(Debug)]
 pub enum SnapshotLogError {
-    /// Reading or writing the file failed.
-    Io(io::Error),
-    /// The bytes end before the header (or, in strict decoding, inside
-    /// a segment).
-    Truncated,
-    /// The file does not start with [`SNAPSHOT_LOG_MAGIC`].
-    BadMagic,
-    /// The log format version is not [`SNAPSHOT_LOG_VERSION`].
-    FormatSkew {
-        /// Version recorded in the file.
-        found: u16,
-        /// Version this build speaks.
-        expected: u16,
-    },
-    /// A segment at `offset` claims a body larger than
-    /// [`MAX_SEGMENT_LEN`].
-    SegmentTooLarge {
-        /// Byte offset of the segment's length prefix.
-        offset: usize,
-        /// The claimed body length.
-        len: u32,
-    },
-    /// A complete segment at `offset` failed its framing checksum or
-    /// carries an unknown kind.
-    CorruptSegment {
-        /// Byte offset of the segment's length prefix.
-        offset: usize,
-    },
+    /// The record file itself failed: I/O, header, framing, length
+    /// cap, or a complete segment that failed its checksum or carries
+    /// an unknown kind ([`JournalError::CorruptRecord`]).
+    Framing(JournalError),
     /// A segment's framing verified but its nested snapshot blob failed
     /// the snapshot-v1 trust boundary.
     BadSnapshot {
@@ -148,18 +105,7 @@ pub enum SnapshotLogError {
 impl fmt::Display for SnapshotLogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotLogError::Io(e) => write!(f, "snapshot log I/O failed: {e}"),
-            SnapshotLogError::Truncated => write!(f, "snapshot log truncated mid-segment"),
-            SnapshotLogError::BadMagic => write!(f, "not a snapshot log (bad magic)"),
-            SnapshotLogError::FormatSkew { found, expected } => {
-                write!(f, "snapshot log version {found}, this build speaks {expected}")
-            }
-            SnapshotLogError::SegmentTooLarge { offset, len } => {
-                write!(f, "segment at byte {offset} claims {len} bytes (cap {MAX_SEGMENT_LEN})")
-            }
-            SnapshotLogError::CorruptSegment { offset } => {
-                write!(f, "segment at byte {offset} failed its checksum")
-            }
+            SnapshotLogError::Framing(e) => write!(f, "snapshot log: {e}"),
             SnapshotLogError::BadSnapshot { offset, error } => {
                 write!(f, "segment at byte {offset} carries a bad snapshot: {error}")
             }
@@ -172,30 +118,10 @@ impl fmt::Display for SnapshotLogError {
 
 impl std::error::Error for SnapshotLogError {}
 
-impl From<io::Error> for SnapshotLogError {
-    fn from(e: io::Error) -> Self {
-        SnapshotLogError::Io(e)
+impl From<JournalError> for SnapshotLogError {
+    fn from(e: JournalError) -> Self {
+        SnapshotLogError::Framing(e)
     }
-}
-
-fn segment_checksum(len: u32, body: &[u8]) -> u64 {
-    let mut covered = Vec::with_capacity(4 + body.len());
-    covered.extend_from_slice(&len.to_be_bytes());
-    covered.extend_from_slice(body);
-    fnv1a(&covered)
-}
-
-fn encode_segment(kind: u8, blob: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(1 + blob.len());
-    body.push(kind);
-    body.extend_from_slice(blob);
-    let len = body.len() as u32;
-    debug_assert!(len <= MAX_SEGMENT_LEN);
-    let mut out = Vec::with_capacity(4 + body.len() + 8);
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&segment_checksum(len, &body).to_be_bytes());
-    out
 }
 
 /// Strictly decodes snapshot-log bytes: header, then every segment
@@ -208,72 +134,19 @@ fn encode_segment(kind: u8, blob: &[u8]) -> Vec<u8> {
 ///
 /// Any [`SnapshotLogError`].
 pub fn decode_snapshot_log(bytes: &[u8]) -> Result<Vec<LogSegment>, SnapshotLogError> {
-    let (segments, consumed, _torn) = decode_log_prefix(bytes)?;
-    if consumed != bytes.len() {
-        return Err(SnapshotLogError::Truncated);
-    }
-    Ok(segments)
+    LAYOUT.decode(bytes, decode_segment)
 }
 
-/// Lenient decoding for crash recovery: a trailing incomplete segment
-/// (a torn append) stops the parse cleanly at `consumed` instead of
-/// erroring. A complete segment that fails verification still errors.
-fn decode_log_prefix(bytes: &[u8]) -> Result<(Vec<LogSegment>, usize, bool), SnapshotLogError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotLogError::Truncated);
+fn decode_segment(offset: usize, body: &[u8]) -> Result<LogSegment, SnapshotLogError> {
+    let snapshot = |blob| {
+        decode_snapshot(blob).map_err(|error| SnapshotLogError::BadSnapshot { offset, error })
+    };
+    match body.split_first() {
+        Some((&KIND_FULL, blob)) => Ok(LogSegment::Full(snapshot(blob)?)),
+        Some((&KIND_DELTA, blob)) => Ok(LogSegment::Delta(snapshot(blob)?)),
+        Some((&KIND_FLUSH, [])) => Ok(LogSegment::Flush),
+        _ => Err(JournalError::CorruptRecord { offset }.into()),
     }
-    if bytes[..8] != SNAPSHOT_LOG_MAGIC {
-        return Err(SnapshotLogError::BadMagic);
-    }
-    let version = u16::from_be_bytes(bytes[8..10].try_into().unwrap());
-    if version != SNAPSHOT_LOG_VERSION {
-        return Err(SnapshotLogError::FormatSkew {
-            found: version,
-            expected: SNAPSHOT_LOG_VERSION,
-        });
-    }
-    let mut segments = Vec::new();
-    let mut offset = HEADER_LEN;
-    while offset < bytes.len() {
-        let remaining = &bytes[offset..];
-        if remaining.len() < 4 {
-            return Ok((segments, offset, true));
-        }
-        let len = u32::from_be_bytes(remaining[..4].try_into().unwrap());
-        if len > MAX_SEGMENT_LEN {
-            return Err(SnapshotLogError::SegmentTooLarge { offset, len });
-        }
-        let total = 4 + len as usize + 8;
-        if remaining.len() < total {
-            return Ok((segments, offset, true));
-        }
-        let body = &remaining[4..4 + len as usize];
-        let recorded = u64::from_be_bytes(remaining[4 + len as usize..total].try_into().unwrap());
-        if recorded != segment_checksum(len, body) || body.is_empty() {
-            return Err(SnapshotLogError::CorruptSegment { offset });
-        }
-        let segment = match body[0] {
-            KIND_FULL | KIND_DELTA => {
-                let snapshot = decode_snapshot(&body[1..])
-                    .map_err(|error| SnapshotLogError::BadSnapshot { offset, error })?;
-                if body[0] == KIND_FULL {
-                    LogSegment::Full(snapshot)
-                } else {
-                    LogSegment::Delta(snapshot)
-                }
-            }
-            KIND_FLUSH => {
-                if body.len() != 1 {
-                    return Err(SnapshotLogError::CorruptSegment { offset });
-                }
-                LogSegment::Flush
-            }
-            _ => return Err(SnapshotLogError::CorruptSegment { offset }),
-        };
-        segments.push(segment);
-        offset += total;
-    }
-    Ok((segments, offset, false))
 }
 
 /// Replays verified segments into the tenant's live projection: `Full`
@@ -332,16 +205,16 @@ pub fn segments_tenant(segments: &[LogSegment]) -> Option<&str> {
 /// synchronised — the lifecycle daemon serialises writers per tenant.
 #[derive(Debug)]
 pub struct SnapshotLog {
-    path: PathBuf,
-    file: File,
+    file: RecordFile,
     segments: u64,
 }
 
 impl SnapshotLog {
     /// Opens (or creates) the log at `path`, replaying what is already
-    /// there. A torn tail segment is truncated away (the tick that
-    /// wrote it never completed); any other damage is a hard error —
-    /// the caller sets the file aside and starts the tenant cold.
+    /// there. A torn tail segment is cut off (the tick that wrote it
+    /// never completed), as is a partial header (a crash mid-create);
+    /// any other damage is a hard error — the caller sets the file
+    /// aside and starts the tenant cold.
     ///
     /// # Errors
     ///
@@ -349,35 +222,14 @@ impl SnapshotLog {
     pub fn create_or_open(
         path: impl Into<PathBuf>,
     ) -> Result<(Self, Vec<LogSegment>), SnapshotLogError> {
-        let path = path.into();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let segments = if path.exists() {
-            let mut bytes = Vec::new();
-            File::open(&path)?.read_to_end(&mut bytes)?;
-            let (segments, consumed, torn) = decode_log_prefix(&bytes)?;
-            if torn {
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(consumed as u64)?;
-                file.sync_data()?;
-            }
-            segments
-        } else {
-            let mut file = File::create(&path)?;
-            file.write_all(&SNAPSHOT_LOG_MAGIC)?;
-            file.write_all(&SNAPSHOT_LOG_VERSION.to_be_bytes())?;
-            file.sync_data()?;
-            Vec::new()
-        };
-        let file = OpenOptions::new().append(true).open(&path)?;
+        let (file, segments, _repaired) = RecordFile::open(path.into(), LAYOUT, decode_segment)?;
         let count = segments.len() as u64;
-        Ok((SnapshotLog { path, file, segments: count }, segments))
+        Ok((SnapshotLog { file, segments: count }, segments))
     }
 
     /// The backing file.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.file.path()
     }
 
     /// Segments currently in the file.
@@ -390,171 +242,54 @@ impl SnapshotLog {
     ///
     /// # Errors
     ///
-    /// [`SnapshotLogError::Io`].
+    /// [`SnapshotLogError::Framing`].
     pub fn append_delta(&mut self, snapshot_bytes: &[u8]) -> Result<(), SnapshotLogError> {
-        self.append(KIND_DELTA, snapshot_bytes)
+        self.append(&segment_body(KIND_DELTA, snapshot_bytes))
     }
 
     /// Appends a flush marker: replay discards everything before it.
     ///
     /// # Errors
     ///
-    /// [`SnapshotLogError::Io`].
+    /// [`SnapshotLogError::Framing`].
     pub fn append_flush(&mut self) -> Result<(), SnapshotLogError> {
-        self.append(KIND_FLUSH, &[])
+        self.append(&[KIND_FLUSH])
     }
 
-    fn append(&mut self, kind: u8, blob: &[u8]) -> Result<(), SnapshotLogError> {
-        let segment = encode_segment(kind, blob);
-        self.file.write_all(&segment)?;
-        self.file.sync_data()?;
+    fn append(&mut self, body: &[u8]) -> Result<(), SnapshotLogError> {
+        self.file.append(body)?;
         self.segments += 1;
         Ok(())
     }
 
     /// Compacts the log down to one full segment carrying
-    /// `snapshot_bytes`, via a temp file and an atomic rename. The
-    /// original file is untouched on error.
+    /// `snapshot_bytes`, atomically: on error the file is the original
+    /// or the compacted one, never a mix.
     ///
     /// # Errors
     ///
-    /// [`SnapshotLogError::Io`].
+    /// [`SnapshotLogError::Framing`].
     pub fn rewrite_full(&mut self, snapshot_bytes: &[u8]) -> Result<(), SnapshotLogError> {
-        let tmp = self.path.with_extension("cslog.tmp");
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&SNAPSHOT_LOG_MAGIC)?;
-            file.write_all(&SNAPSHOT_LOG_VERSION.to_be_bytes())?;
-            file.write_all(&encode_segment(KIND_FULL, snapshot_bytes))?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        self.file.rewrite([segment_body(KIND_FULL, snapshot_bytes).as_slice()])?;
         self.segments = 1;
         Ok(())
     }
 }
 
-/// Where one tenant's snapshot log lives under a data directory. File
-/// names are the tenant-name fingerprint, not the tenant name itself,
-/// so arbitrary tenant strings never reach the filesystem.
-pub fn tenant_log_path(data_dir: &Path, tenant: &str) -> PathBuf {
-    data_dir.join("snapshots").join(format!("{:016x}.cslog", fnv1a(tenant.as_bytes())))
-}
-
-/// Where the revocation journal lives under a data directory.
-pub fn ledger_path(data_dir: &Path) -> PathBuf {
-    data_dir.join("ledger.csj")
-}
-
-/// Tuning for [`recover`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecoverOptions {
-    /// Passed through to [`RevocationJournal::open`].
-    pub journal: JournalOptions,
-}
-
-/// What [`recover`] found and did.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryReport {
-    /// What replaying the revocation journal found.
-    pub journal: JournalReplayReport,
-    /// Tenants whose snapshot logs were merged and imported, with each
-    /// tenant's warm-start outcome.
-    pub tenants: Vec<(String, WarmStartReport)>,
-    /// Snapshot log files that failed verification, were renamed aside
-    /// (`.corrupt`), and whose tenants therefore start cold.
-    pub corrupt_logs: usize,
-}
-
-impl RecoveryReport {
-    /// Entries re-compiled and installed across all tenants.
-    pub fn installed(&self) -> usize {
-        self.tenants.iter().map(|(_, report)| report.installed).sum()
-    }
-
-    /// Entries refused because their fingerprint was revoked before the
-    /// crash.
-    pub fn skipped_revoked(&self) -> usize {
-        self.tenants.iter().map(|(_, report)| report.skipped_revoked).sum()
-    }
-}
-
-/// A recovered durable state: the (re-)opened journal plus the report.
-#[derive(Debug)]
-pub struct Recovery {
-    /// The revocation journal, replayed, ready for appends, and already
-    /// attached to the engine as its one revocation journal.
-    pub journal: Arc<RevocationJournal>,
-    /// What was recovered.
-    pub report: RecoveryReport,
-}
-
-/// Crash recovery for a data directory: replay the revocation journal
-/// (fail-closed — a ledger that cannot be verified aborts recovery,
-/// because restores must never run against guessed revocation state)
-/// and attach it to `engine`, which copies any revocations the engine
-/// already held into it and makes every later revoke, install and
-/// import durable; then merge each tenant's snapshot log and warm-start
-/// the engine from it, gating every entry on the journal and
-/// re-compiling from verified source. A snapshot log that fails
-/// verification is renamed aside with a `.corrupt` suffix and its
-/// tenant starts cold: a policy that cannot be verified is regenerated,
-/// never loaded.
-///
-/// # Errors
-///
-/// [`JournalError`] if the ledger cannot be opened, replayed, or
-/// attached.
-pub fn recover(
-    engine: &Engine,
-    data_dir: &Path,
-    options: RecoverOptions,
-) -> Result<Recovery, JournalError> {
-    std::fs::create_dir_all(data_dir)?;
-    let (journal, journal_report) =
-        RevocationJournal::open(ledger_path(data_dir), options.journal)?;
-    let journal = Arc::new(journal);
-    engine.attach_journal(Arc::clone(&journal))?;
-    let mut report = RecoveryReport { journal: journal_report, ..Default::default() };
-    let snapshots_dir = data_dir.join("snapshots");
-    let mut log_paths: Vec<PathBuf> = match std::fs::read_dir(&snapshots_dir) {
-        Ok(dir) => dir
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|path| path.extension().is_some_and(|ext| ext == "cslog"))
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    log_paths.sort();
-    for path in log_paths {
-        let recovered = SnapshotLog::create_or_open(&path).and_then(|(_, segments)| {
-            let Some(tenant) = segments_tenant(&segments).map(str::to_owned) else {
-                return Ok(None);
-            };
-            merge_segments(&tenant, &segments).map(|entries| Some((tenant, entries)))
-        });
-        match recovered {
-            Ok(Some((tenant, entries))) => {
-                let warm =
-                    engine.store().import_entries(&tenant, entries, &engine.revoked(&tenant)?);
-                report.tenants.push((tenant, warm));
-            }
-            Ok(None) => {}
-            Err(_) => {
-                // Never load what cannot be verified; set the file
-                // aside so the daemon starts this tenant's log fresh.
-                let _ = std::fs::rename(&path, path.with_extension("cslog.corrupt"));
-                report.corrupt_logs += 1;
-            }
-        }
-    }
-    Ok(Recovery { journal, report })
+fn segment_body(kind: u8, blob: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(1 + blob.len());
+    body.push(kind);
+    body.extend_from_slice(blob);
+    body
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::decode_snapshot;
+    use crate::engine::Engine;
+    use crate::journal::{JournalOptions, RevocationJournal};
+    use crate::record::{checksum, HEADER_LEN};
+    use crate::recovery::{ledger_path, recover, tenant_log_path, RecoverOptions};
     use conseca_core::{Policy, PolicyEntry, TrustedContext};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -668,7 +403,7 @@ mod tests {
         let len = u32::from_be_bytes(corrupt[seg_start..seg_start + 4].try_into().unwrap());
         let body_start = seg_start + 4;
         let body_end = body_start + len as usize;
-        let reseal = segment_checksum(len, &corrupt[body_start..body_end]);
+        let reseal = checksum(len, &corrupt[body_start..body_end]);
         corrupt[body_end..body_end + 8].copy_from_slice(&reseal.to_be_bytes());
         std::fs::write(&path, &corrupt).unwrap();
         match SnapshotLog::create_or_open(&path) {
@@ -699,14 +434,14 @@ mod tests {
         skewed[9] = 0x41;
         assert!(matches!(
             decode_snapshot_log(&skewed),
-            Err(SnapshotLogError::FormatSkew { found: 0x41, .. })
+            Err(SnapshotLogError::Framing(JournalError::FormatSkew { found: 0x41, .. }))
         ));
         let mut huge = bytes[..HEADER_LEN].to_vec();
         huge.extend_from_slice(&(MAX_SEGMENT_LEN + 1).to_be_bytes());
         huge.extend_from_slice(&[0u8; 16]);
         assert!(matches!(
             decode_snapshot_log(&huge),
-            Err(SnapshotLogError::SegmentTooLarge { .. })
+            Err(SnapshotLogError::Framing(JournalError::RecordTooLarge { .. }))
         ));
     }
 
@@ -791,5 +526,34 @@ mod tests {
             recover(&fresh, &dir, RecoverOptions::default()).is_err(),
             "recovery must refuse to run against unverifiable revocation state"
         );
+    }
+
+    #[test]
+    fn recovery_boots_from_an_empty_ledger_and_an_empty_log() {
+        // A crash between creating a file and syncing its header leaves
+        // it empty: no record was ever acknowledged, so it is a torn
+        // tail, not corruption.
+        let dir = tmp_dir("empty");
+        let _cleanup = Cleanup(dir.clone());
+        let log = tenant_log_path(&dir, "acme");
+        std::fs::create_dir_all(log.parent().unwrap()).unwrap();
+        std::fs::write(ledger_path(&dir), b"").unwrap();
+        std::fs::write(&log, b"").unwrap();
+        let engine = Engine::default();
+        let recovery = recover(&engine, &dir, RecoverOptions::default()).unwrap();
+        assert_eq!(recovery.report.journal.revoked, 0);
+        assert!(recovery.report.journal.repaired_torn_tail);
+        assert_eq!(recovery.report.corrupt_logs, 0, "an empty log is not set aside");
+        assert!(recovery.report.tenants.is_empty());
+        // Both files now carry a header and take appends.
+        engine.revoke_fingerprint("acme", 7).unwrap();
+        let (mut opened, segments) = SnapshotLog::create_or_open(&log).unwrap();
+        assert!(segments.is_empty());
+        opened.append_flush().unwrap();
+        drop((recovery, opened, engine));
+        let recovery = recover(&Engine::default(), &dir, RecoverOptions::default()).unwrap();
+        assert_eq!(recovery.report.journal.revoked, 1);
+        assert!(!recovery.report.journal.repaired_torn_tail);
+        assert_eq!(recovery.report.corrupt_logs, 0);
     }
 }

@@ -517,13 +517,15 @@ proptest! {
 //
 // The lifecycle daemon adds two more on-disk trust boundaries: the
 // revocation journal (`decode_journal`) and the per-tenant snapshot log
-// (`decode_snapshot_log`). Both replay at boot, before the server
-// accepts a single restore, so they get the same bar as the snapshot
-// decoder — structured errors, never panics, and every single-byte
-// corruption of a *complete* record caught. The encoders below are
-// written against the documented byte layouts in `docs/persistence.md`,
-// not the crate's own writers, so these properties double as format
-// pins: if the layout drifts, the roundtrip property fails.
+// (`decode_snapshot_log`), two kinds of one record file that the engine
+// implements once. Both replay at boot, before the server accepts a
+// single restore, so they get the same bar as the snapshot decoder —
+// structured errors, never panics, and every single-byte corruption of
+// a *complete* record caught. The encoders below are written against
+// the documented byte layouts in `docs/persistence.md` (§12 for the
+// shared framing, §9 and §10 for the bodies), not the crate's own
+// writers, so these properties double as format pins: if the layout
+// drifts, the roundtrip property fails.
 
 use conseca_engine::{
     decode_journal, decode_snapshot_log, JournalError, JournalOp, SnapshotLogError, JOURNAL_MAGIC,

@@ -1,13 +1,13 @@
-//! Persistence quickstart: snapshot a tenant's compiled policies to
-//! disk and warm-start a fresh engine from the file.
+//! Persistence quickstart: log a tenant's compiled policies in a data
+//! directory and warm-start a fresh engine from it.
 //!
 //! Simulates two process lifetimes. Process one generates policies for
 //! a few tasks (the expensive step the paper's §7 caching discussion
-//! wants to amortise), installs them into an engine, and snapshots the
-//! tenant to disk — then revokes one policy, the way a hot-reload would
-//! when its trusted context stops holding. The engine journals that
-//! revoke in its data directory. Process two recovers a brand-new
-//! engine from the same directory and warm-starts it from the file,
+//! wants to amortise), installs them into an engine, and writes the
+//! tenant's snapshot log in the data directory — then revokes one
+//! policy, the way a hot-reload would when its trusted context stops
+//! holding. The engine journals that revoke in the same directory.
+//! Process two warm-starts a brand-new engine through `recover` alone,
 //! passing no revocation set: the live policies come back compiled and
 //! serving, and the engine's replayed journal keeps the revoked one
 //! dead.
@@ -17,7 +17,9 @@
 use std::sync::Arc;
 
 use conseca_core::{PolicyGenerator, TrustedContext};
-use conseca_engine::{recover, Engine, RecoverOptions, ReloadCoordinator};
+use conseca_engine::{
+    recover, tenant_log_path, Engine, RecoverOptions, ReloadCoordinator, SnapshotLog,
+};
 use conseca_llm::TemplatePolicyModel;
 use conseca_shell::{default_registry, parse_command};
 use conseca_workloads::golden_examples;
@@ -32,7 +34,6 @@ fn main() {
         "archive last week's resolved threads",
         "summarise the Documents folder",
     ];
-    let snapshot_path = std::env::temp_dir().join("conseca-warm-start-example.csnap");
     let data_dir = std::env::temp_dir().join("conseca-warm-start-example-data");
     let _ = std::fs::remove_dir_all(&data_dir);
 
@@ -51,12 +52,16 @@ fn main() {
         println!("generated + installed  {:016x}  {task}", policy.fingerprint());
     }
 
-    let receipt = engine.snapshot_to("acme", &snapshot_path).expect("snapshot");
+    // Write the tenant's snapshot log: one full segment, synced.
+    let snapshot = engine.store().export_snapshot("acme").expect("export");
+    let log_path = tenant_log_path(&data_dir, "acme");
+    let (mut log, _) = SnapshotLog::create_or_open(&log_path).expect("open the snapshot log");
+    log.rewrite_full(&snapshot.bytes).expect("write the snapshot log");
     println!(
         "\nsnapshot: {} entries, {} bytes -> {}",
-        receipt.entries,
-        receipt.bytes,
-        snapshot_path.display()
+        snapshot.entries,
+        snapshot.bytes.len(),
+        log_path.display()
     );
 
     // After the snapshot, task three's context stops holding: revoke it.
@@ -65,17 +70,20 @@ fn main() {
     println!("revoked after snapshot: {:016x} ({})", fingerprints[2], tasks[2]);
 
     // ---- process two: warm-start a brand-new engine ----------------
-    // Process one exits first, closing its handle on the journal file.
-    drop((coordinator, engine));
+    // Process one exits first, closing its handles on the data files.
+    drop((log, coordinator, engine));
     let fresh = Arc::new(Engine::default());
-    recover(&fresh, &data_dir, RecoverOptions::default()).expect("replay the journal");
-    let report = fresh.warm_start_from("acme", &snapshot_path).expect("warm start");
+    let recovery =
+        recover(&fresh, &data_dir, RecoverOptions::default()).expect("recover the data directory");
+    let report = &recovery.report;
     println!(
-        "\nwarm start: installed={} skipped_revoked={} skipped_live={}",
-        report.installed, report.skipped_revoked, report.skipped_live
+        "\nwarm start: installed={} skipped_revoked={} corrupt_logs={}",
+        report.installed(),
+        report.skipped_revoked(),
+        report.corrupt_logs
     );
-    assert_eq!(report.installed, 2);
-    assert_eq!(report.skipped_revoked, 1);
+    assert_eq!(report.installed(), 2);
+    assert_eq!(report.skipped_revoked(), 1);
 
     // The restored policies serve immediately — no regeneration, no
     // compile on the request path.
@@ -95,6 +103,5 @@ fn main() {
     );
     println!("check under revoked task: absent (fail closed) — as it must be");
 
-    let _ = std::fs::remove_file(&snapshot_path);
     let _ = std::fs::remove_dir_all(&data_dir);
 }
