@@ -619,41 +619,21 @@ impl Engine {
         )
     }
 
-    /// [`check_session`](Self::check_session) for engines that are the
-    /// upper layer of a two-level cache (the served client's local L1):
-    /// a resolved key bills a hit plus the decision exactly like
-    /// `check_session`, but a miss bills **nothing** and returns `None`
-    /// — the authoritative lookup (and its hit/miss accounting) happens
-    /// at the layer below, and billing the miss here too would count
-    /// one logical lookup twice.
-    pub fn check_session_cached(
-        &self,
-        tenant: &str,
-        task: &str,
-        context: &TrustedContext,
-        session: &mut SessionState,
-        call: &ApiCall,
-    ) -> Option<Decision> {
-        let policy = self.store.get(&EngineKey::new(tenant, task, context))?;
-        let stats = self.tenant(tenant);
-        stats.record_lookup(true);
-        let decision = Self::judge_session(&policy, session, call);
-        stats.record_decision(decision.allowed);
-        Some(decision)
-    }
-
-    /// Batched [`check_session_cached`](Self::check_session_cached):
-    /// on a resolved key, one hit plus one decision per call; on a
-    /// miss, nothing.
+    /// [`check_all_session_key`](Self::check_all_session_key) for
+    /// engines that are the upper layer of a two-level cache (the served
+    /// client's local L1): a resolved key bills a hit plus one decision
+    /// per call exactly like `check_all_session_key`, but a miss bills
+    /// **nothing** and returns `None` — the authoritative lookup (and
+    /// its hit/miss accounting) happens at the layer below, and billing
+    /// the miss here too would count one logical lookup twice.
     pub fn check_all_session_cached(
         &self,
         tenant: &str,
-        task: &str,
-        context: &TrustedContext,
+        key: &EngineKey,
         session: &mut SessionState,
         calls: &[ApiCall],
     ) -> Option<Vec<Decision>> {
-        let policy = self.store.get(&EngineKey::new(tenant, task, context))?;
+        let policy = self.store.get(key)?;
         let stats = self.tenant(tenant);
         stats.record_lookup(true);
         Some(
@@ -1171,22 +1151,23 @@ mod tests {
         let engine = Engine::default();
         let policy = send_policy();
         let mut session = SessionState::new();
+        let key = EngineKey::new("acme", &policy.task, &ctx());
         let send = call("send_email", &["alice"]);
         // Miss: no lookup billed at all — the layer below owns it.
         assert!(engine
-            .check_session_cached("acme", &policy.task, &ctx(), &mut session, &send)
+            .check_all_session_cached("acme", &key, &mut session, std::slice::from_ref(&send))
             .is_none());
         assert_eq!(engine.tenant_counters("acme"), TenantCounters::default());
         // Hit: bills exactly like check_session — one hit, one decision.
         engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
-        let d =
-            engine.check_session_cached("acme", &policy.task, &ctx(), &mut session, &send).unwrap();
-        assert!(d.allowed);
+        let d = engine
+            .check_all_session_cached("acme", &key, &mut session, std::slice::from_ref(&send))
+            .unwrap();
+        assert!(d[0].allowed);
         let batch = engine
             .check_all_session_cached(
                 "acme",
-                &policy.task,
-                &ctx(),
+                &key,
                 &mut session,
                 &[send.clone(), call("delete_email", &["1"])],
             )

@@ -314,26 +314,22 @@ impl CachedClient {
     ) -> Result<Option<Vec<Decision>>, ClientError> {
         let key = EngineKey::new(self.cache.tenant(), task, context);
         let mut session = self.sessions.remove(&key).unwrap_or_default();
-        let result = self.check_calls(task, context, &mut session, calls);
+        let result = self.check_calls(&key, task, context, &mut session, calls);
         self.sessions.insert(key, session);
         result
     }
 
     fn check_calls(
         &mut self,
+        key: &EngineKey,
         task: &str,
         context: &TrustedContext,
         session: &mut SessionState,
         calls: &[ApiCall],
     ) -> Result<Option<Vec<Decision>>, ClientError> {
         // L1 hit: the whole batch resolves locally at engine speed.
-        let cached = self.cache.engine().check_all_session_cached(
-            self.cache.tenant(),
-            task,
-            context,
-            session,
-            calls,
-        );
+        let cached =
+            self.cache.engine().check_all_session_cached(self.cache.tenant(), key, session, calls);
         if let Some(decisions) = cached {
             return Ok(Some(decisions));
         }

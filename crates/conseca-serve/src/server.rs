@@ -64,23 +64,24 @@
 //! clients lose nothing and enveloped clients get out-of-order-safe
 //! correlation for dozens of in-flight requests per socket.
 //!
-//! # Trajectory sessions
+//! # One record per connection
 //!
-//! Each connection owns one [`SessionState`] per policy key, held in the
-//! server's session table. Checks from the connection advance that
-//! state, so a policy's temporal constraints (call budgets, ordering
-//! rules, sliding windows) bind across the connection's whole
-//! conversation; closing the connection drops its sessions. This is why
-//! check coalescing groups by *(connection, key)* rather than key alone —
-//! two connections checking under the same policy spend their own
-//! budgets, never each other's.
+//! Everything a connection owns lives in one record, `Conn`: its
+//! trajectory sessions (one [`SessionState`] per policy key), its count
+//! of unanswered dispatcher jobs, its push lane and close hook, and its
+//! subscription. Checks advance the sessions, so a policy's temporal
+//! constraints bind across the connection's whole conversation; two
+//! connections under one policy spend their own budgets, which is why
+//! checks coalesce by *(connection, key)*. The record dies with the
+//! connection, so a new one always starts empty. A re-Subscribe changes
+//! only the watched tenant: the push `seq` and the acks owed carry over.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 use conseca_core::TrustedContext;
@@ -102,7 +103,13 @@ use crate::wire::{
 /// Most bytes the write task gathers into one write.
 const WRITE_BATCH: usize = 64 * 1024;
 
-/// Server sizing and limits.
+/// Most jobs one dispatch round takes, and most checks a connection
+/// coalesces into one group.
+const MAX_BATCH: usize = 256;
+
+/// Server limits. The worker pool is not configured here: it runs one
+/// thread per detected core, and never fewer than two (see
+/// [`ServeMetrics::workers`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Largest frame (tag + payload) this server accepts *and emits*.
@@ -114,15 +121,6 @@ pub struct ServeConfig {
     /// client's `with_max_frame_len` — as the sanctioned path for
     /// oversized-but-legitimate payloads such as policy snapshots.
     pub max_frame_len: u32,
-    /// Worker threads in the executor driving the dispatcher and the
-    /// connection tasks. Defaults to the detected core count; always
-    /// clamped to at least two, because the dispatcher may *block* a
-    /// worker inside a push-ack wait and the subscriber's connection
-    /// tasks need a worker left to produce that very ack.
-    pub worker_threads: usize,
-    /// Most jobs one dispatch round takes, and most checks a connection
-    /// coalesces into one group.
-    pub max_batch: usize,
     /// How long a push fan-out waits for subscribers'
     /// [`Request::PushAck`]s before force-closing the stragglers. The
     /// deadline is shared by **all** subscribers of one event — N slow
@@ -138,15 +136,16 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_frame_len: crate::wire::DEFAULT_MAX_FRAME_LEN,
-            worker_threads: detected_workers(),
-            max_batch: 256,
             push_ack_timeout: Duration::from_secs(5),
         }
     }
 }
 
-/// The detected core count, floored at two (see
-/// [`ServeConfig::worker_threads`]).
+/// Worker threads in the executor driving the dispatcher and the
+/// connection tasks: the detected core count, floored at two, because
+/// the dispatcher may *block* a worker inside a push-ack wait and the
+/// subscriber's connection tasks need a worker left to produce that
+/// very ack.
 fn detected_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).max(2)
 }
@@ -164,10 +163,10 @@ pub struct ServeMetrics {
     /// they were coalesced into one group check — by a connection over
     /// the checks it had buffered, or by the dispatcher over its queue.
     pub coalesced_checks: u64,
-    /// Worker threads the server is running (the effective
-    /// [`ServeConfig::worker_threads`] after clamping) — not a counter,
-    /// surfaced here and in the wire `StatsOk` so operators can see the
-    /// pool size a measurement ran against.
+    /// Worker threads the server is running (the detected core count,
+    /// floored at two) — not a counter, surfaced here and in the wire
+    /// `StatsOk` so operators can see the pool size a measurement ran
+    /// against.
     pub workers: u64,
 }
 
@@ -178,10 +177,9 @@ struct Metrics {
     coalesced_checks: AtomicU64,
 }
 
+/// A request handed to the dispatcher; its [`Reply`] names the
+/// connection that sent it.
 struct Job {
-    /// Which connection sent the request; checks from one connection
-    /// share that connection's trajectory session state.
-    conn_id: u64,
     work: Work,
     reply: Reply,
 }
@@ -214,52 +212,84 @@ impl CheckRequest {
 /// job from its connection's count of unanswered dispatcher jobs.
 struct Reply {
     tx: oneshot::Sender<Response>,
-    in_flight: Arc<AtomicUsize>,
+    conn: Arc<Conn>,
 }
 
 impl Reply {
     fn send(self, response: Response) {
         let _ = self.tx.send(response);
         // Release pairs with the read task's Acquire load: once it reads
-        // zero, the effects of every answered job (store, session table)
-        // are visible to the checks it then answers itself.
-        self.in_flight.fetch_sub(1, Ordering::Release);
+        // zero, the effects of every answered job (store, sessions) are
+        // visible to the checks it then answers itself.
+        self.conn.in_flight.fetch_sub(1, Ordering::Release);
     }
 }
 
-/// One connection registered for a tenant's invalidation pushes.
-struct Subscriber {
-    tenant: String,
-    /// Out-of-band lane into the connection's write task: pre-encoded
-    /// push frames travel here, bypassing the ordered response lane (a
-    /// push must never queue behind a response that is itself blocked
-    /// on this push's ack).
+/// One connection's state, in one record shared by its read and write
+/// tasks, its dispatcher jobs and push fan-out. It dies with the last
+/// of them.
+struct Conn {
+    /// Trajectory sessions by policy key. Checks against a
+    /// trajectory-carrying policy advance the same [`SessionState`] the
+    /// engine's in-process callers thread through `check_session`.
+    sessions: Mutex<HashMap<EngineKey, SessionState>>,
+    /// Jobs handed to the dispatcher and not yet answered. While any are
+    /// out, the connection's checks queue behind them too, so effects
+    /// keep arrival order.
+    in_flight: AtomicUsize,
+    /// Out-of-band lane into the write task: pre-encoded push frames
+    /// travel here, bypassing the ordered response lane (a push must
+    /// never queue behind a response that is itself blocked on this
+    /// push's ack). The write task holds the record, so the lane stays
+    /// open for as long as that task runs.
     push_tx: mpsc::UnboundedSender<Frame>,
-    close: Arc<dyn Fn() + Send + Sync>,
-    /// Sequence allocator for this connection's push frames.
-    next_seq: AtomicU64,
-    /// Highest sequence the client has acknowledged.
-    acked: Mutex<u64>,
+    /// Closes the transport under both tasks.
+    close: Box<dyn Fn() + Send + Sync>,
+    watch: Mutex<Watch>,
+    /// Signalled on every ack and on close.
     ack_cv: Condvar,
-    /// Set when the connection's read task exits, so an in-flight ack
-    /// wait aborts immediately instead of running out its deadline.
-    closed: AtomicBool,
 }
 
-impl Subscriber {
+/// A connection's push subscription, fed by its read task and by
+/// fan-out.
+#[derive(Default)]
+struct Watch {
+    /// The tenant whose invalidations are pushed here, once subscribed.
+    tenant: Option<String>,
+    /// The last push sequence number handed out. It belongs to the
+    /// connection, so it keeps counting across re-Subscribes.
+    seq: u64,
+    /// Highest sequence the client has acknowledged.
+    acked: u64,
+    /// Set when the read task exits or fan-out force-closes the
+    /// connection: no more pushes, and an ack wait fails at once.
+    closed: bool,
+}
+
+impl Conn {
+    fn watch(&self) -> MutexGuard<'_, Watch> {
+        self.watch.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn record_ack(&self, seq: u64) {
-        let mut acked = self.acked.lock().unwrap_or_else(|e| e.into_inner());
-        if seq > *acked {
-            *acked = seq;
-        }
+        let mut watch = self.watch();
+        watch.acked = watch.acked.max(seq);
         self.ack_cv.notify_all();
     }
 
     /// Marks the connection gone and wakes any ack waiter (which then
-    /// fails fast — a closed subscriber can never ack).
+    /// fails fast — a closed connection can never ack).
     fn mark_closed(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.watch().closed = true;
         self.ack_cv.notify_all();
+    }
+
+    /// Fail-closed end of a subscriber that cannot confirm an
+    /// invalidation: no more pushes, and its transport closes, so its
+    /// client sees EOF and flushes its local cache.
+    fn force_close(&self) {
+        self.mark_closed();
+        (self.close)();
     }
 
     /// Blocks until the client has acknowledged push `seq` (or
@@ -268,9 +298,9 @@ impl Subscriber {
     /// caller-supplied so one fan-out can hold every subscriber to the
     /// same wall-clock cutoff.
     fn wait_acked_until(&self, seq: u64, deadline: Instant) -> bool {
-        let mut acked = self.acked.lock().unwrap_or_else(|e| e.into_inner());
-        while *acked < seq {
-            if self.closed.load(Ordering::Acquire) {
+        let mut watch = self.watch();
+        while watch.acked < seq {
+            if watch.closed {
                 return false;
             }
             let now = Instant::now();
@@ -278,8 +308,8 @@ impl Subscriber {
                 return false;
             }
             let (guard, _) =
-                self.ack_cv.wait_timeout(acked, deadline - now).unwrap_or_else(|e| e.into_inner());
-            acked = guard;
+                self.ack_cv.wait_timeout(watch, deadline - now).unwrap_or_else(|e| e.into_inner());
+            watch = guard;
         }
         true
     }
@@ -340,49 +370,27 @@ struct ServerState {
     /// idle listener wakes immediately instead of waiting for the next
     /// connection to re-check the stop flag.
     accept_reg: Option<Registration>,
-    /// Close hooks + task handles for every spawned connection.
+    /// Every spawned connection: its record (for push fan-out and
+    /// shutdown) and its task handles.
     conns: Mutex<Vec<ConnEntry>>,
     metrics: Metrics,
     /// The lifecycle daemon, when this server was started with one.
     daemon: Option<Arc<LifecycleDaemon>>,
-    /// Connection-id allocator; ids are never reused within a server's
-    /// lifetime, so a new connection can never inherit a closed
-    /// connection's trajectory state.
-    next_conn: AtomicU64,
-    /// Per-connection trajectory sessions, keyed by (connection, policy
-    /// key). A connection's checks against a trajectory-carrying policy
-    /// advance the same [`SessionState`] the engine's in-process callers
-    /// thread through `check_session`, so budgets/ordering/windows are
-    /// enforced across a connection's whole conversation. Entries are
-    /// pruned when the connection's read task exits.
-    sessions: Mutex<HashMap<(u64, EngineKey), SessionState>>,
-    /// Connections subscribed to invalidation pushes, by connection id.
-    /// Fed by the read task (`Subscribe`/`PushAck` are handled inline,
-    /// never queued — the dispatcher may be *blocked* waiting for an
-    /// ack, so routing acks through its queue would deadlock); drained
-    /// by the read task's exit and by the fan-out force-closing
-    /// unresponsive subscribers.
-    subscribers: Mutex<HashMap<u64, Arc<Subscriber>>>,
+    /// Threads in the worker pool (see [`detected_workers`]).
+    workers: usize,
 }
 
 struct ConnEntry {
-    close: Box<dyn Fn() + Send>,
+    /// Weak, so a closed connection's sessions go with its tasks rather
+    /// than waiting for the entry to be reaped.
+    conn: Weak<Conn>,
     read: JoinHandle<()>,
     write: JoinHandle<()>,
 }
 
 impl ServerState {
-    fn sessions(&self) -> std::sync::MutexGuard<'_, HashMap<(u64, EngineKey), SessionState>> {
-        self.sessions.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn subscribers(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<Subscriber>>> {
-        self.subscribers.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Drops every trajectory session the closed connection owned.
-    fn prune_conn(&self, conn_id: u64) {
-        self.sessions().retain(|(owner, _), _| *owner != conn_id);
+    fn conns(&self) -> MutexGuard<'_, Vec<ConnEntry>> {
+        self.conns.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Stops accepting new connections. Existing connections keep being
@@ -469,13 +477,10 @@ impl Server {
 
     fn build(
         engine: Arc<Engine>,
-        mut config: ServeConfig,
+        config: ServeConfig,
         listener: Option<TcpListener>,
         daemon: Option<Arc<LifecycleDaemon>>,
     ) -> std::io::Result<ServerHandle> {
-        // See `ServeConfig::worker_threads`: one worker can be blocked
-        // by the dispatcher's ack wait, so there must always be another.
-        config.worker_threads = config.worker_threads.max(2);
         let listener = match listener {
             Some(listener) => {
                 listener.set_nonblocking(true)?;
@@ -496,9 +501,7 @@ impl Server {
             conns: Mutex::new(Vec::new()),
             metrics: Metrics::default(),
             daemon,
-            next_conn: AtomicU64::new(0),
-            sessions: Mutex::new(HashMap::new()),
-            subscribers: Mutex::new(HashMap::new()),
+            workers: detected_workers(),
         });
         // Fan invalidations out to subscribed connections. The listener
         // holds the state weakly (the engine outlives the server and is
@@ -514,7 +517,7 @@ impl Server {
                 fan_out_push(&state, event);
             }
         }));
-        let pool = Arc::new(ThreadPool::new(config.worker_threads));
+        let pool = Arc::new(ThreadPool::new(state.workers));
         let dispatcher = Arc::clone(&state);
         pool.spawn(async move { dispatch(dispatcher, jobs_rx).await });
         let accept = listener.map(|(listener, _, reg)| {
@@ -551,7 +554,7 @@ impl ServerHandle {
             requests: self.state.metrics.requests.load(Ordering::Relaxed),
             batches: self.state.metrics.batches.load(Ordering::Relaxed),
             coalesced_checks: self.state.metrics.coalesced_checks.load(Ordering::Relaxed),
-            workers: self.state.config.worker_threads as u64,
+            workers: self.state.workers as u64,
         }
     }
 
@@ -624,11 +627,16 @@ impl Drop for ServerHandle {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        let conns: Vec<ConnEntry> =
-            self.state.conns.lock().unwrap_or_else(|e| e.into_inner()).drain(..).collect();
-        for conn in &conns {
-            (conn.close)();
-        }
+        // Close every connection before draining the list: fan-out picks
+        // its targets there, and must keep seeing a subscribed connection
+        // until its read task marks it closed.
+        let conns = {
+            let mut conns = self.state.conns();
+            for conn in conns.iter().filter_map(|entry| entry.conn.upgrade()) {
+                (conn.close)();
+            }
+            std::mem::take(&mut *conns)
+        };
         // The pool is still running here, so the connection tasks
         // observe their close edges, drain, and complete.
         for conn in conns {
@@ -688,56 +696,51 @@ fn spawn_connection<S: Stream>(state: &Arc<ServerState>, pool: &ThreadPool, stre
         stream.close();
         return;
     };
-    // The close handle is shared (ConnEntry, subscriber registration,
-    // both tasks); `Stream` does not require `Sync`, so it travels in a
-    // mutex.
-    let close_handle = Arc::new(Mutex::new(close_handle));
-    let close_fn: Arc<dyn Fn() + Send + Sync> = {
-        let handle = Arc::clone(&close_handle);
-        Arc::new(move || handle.lock().unwrap_or_else(|e| e.into_inner()).close())
-    };
+    // The record's close hook is shared across threads; `Stream` does
+    // not require `Sync`, so the handle travels in a mutex.
+    let close_handle = Mutex::new(close_handle);
     let (ordered_tx, ordered_rx) = mpsc::unbounded();
     let (push_tx, push_rx) = mpsc::unbounded();
-    let conn_id = state.next_conn.fetch_add(1, Ordering::Relaxed);
-    let max_frame_len = state.config.max_frame_len;
-    let read = pool.spawn(read_task(
-        Arc::clone(state),
-        conn_id,
-        NbReader::new(stream, reg.clone()),
-        ordered_tx,
-        push_tx.clone(),
-        Arc::clone(&close_fn),
-    ));
-    let write = pool.spawn(write_task(
-        NbWriter::new(write_half, reg),
-        ordered_rx,
-        push_rx,
+    let conn = Arc::new(Conn {
+        sessions: Mutex::default(),
+        in_flight: AtomicUsize::new(0),
         push_tx,
-        max_frame_len,
-        Arc::clone(&close_fn),
-    ));
-    let mut conns = state.conns.lock().unwrap_or_else(|e| e.into_inner());
+        close: Box::new(move || close_handle.lock().unwrap_or_else(|e| e.into_inner()).close()),
+        watch: Mutex::default(),
+        ack_cv: Condvar::new(),
+    });
+    // The list stays locked until the entry is in, so fan-out sees the
+    // connection before its read task can answer a Subscribe.
+    let mut conns = state.conns();
     // Reap connections whose tasks have already finished — without this
     // a long-running server accepting many short-lived connections would
     // accumulate one entry apiece.
     conns.retain(|conn| !(conn.read.is_finished() && conn.write.is_finished()));
-    conns.push(ConnEntry { close: Box::new(move || close_fn()), read, write });
+    let read = pool.spawn(read_task(
+        Arc::clone(state),
+        Arc::clone(&conn),
+        NbReader::new(stream, reg.clone()),
+        ordered_tx,
+    ));
+    let max_frame_len = state.config.max_frame_len;
+    let write = pool.spawn(write_task(
+        NbWriter::new(write_half, reg),
+        ordered_rx,
+        push_rx,
+        max_frame_len,
+        Arc::clone(&conn),
+    ));
+    conns.push(ConnEntry { conn: Arc::downgrade(&conn), read, write });
 }
 
 async fn read_task<S: Stream>(
     state: Arc<ServerState>,
-    conn_id: u64,
+    conn: Arc<Conn>,
     mut reader: NbReader<S>,
     out: mpsc::UnboundedSender<Outgoing>,
-    push_tx: mpsc::UnboundedSender<Frame>,
-    close: Arc<dyn Fn() + Send + Sync>,
 ) {
     let max = state.config.max_frame_len;
     let mut greeted = false;
-    // Jobs this connection has handed the dispatcher that are not yet
-    // answered. While any are out, checks queue behind them too, so
-    // effects keep arrival order.
-    let in_flight = Arc::new(AtomicUsize::new(0));
     // A request read ahead while coalescing checks; handled next.
     let mut carried: Option<Inbound> = None;
     loop {
@@ -818,38 +821,26 @@ async fn read_task<S: Stream>(
             // dispatcher can be *blocked inside a mutation* waiting for
             // this very connection's ack, so an ack routed through the
             // job queue would deadlock behind the mutation it completes.
+            // Only the watched tenant changes: the connection's `seq` and
+            // the acks it still owes carry over.
             Work::Other(Request::Subscribe { tenant }) => {
-                let subscriber = Arc::new(Subscriber {
-                    tenant,
-                    push_tx: push_tx.clone(),
-                    close: Arc::clone(&close),
-                    next_seq: AtomicU64::new(0),
-                    acked: Mutex::new(0),
-                    ack_cv: Condvar::new(),
-                    closed: AtomicBool::new(false),
-                });
-                state.subscribers().insert(conn_id, subscriber);
+                conn.watch().tenant = Some(tenant);
                 let _ = out.send(Outgoing::Ready { id, response: Response::Subscribed });
             }
-            Work::Other(Request::PushAck { seq }) => {
-                // Acks answer pushes; they get no response of their own.
-                let subscriber = state.subscribers().get(&conn_id).cloned();
-                if let Some(subscriber) = subscriber {
-                    subscriber.record_ack(seq);
-                }
-            }
+            // Acks answer pushes; they get no response of their own.
+            Work::Other(Request::PushAck { seq }) => conn.record_ack(seq),
             // Nothing of this connection's is waiting on the dispatcher,
             // so the check cannot overtake an effect: answer it here.
-            Work::Check(check) if in_flight.load(Ordering::Acquire) == 0 => {
-                carried = answer_checks(&state, conn_id, &mut reader, &out, id, check);
+            Work::Check(check) if conn.in_flight.load(Ordering::Acquire) == 0 => {
+                carried = answer_checks(&state, &conn, &mut reader, &out, id, check);
             }
             work => {
                 // Never awaited: the read task keeps reading (PushAcks
                 // above all) while the dispatcher works on this.
                 let (tx, reply_rx) = oneshot::channel();
-                in_flight.fetch_add(1, Ordering::Relaxed);
-                let reply = Reply { tx, in_flight: Arc::clone(&in_flight) };
-                if state.jobs.send(Job { conn_id, work, reply }).is_err() {
+                conn.in_flight.fetch_add(1, Ordering::Relaxed);
+                let reply = Reply { tx, conn: Arc::clone(&conn) };
+                if state.jobs.send(Job { work, reply }).is_err() {
                     // The dispatcher is gone: the server is shutting down.
                     let _ = out.send(Outgoing::Ready {
                         id,
@@ -867,15 +858,10 @@ async fn read_task<S: Stream>(
             }
         }
     }
-    // The conversation is over, however it ended: drop the connection's
-    // trajectory sessions and its push subscription, waking any fan-out
-    // still waiting on this connection's ack. (In-flight jobs already
-    // queued keep their group's session semantics; a *new* connection
-    // starts fresh because connection ids are never reused.)
-    if let Some(subscriber) = state.subscribers().remove(&conn_id) {
-        subscriber.mark_closed();
-    }
-    state.prune_conn(conn_id);
+    // The conversation is over, however it ended: no more pushes, and
+    // any fan-out still waiting on this connection's ack fails now. The
+    // record, sessions included, goes with its last holder.
+    conn.mark_closed();
 }
 
 /// The connection's write half: drains two lanes with a **biased**
@@ -888,16 +874,15 @@ async fn write_task<S: Stream>(
     mut writer: NbWriter<S>,
     mut ordered: mpsc::UnboundedReceiver<Outgoing>,
     mut pushes: mpsc::UnboundedReceiver<Frame>,
-    // Held so the push lane never reads as "closed" mid-connection; the
-    // lane dies with this task.
-    _push_keepalive: mpsc::UnboundedSender<Frame>,
     max_len: u32,
-    close: Arc<dyn Fn() + Send + Sync>,
+    // Holds the record's push-lane sender, so the lane never reads as
+    // "closed" mid-connection.
+    conn: Arc<Conn>,
 ) {
     let _ = write_loop(&mut writer, &mut ordered, &mut pushes, max_len).await;
     // Whatever was queued before the loop stopped still goes out.
     let _ = writer.flush().await;
-    close();
+    (conn.close)();
 }
 
 /// The ordered lane's head while the dispatcher is still producing its
@@ -912,7 +897,7 @@ async fn write_loop<S: Write>(
     pushes: &mut mpsc::UnboundedReceiver<Frame>,
     max_len: u32,
 ) -> Result<(), ()> {
-    const KEEPALIVE: &str = "the write task holds a push-lane sender";
+    const KEEPALIVE: &str = "the write task's record holds a push-lane sender";
     let mut head: Option<Waiting> = None;
     loop {
         // Park until something is sendable: a push, or the ordered
@@ -1052,19 +1037,20 @@ fn emit<S: Write>(
 /// Push frames are never enveloped (they answer no request) and travel
 /// the out-of-band lane into each connection's write task, which
 /// services that lane even while a correlated response is pending.
-fn fan_out_push(state: &Arc<ServerState>, event: &Invalidation) {
-    let targets: Vec<(u64, Arc<Subscriber>)> = state
-        .subscribers()
-        .iter()
-        .filter(|(_, sub)| sub.tenant == event.tenant())
-        .map(|(id, sub)| (*id, Arc::clone(sub)))
-        .collect();
+fn fan_out_push(state: &ServerState, event: &Invalidation) {
+    let conns: Vec<Arc<Conn>> =
+        state.conns().iter().filter_map(|entry| entry.conn.upgrade()).collect();
     // Queue every push first, then await the acks: the subscribers
     // apply the invalidation concurrently instead of one ack round-trip
     // at a time.
     let mut awaiting = Vec::new();
-    for (conn_id, subscriber) in targets {
-        let seq = subscriber.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
+    for conn in conns {
+        let mut watch = conn.watch();
+        if watch.closed || watch.tenant.as_deref() != Some(event.tenant()) {
+            continue;
+        }
+        watch.seq += 1;
+        let seq = watch.seq;
         let push = match event {
             Invalidation::Revoked { tenant, fingerprint } => {
                 Response::PushRevoke { seq, tenant: tenant.clone(), fingerprint: *fingerprint }
@@ -1080,14 +1066,17 @@ fn fan_out_push(state: &Arc<ServerState>, event: &Invalidation) {
             }
             Invalidation::Flushed { tenant } => Response::PushFlush { seq, tenant: tenant.clone() },
         };
-        let queued = match push.encode_limited(state.config.max_frame_len) {
-            Ok(frame) => subscriber.push_tx.send(frame).is_ok(),
-            Err(_) => false,
-        };
+        // Queued under the lock that numbered it, so concurrent fan-outs
+        // put their pushes on the lane in `seq` order and an ack never
+        // covers a push that is not yet sent.
+        let queued = push
+            .encode_limited(state.config.max_frame_len)
+            .is_ok_and(|frame| conn.push_tx.send(frame).is_ok());
+        drop(watch);
         if queued {
-            awaiting.push((conn_id, subscriber, seq));
+            awaiting.push((conn, seq));
         } else {
-            drop_subscriber(state, conn_id, &subscriber);
+            conn.force_close();
         }
     }
     // One deadline shared by every subscriber of this event: the pushes
@@ -1095,19 +1084,11 @@ fn fan_out_push(state: &Arc<ServerState>, event: &Invalidation) {
     // concurrently and the worst-case stall for the mutating caller is
     // one `push_ack_timeout`, not one per slow subscriber.
     let deadline = Instant::now() + state.config.push_ack_timeout;
-    for (conn_id, subscriber, seq) in awaiting {
-        if !subscriber.wait_acked_until(seq, deadline) {
-            drop_subscriber(state, conn_id, &subscriber);
+    for (conn, seq) in awaiting {
+        if !conn.wait_acked_until(seq, deadline) {
+            conn.force_close();
         }
     }
-}
-
-/// Fail-closed removal of a subscriber that cannot confirm an
-/// invalidation: deregister it and close its connection, so its client
-/// sees EOF and flushes its local cache.
-fn drop_subscriber(state: &Arc<ServerState>, conn_id: u64, subscriber: &Subscriber) {
-    state.subscribers().remove(&conn_id);
-    (subscriber.close)();
 }
 
 /// One coalesced check: where its answer goes (`R`: a correlation id on
@@ -1123,10 +1104,10 @@ struct PendingCheck<R> {
 /// evaluation. Grouping is per-connection because each connection owns
 /// its trajectory session: two connections checking the same policy
 /// must spend their own budgets, not each other's. The key is computed
-/// once, when the group opens, and serves both the session table and
-/// the store lookup.
+/// once, when the group opens, and serves both the connection's session
+/// map and the store lookup.
 struct CheckGroup<R> {
-    conn_id: u64,
+    conn: Arc<Conn>,
     key: EngineKey,
     tenant: String,
     /// Every member's calls, in arrival order.
@@ -1135,8 +1116,8 @@ struct CheckGroup<R> {
 }
 
 impl<R> CheckGroup<R> {
-    fn new(conn_id: u64, key: EngineKey, tenant: String) -> Self {
-        CheckGroup { conn_id, key, tenant, calls: Vec::new(), pending: Vec::new() }
+    fn new(conn: Arc<Conn>, key: EngineKey, tenant: String) -> Self {
+        CheckGroup { conn, key, tenant, calls: Vec::new(), pending: Vec::new() }
     }
 
     fn push(&mut self, reply: R, calls: Vec<ApiCall>, single: bool) {
@@ -1147,17 +1128,18 @@ impl<R> CheckGroup<R> {
 
 /// Evaluates one check group and pairs each member with its response —
 /// the one check implementation behind both the read task and the
-/// dispatcher. The connection's trajectory session is checked out for
-/// the group, advanced through its calls in order, and checked back in.
+/// dispatcher. The connection's trajectory session for the key is
+/// advanced through the group's calls in order, under the connection's
+/// own session lock, which nothing else contends for.
 fn answer_group<R>(state: &ServerState, group: CheckGroup<R>) -> Vec<(R, Response)> {
     if group.pending.len() > 1 {
         state.metrics.coalesced_checks.fetch_add(group.calls.len() as u64, Ordering::Relaxed);
     }
-    let session_key = (group.conn_id, group.key);
-    let mut session = state.sessions().remove(&session_key).unwrap_or_default();
-    let decisions =
-        state.engine.check_all_session_key(&group.tenant, &group.key, &mut session, &group.calls);
-    state.sessions().insert(session_key, session);
+    let decisions = {
+        let mut sessions = group.conn.sessions.lock().unwrap_or_else(|e| e.into_inner());
+        let session = sessions.entry(group.key).or_default();
+        state.engine.check_all_session_key(&group.tenant, &group.key, session, &group.calls)
+    };
     let mut decisions = decisions.map(Vec::into_iter);
     group
         .pending
@@ -1182,17 +1164,17 @@ fn answer_group<R>(state: &ServerState, group: CheckGroup<R>) -> Vec<(R, Respons
 /// did not join, for the read task to handle next.
 fn answer_checks<S: Read>(
     state: &ServerState,
-    conn_id: u64,
+    conn: &Arc<Conn>,
     reader: &mut NbReader<S>,
     out: &mpsc::UnboundedSender<Outgoing>,
     id: Option<u64>,
     mut first: CheckRequest,
 ) -> Option<Inbound> {
     let key = EngineKey::new(&first.tenant, &first.task, &first.context);
-    let mut group = CheckGroup::new(conn_id, key, first.tenant.clone());
+    let mut group = CheckGroup::new(Arc::clone(conn), key, first.tenant.clone());
     group.push(id, std::mem::take(&mut first.calls), first.single);
     let mut carried = None;
-    while group.pending.len() < state.config.max_batch {
+    while group.pending.len() < MAX_BATCH {
         // A framing error stays in the reader for the read task to meet.
         let Some(Ok(frame)) = reader.buffered_frame(state.config.max_frame_len) else { break };
         match decode_inbound(frame) {
@@ -1216,7 +1198,7 @@ fn answer_checks<S: Read>(
 async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job>) {
     while let Some(first) = jobs.recv().await {
         let mut batch = vec![first];
-        while batch.len() < state.config.max_batch {
+        while batch.len() < MAX_BATCH {
             match jobs.try_recv() {
                 Ok(job) => batch.push(job),
                 Err(_) => break,
@@ -1245,10 +1227,14 @@ fn process_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
             Work::Check(check) => {
                 let key = EngineKey::new(&check.tenant, &check.task, &check.context);
                 let group = match open.take() {
-                    Some(group) if group.conn_id == job.conn_id && group.key == key => group,
+                    Some(group)
+                        if Arc::ptr_eq(&group.conn, &job.reply.conn) && group.key == key =>
+                    {
+                        group
+                    }
                     other => {
                         answer(other);
-                        CheckGroup::new(job.conn_id, key, check.tenant)
+                        CheckGroup::new(Arc::clone(&job.reply.conn), key, check.tenant)
                     }
                 };
                 open.insert(group).push(job.reply, check.calls, check.single);
@@ -1338,7 +1324,7 @@ fn execute(state: &ServerState, request: Request) -> Response {
         Request::Stats { tenant } => Response::StatsOk {
             counters: engine.tenant_counters(&tenant),
             daemon: state.daemon.as_ref().map(|d| d.counters()),
-            workers: state.config.worker_threads as u64,
+            workers: state.workers as u64,
         },
         Request::Shutdown => {
             state.initiate_shutdown();

@@ -454,7 +454,10 @@ impl<S: Write> NbWriter<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
     use futures::block_on;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::thread;
 
     #[test]
@@ -799,5 +802,126 @@ mod tests {
             assert_eq!(got.payload.len(), frame.payload.len());
         });
         writer_thread.join().unwrap();
+    }
+
+    // ------------------------------------------- NbReader vs read_frame
+
+    /// Frame cap for the fuzzed streams: small, so over-cap lengths and
+    /// frames near the cap are both common.
+    const FUZZ_CAP: u32 = 64;
+
+    /// A `Read` over fixed bytes that hands them out in the given chunk
+    /// sizes, cycling; a zero chunk answers `WouldBlock` instead, after
+    /// asserting readiness so the reader's await resolves at once.
+    struct Chunked {
+        bytes: Vec<u8>,
+        at: usize,
+        chunks: Vec<usize>,
+        next: usize,
+        reg: Registration,
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let chunk = self.chunks[self.next % self.chunks.len()];
+            self.next += 1;
+            if chunk == 0 {
+                self.reg.notify_readable();
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "fuzzed would-block"));
+            }
+            let n = chunk.min(out.len()).min(self.bytes.len() - self.at);
+            out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// One piece of a fuzzed stream: mostly a valid frame, else a zero
+    /// length, a length over the cap, or up to 11 junk bytes.
+    fn stream_piece() -> impl Strategy<Value = Vec<u8>> {
+        (0u8..8, FUZZ_CAP + 1..u32::MAX, vec(any::<u8>(), 1..64)).prop_map(|(kind, over, bytes)| {
+            match kind {
+                0 => 0u32.to_be_bytes().to_vec(),
+                1 => over.to_be_bytes().to_vec(),
+                2 => bytes[..bytes.len().min(11)].to_vec(),
+                _ => {
+                    let frame = Frame { tag: bytes[0], payload: bytes[1..].to_vec() };
+                    let mut framed = Vec::new();
+                    append_frame(&mut framed, &frame, FUZZ_CAP).unwrap();
+                    framed
+                }
+            }
+        })
+    }
+
+    /// How a reader stopped: a clean `None`, or the error (I/O errors
+    /// by kind).
+    fn end_of(result: Result<Option<Frame>, FrameReadError>) -> Result<(), String> {
+        match result {
+            Ok(_) => Ok(()),
+            Err(FrameReadError::Io(e)) => Err(format!("io {:?}", e.kind())),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The reader the server runs agrees with the sync `read_frame`
+        /// on the unsplit bytes, however the transport splits them and
+        /// whenever it would block, and whether frames come from
+        /// `read_frame` or are drained with `buffered_frame`.
+        #[test]
+        fn nb_reader_agrees_with_read_frame_on_any_split(
+            input in (
+                vec(stream_piece(), 0..6),
+                any::<u64>(),
+                vec(0usize..17, 1..8),
+                vec(any::<bool>(), 1..8),
+            )
+        ) {
+            let (pieces, cut, mut chunks, drains) = input;
+            let mut bytes = pieces.concat();
+            // Half the streams stop at an arbitrary byte, cutting a prefix
+            // or a frame short.
+            if cut & 1 == 1 {
+                bytes.truncate((cut >> 1) as usize % (bytes.len() + 1));
+            }
+            if chunks.iter().all(|&chunk| chunk == 0) {
+                chunks.push(1);
+            }
+
+            let mut sync = bytes.as_slice();
+            let mut expected = Vec::new();
+            let expected_end = loop {
+                match wire::read_frame(&mut sync, FUZZ_CAP) {
+                    Ok(Some(frame)) => expected.push(frame),
+                    other => break end_of(other),
+                }
+            };
+
+            let reg = Reactor::global().register_virtual();
+            let stream = Chunked { bytes, at: 0, chunks, next: 0, reg: reg.clone() };
+            let mut reader = NbReader::new(stream, reg);
+            let mut got = Vec::new();
+            let got_end = block_on(async {
+                let mut round = 0;
+                loop {
+                    round += 1;
+                    if drains[round % drains.len()] {
+                        if let Some(Ok(frame)) = reader.buffered_frame(FUZZ_CAP) {
+                            got.push(frame);
+                            continue;
+                        }
+                    }
+                    match reader.read_frame(FUZZ_CAP).await {
+                        Ok(Some(frame)) => got.push(frame),
+                        other => break end_of(other),
+                    }
+                }
+            });
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(got_end, expected_end);
+        }
     }
 }

@@ -654,7 +654,7 @@ pub enum Response {
         /// [`LifecycleDaemon`](crate::daemon::LifecycleDaemon) (v6).
         daemon: Option<crate::daemon::DaemonCounters>,
         /// Dispatcher worker threads the server runs (v7) — the
-        /// effective `ServeConfig::worker_threads` after clamping.
+        /// detected core count, floored at two.
         workers: u64,
     },
     /// Answer to [`Request::Shutdown`]; the server stops accepting new

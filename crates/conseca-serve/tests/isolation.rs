@@ -108,3 +108,77 @@ fn a_subscribed_connection_pipelines_a_check_behind_its_own_revoke() {
     assert!(client.check("acme", "t", &context, &call()).unwrap().wait().unwrap().is_none());
     server.shutdown();
 }
+
+fn send(stream: &mut impl Write, request: Request) {
+    write_frame(stream, &request.encode(), DEFAULT_MAX_FRAME_LEN).unwrap();
+}
+
+fn recv(stream: &mut impl Read) -> Response {
+    Response::decode(&read_frame(stream, 1 << 20).unwrap().expect("a frame")).unwrap()
+}
+
+/// Revokes one policy in process and reports when the revoke returned;
+/// the revoke's push fan-out runs on the spawned thread.
+fn revoke_in_background<'s>(
+    scope: &'s std::thread::Scope<'s, '_>,
+    engine: &'s Engine,
+    tenant: &'s str,
+    fingerprint: u64,
+) -> std::thread::ScopedJoinHandle<'s, Instant> {
+    scope.spawn(move || {
+        assert_eq!(engine.revoke_fingerprint(tenant, fingerprint).unwrap(), 1);
+        Instant::now()
+    })
+}
+
+/// A subscriber re-Subscribes (to `second_tenant`) while push 1 is
+/// unacked, then acks it. The push `seq` belongs to the connection, so
+/// the ack must release the first revoke, and the second revoke's push
+/// must be seq 2 and hold that revoke until it is acked in turn.
+fn resubscribe_keeps_the_push_sequence(second_tenant: &str) {
+    let config = ServeConfig { push_ack_timeout: Duration::from_secs(5), ..ServeConfig::default() };
+    let engine = Arc::new(Engine::default());
+    let server = Server::start(Arc::clone(&engine), config);
+    let first = policy();
+    let mut second = Policy::new("u");
+    second.set("send_email", PolicyEntry::deny("the second task never sends"));
+    engine.install("acme", "t", &ctx(), &first).unwrap();
+    engine.install(second_tenant, "u", &ctx(), &second).unwrap();
+    let mut subscriber = server.connect_stream().unwrap();
+    subscribe(&mut subscriber, "acme");
+
+    std::thread::scope(|scope| {
+        let first_revoke = revoke_in_background(scope, &engine, "acme", first.fingerprint());
+        assert!(matches!(recv(&mut subscriber), Response::PushRevoke { seq: 1, .. }));
+        send(&mut subscriber, Request::Subscribe { tenant: second_tenant.into() });
+        assert!(matches!(recv(&mut subscriber), Response::Subscribed));
+        send(&mut subscriber, Request::PushAck { seq: 1 });
+        let acked = Instant::now();
+        let returned = first_revoke.join().unwrap();
+        let took = returned.saturating_duration_since(acked);
+        assert!(took < Duration::from_secs(1), "the acked revoke returned {took:?} after its ack");
+
+        let second_revoke =
+            revoke_in_background(scope, &engine, second_tenant, second.fingerprint());
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(!second_revoke.is_finished(), "the second revoke must wait for its own ack");
+        assert!(matches!(recv(&mut subscriber), Response::PushRevoke { seq: 2, .. }));
+        let acked = Instant::now();
+        send(&mut subscriber, Request::PushAck { seq: 2 });
+        assert!(second_revoke.join().unwrap() >= acked, "returned before its push was acked");
+    });
+    // Both revokes were acked, so neither force-closed the connection.
+    send(&mut subscriber, Request::Subscribe { tenant: "acme".into() });
+    assert!(matches!(recv(&mut subscriber), Response::Subscribed));
+    server.shutdown();
+}
+
+#[test]
+fn a_resubscribe_to_the_same_tenant_keeps_the_push_sequence() {
+    resubscribe_keeps_the_push_sequence("acme");
+}
+
+#[test]
+fn a_resubscribe_to_another_tenant_keeps_the_push_sequence() {
+    resubscribe_keeps_the_push_sequence("globex");
+}
