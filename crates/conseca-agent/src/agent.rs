@@ -22,7 +22,7 @@ use conseca_core::{
 use conseca_engine::{CompiledPolicy, Engine, SnapshotError, WarmStartReport};
 use conseca_llm::{ObsKind, Observation, PlannerAction, PlannerState, ScriptedPlanner};
 use conseca_mail::MailSystem;
-use conseca_serve::{CachedClient, Client, ClientError, RemoteSessionLayer};
+use conseca_serve::{CachedClient, Client, ClientError, RemoteSessionLayer, TenantClient};
 use conseca_shell::{parse_command, Executor, OutputTrust, ToolRegistry};
 use conseca_vfs::SharedVfs;
 
@@ -96,19 +96,19 @@ pub struct Agent<M: PolicyModel> {
     generator: PolicyGenerator<M>,
     confirmation: Option<Box<dyn ConfirmationProvider>>,
     audit: AuditLog,
-    /// Shared enforcement engine plus the tenant this agent bills its
-    /// policies and checks to; `None` keeps the in-process interpreted
-    /// path.
-    engine: Option<(Arc<Engine>, String)>,
-    /// Remote policy-decision server connection plus tenant; `None`
-    /// keeps enforcement in-process. When both an engine and a remote
-    /// connection are attached, the in-process engine wins.
-    remote: Option<(Client, String)>,
-    /// Subscribed cached-remote connection (tenant fixed by its
-    /// subscription): checks resolve in the client's local L1 after a
-    /// one-time policy fetch, kept sound by the server's push
-    /// invalidation channel. Precedence: engine > cached > remote.
-    cached: Option<CachedClient>,
+    /// Where policies are stored and per-action checks are answered.
+    backend: Backend,
+}
+
+/// An agent's one enforcement backend; the last `with_*` call sets it.
+enum Backend {
+    /// In-process: the interpreted policy, resolved per task.
+    Local,
+    /// A shared [`Engine`] plus the tenant this agent bills its policies
+    /// and checks to.
+    Engine(Arc<Engine>, String),
+    /// A remote policy-decision server, plain or cached.
+    Remote(TenantClient),
 }
 
 /// Why [`Agent::snapshot_policies`] / [`Agent::warm_start`] failed.
@@ -151,31 +151,6 @@ impl From<ClientError> for PersistenceError {
     }
 }
 
-/// Which enforcement backend [`Agent::resolve_policy`] produced for a
-/// task — it decides what the session's policy layer is built from.
-enum ResolvedBackend {
-    /// The in-process interpreted policy (the pipeline borrows it).
-    Interpreted,
-    /// A compiled snapshot from the shared [`Engine`]'s store.
-    Compiled(Arc<CompiledPolicy>),
-    /// A remote policy-decision server; per-action checks go over the
-    /// wire, keyed by the folded store task and this context.
-    Remote {
-        /// The store task the policy was fetched/installed under.
-        store_task: String,
-        /// The context the policy is keyed by.
-        context: TrustedContext,
-    },
-    /// A subscribed cached-remote connection; per-action checks resolve
-    /// in the client's local L1 after a one-time policy fetch.
-    CachedRemote {
-        /// The store task the policy was fetched/installed under.
-        store_task: String,
-        /// The context the policy is keyed by.
-        context: TrustedContext,
-    },
-}
-
 impl<M: PolicyModel> Agent<M> {
     /// Builds an agent acting as `user` over shared substrates.
     pub fn new(
@@ -196,9 +171,7 @@ impl<M: PolicyModel> Agent<M> {
             generator,
             confirmation: None,
             audit: AuditLog::new(),
-            engine: None,
-            remote: None,
-            cached: None,
+            backend: Backend::Local,
         }
     }
 
@@ -213,9 +186,10 @@ impl<M: PolicyModel> Agent<M> {
     /// enforced through a [`conseca_engine::CompiledPolicyLayer`], so many agents (and
     /// many threads) serving the same (task, context) share one compiled
     /// snapshot. Verdicts are identical to the in-process path — the
-    /// engine's differential tests pin that down.
+    /// engine's differential tests pin that down. Replaces any backend
+    /// attached earlier.
     pub fn with_engine(mut self, engine: Arc<Engine>, tenant: &str) -> Self {
-        self.engine = Some((engine, tenant.to_owned()));
+        self.backend = Backend::Engine(engine, tenant.to_owned());
         self
     }
 
@@ -226,10 +200,9 @@ impl<M: PolicyModel> Agent<M> {
     /// [`RemoteSessionLayer`]. Verdicts are identical to the in-process
     /// path (the serving differential tests pin that down). Enforcement
     /// is fail-closed: a transport failure mid-task panics rather than
-    /// silently approving actions. If an in-process engine is also
-    /// attached via [`with_engine`](Self::with_engine), it wins.
+    /// silently approving actions. Replaces any backend attached earlier.
     pub fn with_remote_engine(mut self, client: Client, tenant: &str) -> Self {
-        self.remote = Some((client, tenant.to_owned()));
+        self.backend = Backend::Remote(TenantClient::Plain { client, tenant: tenant.to_owned() });
         self
     }
 
@@ -242,11 +215,10 @@ impl<M: PolicyModel> Agent<M> {
     /// server's push invalidation channel keeps the cache sound, and
     /// verdicts remain identical to every other path (the conformance
     /// suite pins that down). The tenant is the one the client
-    /// subscribed for. Fail-closed like the plain remote path. An
-    /// in-process engine attached via [`with_engine`](Self::with_engine)
-    /// wins; this wins over a plain remote connection.
+    /// subscribed for. Fail-closed like the plain remote path. Replaces
+    /// any backend attached earlier.
     pub fn with_cached_remote_engine(mut self, client: CachedClient) -> Self {
-        self.cached = Some(client);
+        self.backend = Backend::Remote(TenantClient::Cached(client));
         self
     }
 
@@ -272,8 +244,7 @@ impl<M: PolicyModel> Agent<M> {
 
     /// The registry-derived baseline policy for a static mode; `None`
     /// for Conseca, whose policy comes from the generator. The single
-    /// source of the mode→policy mapping for both the engine-backed and
-    /// in-process resolution paths.
+    /// source of the mode→policy mapping for every backend.
     fn static_policy(mode: PolicyMode, registry: &ToolRegistry) -> Option<Policy> {
         match mode {
             PolicyMode::NoPolicy => Some(Policy::unrestricted(registry)),
@@ -313,109 +284,67 @@ impl<M: PolicyModel> Agent<M> {
         )
     }
 
-    /// Resolves the policy for a task under the configured mode. With an
-    /// engine attached, the policy is additionally compiled into (or
-    /// served from) the shared store; with a remote server attached, it
-    /// is fetched from (or generated and installed into) the server's
-    /// store. The returned backend tells `run_task` what to build the
-    /// session's policy layer from; the returned context is the trusted
-    /// context the policy was resolved against, which the run loop
-    /// watches for drift. `drifted` is the context a drift check just
+    /// Resolves the policy for a task under the configured mode, keyed
+    /// in shared stores as `store_task`. An engine backend compiles the
+    /// policy into (or serves it from) its store and also returns the
+    /// compiled snapshot; a remote backend fetches it from (or generates
+    /// and installs it into) the server's store. The returned context is
+    /// the trusted context the policy was resolved against, which the run
+    /// loop watches for drift. `drifted` is the context a drift check just
     /// built (nothing has executed since), reused instead of built again;
     /// `None` builds the mode's context here.
     fn resolve_policy(
         &mut self,
         task: &str,
+        store_task: &str,
         drifted: Option<TrustedContext>,
-    ) -> (Arc<Policy>, GenerationStats, ResolvedBackend, TrustedContext) {
-        let none_stats = GenerationStats { cache_hit: false, prompt_tokens: 0, output_tokens: 0 };
+    ) -> (Arc<Policy>, GenerationStats, TrustedContext, Option<Arc<CompiledPolicy>>) {
         let hit_stats = GenerationStats { cache_hit: true, prompt_tokens: 0, output_tokens: 0 };
         let ctx = drifted.unwrap_or_else(|| self.policy_context());
-        if let Some((engine, tenant)) = self.engine.clone() {
-            let store_task = self.keyed_task(task);
-            let mode = self.config.policy_mode;
-            let registry = &self.registry;
-            let generator = &mut self.generator;
-            let mut generated: Option<GenerationStats> = None;
-            let resolved = engine.get_or_compile(&tenant, &store_task, &ctx, || {
-                match Self::static_policy(mode, registry) {
-                    Some(policy) => Arc::new(policy),
+        // Split the borrows: the backend is driven while the generator
+        // may also run.
+        let Agent { backend, generator, registry, config, .. } = self;
+        let mut generate = || match Self::static_policy(config.policy_mode, registry) {
+            Some(policy) => {
+                let none = GenerationStats { cache_hit: false, prompt_tokens: 0, output_tokens: 0 };
+                (Arc::new(policy), none)
+            }
+            None => generator.set_policy(task, &ctx),
+        };
+        match backend {
+            Backend::Local => {
+                let (policy, generation) = generate();
+                (policy, generation, ctx, None)
+            }
+            Backend::Engine(engine, tenant) => {
+                let mut generated = None;
+                let resolved = engine.get_or_compile(tenant, store_task, &ctx, || {
+                    let (policy, generation) = generate();
+                    generated = Some(generation);
+                    policy
+                });
+                let (compiled, _) =
+                    resolved.expect("policy reinstate journal append failed (fail-closed)");
+                // Nothing was generated exactly when the store held the policy.
+                (compiled.source_handle(), generated.unwrap_or(hit_stats), ctx, Some(compiled))
+            }
+            Backend::Remote(client) => {
+                let fetched = client
+                    .fetch_policy(store_task, &ctx)
+                    .expect("remote policy resolution transport failed (fail-closed)");
+                let (policy, generation) = match fetched {
+                    // The server already holds the policy: like an engine
+                    // store hit, generation is skipped entirely.
+                    Some(policy) => (Arc::new(policy), hit_stats),
                     None => {
-                        let (policy, stats) = generator.set_policy(task, &ctx);
-                        generated = Some(stats);
-                        policy
+                        let (policy, generation) = generate();
+                        client
+                            .install(store_task, &ctx, &policy)
+                            .expect("remote policy install transport failed (fail-closed)");
+                        (policy, generation)
                     }
-                }
-            });
-            let (compiled, store_hit) =
-                resolved.expect("policy reinstate journal append failed (fail-closed)");
-            let generation = if store_hit { hit_stats } else { generated.unwrap_or(none_stats) };
-            return (
-                compiled.source_handle(),
-                generation,
-                ResolvedBackend::Compiled(compiled),
-                ctx,
-            );
-        }
-        if self.cached.is_some() {
-            let store_task = self.keyed_task(task);
-            let mode = self.config.policy_mode;
-            // Split the borrows: the client is driven while the generator
-            // may also run.
-            let Agent { cached, generator, registry, .. } = self;
-            let client = cached.as_mut().expect("checked above");
-            let fetched = client
-                .fetch_policy(&store_task, &ctx)
-                .expect("cached-remote policy resolution transport failed (fail-closed)");
-            let (policy, generation) = match fetched {
-                Some(policy) => (Arc::new(policy), hit_stats),
-                None => {
-                    let (policy, stats) = match Self::static_policy(mode, registry) {
-                        Some(policy) => (Arc::new(policy), none_stats),
-                        None => generator.set_policy(task, &ctx),
-                    };
-                    client
-                        .install(&store_task, &ctx, &policy)
-                        .expect("cached-remote policy install transport failed (fail-closed)");
-                    (policy, stats)
-                }
-            };
-            let backend = ResolvedBackend::CachedRemote { store_task, context: ctx.clone() };
-            return (policy, generation, backend, ctx);
-        }
-        if self.remote.is_some() {
-            let store_task = self.keyed_task(task);
-            let mode = self.config.policy_mode;
-            // Split the borrows: the client is driven while the generator
-            // may also run.
-            let Agent { remote, generator, registry, .. } = self;
-            let (client, tenant) = remote.as_mut().expect("checked above");
-            let fetched = client
-                .fetch_policy(tenant, &store_task, &ctx)
-                .expect("remote policy resolution transport failed (fail-closed)");
-            let (policy, generation) = match fetched {
-                // The server already holds the policy: like an engine
-                // store hit, generation is skipped entirely.
-                Some(policy) => (Arc::new(policy), hit_stats),
-                None => {
-                    let (policy, stats) = match Self::static_policy(mode, registry) {
-                        Some(policy) => (Arc::new(policy), none_stats),
-                        None => generator.set_policy(task, &ctx),
-                    };
-                    client
-                        .install(tenant, &store_task, &ctx, &policy)
-                        .expect("remote policy install transport failed (fail-closed)");
-                    (policy, stats)
-                }
-            };
-            let backend = ResolvedBackend::Remote { store_task, context: ctx.clone() };
-            return (policy, generation, backend, ctx);
-        }
-        match Self::static_policy(self.config.policy_mode, &self.registry) {
-            Some(policy) => (Arc::new(policy), none_stats, ResolvedBackend::Interpreted, ctx),
-            None => {
-                let (policy, stats) = self.generator.set_policy(task, &ctx);
-                (policy, stats, ResolvedBackend::Interpreted, ctx)
+                };
+                (policy, generation, ctx, None)
             }
         }
     }
@@ -428,21 +357,20 @@ impl<M: PolicyModel> Agent<M> {
     /// retires the stale policy (it was only ever reachable through the
     /// stale context's cache key).
     fn revoke_stale_snapshot(&mut self, fingerprint: u64) {
-        if let Some((engine, tenant)) = self.engine.as_ref() {
-            engine
-                .revoke_fingerprint(tenant, fingerprint)
-                .expect("policy revocation journal append failed (fail-closed)");
-        } else if let Some(client) = self.cached.as_mut() {
-            // By the time this returns, the revocation has been pushed
-            // to — and acknowledged by — every subscriber, this client's
-            // own L1 included.
-            client
-                .revoke(fingerprint)
-                .expect("cached-remote policy revocation transport failed (fail-closed)");
-        } else if let Some((client, tenant)) = self.remote.as_mut() {
-            client
-                .revoke(tenant, fingerprint)
-                .expect("remote policy revocation transport failed (fail-closed)");
+        match &mut self.backend {
+            Backend::Local => {}
+            Backend::Engine(engine, tenant) => {
+                engine
+                    .revoke_fingerprint(tenant, fingerprint)
+                    .expect("policy revocation journal append failed (fail-closed)");
+            }
+            // A cached client's own L1 has dropped the snapshot, too, by
+            // the time this returns.
+            Backend::Remote(client) => {
+                client
+                    .revoke(fingerprint)
+                    .expect("remote policy revocation transport failed (fail-closed)");
+            }
         }
     }
 
@@ -458,17 +386,16 @@ impl<M: PolicyModel> Agent<M> {
     /// [`PersistenceError::NoBackend`] on the in-process interpreted
     /// path; otherwise snapshot or transport failures.
     pub fn snapshot_policies(&mut self, path: impl AsRef<Path>) -> Result<usize, PersistenceError> {
-        let (bytes, entries) = if let Some((engine, tenant)) = self.engine.as_ref() {
-            let snapshot = engine.store().export_snapshot(tenant)?;
-            (snapshot.bytes, snapshot.entries)
-        } else if let Some(client) = self.cached.as_mut() {
-            let receipt = client.snapshot()?;
-            (receipt.snapshot, receipt.entries as usize)
-        } else if let Some((client, tenant)) = self.remote.as_mut() {
-            let receipt = client.snapshot(tenant)?;
-            (receipt.snapshot, receipt.entries as usize)
-        } else {
-            return Err(PersistenceError::NoBackend);
+        let (bytes, entries) = match &mut self.backend {
+            Backend::Local => return Err(PersistenceError::NoBackend),
+            Backend::Engine(engine, tenant) => {
+                let snapshot = engine.store().export_snapshot(tenant)?;
+                (snapshot.bytes, snapshot.entries)
+            }
+            Backend::Remote(client) => {
+                let receipt = client.snapshot()?;
+                (receipt.snapshot, receipt.entries as usize)
+            }
         };
         std::fs::write(path, &bytes).map_err(SnapshotError::Io)?;
         Ok(entries)
@@ -495,22 +422,19 @@ impl<M: PolicyModel> Agent<M> {
         &mut self,
         path: impl AsRef<Path>,
     ) -> Result<WarmStartReport, PersistenceError> {
-        if let Some((engine, tenant)) = self.engine.as_ref() {
-            let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
-            return Ok(engine.import_snapshot(tenant, &bytes)?);
+        let read = || std::fs::read(path).map_err(SnapshotError::Io);
+        match &mut self.backend {
+            Backend::Local => Err(PersistenceError::NoBackend),
+            Backend::Engine(engine, tenant) => Ok(engine.import_snapshot(tenant, &read()?)?),
+            Backend::Remote(client) => {
+                let receipt = client.restore(read()?)?;
+                Ok(WarmStartReport {
+                    installed: receipt.installed as usize,
+                    skipped_revoked: receipt.skipped_revoked as usize,
+                    skipped_live: receipt.skipped_live as usize,
+                })
+            }
         }
-        let receipt = if let Some(client) = self.cached.as_mut() {
-            client.restore(std::fs::read(path).map_err(SnapshotError::Io)?)?
-        } else if let Some((client, tenant)) = self.remote.as_mut() {
-            client.restore(tenant, std::fs::read(path).map_err(SnapshotError::Io)?)?
-        } else {
-            return Err(PersistenceError::NoBackend);
-        };
-        Ok(WarmStartReport {
-            installed: receipt.installed as usize,
-            skipped_revoked: receipt.skipped_revoked as usize,
-            skipped_live: receipt.skipped_live as usize,
-        })
     }
 
     /// Runs one task to completion, stall, or budget exhaustion.
@@ -594,9 +518,11 @@ impl<M: PolicyModel> Agent<M> {
         // The context the last drift check built, which the reload resolves
         // against (nothing executes between detection and reload).
         let mut drifted: Option<TrustedContext> = None;
+        let store_task = self.keyed_task(task);
 
         loop {
-            let (policy, generation, backend, context) = self.resolve_policy(task, drifted.take());
+            let (policy, generation, context, compiled) =
+                self.resolve_policy(task, &store_task, drifted.take());
             let drift_fp = context.drift_fingerprint();
             if let Some((old_fp, old_ctx)) = stale {
                 // The policy was regenerated against the drifted context
@@ -625,9 +551,9 @@ impl<M: PolicyModel> Agent<M> {
 
             // One enforcement session per policy round: it owns the layer
             // stack, the consecutive-denial stall tracking, and the audit
-            // stream. The policy layer comes from the engine's compiled
-            // snapshot when one is attached, and borrows the interpreted
-            // policy otherwise.
+            // stream. The policy layer checks through the backend: the
+            // engine's compiled snapshot, the remote client, or (in
+            // process) the interpreted policy it borrows.
             let mut policy_trajectory_layer = (!policy.trajectory.is_empty()).then(|| {
                 conseca_core::pipeline::TrajectoryLayer::with_history(
                     policy.trajectory.clone(),
@@ -636,34 +562,18 @@ impl<M: PolicyModel> Agent<M> {
             });
             let mut builder =
                 PipelineBuilder::new().max_consecutive_denials(self.config.max_consecutive_denials);
-            builder = match backend {
-                ResolvedBackend::Compiled(snapshot) => {
-                    let (engine, tenant) =
-                        self.engine.as_ref().expect("compiled backend implies an engine");
+            builder = match (&mut self.backend, compiled) {
+                (Backend::Engine(engine, tenant), Some(snapshot)) => {
                     builder.layer(engine.session_layer(tenant, snapshot))
                 }
-                ResolvedBackend::Remote { store_task, context } => {
-                    let (client, tenant) =
-                        self.remote.as_mut().expect("remote backend implies a client");
-                    builder.layer(RemoteSessionLayer::new(
-                        client,
-                        tenant,
-                        &store_task,
-                        context,
-                        Arc::clone(&policy),
-                    ))
-                }
-                ResolvedBackend::CachedRemote { store_task, context } => {
-                    let client =
-                        self.cached.as_mut().expect("cached backend implies a cached client");
-                    builder.layer(RemoteSessionLayer::cached(
-                        client,
-                        &store_task,
-                        context,
-                        Arc::clone(&policy),
-                    ))
-                }
-                ResolvedBackend::Interpreted => builder.policy(&policy),
+                (Backend::Remote(client), _) => builder.layer(RemoteSessionLayer::new(
+                    client,
+                    &store_task,
+                    context.clone(),
+                    Arc::clone(&policy),
+                )),
+                // In process; only the engine backend resolves a snapshot.
+                _ => builder.policy(&policy),
             };
             if let Some(layer) = policy_trajectory_layer.as_mut() {
                 builder = builder.layer(layer);
@@ -1140,7 +1050,10 @@ mod tests {
             assert_eq!(report.policy, baseline.policy, "{mode:?}");
             // Decisions were judged locally, not over the wire.
             assert_eq!(server.engine().tenant_counters("acme").checks, 0, "{mode:?}");
-            let local = cached.cached.as_ref().unwrap().local_counters();
+            let Backend::Remote(TenantClient::Cached(client)) = &cached.backend else {
+                panic!("with_cached_remote_engine attaches a cached client");
+            };
+            let local = client.local_counters();
             assert_eq!(local.checks, report.proposals as u64, "{mode:?}");
             server.shutdown();
         }
@@ -1395,14 +1308,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn policy_reload_does_not_reset_spent_trajectory_budgets() {
-        // Regression: the policy-carried trajectory layer used to be
-        // rebuilt from scratch each policy round, so a mid-task reload
-        // (triggered here by the mutating write drifting the trusted
-        // context) handed the planner a fresh rate limit. The recorded
-        // history must survive the reload: the second `ls` is screened by
-        // the *regenerated* policy and still denied.
+    fn rate_limited_setup() -> Agent<RateLimitedModel> {
         let mut fs = Vfs::new();
         fs.add_user("alice", false).unwrap();
         let vfs = SharedVfs::new(fs);
@@ -1410,40 +1316,72 @@ mod tests {
         mail.ensure_mailbox("alice").unwrap();
         let registry = conseca_shell::default_registry();
         let generator = PolicyGenerator::new(RateLimitedModel, &registry);
-        let mut agent = Agent::new(
+        Agent::new(
             vfs,
             mail,
             "alice",
             registry,
             generator,
             AgentConfig::for_mode(PolicyMode::Conseca),
+        )
+    }
+
+    #[test]
+    fn policy_reload_does_not_reset_spent_trajectory_budgets() {
+        // Regression: the policy-carried trajectory layer used to be
+        // rebuilt from scratch each policy round, so a mid-task reload
+        // (triggered here by the mutating write drifting the trusted
+        // context) handed the planner a fresh rate limit. The recorded
+        // history must survive the reload on every backend: the second
+        // `ls` is screened by the *regenerated* policy and still denied.
+        let engine = Arc::new(conseca_engine::Engine::default());
+        let server = conseca_serve::Server::start(
+            Arc::new(conseca_engine::Engine::default()),
+            conseca_serve::ServeConfig::default(),
         );
-        let planner = simple_planner(vec![
-            "ls /home/alice",
-            "write_file /home/alice/scratch.txt 'v'",
-            "ls /home/alice",
-        ]);
-        let report = agent.run_task("tidy my files", planner);
-        assert_eq!(report.reloads, 1, "the mutating write must drift the context");
-        assert_eq!(report.executed, 2, "the first ls and the write");
-        assert_eq!(report.denials, 1, "the post-reload ls must still be rate-limited");
-        assert_eq!(report.denied_commands, vec!["ls /home/alice"]);
-        let denial = agent
-            .audit()
-            .records()
-            .iter()
-            .find_map(|r| match &r.event {
-                AuditEvent::ActionDecision { allowed: false, violation, .. } => {
-                    Some(violation.clone())
-                }
-                _ => None,
-            })
-            .expect("a denial was audited")
-            .expect("trajectory denials carry a violation");
-        assert!(
-            denial.contains("limit 1"),
-            "the denial should name the carried-over rate limit, got {denial:?}"
-        );
+        let backends = [
+            ("local", rate_limited_setup()),
+            ("engine", rate_limited_setup().with_engine(Arc::clone(&engine), "acme")),
+            (
+                "served",
+                rate_limited_setup().with_remote_engine(server.connect().unwrap(), "served"),
+            ),
+            (
+                "cached",
+                rate_limited_setup().with_cached_remote_engine(
+                    server.connect_cached("cached").expect("subscribe handshake"),
+                ),
+            ),
+        ];
+        for (name, mut agent) in backends {
+            let planner = simple_planner(vec![
+                "ls /home/alice",
+                "write_file /home/alice/scratch.txt 'v'",
+                "ls /home/alice",
+            ]);
+            let report = agent.run_task("tidy my files", planner);
+            assert_eq!(report.reloads, 1, "{name}: the mutating write must drift the context");
+            assert_eq!(report.executed, 2, "{name}: the first ls and the write");
+            assert_eq!(report.denials, 1, "{name}: the post-reload ls must still be rate-limited");
+            assert_eq!(report.denied_commands, vec!["ls /home/alice"], "{name}");
+            let denial = agent
+                .audit()
+                .records()
+                .iter()
+                .find_map(|r| match &r.event {
+                    AuditEvent::ActionDecision { allowed: false, violation, .. } => {
+                        Some(violation.clone())
+                    }
+                    _ => None,
+                })
+                .expect("a denial was audited")
+                .expect("trajectory denials carry a violation");
+            assert!(
+                denial.contains("limit 1"),
+                "{name}: the denial should name the carried-over rate limit, got {denial:?}"
+            );
+        }
+        server.shutdown();
     }
 
     #[test]
@@ -1594,6 +1532,10 @@ mod tests {
             Arc::new(conseca_engine::Engine::default()),
             conseca_serve::ServeConfig::default(),
         );
+        let cached_server = conseca_serve::Server::start(
+            Arc::new(conseca_engine::Engine::default()),
+            conseca_serve::ServeConfig::default(),
+        );
         let backends = [
             (
                 "engine",
@@ -1604,6 +1546,12 @@ mod tests {
                 "server",
                 setup(PolicyMode::Conseca).with_remote_engine(server.connect().unwrap(), "acme"),
                 server.engine(),
+            ),
+            (
+                "cached",
+                setup(PolicyMode::Conseca)
+                    .with_cached_remote_engine(cached_server.connect_cached("acme").unwrap()),
+                cached_server.engine(),
             ),
         ];
         for (name, mut agent, backend) in backends {
@@ -1617,7 +1565,7 @@ mod tests {
             let r2 = agent.run_task(task, simple_planner(vec!["ls /home/alice"]));
             assert!(!r2.generation.cache_hit, "{name}: the revoked entry must be regenerated");
             // The regeneration is identical, so it reinstates the
-            // fingerprint: a snapshot of it restores on both backends.
+            // fingerprint: a snapshot of it restores on every backend.
             assert_eq!(r2.policy.fingerprint(), r1.policy.fingerprint());
             assert_eq!(agent.snapshot_policies(&path).unwrap(), 1);
             backend.flush_tenant("acme");
@@ -1626,6 +1574,7 @@ mod tests {
             std::fs::remove_file(&path).unwrap();
         }
         server.shutdown();
+        cached_server.shutdown();
     }
 
     #[test]

@@ -34,9 +34,7 @@
 //! of them map responses through one shared table in [`client`]:
 //!
 //! - [`Client`] sends one request at a time and reads its answer on the
-//!   caller's thread, with no handoff. Agents join the party via
-//!   [`RemoteSessionLayer`] (a drop-in pipeline policy layer) or
-//!   `Agent::with_remote_engine` in `conseca-agent`.
+//!   caller's thread, with no handoff.
 //! - [`AsyncClient`] keeps many requests in flight on one socket using
 //!   the protocol v7 correlation envelope: submit-then-wait (or
 //!   `.await`) with responses matched by id by a demux task on a shared
@@ -51,7 +49,14 @@
 //!   `PushRevoke`/`PushReload`/`PushFlush` to the L1 before acking it,
 //!   and the server does not let the triggering mutation return before
 //!   the ack. Losing the connection flushes the L1 (fail closed). See
-//!   [`cache`]; [`RemoteSessionLayer::cached`] is its pipeline layer.
+//!   [`cache`].
+//!
+//! [`TenantClient`] binds a [`Client`] to a tenant, or wraps a
+//! [`CachedClient`], behind one set of tenant-scoped operations. It is
+//! the remote handle everything above the wire holds: the
+//! [`RemoteSessionLayer`] (a drop-in pipeline policy layer) checks
+//! through it, and `conseca-agent`'s `Agent::with_remote_engine` and
+//! `Agent::with_cached_remote_engine` each make one the agent's backend.
 //!
 //! # Examples
 //!
@@ -138,7 +143,7 @@ pub use daemon::{
     ContextResolver, DaemonConfig, DaemonCounters, LifecycleDaemon, PolicyRegenerator,
 };
 pub use server::{ServeConfig, ServeMetrics, Server, ServerHandle};
-pub use session::RemoteSessionLayer;
+pub use session::{RemoteSessionLayer, TenantClient};
 pub use transport::{duplex, DuplexStream, Stream};
 pub use wire::{
     Frame, FrameReadError, FrameWriteError, Request, Response, WireError, WireErrorCode,

@@ -13,7 +13,7 @@ use conseca_engine::Engine;
 use conseca_serve::wire::{
     code, read_frame, write_frame, Frame, Request, Response, DEFAULT_MAX_FRAME_LEN,
 };
-use conseca_serve::{Client, RemoteSessionLayer, ServeConfig, Server, ServerHandle};
+use conseca_serve::{Client, RemoteSessionLayer, ServeConfig, Server, ServerHandle, TenantClient};
 use conseca_shell::ApiCall;
 
 fn policy() -> Policy {
@@ -351,8 +351,8 @@ fn remote_session_layer_recovers_from_server_side_eviction() {
     let shared = Arc::new(policy());
     client.install("acme", "t", &context, &shared).unwrap();
     {
-        let layer =
-            RemoteSessionLayer::new(&mut client, "acme", "t", context.clone(), Arc::clone(&shared));
+        let mut client = TenantClient::Plain { client, tenant: "acme".to_owned() };
+        let layer = RemoteSessionLayer::new(&mut client, "t", context.clone(), Arc::clone(&shared));
         let mut session = PipelineBuilder::new().layer(layer).build();
         let verdict = session.check(&call("send_email", &["alice"]));
         assert!(verdict.allowed);

@@ -4,15 +4,17 @@
 //! The repo ships five interchangeable enforcement shapes — the
 //! in-process interpreted pipeline, the shared [`Engine`], a remote
 //! policy-decision server driven per call, the same server driven in
-//! batches, and a subscribed [`CachedClient`] answering checks from its
+//! batches, and a subscribed cached client answering checks from its
 //! local L1 under push invalidation — and the standing claim
-//! (docs/engine.md) is that moving between them never changes a verdict. This module turns that claim
-//! into a reusable harness: a [`PolicyOp`] script (install / check /
-//! revoke / reload / flush / snapshot / warm-start — the full policy
-//! lifecycle, hot-reload and persistence included) is run through each
-//! path and every op's outcome is reduced
-//! to a canonical byte string via the serving codec, so "identical"
-//! means *byte*-identical, not merely same-allowed-bit.
+//! (docs/engine.md) is that moving between them never changes a
+//! verdict. This module turns that claim into a reusable harness: a
+//! [`PolicyOp`] script (install / check / revoke / reload / flush /
+//! snapshot / warm-start — the full policy lifecycle, hot-reload and
+//! persistence included) is run through each path and every op's
+//! outcome is reduced to a canonical byte string via the serving codec,
+//! so "identical" means *byte*-identical, not merely same-allowed-bit.
+//! The three server-backed paths share one runner over a
+//! [`TenantClient`].
 //!
 //! Agent-level conformance rides the same idea: [`report_fingerprint`]
 //! canonicalises a [`TaskReport`]'s enforcement-visible surface so full
@@ -30,7 +32,7 @@ use conseca_engine::{
     RecoverOptions, RecoveryReport, SessionState, SnapshotLog, TenantCounters,
 };
 use conseca_serve::wire::encode_decision;
-use conseca_serve::{CachedClient, Client, DaemonConfig, ServeConfig, Server, ServerHandle};
+use conseca_serve::{DaemonConfig, ServeConfig, Server, ServerHandle, TenantClient};
 use conseca_shell::ApiCall;
 
 /// One step of a policy-lifecycle workload script.
@@ -87,9 +89,9 @@ pub enum ExecutionPath {
     Remote,
     /// Remote server driven through batched `CheckBatch` frames.
     ServedBatch,
-    /// Subscribed [`CachedClient`]: checks answered from the local L1
-    /// compiled cache, invalidations arriving over the server's push
-    /// channel (wire protocol v5).
+    /// Subscribed [`CachedClient`](conseca_serve::CachedClient): checks
+    /// answered from the local L1 compiled cache, invalidations arriving
+    /// over the server's push channel (wire protocol v5).
     CachedRemote,
 }
 
@@ -529,17 +531,36 @@ fn start_server(data_dir: Option<&Path>) -> ServerHandle {
     }
 }
 
+/// The three server-backed paths, through one [`TenantClient`]: a plain
+/// connection checking one call per round-trip (`Remote`) or every
+/// check as a batch (`ServedBatch`), or a subscribed cached client
+/// whose checks resolve in its local L1 after a one-time fetch, with
+/// server pushes keeping the cache sound across revokes, reloads and
+/// flushes (`CachedRemote`). A cached client's counters are the merged
+/// server + local split ([`TenantClient::stats`]), which must reconcile
+/// *exactly* with what the engine path bills for the same script —
+/// every check costs one lookup and one decision, wherever each half
+/// landed.
 fn run_served(
+    path: ExecutionPath,
     tenant: &str,
     task: &str,
     context: &TrustedContext,
     ops: &[PolicyOp],
-    batch_checks: bool,
     data_dir: Option<&Path>,
 ) -> (Vec<Vec<u8>>, TenantCounters) {
+    let connect = |server: &ServerHandle| match path {
+        ExecutionPath::CachedRemote => {
+            TenantClient::Cached(server.connect_cached(tenant).expect("subscribe handshake"))
+        }
+        _ => TenantClient::Plain {
+            client: server.connect().expect("handshake"),
+            tenant: tenant.to_owned(),
+        },
+    };
+    let batch_checks = path == ExecutionPath::ServedBatch;
     let mut server = Some(start_server(data_dir));
-    let mut client: Option<Client> =
-        Some(server.as_ref().expect("server").connect().expect("handshake"));
+    let mut client = Some(connect(server.as_ref().expect("server")));
     let mut snapshot: Option<Vec<u8>> = None;
     let outcomes = ops
         .iter()
@@ -552,24 +573,26 @@ fn run_served(
             }
             PolicyOp::CrashRecover => {
                 data_dir.expect(NEEDS_DURABLE);
-                // The crash: connection gone, server gone, no parting
-                // snapshot (stopping never writes one by design).
+                // The crash: connection gone (a cached client's L1 with
+                // it, so the restarted cache refetches cold), server
+                // gone, no parting snapshot (stopping never writes one
+                // by design).
                 drop(client.take());
                 server.take().expect("server").shutdown();
                 let restarted = start_server(data_dir);
                 let outcome =
                     encode_recovery(restarted.daemon().expect("durable server").recovery());
-                client = Some(restarted.connect().expect("reconnect"));
+                client = Some(connect(&restarted));
                 server = Some(restarted);
                 outcome
             }
             op => {
                 let client = client.as_mut().expect("connected");
-                run_client_op(client, tenant, task, context, op, batch_checks, &mut snapshot)
+                run_tenant_op(client, task, context, op, batch_checks, &mut snapshot)
             }
         })
         .collect();
-    let counters = client.as_mut().expect("connected").stats(tenant).expect("stats");
+    let counters = client.as_mut().expect("connected").stats().expect("stats");
     drop(client);
     if let Some(server) = server.take() {
         server.shutdown();
@@ -577,138 +600,15 @@ fn run_served(
     (outcomes, counters)
 }
 
-/// One non-durable script op against a connected [`Client`] — the
-/// shared body of the remote and served-batch paths, factored out so
-/// the crash-recovery restart can swap the connection underneath it.
-fn run_client_op(
-    client: &mut Client,
-    tenant: &str,
+/// One non-durable script op against a connected [`TenantClient`] —
+/// factored out of [`run_served`] so the crash-recovery restart can
+/// swap the connection underneath it.
+fn run_tenant_op(
+    client: &mut TenantClient,
     task: &str,
     context: &TrustedContext,
     op: &PolicyOp,
     batch_checks: bool,
-    snapshot: &mut Option<Vec<u8>>,
-) -> Vec<u8> {
-    match op {
-        PolicyOp::Install(policy) => {
-            let receipt = client.install(tenant, task, context, policy).expect("install");
-            let mut out = receipt.fingerprint.to_be_bytes().to_vec();
-            out.extend(receipt.entries.to_be_bytes());
-            out
-        }
-        PolicyOp::Check(call) => {
-            if batch_checks {
-                // The batch transport carries one-call batches too;
-                // the outcome is reduced to the same single decision.
-                let decisions = client
-                    .check_all(tenant, task, context, std::slice::from_ref(call))
-                    .expect("check batch");
-                encode_opt_decision(&decisions.map(|mut ds| ds.pop().expect("one decision")))
-            } else {
-                encode_opt_decision(&client.check(tenant, task, context, call).expect("check"))
-            }
-        }
-        PolicyOp::CheckBatch(calls) => {
-            encode_opt_batch(&client.check_all(tenant, task, context, calls).expect("batch"))
-        }
-        PolicyOp::Revoke(fingerprint) => {
-            encode_count(client.revoke(tenant, *fingerprint).expect("revoke"))
-        }
-        PolicyOp::Reload(policy) => {
-            let receipt = client.reload(tenant, task, context, policy).expect("reload");
-            let mut out = Vec::new();
-            match receipt.old_fingerprint {
-                None => out.push(0),
-                Some(fp) => {
-                    out.push(1);
-                    out.extend(fp.to_be_bytes());
-                }
-            }
-            out.extend(receipt.fingerprint.to_be_bytes());
-            out.extend(receipt.entries.to_be_bytes());
-            out
-        }
-        PolicyOp::Flush => encode_count(client.flush(tenant).expect("flush")),
-        PolicyOp::Snapshot => {
-            let receipt = client.snapshot(tenant).expect("snapshot");
-            let decoded = decode_snapshot(&receipt.snapshot).expect("served snapshot decodes");
-            let mut fps: Vec<u64> = decoded.entries.iter().map(|e| e.source_fp).collect();
-            *snapshot = Some(receipt.snapshot);
-            encode_snapshot_outcome(&mut fps)
-        }
-        PolicyOp::WarmStart => match &*snapshot {
-            None => encode_warm_start(0, 0, 0),
-            Some(bytes) => {
-                let receipt = client.restore(tenant, bytes.clone()).expect("warm start");
-                encode_warm_start(receipt.installed, receipt.skipped_revoked, receipt.skipped_live)
-            }
-        },
-        PolicyOp::SnapshotTick | PolicyOp::CrashRecover => {
-            unreachable!("durable ops are handled by the runner, not per-connection")
-        }
-    }
-}
-
-/// The fifth path: a subscribed [`CachedClient`] whose checks resolve
-/// in its local L1 after a one-time fetch, with server pushes keeping
-/// the cache sound across revokes/reloads/flushes. Counters are the
-/// merged server + local split ([`CachedClient::stats`]), which must
-/// reconcile *exactly* with what the engine path bills for the same
-/// script — every check costs one lookup and one decision, wherever
-/// each half landed.
-fn run_cached_remote(
-    tenant: &str,
-    task: &str,
-    context: &TrustedContext,
-    ops: &[PolicyOp],
-    data_dir: Option<&Path>,
-) -> (Vec<Vec<u8>>, TenantCounters) {
-    let mut server = Some(start_server(data_dir));
-    let mut client: Option<CachedClient> =
-        Some(server.as_ref().expect("server").connect_cached(tenant).expect("subscribe handshake"));
-    let mut snapshot: Option<Vec<u8>> = None;
-    let outcomes = ops
-        .iter()
-        .map(|op| match op {
-            PolicyOp::SnapshotTick => {
-                let dir = data_dir.expect(NEEDS_DURABLE);
-                let handle = server.as_ref().expect("server");
-                handle.daemon().expect("durable server").snapshot_now();
-                encode_snapshot_outcome(&mut durable_projection_fps(dir, tenant))
-            }
-            PolicyOp::CrashRecover => {
-                data_dir.expect(NEEDS_DURABLE);
-                // The crash also takes the L1 down with the subscription
-                // — the restarted cache refetches cold, fail-closed.
-                drop(client.take());
-                server.take().expect("server").shutdown();
-                let restarted = start_server(data_dir);
-                let outcome =
-                    encode_recovery(restarted.daemon().expect("durable server").recovery());
-                client = Some(restarted.connect_cached(tenant).expect("resubscribe after restart"));
-                server = Some(restarted);
-                outcome
-            }
-            op => {
-                let client = client.as_mut().expect("subscribed");
-                run_cached_op(client, task, context, op, &mut snapshot)
-            }
-        })
-        .collect();
-    let counters = client.as_mut().expect("subscribed").stats().expect("stats");
-    drop(client);
-    if let Some(server) = server.take() {
-        server.shutdown();
-    }
-    (outcomes, counters)
-}
-
-/// One non-durable script op against a subscribed [`CachedClient`].
-fn run_cached_op(
-    client: &mut CachedClient,
-    task: &str,
-    context: &TrustedContext,
-    op: &PolicyOp,
     snapshot: &mut Option<Vec<u8>>,
 ) -> Vec<u8> {
     match op {
@@ -719,7 +619,16 @@ fn run_cached_op(
             out
         }
         PolicyOp::Check(call) => {
-            encode_opt_decision(&client.check(task, context, call).expect("check"))
+            if batch_checks {
+                // The batch transport carries one-call batches too;
+                // the outcome is reduced to the same single decision.
+                let decisions = client
+                    .check_all(task, context, std::slice::from_ref(call))
+                    .expect("check batch");
+                encode_opt_decision(&decisions.map(|mut ds| ds.pop().expect("one decision")))
+            } else {
+                encode_opt_decision(&client.check(task, context, call).expect("check"))
+            }
         }
         PolicyOp::CheckBatch(calls) => {
             encode_opt_batch(&client.check_all(task, context, calls).expect("batch"))
@@ -742,7 +651,7 @@ fn run_cached_op(
         PolicyOp::Flush => encode_count(client.flush().expect("flush")),
         PolicyOp::Snapshot => {
             let receipt = client.snapshot().expect("snapshot");
-            let decoded = decode_snapshot(&receipt.snapshot).expect("cached snapshot decodes");
+            let decoded = decode_snapshot(&receipt.snapshot).expect("served snapshot decodes");
             let mut fps: Vec<u64> = decoded.entries.iter().map(|e| e.source_fp).collect();
             *snapshot = Some(receipt.snapshot);
             encode_snapshot_outcome(&mut fps)
@@ -804,16 +713,8 @@ fn run_script_inner(
             let (outcomes, counters) = run_engine(tenant, task, context, ops, data_dir);
             (outcomes, Some(counters))
         }
-        ExecutionPath::Remote => {
-            let (outcomes, counters) = run_served(tenant, task, context, ops, false, data_dir);
-            (outcomes, Some(counters))
-        }
-        ExecutionPath::ServedBatch => {
-            let (outcomes, counters) = run_served(tenant, task, context, ops, true, data_dir);
-            (outcomes, Some(counters))
-        }
-        ExecutionPath::CachedRemote => {
-            let (outcomes, counters) = run_cached_remote(tenant, task, context, ops, data_dir);
+        ExecutionPath::Remote | ExecutionPath::ServedBatch | ExecutionPath::CachedRemote => {
+            let (outcomes, counters) = run_served(path, tenant, task, context, ops, data_dir);
             (outcomes, Some(counters))
         }
     };
