@@ -26,7 +26,7 @@ use conseca_serve::{CachedClient, Client, ClientError, RemoteSessionLayer, Tenan
 use conseca_shell::{parse_command, Executor, OutputTrust, ToolRegistry};
 use conseca_vfs::SharedVfs;
 
-use crate::context_ext::build_trusted_context;
+use crate::context_ext::build_context;
 use crate::report::{StopReason, TaskReport};
 
 /// Which policy regime the agent runs under — the four columns of the
@@ -254,14 +254,16 @@ impl<M: PolicyModel> Agent<M> {
         }
     }
 
-    /// The context a store key carries under the configured mode. Static
-    /// policies depend only on the registry, but the key still carries a
-    /// context fingerprint; the user-only context keeps those entries
-    /// per-user without over-keying.
+    /// The context a store key carries under the configured mode. Under
+    /// Conseca it is the projection the generator reads, so the key, the
+    /// served checks and the drift gate all ignore fields the policy
+    /// cannot depend on. Static policies depend only on the registry, but
+    /// the key still carries a context fingerprint; the user-only context
+    /// keeps those entries per-user without over-keying.
     fn policy_context(&self) -> TrustedContext {
         match self.config.policy_mode {
             PolicyMode::Conseca => {
-                build_trusted_context(&self.vfs, &self.mail, self.executor.user())
+                build_context(&self.vfs, &self.mail, self.executor.user(), self.generator.reads())
             }
             _ => TrustedContext::for_user(self.executor.user()),
         }
@@ -270,11 +272,13 @@ impl<M: PolicyModel> Agent<M> {
     /// The store key must identify the policy *artifact*, which depends
     /// on more than the task text: the mode, the tool registry the
     /// static baselines enumerate, and (for Conseca) the generator's
-    /// model + examples + docs. Fold them all into the keyed task so
-    /// agents sharing a tenant never serve each other's snapshots across
-    /// any configuration difference (U+001F cannot occur in user task
-    /// text). Shared by the engine-backed and served resolution paths, so
-    /// the two stores can never key the same artifact differently.
+    /// model + examples + docs + field declaration (which decides what
+    /// projection the key's context is). Fold them all into the keyed
+    /// task so agents sharing a tenant never serve each other's
+    /// snapshots across any configuration difference (U+001F cannot
+    /// occur in user task text). Shared by the engine-backed and served
+    /// resolution paths, so the two stores can never key the same
+    /// artifact differently.
     fn keyed_task(&self, task: &str) -> String {
         format!(
             "{}\u{1f}{:016x}\u{1f}{:016x}\u{1f}{task}",
@@ -442,15 +446,17 @@ impl<M: PolicyModel> Agent<M> {
     /// Under Conseca the loop also watches the trusted context: after an
     /// executed *mutating* action, the next proposal is not screened
     /// against the start-of-task policy if the context has since drifted
-    /// semantically ([`TrustedContext::drift_fingerprint`]). The proposal
-    /// is held back, the policy is regenerated against the current
-    /// context, and only then is the proposal screened — fail-closed for
-    /// *this* session: nothing is screened or executed between detection
-    /// and reload. If regeneration actually changed the policy, the
-    /// stale fingerprint is then swept from the shared engine/server
-    /// store so no other session can be served it either; an identical
-    /// regeneration is re-keyed without a sweep (revoking its
-    /// fingerprint would revoke the reload itself). Note the scope:
+    /// semantically ([`TrustedContext::drift_fingerprint`]). Only the
+    /// fields the generator reads ([`PolicyModel::reads`]) are built and
+    /// compared, so a write the generator cannot see is no drift. On
+    /// drift the proposal is held back, the policy is regenerated against
+    /// the current context, and only then is the proposal screened —
+    /// fail-closed for *this* session: nothing is screened or executed
+    /// between detection and reload. If regeneration actually changed
+    /// the policy, the stale fingerprint is then swept from the shared
+    /// engine/server store so no other session can be served it either;
+    /// an identical regeneration is re-keyed without a sweep (revoking
+    /// its fingerprint would revoke the reload itself). Note the scope:
     /// other sessions sharing the store may still resolve the prior
     /// snapshot during the regeneration window — agents optimise for
     /// their own fail-closed screening plus liveness, while the strict
@@ -639,8 +645,12 @@ impl<M: PolicyModel> Agent<M> {
                 // have invalidated the policy's premises; verify before
                 // screening anything else against the old snapshot.
                 if context_dirty && self.config.policy_mode == PolicyMode::Conseca {
-                    let current =
-                        build_trusted_context(&self.vfs, &self.mail, self.executor.user());
+                    let current = build_context(
+                        &self.vfs,
+                        &self.mail,
+                        self.executor.user(),
+                        self.generator.reads(),
+                    );
                     if current.drift_fingerprint() != drift_fp {
                         stale = Some((policy.fingerprint(), context.fingerprint()));
                         carry = Some((cmd, was_injected));
@@ -1223,7 +1233,29 @@ mod tests {
         }
     }
 
+    /// `M` with an explicit [`PolicyModel::reads`] declaration.
+    struct Declaring<M>(M, conseca_core::ContextFields);
+
+    impl<M: PolicyModel> conseca_core::PolicyModel for Declaring<M> {
+        fn generate(&self, request: &conseca_core::PolicyRequest) -> conseca_core::PolicyDraft {
+            self.0.generate(request)
+        }
+
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn reads(&self) -> conseca_core::ContextFields {
+            self.1
+        }
+    }
+
     fn tripwire_setup() -> Agent<TripwireModel> {
+        tripwire_agent(TripwireModel)
+    }
+
+    /// The tripwire world (alice, with `notes.txt`) under `model`.
+    fn tripwire_agent<M: PolicyModel>(model: M) -> Agent<M> {
         let mut fs = Vfs::new();
         fs.add_user("alice", false).unwrap();
         fs.write("/home/alice/notes.txt", b"hello", "alice").unwrap();
@@ -1231,7 +1263,7 @@ mod tests {
         let mail = MailSystem::new(vfs.clone(), "work.com");
         mail.ensure_mailbox("alice").unwrap();
         let registry = conseca_shell::default_registry();
-        let generator = PolicyGenerator::new(TripwireModel, &registry);
+        let generator = PolicyGenerator::new(model, &registry);
         Agent::new(
             vfs,
             mail,
@@ -1423,9 +1455,93 @@ mod tests {
 
     #[test]
     fn rekey_without_policy_change_reloads_but_revokes_nothing() {
-        // The template model ignores the fs tree, so the regenerated
+        // The tripwire model reads the whole context, so any new file is
+        // drift; but it only looks for a tripwire, so the regenerated
         // policy is identical: the reload re-keys the policy under the
         // new context without revoking the (still-correct) snapshot.
+        let mut agent = tripwire_setup();
+        let planner = simple_planner(vec![
+            "write_file /home/alice/Agenda 'topics: planning'",
+            "ls /home/alice",
+        ]);
+        let report = agent.run_task("tidy my files", planner);
+        assert!(report.claimed_complete);
+        assert_eq!(report.reloads, 1, "the new file is semantic drift");
+        let reloaded = agent
+            .audit()
+            .records()
+            .iter()
+            .find_map(|r| match &r.event {
+                AuditEvent::PolicyReloaded {
+                    old_fingerprint,
+                    new_fingerprint,
+                    old_context,
+                    new_context,
+                    ..
+                } => Some((*old_fingerprint, *new_fingerprint, *old_context, *new_context)),
+                _ => None,
+            })
+            .expect("a reload event");
+        assert_eq!(reloaded.0, reloaded.1, "same policy");
+        assert_ne!(reloaded.2, reloaded.3, "new context key");
+        assert!(
+            !agent
+                .audit()
+                .records()
+                .iter()
+                .any(|r| matches!(r.event, AuditEvent::PolicyRevoked { .. })),
+            "an unchanged policy must not be revoked"
+        );
+    }
+
+    #[test]
+    fn a_model_declaring_the_fs_tree_still_reloads_on_every_backend() {
+        // The tripwire model reads only the fs tree. Declared, its
+        // projection still carries the tripwire, so the write is drift
+        // exactly once and the deletion is judged by the reloaded policy.
+        let declared = || Declaring(TripwireModel, conseca_core::ContextFields::FS_TREE);
+        let engine = Arc::new(conseca_engine::Engine::default());
+        let server = conseca_serve::Server::start(
+            Arc::new(conseca_engine::Engine::default()),
+            conseca_serve::ServeConfig::default(),
+        );
+        let backends = [
+            ("local", tripwire_agent(declared())),
+            ("engine", tripwire_agent(declared()).with_engine(Arc::clone(&engine), "acme")),
+            (
+                "served",
+                tripwire_agent(declared()).with_remote_engine(server.connect().unwrap(), "served"),
+            ),
+            (
+                "cached",
+                tripwire_agent(declared()).with_cached_remote_engine(
+                    server.connect_cached("cached").expect("subscribe handshake"),
+                ),
+            ),
+        ];
+        for (name, mut agent) in backends {
+            let planner = simple_planner(vec![
+                "write_file /home/alice/tripwire 'armed'",
+                "rm /home/alice/notes.txt",
+                "ls /home/alice",
+            ]);
+            let report = agent.run_task("tidy my files", planner);
+            assert_eq!(report.reloads, 1, "{name}: the tripwire is declared drift");
+            assert_eq!(report.executed, 2, "{name}: the write and the ls");
+            assert_eq!(report.denied_commands, vec!["rm /home/alice/notes.txt"], "{name}");
+            assert!(agent.vfs().with(|fs| fs.is_file("/home/alice/notes.txt")), "{name}");
+        }
+        assert_eq!(engine.tenant_counters("acme").revoked, 1);
+        assert_eq!(server.engine().tenant_counters("served").revoked, 1);
+        assert_eq!(server.engine().tenant_counters("cached").revoked, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn the_template_model_does_not_reload_on_writes_it_cannot_see() {
+        // The template reads the user, the user names and the addresses.
+        // A new file changes none of them: the policy stays current, so
+        // there is nothing to regenerate, re-key or re-install.
         let mut agent = setup(PolicyMode::Conseca);
         let planner = simple_planner(vec![
             "write_file /home/alice/Agenda 'topics: planning'",
@@ -1436,27 +1552,79 @@ mod tests {
             planner,
         );
         assert!(report.claimed_complete);
-        assert_eq!(report.reloads, 1, "the new file is semantic drift");
-        let reloaded = agent
+        assert_eq!((report.executed, report.denials), (2, 0));
+        assert_eq!(report.reloads, 0, "the fs tree is not the template's input");
+        assert!(!agent
             .audit()
             .records()
             .iter()
-            .find_map(|r| match &r.event {
-                AuditEvent::PolicyReloaded { old_fingerprint, new_fingerprint, .. } => {
-                    Some((*old_fingerprint, *new_fingerprint))
-                }
-                _ => None,
-            })
-            .expect("a reload event");
-        assert_eq!(reloaded.0, reloaded.1, "same policy, new context key");
-        assert!(
-            !agent
-                .audit()
-                .records()
-                .iter()
-                .any(|r| matches!(r.event, AuditEvent::PolicyRevoked { .. })),
-            "an unchanged policy must not be revoked"
+            .any(|r| matches!(r.event, AuditEvent::PolicyReloaded { .. })));
+    }
+
+    /// A model that lets mail go only to the addresses it knows, and
+    /// declares that it reads just the addresses.
+    struct AddressBookModel;
+
+    impl conseca_core::PolicyModel for AddressBookModel {
+        fn generate(&self, request: &conseca_core::PolicyRequest) -> conseca_core::PolicyDraft {
+            use conseca_core::{ArgConstraint, Predicate};
+            let mut policy = Policy::new(&request.task);
+            policy.set("mkdir", conseca_core::PolicyEntry::allow_any("mailboxes are folders"));
+            let known = request.context.email_addresses.clone();
+            policy.set(
+                "send_email",
+                conseca_core::PolicyEntry::allow(
+                    vec![
+                        ArgConstraint::Dsl(Predicate::True),
+                        ArgConstraint::Dsl(Predicate::OneOf(known)),
+                    ],
+                    "mail goes to known addresses only",
+                ),
+            );
+            conseca_core::PolicyDraft { policy, notes: Vec::new() }
+        }
+
+        fn name(&self) -> &str {
+            "address-book-model"
+        }
+
+        fn reads(&self) -> conseca_core::ContextFields {
+            conseca_core::ContextFields::EMAIL_ADDRESSES
+        }
+    }
+
+    #[test]
+    fn drift_in_a_declared_field_still_reloads() {
+        // carol has no mailbox, so no address. Creating one is drift in a
+        // declared field: the policy is regenerated before the send is
+        // screened, and the send to carol is allowed by the new policy.
+        let mut fs = Vfs::new();
+        fs.add_user("alice", false).unwrap();
+        fs.add_user("carol", false).unwrap();
+        let vfs = SharedVfs::new(fs);
+        let mail = MailSystem::new(vfs.clone(), "work.com");
+        mail.ensure_mailbox("alice").unwrap();
+        let registry = conseca_shell::default_registry();
+        let generator = PolicyGenerator::new(AddressBookModel, &registry);
+        let mut agent = Agent::new(
+            vfs,
+            mail,
+            "alice",
+            registry,
+            generator,
+            AgentConfig::for_mode(PolicyMode::Conseca),
         );
+        let send = "send_email alice carol@work.com 'hi' 'welcome'";
+        let planner = simple_planner(vec![send, "mkdir /home/carol/Mail/Inbox", send]);
+        let report = agent.run_task("welcome carol", planner);
+        assert_eq!(report.reloads, 1, "a new address is drift the model declared");
+        assert_eq!(
+            report.denied_commands,
+            vec![send],
+            "no address for carol until the mailbox exists"
+        );
+        assert_eq!(report.executed, 2, "the mkdir and the second send");
+        assert_eq!(report.tool_errors, 0, "the send was delivered");
     }
 
     fn temp_snapshot_path(name: &str) -> std::path::PathBuf {

@@ -12,8 +12,15 @@
 //! consistent snapshot of the world: a writer's single mutation (say, a
 //! new file plus a new labelled message) is either wholly in it or
 //! wholly absent.
+//!
+//! A policy generator declares the fields it reads
+//! ([`PolicyModel::reads`](conseca_core::PolicyModel::reads)), and the
+//! agent builds only those with [`build_context`]: a generator that never
+//! reads the fs tree or the categories costs no tree walk and no header
+//! read, and a write it cannot see is no drift. [`build_trusted_context`]
+//! builds the whole context.
 
-use conseca_core::TrustedContext;
+use conseca_core::{ContextFields, TrustedContext};
 use conseca_mail::MailSystem;
 use conseca_vfs::SharedVfs;
 
@@ -21,20 +28,48 @@ use conseca_vfs::SharedVfs;
 /// fixed date keeps policies and transcripts reproducible).
 pub const LOGICAL_DATE: &str = "2025-05-14";
 
-/// Extracts the prototype's trusted context for `user`.
+/// Extracts the prototype's whole trusted context for `user`:
+/// [`build_context`] over [`ContextFields::ALL`].
+pub fn build_trusted_context(vfs: &SharedVfs, mail: &MailSystem, user: &str) -> TrustedContext {
+    build_context(vfs, mail, user, ContextFields::ALL)
+}
+
+/// Extracts the projection of `user`'s trusted context onto `fields`:
+/// exactly `build_trusted_context(..).project(fields)`, but only the
+/// declared fields are read.
 ///
 /// Contents of files and bodies of emails are never touched: only names,
 /// addresses, and category labels flow to the policy generator. `mail`
 /// must be a mail system over `vfs`.
-pub fn build_trusted_context(vfs: &SharedVfs, mail: &MailSystem, user: &str) -> TrustedContext {
-    let mut ctx = TrustedContext::for_user(user);
-    ctx.date = LOGICAL_DATE.to_owned();
+pub fn build_context(
+    vfs: &SharedVfs,
+    mail: &MailSystem,
+    user: &str,
+    fields: ContextFields,
+) -> TrustedContext {
+    let mut ctx = TrustedContext::default();
+    if fields.contains(ContextFields::CURRENT_USER) {
+        ctx.current_user = user.to_owned();
+    }
+    if fields.contains(ContextFields::DATE) {
+        ctx.date = LOGICAL_DATE.to_owned();
+    }
     vfs.with(|fs| {
-        ctx.time = fs.now();
-        ctx.usernames = fs.users().into_iter().map(|u| u.name).collect();
-        ctx.email_addresses = mail.addresses_in(fs);
-        ctx.email_categories = mail.categories_in(fs, user).unwrap_or_default();
-        ctx.fs_tree = fs.tree(&format!("/home/{user}"), None).unwrap_or_default();
+        if fields.contains(ContextFields::TIME) {
+            ctx.time = fs.now();
+        }
+        if fields.contains(ContextFields::USERNAMES) {
+            ctx.usernames = fs.users().into_iter().map(|u| u.name).collect();
+        }
+        if fields.contains(ContextFields::EMAIL_ADDRESSES) {
+            ctx.email_addresses = mail.addresses_in(fs);
+        }
+        if fields.contains(ContextFields::EMAIL_CATEGORIES) {
+            ctx.email_categories = mail.categories_in(fs, user).unwrap_or_default();
+        }
+        if fields.contains(ContextFields::FS_TREE) {
+            ctx.fs_tree = fs.tree(&format!("/home/{user}"), None).unwrap_or_default();
+        }
     });
     ctx
 }
@@ -73,6 +108,38 @@ mod tests {
         assert!(!rendered.contains("UNTRUSTED BODY"), "email bodies must not leak");
         assert!(!rendered.contains("leaked"), "a body's header look-alike must not leak");
         assert_eq!(ctx.date, LOGICAL_DATE);
+    }
+
+    #[test]
+    fn a_projected_build_is_the_projection_of_the_whole_build() {
+        let mut fs = Vfs::new();
+        fs.add_user("alice", false).unwrap();
+        fs.add_user("bob", false).unwrap();
+        fs.write("/home/alice/notes.txt", b"hi", "alice").unwrap();
+        let vfs = SharedVfs::new(fs);
+        let mut mail = MailSystem::new(vfs.clone(), "work.com");
+        mail.ensure_mailbox("alice").unwrap();
+        mail.ensure_mailbox("bob").unwrap();
+        mail.send("bob", &["alice"], "hello", "body", vec![], Some("work")).unwrap();
+
+        let whole = build_trusted_context(&vfs, &mail, "alice");
+        let singles = [
+            ContextFields::CURRENT_USER,
+            ContextFields::DATE,
+            ContextFields::TIME,
+            ContextFields::USERNAMES,
+            ContextFields::EMAIL_ADDRESSES,
+            ContextFields::EMAIL_CATEGORIES,
+            ContextFields::FS_TREE,
+            ContextFields::EXTRA,
+        ];
+        let template =
+            ContextFields::CURRENT_USER | ContextFields::USERNAMES | ContextFields::EMAIL_ADDRESSES;
+        for fields in singles.into_iter().chain([template, ContextFields::ALL]) {
+            let built = build_context(&vfs, &mail, "alice", fields);
+            assert_eq!(built, whole.project(fields), "{fields:?}");
+            assert_eq!(built.fingerprint(), whole.project(fields).fingerprint(), "{fields:?}");
+        }
     }
 
     #[test]

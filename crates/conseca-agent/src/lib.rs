@@ -48,5 +48,5 @@ pub mod context_ext;
 pub mod report;
 
 pub use agent::{Agent, AgentConfig, PersistenceError, PolicyMode};
-pub use context_ext::{build_trusted_context, LOGICAL_DATE};
+pub use context_ext::{build_context, build_trusted_context, LOGICAL_DATE};
 pub use report::{StopReason, TaskReport};

@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use conseca_core::{generate::render_prompt, PolicyGenerator, PolicyRequest};
+use conseca_core::{generate::render_prompt, PolicyGenerator, PolicyModel, PolicyRequest};
 use conseca_llm::TemplatePolicyModel;
 use conseca_shell::default_registry;
 use conseca_workloads::{golden_examples, Env, CURRENT_USER};
@@ -33,6 +33,33 @@ fn bench_generation(c: &mut Criterion) {
                 black_box(&env.vfs),
                 black_box(&env.mail),
                 CURRENT_USER,
+            )
+            .drift_fingerprint()
+        })
+    });
+
+    // The same two costs for the template generator's projection (the
+    // user, the user names and the addresses): what the agent builds and
+    // hashes under Conseca, with no fs-tree walk and no header reads.
+    let reads = TemplatePolicyModel::new().reads();
+    c.bench_function("trusted_context_build_projected", |b| {
+        b.iter(|| {
+            conseca_agent::build_context(
+                black_box(&env.vfs),
+                black_box(&env.mail),
+                CURRENT_USER,
+                reads,
+            )
+        })
+    });
+
+    c.bench_function("drift_check_projected", |b| {
+        b.iter(|| {
+            conseca_agent::build_context(
+                black_box(&env.vfs),
+                black_box(&env.mail),
+                CURRENT_USER,
+                reads,
             )
             .drift_fingerprint()
         })

@@ -9,8 +9,49 @@
 //! generation from prompt injection.
 
 use std::collections::BTreeMap;
+use std::ops::BitOr;
 
 use crate::policy::fnv1a;
+
+/// A set of [`TrustedContext`] fields: what a policy generator declares
+/// it reads ([`PolicyModel::reads`](crate::PolicyModel::reads)). Sets
+/// combine with `|`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ContextFields(u8);
+
+impl ContextFields {
+    /// [`TrustedContext::current_user`].
+    pub const CURRENT_USER: ContextFields = ContextFields(1);
+    /// [`TrustedContext::date`].
+    pub const DATE: ContextFields = ContextFields(1 << 1);
+    /// [`TrustedContext::time`].
+    pub const TIME: ContextFields = ContextFields(1 << 2);
+    /// [`TrustedContext::usernames`].
+    pub const USERNAMES: ContextFields = ContextFields(1 << 3);
+    /// [`TrustedContext::email_addresses`].
+    pub const EMAIL_ADDRESSES: ContextFields = ContextFields(1 << 4);
+    /// [`TrustedContext::email_categories`].
+    pub const EMAIL_CATEGORIES: ContextFields = ContextFields(1 << 5);
+    /// [`TrustedContext::fs_tree`].
+    pub const FS_TREE: ContextFields = ContextFields(1 << 6);
+    /// [`TrustedContext::extra`].
+    pub const EXTRA: ContextFields = ContextFields(1 << 7);
+    /// Every field: the whole context.
+    pub const ALL: ContextFields = ContextFields(u8::MAX);
+
+    /// Whether every field of `other` is in this set.
+    pub fn contains(self, other: ContextFields) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+impl BitOr for ContextFields {
+    type Output = ContextFields;
+
+    fn bitor(self, rhs: ContextFields) -> ContextFields {
+        ContextFields(self.0 | rhs.0)
+    }
+}
 
 /// The bundle of trusted context handed to the policy generator.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -38,6 +79,29 @@ impl TrustedContext {
     /// Creates an empty context for a user.
     pub fn for_user(user: &str) -> Self {
         TrustedContext { current_user: user.to_owned(), ..Default::default() }
+    }
+
+    /// The projection of this context onto `fields`: every field outside
+    /// the set is reset to its default. Projecting onto
+    /// [`ContextFields::ALL`] is the identity.
+    pub fn project(&self, fields: ContextFields) -> TrustedContext {
+        fn keep<T: Clone + Default>(fields: ContextFields, field: ContextFields, v: &T) -> T {
+            if fields.contains(field) {
+                v.clone()
+            } else {
+                T::default()
+            }
+        }
+        TrustedContext {
+            current_user: keep(fields, ContextFields::CURRENT_USER, &self.current_user),
+            date: keep(fields, ContextFields::DATE, &self.date),
+            time: keep(fields, ContextFields::TIME, &self.time),
+            usernames: keep(fields, ContextFields::USERNAMES, &self.usernames),
+            email_addresses: keep(fields, ContextFields::EMAIL_ADDRESSES, &self.email_addresses),
+            email_categories: keep(fields, ContextFields::EMAIL_CATEGORIES, &self.email_categories),
+            fs_tree: keep(fields, ContextFields::FS_TREE, &self.fs_tree),
+            extra: keep(fields, ContextFields::EXTRA, &self.extra),
+        }
     }
 
     /// The email domain shared by the known addresses, if they agree on one
@@ -259,6 +323,30 @@ mod tests {
         let mut categorized = base.clone();
         categorized.email_categories.push("urgent".into());
         assert_ne!(base.drift_fingerprint(), categorized.drift_fingerprint());
+    }
+
+    #[test]
+    fn projection_keeps_declared_fields_and_resets_the_rest() {
+        let mut base = sample();
+        base.extra.insert("k".into(), "v".into());
+        assert_eq!(base.project(ContextFields::ALL), base);
+        let fields =
+            ContextFields::CURRENT_USER | ContextFields::USERNAMES | ContextFields::EMAIL_ADDRESSES;
+        let projected = base.project(fields);
+        assert_eq!(projected.current_user, base.current_user);
+        assert_eq!(projected.usernames, base.usernames);
+        assert_eq!(projected.email_addresses, base.email_addresses);
+        assert_eq!((projected.date.as_str(), projected.time), ("", 0));
+        assert!(projected.email_categories.is_empty() && projected.extra.is_empty());
+        assert!(projected.fs_tree.is_empty());
+        assert_eq!(projected.project(fields), projected, "projection is idempotent");
+        // Drift outside the projection is invisible to it.
+        let mut grown = base.clone();
+        grown.fs_tree.push_str("  New/\n");
+        grown.time += 1;
+        assert_eq!(grown.project(fields).fingerprint(), projected.fingerprint());
+        assert!(fields.contains(ContextFields::USERNAMES));
+        assert!(!fields.contains(ContextFields::FS_TREE | ContextFields::USERNAMES));
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! in-context learning, the tool documentation, and an optional
 //! [`PolicyCache`] (§7's caching suggestion).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use conseca_shell::ToolRegistry;
 
 use crate::cache::PolicyCache;
-use crate::context::TrustedContext;
+use crate::context::{ContextFields, TrustedContext};
 use crate::policy::Policy;
 
 /// An example (task, policy) pair included in the generation prompt.
@@ -63,6 +64,14 @@ pub trait PolicyModel {
     /// A short name for audit logs.
     fn name(&self) -> &str {
         "policy-model"
+    }
+
+    /// The trusted-context fields this model reads. [`PolicyGenerator`]
+    /// hands the model only these (every other field is reset to its
+    /// default), and callers key, send and watch for drift only this
+    /// projection. The default is the whole context.
+    fn reads(&self) -> ContextFields {
+        ContextFields::ALL
     }
 }
 
@@ -118,12 +127,19 @@ impl<M: PolicyModel> PolicyGenerator<M> {
         self.model.name()
     }
 
+    /// The context fields the underlying model reads
+    /// ([`PolicyModel::reads`]).
+    pub fn reads(&self) -> ContextFields {
+        self.model.reads()
+    }
+
     /// A fingerprint of everything besides (task, context) that shapes
-    /// this generator's output: model name, tool documentation, and the
-    /// golden example set. Cache layers that may be shared between
-    /// differently-configured generators (the engine's policy store) fold
-    /// this into their keys so two generators never serve each other's
-    /// policies.
+    /// this generator's output: model name, tool documentation, the
+    /// golden example set, and the model's field declaration when it is
+    /// narrower than the whole context. Cache layers that may be shared
+    /// between differently-configured generators (the engine's policy
+    /// store) fold this into their keys so two generators never serve
+    /// each other's policies.
     pub fn config_fingerprint(&self) -> u64 {
         let mut text = String::with_capacity(self.tool_docs.len() + 64);
         text.push_str(self.model.name());
@@ -135,6 +151,11 @@ impl<M: PolicyModel> PolicyGenerator<M> {
             text.push('\u{1f}');
             text.push_str(&example.policy_text);
         }
+        let reads = self.model.reads();
+        if reads != ContextFields::ALL {
+            text.push('\u{1e}');
+            text.push_str(&format!("{reads:?}"));
+        }
         crate::policy::fnv1a(text.as_bytes())
     }
 
@@ -142,13 +163,23 @@ impl<M: PolicyModel> PolicyGenerator<M> {
     ///
     /// This is the paper's `set_policy(task, trusted_ctxt) -> Policy`. The
     /// policy is returned as a shared handle: cache hits are a refcount
-    /// bump, and the same `Arc` is what the cache keeps.
+    /// bump, and the same `Arc` is what the cache keeps. `context` is
+    /// first projected onto the model's [`reads`](PolicyModel::reads):
+    /// the cache key, the request and the prompt all see the projection,
+    /// so a model never sees a field it did not declare.
     pub fn set_policy(
         &mut self,
         task: &str,
         context: &TrustedContext,
     ) -> (Arc<Policy>, GenerationStats) {
-        let key = PolicyCache::key(task, context);
+        let reads = self.model.reads();
+        // The whole context needs no copy until a miss builds the request.
+        let context = if reads == ContextFields::ALL {
+            Cow::Borrowed(context)
+        } else {
+            Cow::Owned(context.project(reads))
+        };
+        let key = PolicyCache::key(task, &context);
         if let Some(cache) = self.cache.as_mut() {
             if let Some(policy) = cache.get(key) {
                 return (
@@ -159,7 +190,7 @@ impl<M: PolicyModel> PolicyGenerator<M> {
         }
         let request = PolicyRequest {
             task: task.to_owned(),
-            context: context.clone(),
+            context: context.into_owned(),
             tool_docs: self.tool_docs.clone(),
             golden_examples: self.golden.clone(),
         };
@@ -260,6 +291,46 @@ mod tests {
         generator.set_policy("task", &ctx1);
         let (_, stats) = generator.set_policy("task", &ctx2);
         assert!(!stats.cache_hit, "different context must regenerate");
+    }
+
+    /// A [`FixedModel`] that records the context it was handed and reads
+    /// only the acting user.
+    struct UserOnlyModel(std::cell::RefCell<Option<TrustedContext>>);
+
+    impl PolicyModel for UserOnlyModel {
+        fn generate(&self, request: &PolicyRequest) -> PolicyDraft {
+            *self.0.borrow_mut() = Some(request.context.clone());
+            FixedModel.generate(request)
+        }
+
+        fn name(&self) -> &str {
+            "fixed"
+        }
+
+        fn reads(&self) -> ContextFields {
+            ContextFields::CURRENT_USER
+        }
+    }
+
+    #[test]
+    fn set_policy_hands_the_model_only_its_declared_fields() {
+        let reg = default_registry();
+        let mut generator =
+            PolicyGenerator::new(UserOnlyModel(Default::default()), &reg).with_cache(8);
+        let mut ctx = TrustedContext::for_user("alice");
+        ctx.fs_tree = "alice/\n  secret-project/\n".into();
+        ctx.time = 7;
+        let (_, first) = generator.set_policy("task", &ctx);
+        let seen = generator.model.0.borrow_mut().take().expect("the model ran");
+        assert_eq!(seen, TrustedContext::for_user("alice"), "undeclared fields are reset");
+        // Drift outside the declaration keys the same cache entry.
+        ctx.fs_tree.push_str("  more/\n");
+        ctx.time += 1;
+        let (_, second) = generator.set_policy("task", &ctx);
+        assert!(!first.cache_hit && second.cache_hit);
+        // A narrower declaration is a different configuration.
+        let whole = PolicyGenerator::new(FixedModel, &reg);
+        assert_ne!(generator.config_fingerprint(), whole.config_fingerprint());
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use confirm::{
     AlwaysConfirm, ConfirmDecision, ConfirmationProvider, NeverConfirm, ScriptedConfirm,
 };
 pub use constraint::{ArgConstraint, CmpOp, Predicate};
-pub use context::TrustedContext;
+pub use context::{ContextFields, TrustedContext};
 pub use diff::{diff_policies, render_diff, PolicyChange};
 pub use enforce::{is_allowed, Decision, Violation};
 pub use format::{parse_policy, render_policy, FormatError};

@@ -10,7 +10,8 @@
 //! hallucination knob lets experiments inject generator errors.
 
 use conseca_core::{
-    ArgConstraint, Policy, PolicyDraft, PolicyEntry, PolicyModel, PolicyRequest, Predicate,
+    ArgConstraint, ContextFields, Policy, PolicyDraft, PolicyEntry, PolicyModel, PolicyRequest,
+    Predicate,
 };
 use conseca_regex::escape;
 
@@ -315,6 +316,14 @@ impl PolicyModel for TemplatePolicyModel {
 
     fn name(&self) -> &str {
         "template-policy-model-v1"
+    }
+
+    /// The acting user (sender and home scoping), the known user names
+    /// (task feature extraction and recipient lists) and the known
+    /// addresses (their common domain). Never the fs tree, categories,
+    /// date or clock.
+    fn reads(&self) -> ContextFields {
+        ContextFields::CURRENT_USER | ContextFields::USERNAMES | ContextFields::EMAIL_ADDRESSES
     }
 }
 

@@ -12,7 +12,8 @@
 
 use conseca_agent::{Agent, AgentConfig, PolicyMode};
 use conseca_core::{
-    PolicyDraft, PolicyGenerator, PolicyModel, PolicyRequest, TrajectoryPolicy, TrustedContext,
+    ContextFields, PolicyDraft, PolicyGenerator, PolicyModel, PolicyRequest, TrajectoryPolicy,
+    TrustedContext,
 };
 use conseca_llm::{PlannerConfig, ScriptedPlanner, TemplatePolicyModel};
 use conseca_shell::default_registry;
@@ -50,7 +51,9 @@ impl ContextLevel {
 }
 
 /// Wraps a policy model, stripping context before it sees the request —
-/// the mechanism for the §3.1 ablation.
+/// the mechanism for the §3.1 ablation. Its declaration is the context it
+/// really passes on: the acting user alone at
+/// [`ContextLevel::NoContext`], the inner model's fields otherwise.
 struct ReducedContextModel<M: PolicyModel> {
     inner: M,
     level: ContextLevel,
@@ -73,6 +76,13 @@ impl<M: PolicyModel> PolicyModel for ReducedContextModel<M> {
 
     fn name(&self) -> &str {
         "reduced-context-template-model"
+    }
+
+    fn reads(&self) -> ContextFields {
+        match self.level {
+            ContextLevel::NoContext => ContextFields::CURRENT_USER,
+            ContextLevel::Full | ContextLevel::NoGolden => self.inner.reads(),
+        }
     }
 }
 
