@@ -18,7 +18,7 @@ use conseca_core::{
     TrajectoryEnforcer, TrajectoryPolicy, TrustedContext,
 };
 use conseca_engine::{
-    decode_snapshot, CheckJob, CompiledPolicy, CompiledTrajectory, Engine, EngineConfig, EngineKey,
+    decode_snapshot, CheckJob, CompiledPolicy, CompiledTrajectory, Engine, EngineKey,
 };
 use conseca_llm::TemplatePolicyModel;
 use conseca_shell::ApiCall;
@@ -144,7 +144,7 @@ fn bench_hot_check(c: &mut Criterion) {
 }
 
 fn bench_store_path(c: &mut Criterion) {
-    let engine = Engine::new(EngineConfig::default());
+    let engine = Engine::default();
     let ctx = TrustedContext::for_user("alice");
     let policy = regex_policy();
     engine.install("acme", &policy.task, &ctx, &policy).expect("in-memory journal");
@@ -165,7 +165,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
     // 16 tenants sharing one engine, 20k mixed checks per run. Criterion
     // reports ns per full run; per-check cost = reported / 20_000.
     const JOBS: usize = 20_000;
-    let engine = Arc::new(Engine::new(EngineConfig::default()));
+    let engine = Arc::new(Engine::default());
     let ctx = TrustedContext::for_user("alice");
     let policy = regex_policy();
     let mut jobs = Vec::with_capacity(JOBS);

@@ -21,13 +21,6 @@ use crate::journal::{JournalError, RevocationJournal};
 use crate::store::{EngineKey, PolicyStore, StoreConfig};
 use crate::trajectory_compile::TrajectoryState;
 
-/// Engine sizing; forwarded to the [`PolicyStore`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineConfig {
-    /// Store layout (shards, capacity).
-    pub store: StoreConfig,
-}
-
 /// Live per-tenant counters (atomics; snapshot via [`TenantCounters`]).
 #[derive(Debug, Default)]
 pub(crate) struct TenantStats {
@@ -276,15 +269,15 @@ pub struct Engine {
 
 impl Default for Engine {
     fn default() -> Self {
-        Engine::new(EngineConfig::default())
+        Engine::new(StoreConfig::default())
     }
 }
 
 impl Engine {
     /// Creates an engine with the given store layout.
-    pub fn new(config: EngineConfig) -> Self {
+    pub fn new(config: StoreConfig) -> Self {
         Engine {
-            store: PolicyStore::new(config.store),
+            store: PolicyStore::new(config),
             tenants: RwLock::new(HashMap::new()),
             listeners: RwLock::new(Vec::new()),
             journal: RwLock::new(Arc::new(RevocationJournal::in_memory())),

@@ -41,7 +41,7 @@
 //! use std::sync::Arc;
 //!
 //! use conseca_core::{ArgConstraint, Policy, PolicyEntry, TrustedContext};
-//! use conseca_engine::{Engine, EngineConfig};
+//! use conseca_engine::Engine;
 //! use conseca_shell::ApiCall;
 //!
 //! let mut policy = Policy::new("respond to urgent work emails");
@@ -50,7 +50,7 @@
 //!     "urgent responses come from alice",
 //! ));
 //!
-//! let engine = Engine::new(EngineConfig::default());
+//! let engine = Engine::default();
 //! let ctx = TrustedContext::for_user("alice");
 //! engine.install("acme", "respond to urgent work emails", &ctx, &policy).unwrap();
 //!
@@ -107,8 +107,8 @@ pub mod trajectory_compile;
 
 pub use compile::CompiledPolicy;
 pub use engine::{
-    CheckJob, Engine, EngineConfig, Invalidation, InvalidationListener, ParallelReport,
-    ReloadReceipt, SessionState, TenantCounters,
+    CheckJob, Engine, Invalidation, InvalidationListener, ParallelReport, ReloadReceipt,
+    SessionState, TenantCounters,
 };
 pub use journal::{
     decode_journal, CompactReport, JournalError, JournalOp, JournalOptions, JournalRecord,

@@ -19,9 +19,7 @@ use conseca_core::pipeline::{PipelineBuilder, LAYER_POLICY};
 use conseca_core::{
     is_allowed, ArgConstraint, CmpOp, Policy, PolicyEntry, Predicate, TrustedContext,
 };
-use conseca_engine::{
-    CheckJob, CompiledPolicy, CompiledPolicyLayer, Engine, EngineConfig, EngineKey,
-};
+use conseca_engine::{CheckJob, CompiledPolicy, CompiledPolicyLayer, Engine, EngineKey};
 use conseca_shell::ApiCall;
 use proptest::prelude::*;
 
@@ -236,7 +234,7 @@ fn parallel_engine_agrees_with_sequential_interpreter() {
     );
     policy.set("delete_email", PolicyEntry::deny("no deletions"));
 
-    let engine = Engine::new(EngineConfig::default());
+    let engine = Engine::default();
     let ctx = TrustedContext::for_user("alice");
     let mut jobs = Vec::new();
     let mut expected_allowed = 0u64;

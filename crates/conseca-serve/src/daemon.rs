@@ -43,9 +43,10 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::thread;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, Weak};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use conseca_core::{CountingSink, Policy, TrustedContext};
@@ -246,9 +247,11 @@ struct ExportCut {
 
 /// The lifecycle daemon. Created with [`LifecycleDaemon::start`]
 /// (which runs crash recovery), shared in an `Arc` with the server;
-/// [`stop`](Self::stop) (or drop) halts the ticker thread. Stopping
-/// never writes a parting snapshot — a stop is indistinguishable from
-/// a crash on purpose, so recovery is exercised by every restart.
+/// [`stop`](Self::stop) halts the ticker thread, which otherwise runs
+/// for as long as the process does: it holds an `Arc` of the daemon.
+/// Stopping never writes a parting snapshot — a stop is
+/// indistinguishable from a crash on purpose, so recovery is exercised
+/// by every restart.
 pub struct LifecycleDaemon {
     engine: Arc<Engine>,
     config: DaemonConfig,
@@ -257,9 +260,9 @@ pub struct LifecycleDaemon {
     recovery: RecoveryReport,
     tenants: Mutex<HashMap<Box<str>, Arc<TenantLog>>>,
     counters: Counters,
-    stopped: AtomicBool,
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    ticker: Mutex<Option<thread::JoinHandle<()>>>,
+    /// The running ticker: the sender whose drop stops it, and its
+    /// thread.
+    ticker: Mutex<Option<(mpsc::Sender<()>, JoinHandle<()>)>>,
 }
 
 impl fmt::Debug for LifecycleDaemon {
@@ -291,8 +294,6 @@ impl LifecycleDaemon {
             recovery: recovery.report,
             tenants: Mutex::new(HashMap::new()),
             counters: Counters::default(),
-            stopped: AtomicBool::new(false),
-            stop: Arc::new((Mutex::new(false), Condvar::new())),
             ticker: Mutex::new(None),
         });
         // Register every recovered tenant so the snapshot tick keeps
@@ -320,9 +321,10 @@ impl LifecycleDaemon {
             }
         }));
         if daemon.config.sweep_interval.is_some() || daemon.config.snapshot_interval.is_some() {
+            let (stop, stopped) = mpsc::channel();
             let tick = Arc::clone(&daemon);
-            let handle = thread::spawn(move || tick.run_ticker());
-            *daemon.ticker.lock().unwrap_or_else(|e| e.into_inner()) = Some(handle);
+            let handle = thread::spawn(move || tick.run_ticker(stopped));
+            *daemon.ticker.lock().unwrap_or_else(|e| e.into_inner()) = Some((stop, handle));
         }
         Ok(daemon)
     }
@@ -409,16 +411,13 @@ impl LifecycleDaemon {
         written
     }
 
-    /// Stops the ticker thread. Idempotent; also run on drop. No final
-    /// snapshot is written — see the type docs.
+    /// Stops the ticker thread and waits for it to exit. Idempotent. No
+    /// final snapshot is written — see the type docs.
     pub fn stop(&self) {
-        if self.stopped.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        cv.notify_all();
-        if let Some(handle) = self.ticker.lock().unwrap_or_else(|e| e.into_inner()).take() {
+        let ticker = self.ticker.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some((stop, handle)) = ticker {
+            // Dropping the only sender wakes the ticker's wait at once.
+            drop(stop);
             let _ = handle.join();
         }
     }
@@ -576,32 +575,19 @@ impl LifecycleDaemon {
         }
     }
 
-    fn run_ticker(self: Arc<Self>) {
+    /// Runs each configured tick when it falls due, until the sender
+    /// held by [`stop`](Self::stop) is dropped.
+    fn run_ticker(self: Arc<Self>, stopped: mpsc::Receiver<()>) {
         let start = Instant::now();
         let mut next_sweep = self.config.sweep_interval.map(|i| start + i);
         let mut next_snapshot = self.config.snapshot_interval.map(|i| start + i);
-        let (lock, cv) = &*self.stop;
         loop {
-            let next = match (next_sweep, next_snapshot) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => return,
-            };
-            {
-                let mut stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
-                while !*stopped {
-                    let now = Instant::now();
-                    if now >= next {
-                        break;
-                    }
-                    let (guard, _) =
-                        cv.wait_timeout(stopped, next - now).unwrap_or_else(|e| e.into_inner());
-                    stopped = guard;
-                }
-                if *stopped {
-                    return;
-                }
+            let Some(next) = next_sweep.into_iter().chain(next_snapshot).min() else { return };
+            // Nothing is ever sent: only the sender's drop ends the wait
+            // early.
+            let wait = next.saturating_duration_since(Instant::now());
+            if stopped.recv_timeout(wait) != Err(RecvTimeoutError::Timeout) {
+                return;
             }
             let now = Instant::now();
             if let (Some(due), Some(interval)) = (next_sweep, self.config.sweep_interval) {
@@ -617,19 +603,6 @@ impl LifecycleDaemon {
                 }
             }
         }
-    }
-}
-
-impl Drop for LifecycleDaemon {
-    fn drop(&mut self) {
-        // `stop` needs &self and drop has &mut self; replicate the halt
-        // inline (the ticker holds an Arc, so by the time drop runs the
-        // ticker is already gone — this is belt and braces for the
-        // never-started case).
-        self.stopped.store(true, Ordering::Release);
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        cv.notify_all();
     }
 }
 

@@ -15,8 +15,10 @@
 //! [`check_all_session_key`](conseca_engine::Engine::check_all_session_key),
 //! so a pipelined agent amortises store lookups instead of multiplying
 //! them, and no check waits in a shared queue. Mutations and admin
-//! requests go through one dispatcher task; a connection's checks queue
-//! behind its own unanswered mutation, so effects keep arrival order.
+//! requests go through one dispatcher task, which answers one job at a
+//! time; a connection's checks queue behind its own unanswered
+//! mutation, so effects keep arrival order, and the dispatcher answers
+//! each such check on its own. Only a connection coalesces checks.
 //!
 //! The protocol is a small length-prefixed binary format — fully
 //! specified in `docs/serving.md`, implemented in [`wire`] — carrying

@@ -20,9 +20,9 @@
 //!                               │
 //!                               ▼
 //!                     dispatcher task (futures::ThreadPool)
-//!                        drains the queue, groups adjacent same-key
-//!                        checks from one connection as the read task
-//!                        does, answers each job through its oneshot
+//!                        takes one job at a time and answers it
+//!                        through its oneshot: a mutation or admin
+//!                        request runs, a queued check is a group of one
 //!                               │
 //!                               ▼
 //!                      per-connection WRITE task
@@ -46,13 +46,15 @@
 //! the spot, with no queue hop, no oneshot and no extra task wake, and a
 //! mutation wedged on the dispatcher cannot stall them. A connection
 //! counts its unanswered dispatcher jobs; while any are out, its checks
-//! queue behind them, so effects keep arrival order. Either way a group
-//! of checks is answered by one function with one store lookup and one
+//! queue behind them, so effects keep arrival order. Only the read task
+//! coalesces: it answers a check together with the same-key checks
+//! buffered behind it, as one group with one store lookup and one
 //! tenant-stats resolution (visible in
-//! [`ServeMetrics::coalesced_checks`]). The engine itself is untouched —
-//! every verdict is produced by the same session check the in-process
-//! path uses ([`Engine::check_all_session`]), which is what keeps served
-//! decisions byte-identical.
+//! [`ServeMetrics::coalesced_checks`]). The dispatcher answers a queued
+//! check through the same function, as a group of one. The engine
+//! itself is untouched — every verdict is produced by the same session
+//! check the in-process path uses ([`Engine::check_all_session_key`]),
+//! which is what keeps served decisions byte-identical.
 //!
 //! # Pipelining (wire v7)
 //!
@@ -103,8 +105,7 @@ use crate::wire::{
 /// Most bytes the write task gathers into one write.
 const WRITE_BATCH: usize = 64 * 1024;
 
-/// Most jobs one dispatch round takes, and most checks a connection
-/// coalesces into one group.
+/// Most checks a connection coalesces into one group.
 const MAX_BATCH: usize = 256;
 
 /// Server limits. The worker pool is not configured here: it runs one
@@ -156,12 +157,13 @@ pub struct ServeMetrics {
     /// Engine requests processed (Hello and framing errors excluded),
     /// whether a connection answered them itself or the dispatcher did.
     pub requests: u64,
-    /// Evaluation rounds run: each dispatcher round (one drain of the
-    /// queue) and each check group a connection answered itself.
+    /// Evaluation rounds run: each dispatcher job (the dispatcher takes
+    /// one at a time) and each check group a connection answered itself.
     pub batches: u64,
-    /// Calls that shared a store lookup with another request because
-    /// they were coalesced into one group check — by a connection over
-    /// the checks it had buffered, or by the dispatcher over its queue.
+    /// Calls that shared a store lookup with another request because a
+    /// connection coalesced the checks it had buffered into one group.
+    /// The dispatcher never coalesces: a check queued there is a group
+    /// of one.
     pub coalesced_checks: u64,
     /// Worker threads the server is running (the detected core count,
     /// floored at two) — not a counter, surfaced here and in the wire
@@ -177,11 +179,12 @@ struct Metrics {
     coalesced_checks: AtomicU64,
 }
 
-/// A request handed to the dispatcher; its [`Reply`] names the
-/// connection that sent it.
+/// A request handed to the dispatcher: the work, the connection that
+/// sent it, and the slot its answer goes into.
 struct Job {
     work: Work,
-    reply: Reply,
+    conn: Arc<Conn>,
+    reply: oneshot::Sender<Response>,
 }
 
 /// What a decoded request asks for: checks, which a connection may
@@ -205,23 +208,6 @@ impl CheckRequest {
     /// Whether `other` names the same policy key as `self`.
     fn same_key(&self, other: &CheckRequest) -> bool {
         self.tenant == other.tenant && self.task == other.task && self.context == other.context
-    }
-}
-
-/// A dispatched job's answer slot. Sending the answer also releases the
-/// job from its connection's count of unanswered dispatcher jobs.
-struct Reply {
-    tx: oneshot::Sender<Response>,
-    conn: Arc<Conn>,
-}
-
-impl Reply {
-    fn send(self, response: Response) {
-        let _ = self.tx.send(response);
-        // Release pairs with the read task's Acquire load: once it reads
-        // zero, the effects of every answered job (store, sessions) are
-        // visible to the checks it then answers itself.
-        self.conn.in_flight.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -754,22 +740,11 @@ async fn read_task<S: Stream>(
             // way the conversation is over and there is nobody to answer.
             Ok(None) | Err(FrameReadError::Io(_)) => break,
             Err(e @ FrameReadError::Oversized { .. }) => {
-                let _ = out.send(Outgoing::Ready {
-                    id: None,
-                    response: Response::Error {
-                        code: code::FRAME_TOO_LARGE,
-                        message: e.to_string(),
-                    },
-                });
-                let _ = out.send(Outgoing::Close);
+                refuse(&out, None, code::FRAME_TOO_LARGE, e.to_string());
                 break;
             }
             Err(e @ FrameReadError::Empty) => {
-                let _ = out.send(Outgoing::Ready {
-                    id: None,
-                    response: Response::Error { code: code::MALFORMED, message: e.to_string() },
-                });
-                let _ = out.send(Outgoing::Close);
+                refuse(&out, None, code::MALFORMED, e.to_string());
                 break;
             }
         };
@@ -785,36 +760,18 @@ async fn read_task<S: Stream>(
             }
         };
         match work {
+            Work::Other(Request::Hello { version }) if version == PROTOCOL_VERSION => {
+                greeted = true;
+                let _ = out.send(Outgoing::Ready { id, response: Response::HelloOk { version } });
+            }
             Work::Other(Request::Hello { version }) => {
-                if version == PROTOCOL_VERSION {
-                    greeted = true;
-                    let _ = out.send(Outgoing::Ready {
-                        id,
-                        response: Response::HelloOk { version: PROTOCOL_VERSION },
-                    });
-                } else {
-                    let _ = out.send(Outgoing::Ready {
-                        id,
-                        response: Response::Error {
-                            code: code::UNSUPPORTED_VERSION,
-                            message: format!(
-                                "client speaks version {version}, server speaks {PROTOCOL_VERSION}"
-                            ),
-                        },
-                    });
-                    let _ = out.send(Outgoing::Close);
-                    break;
-                }
+                let message =
+                    format!("client speaks version {version}, server speaks {PROTOCOL_VERSION}");
+                refuse(&out, id, code::UNSUPPORTED_VERSION, message);
+                break;
             }
             _ if !greeted => {
-                let _ = out.send(Outgoing::Ready {
-                    id,
-                    response: Response::Error {
-                        code: code::HANDSHAKE_REQUIRED,
-                        message: "first frame must be Hello".into(),
-                    },
-                });
-                let _ = out.send(Outgoing::Close);
+                refuse(&out, id, code::HANDSHAKE_REQUIRED, "first frame must be Hello".into());
                 break;
             }
             // Subscription traffic is handled here, never queued: the
@@ -837,22 +794,14 @@ async fn read_task<S: Stream>(
             work => {
                 // Never awaited: the read task keeps reading (PushAcks
                 // above all) while the dispatcher works on this.
-                let (tx, reply_rx) = oneshot::channel();
+                let (reply, answer) = oneshot::channel();
                 conn.in_flight.fetch_add(1, Ordering::Relaxed);
-                let reply = Reply { tx, conn: Arc::clone(&conn) };
-                if state.jobs.send(Job { work, reply }).is_err() {
+                if state.jobs.send(Job { work, conn: Arc::clone(&conn), reply }).is_err() {
                     // The dispatcher is gone: the server is shutting down.
-                    let _ = out.send(Outgoing::Ready {
-                        id,
-                        response: Response::Error {
-                            code: code::SHUTTING_DOWN,
-                            message: "server is shutting down".into(),
-                        },
-                    });
-                    let _ = out.send(Outgoing::Close);
+                    refuse(&out, id, code::SHUTTING_DOWN, "server is shutting down".into());
                     break;
                 }
-                if out.send(Outgoing::Pending { id, reply: reply_rx }).is_err() {
+                if out.send(Outgoing::Pending { id, reply: answer }).is_err() {
                     break;
                 }
             }
@@ -862,6 +811,14 @@ async fn read_task<S: Stream>(
     // any fan-out still waiting on this connection's ack fails now. The
     // record, sessions included, goes with its last holder.
     conn.mark_closed();
+}
+
+/// Answers with a typed error, then closes the connection once
+/// everything queued before it is written: how the read task ends a
+/// conversation it cannot continue.
+fn refuse(out: &mpsc::UnboundedSender<Outgoing>, id: Option<u64>, code: u16, message: String) {
+    let _ = out.send(Outgoing::Ready { id, response: Response::Error { code, message } });
+    let _ = out.send(Outgoing::Close);
 }
 
 /// The connection's write half: drains two lanes with a **biased**
@@ -1091,11 +1048,11 @@ fn fan_out_push(state: &ServerState, event: &Invalidation) {
     }
 }
 
-/// One coalesced check: where its answer goes (`R`: a correlation id on
-/// the read task, a [`Reply`] on the dispatcher), how many of the
-/// group's calls are its own, and whether it was a single `Check`.
-struct PendingCheck<R> {
-    reply: R,
+/// One coalesced check: the correlation id its answer goes out under,
+/// how many of the group's calls are its own, and whether it was a
+/// single `Check`.
+struct PendingCheck {
+    id: Option<u64>,
     len: usize,
     single: bool,
 }
@@ -1106,37 +1063,51 @@ struct PendingCheck<R> {
 /// must spend their own budgets, not each other's. The key is computed
 /// once, when the group opens, and serves both the connection's session
 /// map and the store lookup.
-struct CheckGroup<R> {
-    conn: Arc<Conn>,
+struct CheckGroup {
     key: EngineKey,
     tenant: String,
     /// Every member's calls, in arrival order.
     calls: Vec<ApiCall>,
-    pending: Vec<PendingCheck<R>>,
+    pending: Vec<PendingCheck>,
 }
 
-impl<R> CheckGroup<R> {
-    fn new(conn: Arc<Conn>, key: EngineKey, tenant: String) -> Self {
-        CheckGroup { conn, key, tenant, calls: Vec::new(), pending: Vec::new() }
+impl CheckGroup {
+    /// Opens a group under `first`'s policy key with `first` as its
+    /// only member. The calls move into the group; the key's parts stay
+    /// behind for [`CheckRequest::same_key`].
+    fn open(id: Option<u64>, first: &mut CheckRequest) -> Self {
+        let mut group = CheckGroup {
+            key: EngineKey::new(&first.tenant, &first.task, &first.context),
+            tenant: first.tenant.clone(),
+            calls: Vec::new(),
+            pending: Vec::new(),
+        };
+        group.push(id, std::mem::take(&mut first.calls), first.single);
+        group
     }
 
-    fn push(&mut self, reply: R, calls: Vec<ApiCall>, single: bool) {
-        self.pending.push(PendingCheck { reply, len: calls.len(), single });
+    fn push(&mut self, id: Option<u64>, calls: Vec<ApiCall>, single: bool) {
+        self.pending.push(PendingCheck { id, len: calls.len(), single });
         self.calls.extend(calls);
     }
 }
 
-/// Evaluates one check group and pairs each member with its response —
-/// the one check implementation behind both the read task and the
-/// dispatcher. The connection's trajectory session for the key is
-/// advanced through the group's calls in order, under the connection's
-/// own session lock, which nothing else contends for.
-fn answer_group<R>(state: &ServerState, group: CheckGroup<R>) -> Vec<(R, Response)> {
+/// Evaluates one check group from `conn` and pairs each member's
+/// correlation id with its response — the one check implementation
+/// behind both the read task and the dispatcher. The connection's
+/// trajectory session for the key is advanced through the group's calls
+/// in order, under the connection's own session lock, which nothing else
+/// contends for.
+fn answer_group(
+    state: &ServerState,
+    conn: &Conn,
+    group: CheckGroup,
+) -> Vec<(Option<u64>, Response)> {
     if group.pending.len() > 1 {
         state.metrics.coalesced_checks.fetch_add(group.calls.len() as u64, Ordering::Relaxed);
     }
     let decisions = {
-        let mut sessions = group.conn.sessions.lock().unwrap_or_else(|e| e.into_inner());
+        let mut sessions = conn.sessions.lock().unwrap_or_else(|e| e.into_inner());
         let session = sessions.entry(group.key).or_default();
         state.engine.check_all_session_key(&group.tenant, &group.key, session, &group.calls)
     };
@@ -1153,7 +1124,7 @@ fn answer_group<R>(state: &ServerState, group: CheckGroup<R>) -> Vec<(R, Respons
                     Response::VerdictBatch { decisions: Some(all.take(pending.len).collect()) }
                 }
             };
-            (pending.reply, response)
+            (pending.id, response)
         })
         .collect()
 }
@@ -1164,15 +1135,13 @@ fn answer_group<R>(state: &ServerState, group: CheckGroup<R>) -> Vec<(R, Respons
 /// did not join, for the read task to handle next.
 fn answer_checks<S: Read>(
     state: &ServerState,
-    conn: &Arc<Conn>,
+    conn: &Conn,
     reader: &mut NbReader<S>,
     out: &mpsc::UnboundedSender<Outgoing>,
     id: Option<u64>,
     mut first: CheckRequest,
 ) -> Option<Inbound> {
-    let key = EngineKey::new(&first.tenant, &first.task, &first.context);
-    let mut group = CheckGroup::new(Arc::clone(conn), key, first.tenant.clone());
-    group.push(id, std::mem::take(&mut first.calls), first.single);
+    let mut group = CheckGroup::open(id, &mut first);
     let mut carried = None;
     while group.pending.len() < MAX_BATCH {
         // A framing error stays in the reader for the read task to meet.
@@ -1189,63 +1158,33 @@ fn answer_checks<S: Read>(
     }
     state.metrics.batches.fetch_add(1, Ordering::Relaxed);
     state.metrics.requests.fetch_add(group.pending.len() as u64, Ordering::Relaxed);
-    for (id, response) in answer_group(state, group) {
+    for (id, response) in answer_group(state, conn, group) {
         let _ = out.send(Outgoing::Ready { id, response });
     }
     carried
 }
 
+/// Takes the queued jobs one at a time, in arrival order, and answers
+/// each through its oneshot before it takes the next.
 async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job>) {
-    while let Some(first) = jobs.recv().await {
-        let mut batch = vec![first];
-        while batch.len() < MAX_BATCH {
-            match jobs.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
-            }
-        }
+    while let Some(Job { work, conn, reply }) = jobs.recv().await {
         state.metrics.batches.fetch_add(1, Ordering::Relaxed);
-        state.metrics.requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        process_batch(&state, batch);
-    }
-}
-
-fn process_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
-    // Adjacent checks from one connection under one policy key form one
-    // group, exactly as on the read task; any other job closes the open
-    // group first, so effects apply in arrival order — a pipelined
-    // client's Check can never observe its own later Install or Flush
-    // (docs/serving.md §1 permits pipelining).
-    let mut open: Option<CheckGroup<Reply>> = None;
-    let answer = |group: Option<CheckGroup<Reply>>| {
-        for (reply, response) in group.into_iter().flat_map(|g| answer_group(state, g)) {
-            reply.send(response);
-        }
-    };
-    for job in batch {
-        match job.work {
-            Work::Check(check) => {
-                let key = EngineKey::new(&check.tenant, &check.task, &check.context);
-                let group = match open.take() {
-                    Some(group)
-                        if Arc::ptr_eq(&group.conn, &job.reply.conn) && group.key == key =>
-                    {
-                        group
-                    }
-                    other => {
-                        answer(other);
-                        CheckGroup::new(Arc::clone(&job.reply.conn), key, check.tenant)
-                    }
-                };
-                open.insert(group).push(job.reply, check.calls, check.single);
+        state.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        let response = match work {
+            // A check queued behind its connection's unanswered job: a
+            // group of one, whose answer rides the oneshot, not an id.
+            Work::Check(mut check) => {
+                let group = CheckGroup::open(None, &mut check);
+                answer_group(&state, &conn, group).pop().expect("a group of one has one answer").1
             }
-            Work::Other(request) => {
-                answer(open.take());
-                job.reply.send(execute(state, request));
-            }
-        }
+            Work::Other(request) => execute(&state, request),
+        };
+        let _ = reply.send(response);
+        // Release pairs with the read task's Acquire load: once it reads
+        // zero, the effects of every answered job (store, sessions) are
+        // visible to the checks it then answers itself.
+        conn.in_flight.fetch_sub(1, Ordering::Release);
     }
-    answer(open);
 }
 
 fn persistence_error(what: &str, e: JournalError) -> Response {

@@ -7,8 +7,8 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use conseca_core::{Policy, PolicyEntry, TrustedContext};
-use conseca_engine::Engine;
+use conseca_core::{Policy, PolicyEntry, TrajectoryPolicy, TrustedContext};
+use conseca_engine::{Engine, EngineKey, SessionState};
 use conseca_serve::wire::{read_frame, write_frame, Request, Response, DEFAULT_MAX_FRAME_LEN};
 use conseca_serve::{AsyncClient, ServeConfig, Server};
 use conseca_shell::ApiCall;
@@ -106,6 +106,50 @@ fn a_subscribed_connection_pipelines_a_check_behind_its_own_revoke() {
     assert!(took < Duration::from_secs(5), "the pair took {took:?}: the ack was not read");
     // Acked, not force-closed: the connection still serves.
     assert!(client.check("acme", "t", &context, &call()).unwrap().wait().unwrap().is_none());
+    server.shutdown();
+}
+
+#[test]
+fn checks_queued_behind_a_wedged_revoke_keep_their_session_and_bill_one_lookup_each() {
+    // The revoke waits out the ack timeout on a subscriber that never
+    // reads, so every check pipelined behind it is answered by the
+    // dispatcher, one request at a time.
+    let config =
+        ServeConfig { push_ack_timeout: Duration::from_millis(300), ..ServeConfig::default() };
+    let engine = Arc::new(Engine::default());
+    let server = Server::start(Arc::clone(&engine), config);
+    let context = ctx();
+    let mut limited = policy();
+    limited.set_trajectory(TrajectoryPolicy::new().limit("send_email", 2, "two sends a session"));
+    let mut decoy = Policy::new("decoy");
+    decoy.set("send_email", PolicyEntry::deny("the decoy never sends"));
+    engine.install("acme", "t", &context, &limited).unwrap();
+    engine.install("acme", "decoy", &context, &decoy).unwrap();
+    let mut wedged = server.connect_stream().unwrap();
+    subscribe(&mut wedged, "acme");
+    let hits_before = engine.tenant_counters("acme").hits;
+
+    let client = AsyncClient::over(server.connect_stream().unwrap()).unwrap();
+    let revoke = client
+        .request(&Request::Revoke { tenant: "acme".into(), fingerprint: decoy.fingerprint() })
+        .unwrap();
+    let checks: Vec<_> =
+        (0..3).map(|_| client.check("acme", "t", &context, &call()).unwrap()).collect();
+    let batch = client.check_all("acme", "t", &context, &[call(), call()]).unwrap();
+    assert!(matches!(revoke.wait().unwrap(), Response::Revoked { removed: 1 }));
+    let mut served: Vec<_> = checks.into_iter().map(|c| c.wait().unwrap().unwrap()).collect();
+    served.extend(batch.wait().unwrap().unwrap());
+
+    let allowed: Vec<bool> = served.iter().map(|d| d.allowed).collect();
+    assert_eq!(allowed, [true, true, false, false, false]);
+    let oracle = Engine::default();
+    oracle.install("acme", "t", &context, &limited).unwrap();
+    let key = EngineKey::new("acme", "t", &context);
+    let expected = oracle
+        .check_all_session_key("acme", &key, &mut SessionState::default(), &vec![call(); 5])
+        .unwrap();
+    assert_eq!(served, expected, "one session, advanced in arrival order");
+    assert_eq!(engine.tenant_counters("acme").hits - hits_before, 4, "one lookup per request");
     server.shutdown();
 }
 
