@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::ops::BitOr;
 
-use crate::policy::fnv1a;
+use crate::policy::Fnv1a;
 
 /// A set of [`TrustedContext`] fields: what a policy generator declares
 /// it reads ([`PolicyModel::reads`](crate::PolicyModel::reads)). Sets
@@ -54,7 +54,7 @@ impl BitOr for ContextFields {
 }
 
 /// The bundle of trusted context handed to the policy generator.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct TrustedContext {
     /// The acting user (`current_user` in the paper's example).
     pub current_user: String,
@@ -141,14 +141,57 @@ impl TrustedContext {
         out
     }
 
-    /// The canonical text both fingerprints hash. Every value ends with
-    /// a unit separator and every field (scalar or whole list) with a
+    /// FNV-1a over the canonical text both fingerprints hash, fed field
+    /// by field with no intermediate string. Every value ends with a
+    /// unit separator and every field (scalar or whole list) with a
     /// record separator, so values can never bleed across field
     /// boundaries: `usernames=["alice","bob"]` and
     /// `usernames=["alice"], email_addresses=["bob"]` serialise
     /// differently, as do `user="ab", date="c"` and `user="a",
     /// date="bc"`. (Neither control character occurs in user-derived
-    /// context text.)
+    /// context text.) The values must never change: snapshot keys and
+    /// files on disk carry them. `fingerprint_text` below is the
+    /// rendering they are tested against.
+    fn canonical_hash(&self, include_time: bool) -> u64 {
+        const UNIT: &[u8] = b"\x1f";
+        const RECORD: &[u8] = b"\x1e";
+        let mut hash = Fnv1a::new();
+        let scalar = |hash: &mut Fnv1a, v: &[u8]| {
+            hash.write(v);
+            hash.write(UNIT);
+            hash.write(RECORD);
+        };
+        scalar(&mut hash, self.current_user.as_bytes());
+        scalar(&mut hash, self.date.as_bytes());
+        if include_time {
+            let mut digits = [0u8; 20];
+            scalar(&mut hash, decimal(self.time, &mut digits));
+        }
+        let list = |hash: &mut Fnv1a, vs: &[String]| {
+            for v in vs {
+                hash.write(v.as_bytes());
+                hash.write(UNIT);
+            }
+            hash.write(RECORD);
+        };
+        list(&mut hash, &self.usernames);
+        list(&mut hash, &self.email_addresses);
+        list(&mut hash, &self.email_categories);
+        scalar(&mut hash, self.fs_tree.as_bytes());
+        for (k, v) in &self.extra {
+            hash.write(k.as_bytes());
+            hash.write(UNIT);
+            hash.write(v.as_bytes());
+            hash.write(UNIT);
+        }
+        hash.write(RECORD);
+        hash.finish()
+    }
+
+    /// The canonical text [`canonical_hash`](Self::canonical_hash)
+    /// hashes, rendered whole: the oracle the streaming hash is tested
+    /// against.
+    #[cfg(test)]
     fn fingerprint_text(&self, include_time: bool) -> String {
         const UNIT: char = '\u{1f}';
         const RECORD: char = '\u{1e}';
@@ -186,7 +229,7 @@ impl TrustedContext {
 
     /// A stable fingerprint over every field (cache key component).
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.fingerprint_text(true).as_bytes())
+        self.canonical_hash(true)
     }
 
     /// A fingerprint over the *semantic* fields only — everything except
@@ -197,7 +240,7 @@ impl TrustedContext {
     /// keying drift on the full fingerprint would force a policy reload
     /// after every write even when nothing the generator looks at changed.
     pub fn drift_fingerprint(&self) -> u64 {
-        fnv1a(self.fingerprint_text(false).as_bytes())
+        self.canonical_hash(false)
     }
 
     /// Renders the context as the prompt block the policy model receives.
@@ -218,9 +261,25 @@ impl TrustedContext {
     }
 }
 
+/// `n` in decimal, as `n.to_string()` spells it, written into `buf`.
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &buf[start..];
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::fnv1a;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample() -> TrustedContext {
         TrustedContext {
@@ -347,6 +406,56 @@ mod tests {
         assert_eq!(grown.project(fields).fingerprint(), projected.fingerprint());
         assert!(fields.contains(ContextFields::USERNAMES));
         assert!(!fields.contains(ContextFields::FS_TREE | ContextFields::USERNAMES));
+    }
+
+    fn arb_text() -> impl Strategy<Value = String> {
+        // Plain text, the separators themselves, digits, and multi-byte
+        // UTF-8: every byte class the canonical text can contain.
+        proptest::string::string_regex("[a-z0-9/ \n\u{1e}\u{1f}é日]{0,12}").unwrap()
+    }
+
+    fn arb_context() -> impl Strategy<Value = TrustedContext> {
+        let scalars = (arb_text(), arb_text(), any::<u64>(), arb_text());
+        let lists = (vec(arb_text(), 0..4), vec(arb_text(), 0..4), vec(arb_text(), 0..4));
+        let extra = vec((arb_text(), arb_text()), 0..3);
+        (scalars, lists, extra).prop_map(
+            |(
+                (current_user, date, time, fs),
+                (usernames, email_addresses, email_categories),
+                extra,
+            )| {
+                TrustedContext {
+                    current_user,
+                    date,
+                    // Both small and full-width clock values.
+                    time: if time & 1 == 0 { time % 1000 } else { time },
+                    usernames,
+                    email_addresses,
+                    email_categories,
+                    fs_tree: fs,
+                    extra: extra.into_iter().collect(),
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The streaming hash equals FNV-1a over the rendered canonical
+        /// text, so every fingerprint already on disk stays valid.
+        #[test]
+        fn streaming_fingerprints_equal_the_rendered_text(ctx in arb_context()) {
+            prop_assert_eq!(ctx.fingerprint(), fnv1a(ctx.fingerprint_text(true).as_bytes()));
+            prop_assert_eq!(ctx.drift_fingerprint(), fnv1a(ctx.fingerprint_text(false).as_bytes()));
+        }
+    }
+
+    #[test]
+    fn decimal_spells_like_to_string() {
+        for n in [0, 7, 10, 42, 1_000_000, u64::MAX / 10, u64::MAX] {
+            assert_eq!(decimal(n, &mut [0; 20]), n.to_string().as_bytes());
+        }
     }
 
     #[test]

@@ -186,12 +186,30 @@ impl Policy {
 /// Public so engine-layer caches can derive keys with exactly the same
 /// fingerprints the in-process [`crate::cache::PolicyCache`] uses.
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+    let mut hash = Fnv1a::new();
+    hash.write(data);
+    hash.finish()
+}
+
+/// Incremental [`fnv1a`]: bytes fed in any number of pieces hash to the
+/// value `fnv1a` gives for their concatenation.
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    pub(crate) fn write(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]

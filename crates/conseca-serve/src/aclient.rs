@@ -48,6 +48,16 @@
 //! A [`Pending`] is both a blocking handle (`wait`) and a [`Future`], so
 //! the same client serves sync callers and async tasks.
 //!
+//! Checks name their policy key by a slot (wire v9): the client interns
+//! each (tenant, task, context) it checks, binds it to a slot with a
+//! `BindKey` in the same write as the key's first check, and from then
+//! on sends only the slot. Interning and writing share one lock, so no
+//! frame can name a slot before its bind is on the wire. The `KeyBound`
+//! answers are not waited for: the client's own encoder produces every
+//! bind, so a server can refuse one only for exceeding a frame cap below
+//! the client's — and then it closes the connection, so no check is
+//! ever judged behind a refused bind.
+//!
 //! [`ClientPool`] stacks connection pooling on top, routing each request
 //! by its policy key. Affinity is deliberate, not an optimisation: the
 //! server binds trajectory session state to *(connection, policy key)*,
@@ -80,7 +90,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
-use std::hash::{Hash, Hasher};
 use std::net::TcpStream;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,13 +104,14 @@ use futures::ThreadPool;
 
 use crate::cache::LocalPolicyCache;
 use crate::client::{
-    flushed, hello_ok, installed, stats_ok, verdict, verdict_batch, ClientError, InstallReceipt,
-    ResponseMap, ServerStats,
+    flushed, hello_ok, installed, stats_ok, verdict_batch, verdict_one, ClientError,
+    InstallReceipt, ResponseMap, ServerStats,
 };
+use crate::intern::{parts_hash, KeyInterner};
 use crate::transport::{NbReader, NbWriter, Stream};
 use crate::wire::{
-    unwrap_tagged, wrap_tagged, Request, Response, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
-    TAG_TAGGED_OK,
+    bind_key_frame, check_keyed_frame, unwrap_tagged, wrap_tagged, Frame, Request, Response,
+    DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION, TAG_TAGGED_OK,
 };
 
 /// The executor that drives every client's demux task. Demux tasks are
@@ -190,19 +200,26 @@ impl PendingMap {
     }
 }
 
-type SharedWriter = Arc<Mutex<NbWriter<Box<dyn Stream>>>>;
+/// The connection's sending side: the socket's write half and the key
+/// slots bound on it, under one lock, so a slot is interned and its
+/// bind written in one step.
+struct Outbound {
+    writer: NbWriter<Box<dyn Stream>>,
+    keys: KeyInterner,
+}
+
+type SharedWriter = Arc<Mutex<Outbound>>;
+
+fn lock(writer: &SharedWriter) -> std::sync::MutexGuard<'_, Outbound> {
+    writer.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Writes one frame through the shared writer. The mutex serialises
 /// whole frames (submitters and the demux task's push acks share one
 /// socket); the brief `block_on` inside parks only on a full socket
 /// buffer, woken by the reactor.
-fn write_shared(
-    writer: &SharedWriter,
-    frame: &crate::wire::Frame,
-    max_len: u32,
-) -> Result<(), ClientError> {
-    let mut writer = writer.lock().unwrap_or_else(|e| e.into_inner());
-    futures::block_on(writer.write_frame(frame, max_len)).map_err(ClientError::from)
+fn write_shared(writer: &SharedWriter, frame: &Frame, max_len: u32) -> Result<(), ClientError> {
+    futures::block_on(lock(writer).writer.write_frame(frame, max_len)).map_err(ClientError::from)
 }
 
 /// A pipelined, correlation-id multiplexed policy-decision client. See
@@ -271,7 +288,10 @@ impl AsyncClient {
         let write_half: Box<dyn Stream> = Box::new(stream.try_split()?);
         let close_half = stream.try_split()?;
         let mut reader = NbReader::new(Box::new(stream) as Box<dyn Stream>, reg.clone());
-        let writer: SharedWriter = Arc::new(Mutex::new(NbWriter::new(write_half, reg)));
+        let writer: SharedWriter = Arc::new(Mutex::new(Outbound {
+            writer: NbWriter::new(write_half, reg),
+            keys: KeyInterner::default(),
+        }));
 
         // Handshake bare, before the demux task exists: the very first
         // response frame on a connection is the HelloOk (or a typed
@@ -361,15 +381,7 @@ impl AsyncClient {
         context: &TrustedContext,
         call: &ApiCall,
     ) -> Result<Pending<Option<Decision>>, ClientError> {
-        self.submit(
-            &Request::Check {
-                tenant: tenant.into(),
-                task: task.into(),
-                context: context.clone(),
-                call: call.clone(),
-            },
-            verdict,
-        )
+        self.submit_keyed(tenant, task, context, std::slice::from_ref(call), verdict_one)
     }
 
     /// Pipelined [`Client::check_all`](crate::Client::check_all):
@@ -386,15 +398,53 @@ impl AsyncClient {
         context: &TrustedContext,
         calls: &[ApiCall],
     ) -> Result<Pending<Option<Vec<Decision>>>, ClientError> {
-        self.submit(
-            &Request::CheckBatch {
-                tenant: tenant.into(),
-                task: task.into(),
-                context: context.clone(),
-                calls: calls.to_vec(),
-            },
-            verdict_batch,
-        )
+        self.submit_keyed(tenant, task, context, calls, verdict_batch)
+    }
+
+    /// Submits a `CheckKeyed` for `calls` under the key's slot, preceded
+    /// in the same write by the slot's `BindKey` when the key is new.
+    fn submit_keyed<T>(
+        &self,
+        tenant: &str,
+        task: &str,
+        context: &TrustedContext,
+        calls: &[ApiCall],
+        map: ResponseMap<T>,
+    ) -> Result<Pending<T>, ClientError> {
+        let cap = self.max_frame_len.saturating_sub(9);
+        let mut out = lock(&self.writer);
+        let (slot, unbound) = out.keys.slot(tenant, task, context);
+        let bind = match unbound {
+            true => Some(bind_key_frame(slot, tenant, task, context, cap)?),
+            false => None,
+        };
+        let check = check_keyed_frame(slot, calls, cap)?;
+        let (tx, rx) = oneshot::channel();
+        // The bind gets an id but no slot in the pending map: its
+        // `KeyBound` is dropped on arrival, and a bare error can only
+        // ever be pinned on the check.
+        let bind =
+            bind.map(|bind| wrap_tagged(self.next_id.fetch_add(1, Ordering::Relaxed), &bind));
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.pending.insert(id, tx)?;
+        let max = self.max_frame_len;
+        let queued = bind
+            .iter()
+            .chain([&wrap_tagged(id, &check)])
+            .try_for_each(|frame| out.writer.queue_frame(frame, max));
+        out.keys.set_bound(slot, true);
+        if queued.is_err() || futures::block_on(out.writer.flush()).is_err() {
+            // As in `submit`: the stream is unusable, so close it and
+            // let this request resolve as `Closed`.
+            (self.closer)();
+        }
+        Ok(Pending { rx, map })
+    }
+
+    /// The engine key for (tenant, task, context), through this
+    /// connection's interner: no fingerprint once the key is known.
+    pub(crate) fn key(&self, tenant: &str, task: &str, context: &TrustedContext) -> EngineKey {
+        lock(&self.writer).keys.key(tenant, task, context)
     }
 
     /// Pipelined [`Client::install`](crate::Client::install).
@@ -612,11 +662,12 @@ impl ClientPool {
     /// The connection that owns `(tenant, task, context)` — every
     /// request for one key routes here, so the server-side trajectory
     /// session for that key stays on one connection.
+    ///
+    /// Routing hashes the key's parts with the connections' own interner
+    /// hash, so it costs a hash, not a fingerprint.
     pub fn client_for(&self, tenant: &str, task: &str, context: &TrustedContext) -> &AsyncClient {
-        let key = EngineKey::new(tenant, task, context);
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.clients[(hasher.finish() % self.clients.len() as u64) as usize]
+        let hash = parts_hash(tenant, task, context);
+        &self.clients[(hash % self.clients.len() as u64) as usize]
     }
 
     /// [`AsyncClient::check`] on the key's affine connection.

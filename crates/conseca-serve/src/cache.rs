@@ -312,7 +312,7 @@ impl CachedClient {
         context: &TrustedContext,
         calls: &[ApiCall],
     ) -> Result<Option<Vec<Decision>>, ClientError> {
-        let key = EngineKey::new(self.cache.tenant(), task, context);
+        let key = self.core.key(self.cache.tenant(), task, context);
         let mut session = self.sessions.remove(&key).unwrap_or_default();
         let result = self.check_calls(&key, task, context, &mut session, calls);
         self.sessions.insert(key, session);

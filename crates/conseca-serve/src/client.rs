@@ -1,10 +1,13 @@
 //! The synchronous policy-decision client.
 //!
 //! One [`Client`] owns one connection and speaks strict
-//! request/response: every method writes one frame and reads exactly one
-//! response frame. (The protocol itself permits pipelining — responses
-//! come back in request order — but the agent integration has no use for
-//! it, and a sequential client keeps error attribution exact.)
+//! request/response: every method writes one request and reads its
+//! response. (The protocol itself permits pipelining — responses come
+//! back in request order — but the agent integration has no use for it,
+//! and a sequential client keeps error attribution exact.) The one
+//! exception is a check on a policy key new to the connection: the
+//! key's `BindKey` (wire v9) goes out in the same write as the check,
+//! and its `KeyBound` is read before the verdict.
 
 use core::fmt;
 use std::io;
@@ -14,10 +17,11 @@ use conseca_core::{Decision, Policy, TrustedContext};
 use conseca_engine::TenantCounters;
 use conseca_shell::ApiCall;
 
+use crate::intern::KeyInterner;
 use crate::transport::Stream;
 use crate::wire::{
-    read_frame, write_frame, FrameReadError, FrameWriteError, Request, Response, WireError,
-    DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    append_frame, bind_key_frame, check_keyed_frame, read_frame, write_frame, FrameReadError,
+    FrameWriteError, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// Why a client call failed.
@@ -173,8 +177,18 @@ macro_rules! response_map {
 
 response_map!(hello_ok: HelloOk { .. } -> () = ());
 response_map!(subscribed: Subscribed {} -> () = ());
-response_map!(verdict: Verdict { decision } -> Option<Decision> = decision);
 response_map!(verdict_batch: VerdictBatch { decisions } -> Option<Vec<Decision>> = decisions);
+
+/// The one decision a single-call `CheckKeyed` is answered with.
+pub(crate) fn verdict_one(response: Response) -> Result<Option<Decision>, ClientError> {
+    match verdict_batch(response)? {
+        None => Ok(None),
+        Some(decisions) => match <[Decision; 1]>::try_from(decisions) {
+            Ok([decision]) => Ok(Some(decision)),
+            Err(_) => Err(ClientError::Unexpected { expected: "VerdictBatch of one decision" }),
+        },
+    }
+}
 response_map!(installed: Installed { fingerprint, entries } -> InstallReceipt =
     InstallReceipt { fingerprint, entries });
 response_map!(policy_ok: PolicyOk { policy } -> Option<Policy> = policy);
@@ -194,6 +208,8 @@ response_map!(shutting_down: ShuttingDown {} -> () = ());
 pub struct Client {
     conn: Box<dyn Stream>,
     max_frame_len: u32,
+    /// The key slots this connection has bound.
+    keys: KeyInterner,
 }
 
 impl fmt::Debug for Client {
@@ -234,7 +250,8 @@ impl Client {
     ///
     /// Handshake failures.
     pub fn over_with<S: Stream>(stream: S, max_frame_len: u32) -> Result<Client, ClientError> {
-        let mut client = Client { conn: Box::new(stream), max_frame_len };
+        let mut client =
+            Client { conn: Box::new(stream), max_frame_len, keys: KeyInterner::default() };
         client.roundtrip(&Request::Hello { version: PROTOCOL_VERSION }, hello_ok)?;
         Ok(client)
     }
@@ -247,8 +264,48 @@ impl Client {
         // rejection after the bytes crossed the wire.
         let frame = request.encode_limited(self.max_frame_len).map_err(ClientError::Wire)?;
         write_frame(&mut self.conn, &frame, self.max_frame_len)?;
+        map(self.read_response()?)
+    }
+
+    fn read_response(&mut self) -> Result<Response, ClientError> {
         let frame = read_frame(&mut self.conn, self.max_frame_len)?.ok_or(ClientError::Closed)?;
-        map(Response::decode(&frame)?)
+        Ok(Response::decode(&frame)?)
+    }
+
+    /// A `CheckKeyed` round trip for `calls` under the key's slot. A key
+    /// new to the connection is bound first, in the same write; a
+    /// refused bind is returned as the error (and the key binds again
+    /// next time), after the check's own answer has been read so the
+    /// stream stays in step.
+    fn check_keyed<T>(
+        &mut self,
+        tenant: &str,
+        task: &str,
+        context: &TrustedContext,
+        calls: &[ApiCall],
+        map: ResponseMap<T>,
+    ) -> Result<T, ClientError> {
+        let max = self.max_frame_len;
+        let (slot, unbound) = self.keys.slot(tenant, task, context);
+        let mut bytes = Vec::new();
+        if unbound {
+            append_frame(&mut bytes, &bind_key_frame(slot, tenant, task, context, max)?, max)?;
+        }
+        append_frame(&mut bytes, &check_keyed_frame(slot, calls, max)?, max)?;
+        self.conn.write_all(&bytes)?;
+        self.conn.flush()?;
+        let bound = match unbound {
+            true => match self.read_response()? {
+                Response::KeyBound { slot: bound } if bound == slot => Ok(()),
+                Response::Error { code, message } => Err(ClientError::Server { code, message }),
+                _ => Err(ClientError::Unexpected { expected: "KeyBound" }),
+            },
+            false => Ok(()),
+        };
+        self.keys.set_bound(slot, bound.is_ok());
+        let answer = self.read_response()?;
+        bound?;
+        map(answer)
     }
 
     /// One policy decision for one call. `Ok(None)` means no policy is
@@ -264,13 +321,7 @@ impl Client {
         context: &TrustedContext,
         call: &ApiCall,
     ) -> Result<Option<Decision>, ClientError> {
-        let request = Request::Check {
-            tenant: tenant.into(),
-            task: task.into(),
-            context: context.clone(),
-            call: call.clone(),
-        };
-        self.roundtrip(&request, verdict)
+        self.check_keyed(tenant, task, context, std::slice::from_ref(call), verdict_one)
     }
 
     /// Decisions for a batch of calls against one policy key (one store
@@ -288,13 +339,7 @@ impl Client {
         context: &TrustedContext,
         calls: &[ApiCall],
     ) -> Result<Option<Vec<Decision>>, ClientError> {
-        let request = Request::CheckBatch {
-            tenant: tenant.into(),
-            task: task.into(),
-            context: context.clone(),
-            calls: calls.to_vec(),
-        };
-        self.roundtrip(&request, verdict_batch)
+        self.check_keyed(tenant, task, context, calls, verdict_batch)
     }
 
     /// Compiles and installs `policy` for (tenant, task, context) on the

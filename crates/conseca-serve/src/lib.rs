@@ -22,7 +22,10 @@
 //!
 //! The protocol is a small length-prefixed binary format — fully
 //! specified in `docs/serving.md`, implemented in [`wire`] — carrying
-//! check / install / fetch / flush / stats / shutdown operations.
+//! check / install / fetch / flush / stats / shutdown operations. Since
+//! v9 a check names its policy key by a connection-local slot, bound
+//! once per key, instead of carrying the whole trusted context; every
+//! client below interns its keys and binds slots for itself.
 //! Served verdicts are **byte-identical** to in-process
 //! [`Engine::check`](conseca_engine::Engine::check) decisions
 //! (differentially property-tested), because the server runs the same
@@ -130,6 +133,7 @@ pub mod aclient;
 pub mod cache;
 pub mod client;
 pub mod daemon;
+mod intern;
 pub mod server;
 pub mod session;
 pub mod transport;

@@ -66,6 +66,18 @@
 //! clients lose nothing and enveloped clients get out-of-order-safe
 //! correlation for dozens of in-flight requests per socket.
 //!
+//! # Key slots (wire v9)
+//!
+//! A client binds a policy key to a connection-local slot once
+//! ([`Request::BindKey`]) and then names the key by slot
+//! ([`Request::CheckKeyed`]), so a check carries no context. The read
+//! task owns the slot table: it answers a bind on the spot, fingerprinting
+//! the bind's task and context once, and resolves a keyed check to its
+//! (tenant, key) as it decodes the frame — a later rebind never reaches
+//! a check already read. Full-key checks get their key at decode too, so
+//! past decoding a check is a key and its calls, whatever frame carried
+//! it.
+//!
 //! # One record per connection
 //!
 //! Everything a connection owns lives in one record, `Conn`: its
@@ -99,7 +111,7 @@ use crate::daemon::{DaemonConfig, LifecycleDaemon};
 use crate::transport::{duplex, DuplexStream, NbReader, NbWriter, Stream};
 use crate::wire::{
     code, unwrap_tagged, wrap_tagged, Frame, FrameReadError, Request, Response, WireError,
-    WireErrorCode, PROTOCOL_VERSION, TAG_TAGGED,
+    WireErrorCode, MAX_KEY_SLOTS, PROTOCOL_VERSION, TAG_TAGGED,
 };
 
 /// Most bytes the write task gathers into one write.
@@ -154,8 +166,9 @@ fn detected_workers() -> usize {
 /// Point-in-time serving counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
-    /// Engine requests processed (Hello and framing errors excluded),
-    /// whether a connection answered them itself or the dispatcher did.
+    /// Engine requests processed (Hello, key binds and framing errors
+    /// excluded), whether a connection answered them itself or the
+    /// dispatcher did.
     pub requests: u64,
     /// Evaluation rounds run: each dispatcher job (the dispatcher takes
     /// one at a time) and each check group a connection answered itself.
@@ -170,6 +183,9 @@ pub struct ServeMetrics {
     /// `StatsOk` so operators can see the pool size a measurement ran
     /// against.
     pub workers: u64,
+    /// Key slots bound on the connections open now (wire v9) — a gauge,
+    /// at most [`MAX_KEY_SLOTS`] per connection.
+    pub key_slots: u64,
 }
 
 #[derive(Default)]
@@ -177,6 +193,7 @@ struct Metrics {
     requests: AtomicU64,
     batches: AtomicU64,
     coalesced_checks: AtomicU64,
+    key_slots: AtomicU64,
 }
 
 /// A request handed to the dispatcher: the work, the connection that
@@ -189,25 +206,102 @@ struct Job {
 
 /// What a decoded request asks for: checks, which a connection may
 /// answer itself, or anything else.
+// Unboxed: a `Work` moves once, from the decoder to whoever answers it,
+// and boxing would cost every non-check request an allocation.
+#[allow(clippy::large_enum_variant)]
 enum Work {
     Check(CheckRequest),
     Other(Request),
 }
 
-/// A `Check` or `CheckBatch`: its policy key's parts and its calls.
+/// A `Check`, `CheckBatch` or `CheckKeyed`, resolved to its policy key
+/// when it was read, and its calls.
 struct CheckRequest {
-    tenant: String,
-    task: String,
-    context: TrustedContext,
+    tenant: Arc<str>,
+    key: EngineKey,
     calls: Vec<ApiCall>,
     /// A single `Check`, answered with `Verdict` (not `VerdictBatch`).
     single: bool,
 }
 
 impl CheckRequest {
-    /// Whether `other` names the same policy key as `self`.
-    fn same_key(&self, other: &CheckRequest) -> bool {
-        self.tenant == other.tenant && self.task == other.task && self.context == other.context
+    /// A full-key check: the key is derived here, once.
+    fn full(tenant: String, task: &str, context: &TrustedContext, calls: Vec<ApiCall>) -> Self {
+        let key = EngineKey::new(&tenant, task, context);
+        CheckRequest { tenant: tenant.into(), key, calls, single: false }
+    }
+}
+
+/// A connection's key slots (wire v9): the tenant and policy key each
+/// `BindKey` bound, by slot. A slot only names a key — the connection's
+/// trajectory sessions stay keyed by the key itself. Only the
+/// connection's read task touches the table, and it resolves a keyed
+/// check when it reads it, so a later rebind never changes a check
+/// already queued.
+#[derive(Default)]
+struct KeySlots {
+    bound: Vec<Option<(Arc<str>, EngineKey)>>,
+}
+
+impl KeySlots {
+    /// Binds `slot`, deriving the key from the bind's parts. `Ok(true)`
+    /// when the slot was empty before.
+    fn bind(
+        &mut self,
+        slot: u32,
+        tenant: String,
+        task: &str,
+        context: &TrustedContext,
+    ) -> Result<bool, Refusal> {
+        if slot >= MAX_KEY_SLOTS {
+            return Err(bad_slot(slot, "is out of range"));
+        }
+        let slot = slot as usize;
+        if self.bound.len() <= slot {
+            self.bound.resize(slot + 1, None);
+        }
+        let key = EngineKey::new(&tenant, task, context);
+        Ok(self.bound[slot].replace((tenant.into(), key)).is_none())
+    }
+
+    /// A `CheckKeyed`'s calls under the key its slot names now.
+    fn resolve(&self, slot: u32, calls: Vec<ApiCall>) -> Result<CheckRequest, Refusal> {
+        match self.bound.get(slot as usize) {
+            Some(Some((tenant, key))) => {
+                Ok(CheckRequest { tenant: Arc::clone(tenant), key: *key, calls, single: false })
+            }
+            _ if slot >= MAX_KEY_SLOTS => Err(bad_slot(slot, "is out of range")),
+            _ => Err(bad_slot(slot, "has no key bound on this connection")),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.bound.iter().filter(|slot| slot.is_some()).count()
+    }
+}
+
+/// A request answered with a typed error instead of being served.
+struct Refusal {
+    code: u16,
+    message: String,
+}
+
+impl Refusal {
+    fn response(self) -> Response {
+        Response::Error { code: self.code, message: self.message }
+    }
+}
+
+impl From<WireError> for Refusal {
+    fn from(e: WireError) -> Self {
+        Refusal { code: e.error_code(), message: e.to_string() }
+    }
+}
+
+fn bad_slot(slot: u32, why: &str) -> Refusal {
+    Refusal {
+        code: code::BAD_SLOT,
+        message: format!("key slot {slot} {why} (slots are 0..{MAX_KEY_SLOTS})"),
     }
 }
 
@@ -315,11 +409,14 @@ enum Outgoing {
 }
 
 /// A request split off its frame: the correlation id and the work, or
-/// why the frame did not decode (with the id to answer under, if any).
-type Inbound = Result<(Option<u64>, Work), (Option<u64>, WireError)>;
+/// why it is refused (with the id to answer under, if any).
+type Inbound = Result<(Option<u64>, Work), (Option<u64>, Refusal)>;
 
-/// Splits the v7 envelope off a frame and decodes the request inside.
-fn decode_inbound(frame: Frame) -> Inbound {
+/// Splits the v7 envelope off a frame and decodes the request inside; a
+/// keyed check resolves its slot in `slots` here. Before the handshake
+/// there are no `slots`, and a keyed check stays a plain request for the
+/// handshake rule to refuse.
+fn decode_inbound(frame: Frame, slots: Option<&KeySlots>) -> Inbound {
     // The envelope goes first, so inner failures are answered inside
     // the sender's envelope and a pipelining client can attribute them.
     let (id, frame) = if frame.tag == TAG_TAGGED {
@@ -327,20 +424,24 @@ fn decode_inbound(frame: Frame) -> Inbound {
             Ok((id, inner)) => (Some(id), inner),
             // The envelope itself is unusable (no trustworthy id to
             // echo): answer bare.
-            Err(e) => return Err((None, e)),
+            Err(e) => return Err((None, e.into())),
         }
     } else {
         (None, frame)
     };
     let work = match Request::decode(&frame) {
-        Ok(Request::Check { tenant, task, context, call }) => {
-            Work::Check(CheckRequest { tenant, task, context, calls: vec![call], single: true })
+        Ok(Request::CheckKeyed { slot, calls }) if let Some(slots) = slots => {
+            Work::Check(slots.resolve(slot, calls).map_err(|e| (id, e))?)
         }
+        Ok(Request::Check { tenant, task, context, call }) => Work::Check(CheckRequest {
+            single: true,
+            ..CheckRequest::full(tenant, &task, &context, vec![call])
+        }),
         Ok(Request::CheckBatch { tenant, task, context, calls }) => {
-            Work::Check(CheckRequest { tenant, task, context, calls, single: false })
+            Work::Check(CheckRequest::full(tenant, &task, &context, calls))
         }
         Ok(request) => Work::Other(request),
-        Err(e) => return Err((id, e)),
+        Err(e) => return Err((id, e.into())),
     };
     Ok((id, work))
 }
@@ -541,6 +642,7 @@ impl ServerHandle {
             batches: self.state.metrics.batches.load(Ordering::Relaxed),
             coalesced_checks: self.state.metrics.coalesced_checks.load(Ordering::Relaxed),
             workers: self.state.workers as u64,
+            key_slots: self.state.metrics.key_slots.load(Ordering::Relaxed),
         }
     }
 
@@ -727,12 +829,16 @@ async fn read_task<S: Stream>(
 ) {
     let max = state.config.max_frame_len;
     let mut greeted = false;
+    let mut slots = KeySlots::default();
     // A request read ahead while coalescing checks; handled next.
     let mut carried: Option<Inbound> = None;
     loop {
         let next = match carried.take() {
             Some(inbound) => Ok(Some(inbound)),
-            None => reader.read_frame(max).await.map(|frame| frame.map(decode_inbound)),
+            None => {
+                let slots = greeted.then_some(&slots);
+                reader.read_frame(max).await.map(|frame| frame.map(|f| decode_inbound(f, slots)))
+            }
         };
         let inbound = match next {
             Ok(Some(inbound)) => inbound,
@@ -750,12 +856,12 @@ async fn read_task<S: Stream>(
         };
         let (id, work) = match inbound {
             Ok(request) => request,
-            Err((id, e)) => {
-                // Unusable envelopes, unknown tags and undecodable
-                // payloads are answered and the conversation continues —
-                // the frame boundary is intact, so the stream is in sync.
-                let response = Response::Error { code: e.error_code(), message: e.to_string() };
-                let _ = out.send(Outgoing::Ready { id, response });
+            Err((id, refusal)) => {
+                // Unusable envelopes, unknown tags, undecodable payloads
+                // and bad key slots are answered and the conversation
+                // continues — the frame boundary is intact, so the
+                // stream is in sync.
+                let _ = out.send(Outgoing::Ready { id, response: refusal.response() });
                 continue;
             }
         };
@@ -786,10 +892,26 @@ async fn read_task<S: Stream>(
             }
             // Acks answer pushes; they get no response of their own.
             Work::Other(Request::PushAck { seq }) => conn.record_ack(seq),
+            // A bind touches only this task's slot table, so it is
+            // answered here and never queued: the checks read after it
+            // resolve under the new key, those read before it already
+            // hold the old one.
+            Work::Other(Request::BindKey { slot, tenant, task, context }) => {
+                let response = match slots.bind(slot, tenant, &task, &context) {
+                    Ok(fresh) => {
+                        if fresh {
+                            state.metrics.key_slots.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Response::KeyBound { slot }
+                    }
+                    Err(refusal) => refusal.response(),
+                };
+                let _ = out.send(Outgoing::Ready { id, response });
+            }
             // Nothing of this connection's is waiting on the dispatcher,
             // so the check cannot overtake an effect: answer it here.
             Work::Check(check) if conn.in_flight.load(Ordering::Acquire) == 0 => {
-                carried = answer_checks(&state, &conn, &mut reader, &out, id, check);
+                carried = answer_checks(&state, &conn, &mut reader, &slots, &out, id, check);
             }
             work => {
                 // Never awaited: the read task keeps reading (PushAcks
@@ -811,6 +933,7 @@ async fn read_task<S: Stream>(
     // any fan-out still waiting on this connection's ack fails now. The
     // record, sessions included, goes with its last holder.
     conn.mark_closed();
+    state.metrics.key_slots.fetch_sub(slots.len() as u64, Ordering::Relaxed);
 }
 
 /// Answers with a typed error, then closes the connection once
@@ -1060,12 +1183,12 @@ struct PendingCheck {
 /// Checks sharing one policy key *and one connection*, answered by one
 /// evaluation. Grouping is per-connection because each connection owns
 /// its trajectory session: two connections checking the same policy
-/// must spend their own budgets, not each other's. The key is computed
-/// once, when the group opens, and serves both the connection's session
+/// must spend their own budgets, not each other's. The key was resolved
+/// when each check was read, and serves both the connection's session
 /// map and the store lookup.
 struct CheckGroup {
     key: EngineKey,
-    tenant: String,
+    tenant: Arc<str>,
     /// Every member's calls, in arrival order.
     calls: Vec<ApiCall>,
     pending: Vec<PendingCheck>,
@@ -1073,17 +1196,17 @@ struct CheckGroup {
 
 impl CheckGroup {
     /// Opens a group under `first`'s policy key with `first` as its
-    /// only member. The calls move into the group; the key's parts stay
-    /// behind for [`CheckRequest::same_key`].
-    fn open(id: Option<u64>, first: &mut CheckRequest) -> Self {
-        let mut group = CheckGroup {
-            key: EngineKey::new(&first.tenant, &first.task, &first.context),
-            tenant: first.tenant.clone(),
-            calls: Vec::new(),
-            pending: Vec::new(),
-        };
-        group.push(id, std::mem::take(&mut first.calls), first.single);
+    /// only member.
+    fn open(id: Option<u64>, first: CheckRequest) -> Self {
+        let CheckRequest { tenant, key, calls, single } = first;
+        let mut group = CheckGroup { key, tenant, calls: Vec::new(), pending: Vec::new() };
+        group.push(id, calls, single);
         group
+    }
+
+    /// Whether `check` names this group's policy key.
+    fn admits(&self, check: &CheckRequest) -> bool {
+        check.key == self.key && check.tenant == self.tenant
     }
 
     fn push(&mut self, id: Option<u64>, calls: Vec<ApiCall>, single: bool) {
@@ -1137,17 +1260,20 @@ fn answer_checks<S: Read>(
     state: &ServerState,
     conn: &Conn,
     reader: &mut NbReader<S>,
+    slots: &KeySlots,
     out: &mpsc::UnboundedSender<Outgoing>,
     id: Option<u64>,
-    mut first: CheckRequest,
+    first: CheckRequest,
 ) -> Option<Inbound> {
-    let mut group = CheckGroup::open(id, &mut first);
+    let mut group = CheckGroup::open(id, first);
     let mut carried = None;
     while group.pending.len() < MAX_BATCH {
         // A framing error stays in the reader for the read task to meet.
         let Some(Ok(frame)) = reader.buffered_frame(state.config.max_frame_len) else { break };
-        match decode_inbound(frame) {
-            Ok((id, Work::Check(next))) if next.same_key(&first) => {
+        // A bind ends the group before the next frame is decoded, so
+        // every keyed check resolves against the binds read before it.
+        match decode_inbound(frame, Some(slots)) {
+            Ok((id, Work::Check(next))) if group.admits(&next) => {
                 group.push(id, next.calls, next.single)
             }
             other => {
@@ -1173,8 +1299,8 @@ async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job
         let response = match work {
             // A check queued behind its connection's unanswered job: a
             // group of one, whose answer rides the oneshot, not an id.
-            Work::Check(mut check) => {
-                let group = CheckGroup::open(None, &mut check);
+            Work::Check(check) => {
+                let group = CheckGroup::open(None, check);
                 answer_group(&state, &conn, group).pop().expect("a group of one has one answer").1
             }
             Work::Other(request) => execute(&state, request),
@@ -1276,10 +1402,15 @@ fn execute(state: &ServerState, request: Request) -> Response {
             code: code::MALFORMED,
             message: "Hello is handled during the handshake".into(),
         },
-        Request::Subscribe { .. } | Request::PushAck { .. } => Response::Error {
-            code: code::MALFORMED,
-            message: "subscription frames are handled by the connection reader".into(),
-        },
-        Request::Check { .. } | Request::CheckBatch { .. } => unreachable!(),
+        Request::Subscribe { .. } | Request::PushAck { .. } | Request::BindKey { .. } => {
+            Response::Error {
+                code: code::MALFORMED,
+                message: "subscription and key-slot frames are handled by the connection reader"
+                    .into(),
+            }
+        }
+        Request::Check { .. } | Request::CheckBatch { .. } | Request::CheckKeyed { .. } => {
+            unreachable!("checks are decoded as Work::Check")
+        }
     }
 }

@@ -45,7 +45,15 @@ pub use conseca_core::codec::{WireError, MAX_PREDICATE_DEPTH};
 /// are additive (receivers answer unknown tags with
 /// [`code::UNKNOWN_TAG`]).
 ///
-/// Version history: **8** dropped the `revoked` list from `Restore`:
+/// Version history: **9** added policy-key slots: a connection binds a
+/// policy key once to a small client-chosen slot with
+/// [`Request::BindKey`] (answered [`Response::KeyBound`]), and each later
+/// [`Request::CheckKeyed`] names only the slot, so a check no longer
+/// carries, and the server no longer decodes and fingerprints, a whole
+/// trusted context; slots at or above [`MAX_KEY_SLOTS`] and slots with
+/// nothing bound are answered [`code::BAD_SLOT`] (bumped so a v9 client
+/// that binds keys fails fast at the handshake against a v8 server).
+/// **8** dropped the `revoked` list from `Restore`:
 /// the server's engine gates every restore on its own revocation
 /// journal, so the request carries only `tenant` and `snapshot`. **7**
 /// added the pipelining envelope: a client may
@@ -88,7 +96,7 @@ pub use conseca_core::codec::{WireError, MAX_PREDICATE_DEPTH};
 /// (a payload change to `StatsOk`, hence the bump) and added the
 /// `Revoke`/`Reload` hot-reload messages. **1** was the initial
 /// protocol.
-pub const PROTOCOL_VERSION: u16 = 8;
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Default cap on `length` (tag + payload) a peer will accept. Frames
 /// above the cap are answered with [`code::FRAME_TOO_LARGE`] and the
@@ -98,6 +106,11 @@ pub const PROTOCOL_VERSION: u16 = 8;
 /// path for oversized-but-legitimate payloads such as large policy
 /// snapshots; see `docs/serving.md` §2.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 1 << 20;
+
+/// Key slots one connection may bind (v9): a [`Request::BindKey`] or
+/// [`Request::CheckKeyed`] naming a slot at or above this is answered
+/// [`code::BAD_SLOT`]. A client that needs more keys rebinds slots.
+pub const MAX_KEY_SLOTS: u32 = 1024;
 
 /// Error codes carried by [`Response::Error`].
 pub mod code {
@@ -133,6 +146,11 @@ pub mod code {
     /// `Reload` or `Restore` nothing was installed (a restore must never
     /// run against a partial revocation set). Connection stays open.
     pub const PERSISTENCE: u16 = 9;
+    /// A `CheckKeyed` named a slot this connection has bound no key to,
+    /// or a `BindKey` or `CheckKeyed` named a slot at or above
+    /// [`MAX_KEY_SLOTS`](super::MAX_KEY_SLOTS). Nothing was bound or
+    /// checked; connection stays open.
+    pub const BAD_SLOT: u16 = 10;
 }
 
 // Request tags.
@@ -156,6 +174,8 @@ pub(crate) const TAG_PUSH_ACK: u8 = 0x0E;
 /// — so every enveloped request decodes with the ordinary
 /// [`Request::decode`].
 pub(crate) const TAG_TAGGED: u8 = 0x0F;
+pub(crate) const TAG_BIND_KEY: u8 = 0x10;
+pub(crate) const TAG_CHECK_KEYED: u8 = 0x11;
 
 // Response tags.
 pub(crate) const TAG_HELLO_OK: u8 = 0x81;
@@ -171,6 +191,7 @@ pub(crate) const TAG_RELOADED: u8 = 0x8A;
 pub(crate) const TAG_SNAPSHOT_OK: u8 = 0x8B;
 pub(crate) const TAG_RESTORED: u8 = 0x8C;
 pub(crate) const TAG_SUBSCRIBED: u8 = 0x8D;
+pub(crate) const TAG_KEY_BOUND: u8 = 0x8E;
 /// v7 pipelining envelope (response direction); the answer to a
 /// [`TAG_TAGGED`] request, carrying the same correlation id.
 pub(crate) const TAG_TAGGED_OK: u8 = 0x8F;
@@ -486,6 +507,55 @@ pub fn encode_decision(d: &Decision) -> Vec<u8> {
     w.finish()
 }
 
+fn put_bind_key(
+    w: &mut Writer,
+    slot: u32,
+    tenant: &str,
+    task: &str,
+    context: &TrustedContext,
+) -> Result<(), WireError> {
+    w.u32(slot, "bind_key.slot")?;
+    w.str_(tenant, "bind_key.tenant")?;
+    w.str_(task, "bind_key.task")?;
+    codec::put_context(w, context)
+}
+
+fn put_check_keyed(w: &mut Writer, slot: u32, calls: &[ApiCall]) -> Result<(), WireError> {
+    w.u32(slot, "check_keyed.slot")?;
+    w.count(calls.len(), "check_keyed.calls")?;
+    for call in calls {
+        codec::put_call(w, call)?;
+    }
+    Ok(())
+}
+
+/// The frame [`Request::BindKey`] encodes to, built from borrowed parts
+/// under the frame cap `max_frame_len` — so a client binds a key without
+/// first cloning its context into a request.
+pub(crate) fn bind_key_frame(
+    slot: u32,
+    tenant: &str,
+    task: &str,
+    context: &TrustedContext,
+    max_frame_len: u32,
+) -> Result<Frame, WireError> {
+    let mut w = Writer::with_limit((max_frame_len as u64).saturating_sub(1));
+    put_bind_key(&mut w, slot, tenant, task, context)?;
+    Ok(Frame { tag: TAG_BIND_KEY, payload: w.finish() })
+}
+
+/// The frame [`Request::CheckKeyed`] encodes to, built from borrowed
+/// calls under the frame cap `max_frame_len`.
+pub(crate) fn check_keyed_frame(
+    slot: u32,
+    calls: &[ApiCall],
+    max_frame_len: u32,
+) -> Result<Frame, WireError> {
+    let mut w = Writer::with_limit((max_frame_len as u64).saturating_sub(1));
+    put_check_keyed(&mut w, slot, calls)?;
+    Ok(Frame { tag: TAG_CHECK_KEYED, payload: w.finish() })
+}
+
 // --------------------------------------------------------------- messages
 
 /// A client-to-server message.
@@ -608,6 +678,27 @@ pub enum Request {
         /// The `seq` carried by the push frame being acknowledged.
         seq: u64,
     },
+    /// Binds `slot` on this connection to the policy key of (tenant,
+    /// task, context), replacing whatever the slot named before (v9).
+    /// The server derives the key itself, exactly as for a `Check`.
+    BindKey {
+        /// The slot, below [`MAX_KEY_SLOTS`].
+        slot: u32,
+        /// Tenant the slot's checks are billed to.
+        tenant: String,
+        /// Task text the policy is keyed by.
+        task: String,
+        /// Trusted context the policy is keyed by.
+        context: TrustedContext,
+    },
+    /// Decisions for a batch of calls against the policy key bound to
+    /// `slot` (v9); answered [`Response::VerdictBatch`].
+    CheckKeyed {
+        /// A slot bound by an earlier `BindKey` on this connection.
+        slot: u32,
+        /// The proposed actions, judged in order.
+        calls: Vec<ApiCall>,
+    },
 }
 
 /// A server-to-client message.
@@ -624,7 +715,8 @@ pub enum Response {
         /// The decision, when a policy was installed.
         decision: Option<Decision>,
     },
-    /// Answer to [`Request::CheckBatch`]; `None` as in [`Response::Verdict`].
+    /// Answer to [`Request::CheckBatch`] and [`Request::CheckKeyed`];
+    /// `None` as in [`Response::Verdict`].
     VerdictBatch {
         /// Decisions in call order, when a policy was installed.
         decisions: Option<Vec<Decision>>,
@@ -696,6 +788,12 @@ pub enum Response {
     /// Answer to [`Request::Subscribe`]; invalidation pushes for the
     /// tenant flow on this connection from this frame onward.
     Subscribed,
+    /// Answer to [`Request::BindKey`]: checks naming `slot` now judge
+    /// against the bound key.
+    KeyBound {
+        /// The slot just bound.
+        slot: u32,
+    },
     /// **Server-initiated.** A fingerprint sweep
     /// (`Engine::revoke_fingerprint`) fired: the client must drop every
     /// cached snapshot whose source policy carries `fingerprint`, then
@@ -833,6 +931,14 @@ impl Request {
                 w.u64(*seq, "push_ack.seq")?;
                 TAG_PUSH_ACK
             }
+            Request::BindKey { slot, tenant, task, context } => {
+                put_bind_key(&mut w, *slot, tenant, task, context)?;
+                TAG_BIND_KEY
+            }
+            Request::CheckKeyed { slot, calls } => {
+                put_check_keyed(&mut w, *slot, calls)?;
+                TAG_CHECK_KEYED
+            }
         };
         Ok(Frame { tag, payload: w.finish() })
     }
@@ -909,6 +1015,21 @@ impl Request {
             },
             TAG_SUBSCRIBE => Request::Subscribe { tenant: r.str_("subscribe.tenant")? },
             TAG_PUSH_ACK => Request::PushAck { seq: r.u64("push_ack.seq")? },
+            TAG_BIND_KEY => Request::BindKey {
+                slot: r.u32("bind_key.slot")?,
+                tenant: r.str_("bind_key.tenant")?,
+                task: r.str_("bind_key.task")?,
+                context: r.context()?,
+            },
+            TAG_CHECK_KEYED => {
+                let slot = r.u32("check_keyed.slot")?;
+                let count = r.u32("check_keyed.calls")? as usize;
+                let mut calls = Vec::new();
+                for _ in 0..count {
+                    calls.push(r.call()?);
+                }
+                Request::CheckKeyed { slot, calls }
+            }
             tag => return Err(WireError::UnknownTag(tag)),
         };
         r.finish()?;
@@ -1007,6 +1128,10 @@ impl Response {
                 TAG_RESTORED
             }
             Response::Subscribed => TAG_SUBSCRIBED,
+            Response::KeyBound { slot } => {
+                w.u32(*slot, "key_bound.slot")?;
+                TAG_KEY_BOUND
+            }
             Response::PushRevoke { seq, tenant, fingerprint } => {
                 w.u64(*seq, "push_revoke.seq")?;
                 w.str_(tenant, "push_revoke.tenant")?;
@@ -1103,6 +1228,7 @@ impl Response {
                 skipped_live: r.u64("restored.skipped_live")?,
             },
             TAG_SUBSCRIBED => Response::Subscribed,
+            TAG_KEY_BOUND => Response::KeyBound { slot: r.u32("key_bound.slot")? },
             TAG_PUSH_REVOKE => Response::PushRevoke {
                 seq: r.u64("push_revoke.seq")?,
                 tenant: r.str_("push_revoke.tenant")?,
@@ -1222,6 +1348,16 @@ mod tests {
             Request::Restore { tenant: "acme".into(), snapshot: vec![0xC5, 0x00, 0x01, 0x7F] },
             Request::Subscribe { tenant: "acme".into() },
             Request::PushAck { seq: u64::MAX },
+            Request::BindKey {
+                slot: MAX_KEY_SLOTS - 1,
+                tenant: "acme".into(),
+                task: "t".into(),
+                context: sample_context(),
+            },
+            Request::CheckKeyed {
+                slot: 3,
+                calls: vec![call.clone(), ApiCall::new("fs", "ls", vec![])],
+            },
         ];
         for request in requests {
             assert_eq!(roundtrip_request(request.clone()), request);
@@ -1289,6 +1425,7 @@ mod tests {
             Response::SnapshotOk { entries: 4, snapshot: vec![1, 2, 3, 4, 5] },
             Response::Restored { installed: 2, skipped_revoked: 1, skipped_live: 1 },
             Response::Subscribed,
+            Response::KeyBound { slot: 7 },
             Response::PushRevoke { seq: 1, tenant: "acme".into(), fingerprint: 0xfeed_f00d },
             Response::PushReload {
                 seq: 2,
@@ -1303,6 +1440,19 @@ mod tests {
         for response in responses {
             assert_eq!(roundtrip_response(response.clone()), response);
         }
+    }
+
+    #[test]
+    fn borrowed_key_frames_equal_the_request_encodings() {
+        let context = sample_context();
+        let calls = vec![ApiCall::new("fs", "ls", vec!["/home".into()])];
+        let bind = bind_key_frame(5, "acme", "t", &context, DEFAULT_MAX_FRAME_LEN).unwrap();
+        let request =
+            Request::BindKey { slot: 5, tenant: "acme".into(), task: "t".into(), context };
+        assert_eq!(bind, request.encode());
+        let check = check_keyed_frame(5, &calls, DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!(check, Request::CheckKeyed { slot: 5, calls }.encode());
+        assert!(check_keyed_frame(5, &[], 4).is_err(), "the cap holds while encoding");
     }
 
     #[test]

@@ -89,6 +89,16 @@ fn sample_requests() -> Vec<Request> {
         },
         Request::Subscribe { tenant: "acme".into() },
         Request::PushAck { seq: 41 },
+        Request::BindKey {
+            slot: 7,
+            tenant: "acme".into(),
+            task: "t".into(),
+            context: sample_context(),
+        },
+        Request::CheckKeyed {
+            slot: 7,
+            calls: vec![ApiCall::new("email", "send_email", vec!["alice".into()])],
+        },
     ]
 }
 
@@ -134,6 +144,7 @@ fn sample_responses() -> Vec<Response> {
         Response::Reloaded { old_fingerprint: Some(9), fingerprint: 8, entries: 2 },
         Response::Error { code: 3, message: "nope".into() },
         Response::Subscribed,
+        Response::KeyBound { slot: 7 },
         Response::PushRevoke { seq: 1, tenant: "acme".into(), fingerprint: 0xfeed_f00d },
         Response::PushReload {
             seq: 2,

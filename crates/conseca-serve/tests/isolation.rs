@@ -226,3 +226,58 @@ fn a_resubscribe_to_the_same_tenant_keeps_the_push_sequence() {
 fn a_resubscribe_to_another_tenant_keeps_the_push_sequence() {
     resubscribe_keeps_the_push_sequence("globex");
 }
+
+#[test]
+fn a_rebound_slot_never_changes_a_check_already_queued_behind_a_wedged_revoke() {
+    // Slot 0 names task "t" (allowed) when the first keyed check is read
+    // and task "u" (denied) when the second is; both wait behind the
+    // wedged revoke, and each is judged under the key its slot named
+    // when it was read, not when the dispatcher reaches it.
+    let config =
+        ServeConfig { push_ack_timeout: Duration::from_millis(300), ..ServeConfig::default() };
+    let engine = Arc::new(Engine::default());
+    let server = Server::start(Arc::clone(&engine), config);
+    let context = ctx();
+    let mut denied = Policy::new("u");
+    denied.set("send_email", PolicyEntry::deny("task u never sends"));
+    let mut decoy = Policy::new("decoy");
+    decoy.set("send_email", PolicyEntry::deny("the decoy never sends"));
+    engine.install("acme", "t", &context, &policy()).unwrap();
+    engine.install("acme", "u", &context, &denied).unwrap();
+    engine.install("acme", "decoy", &context, &decoy).unwrap();
+    let mut wedged = server.connect_stream().unwrap();
+    subscribe(&mut wedged, "acme");
+
+    let mut raw = server.connect_stream().unwrap();
+    send(&mut raw, Request::Hello { version: conseca_serve::PROTOCOL_VERSION });
+    assert!(matches!(recv(&mut raw), Response::HelloOk { .. }));
+    let bind = |task: &str| Request::BindKey {
+        slot: 0,
+        tenant: "acme".into(),
+        task: task.into(),
+        context: context.clone(),
+    };
+    let check = || Request::CheckKeyed { slot: 0, calls: vec![call()] };
+    let start = Instant::now();
+    for request in [
+        bind("t"),
+        Request::Revoke { tenant: "acme".into(), fingerprint: decoy.fingerprint() },
+        check(),
+        bind("u"),
+        check(),
+    ] {
+        send(&mut raw, request);
+    }
+    assert!(matches!(recv(&mut raw), Response::KeyBound { slot: 0 }));
+    assert!(matches!(recv(&mut raw), Response::Revoked { removed: 1 }));
+    assert!(start.elapsed() >= Duration::from_millis(300), "the revoke was wedged");
+    let verdicts: Vec<Response> = (0..3).map(|_| recv(&mut raw)).collect();
+    let allowed = |response: &Response| match response {
+        Response::VerdictBatch { decisions: Some(ds) } => ds[0].allowed,
+        other => panic!("expected a keyed verdict, got {other:?}"),
+    };
+    assert!(allowed(&verdicts[0]), "the first check keeps task t, bound when it was read");
+    assert!(matches!(verdicts[1], Response::KeyBound { slot: 0 }));
+    assert!(!allowed(&verdicts[2]), "the second check judges under task u");
+    server.shutdown();
+}

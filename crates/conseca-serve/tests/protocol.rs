@@ -788,3 +788,157 @@ fn trajectory_sessions_are_isolated_per_connection() {
     assert!(third.check("acme", "t", &context, &list).unwrap().unwrap().allowed);
     server.shutdown();
 }
+
+fn send(stream: &mut impl Write, request: Request) {
+    write_frame(stream, &request.encode(), DEFAULT_MAX_FRAME_LEN).unwrap();
+}
+
+fn bind(slot: u32, task: &str) -> Request {
+    Request::BindKey { slot, tenant: "acme".into(), task: task.into(), context: ctx() }
+}
+
+fn keyed(slot: u32, calls: Vec<ApiCall>) -> Request {
+    Request::CheckKeyed { slot, calls }
+}
+
+fn assert_bad_slot(response: Response) {
+    match response {
+        Response::Error { code: c, .. } => assert_eq!(c, code::BAD_SLOT),
+        other => panic!("expected BAD_SLOT, got {other:?}"),
+    }
+}
+
+#[test]
+fn unbound_and_out_of_range_slots_are_answered_and_the_connection_continues() {
+    use conseca_serve::wire::MAX_KEY_SLOTS;
+    let server = start();
+    server.engine().install("acme", "t", &ctx(), &policy()).unwrap();
+    let mut raw = server.connect_stream().unwrap();
+    greet(&mut raw);
+    let send_alice = || vec![call("send_email", &["alice"])];
+
+    send(&mut raw, keyed(3, send_alice()));
+    assert_bad_slot(read_response(&mut raw));
+    send(&mut raw, keyed(MAX_KEY_SLOTS, send_alice()));
+    assert_bad_slot(read_response(&mut raw));
+    send(&mut raw, bind(MAX_KEY_SLOTS, "t"));
+    assert_bad_slot(read_response(&mut raw));
+    send(&mut raw, bind(u32::MAX, "t"));
+    assert_bad_slot(read_response(&mut raw));
+    assert_eq!(server.metrics().key_slots, 0, "a refused bind binds nothing");
+
+    // Same connection: the highest slot binds and checks like any other.
+    let last = MAX_KEY_SLOTS - 1;
+    send(&mut raw, bind(last, "t"));
+    assert!(matches!(read_response(&mut raw), Response::KeyBound { slot } if slot == last));
+    send(&mut raw, keyed(last, vec![call("send_email", &["alice"]), call("send_email", &["eve"])]));
+    match read_response(&mut raw) {
+        Response::VerdictBatch { decisions: Some(ds) } => {
+            assert_eq!(ds.iter().map(|d| d.allowed).collect::<Vec<_>>(), [true, false]);
+        }
+        other => panic!("expected the bound key's verdicts, got {other:?}"),
+    }
+    // A slot bound to a key with no policy answers "not installed".
+    send(&mut raw, bind(0, "no such task"));
+    assert!(matches!(read_response(&mut raw), Response::KeyBound { slot: 0 }));
+    send(&mut raw, keyed(0, send_alice()));
+    assert!(matches!(read_response(&mut raw), Response::VerdictBatch { decisions: None }));
+    assert_eq!(server.metrics().key_slots, 2);
+    send(&mut raw, Request::Stats { tenant: "acme".into() });
+    assert!(matches!(read_response(&mut raw), Response::StatsOk { .. }));
+    drop(raw);
+    server.shutdown();
+}
+
+#[test]
+fn a_slot_names_a_key_and_the_keys_session_is_shared() {
+    // Two slots bound to one key, and a full-key Check of that key, all
+    // spend one trajectory session: a slot is a name, not a session.
+    let server = start();
+    server.engine().install("acme", "t", &ctx(), &budgeted_policy(2)).unwrap();
+    let mut raw = server.connect_stream().unwrap();
+    greet(&mut raw);
+    let list = call("list_emails", &["Inbox"]);
+    send(&mut raw, bind(0, "t"));
+    send(&mut raw, bind(1, "t"));
+    send(&mut raw, keyed(0, vec![list.clone()]));
+    send(&mut raw, keyed(1, vec![list.clone()]));
+    let check =
+        Request::Check { tenant: "acme".into(), task: "t".into(), context: ctx(), call: list };
+    send(&mut raw, check);
+    assert!(matches!(read_response(&mut raw), Response::KeyBound { slot: 0 }));
+    assert!(matches!(read_response(&mut raw), Response::KeyBound { slot: 1 }));
+    let mut allowed = Vec::new();
+    for _ in 0..2 {
+        match read_response(&mut raw) {
+            Response::VerdictBatch { decisions: Some(ds) } => allowed.push(ds[0].allowed),
+            other => panic!("expected a keyed verdict, got {other:?}"),
+        }
+    }
+    match read_response(&mut raw) {
+        Response::Verdict { decision: Some(d) } => allowed.push(d.allowed),
+        other => panic!("expected a full-key verdict, got {other:?}"),
+    }
+    assert_eq!(allowed, [true, true, false], "one budget of two across both slots and the key");
+    server.shutdown();
+}
+
+#[test]
+fn ten_thousand_keys_through_one_client_keep_the_slot_table_bounded() {
+    use conseca_serve::wire::MAX_KEY_SLOTS;
+    use conseca_serve::AsyncClient;
+    const KEYS: u64 = 10_000;
+    const WINDOW: u64 = 500;
+    let server = start();
+    let oracle = Engine::default();
+    // Every tenth key has a policy; the rest answer "not installed".
+    let context_of = |i: u64| TrustedContext { time: i, ..ctx() };
+    for i in (0..KEYS).step_by(10) {
+        server.engine().install("acme", "t", &context_of(i), &policy()).unwrap();
+        oracle.install("acme", "t", &context_of(i), &policy()).unwrap();
+    }
+    let client = AsyncClient::over(server.connect_stream().unwrap()).unwrap();
+    let calls = [call("send_email", &["alice"]), call("send_email", &["eve"])];
+    let mut most_slots = 0;
+    for window in (0..KEYS).step_by(WINDOW as usize) {
+        let pending: Vec<_> = (window..window + WINDOW)
+            .map(|i| {
+                let call = &calls[(i / 10 % 2) as usize];
+                (i, client.check("acme", "t", &context_of(i), call).unwrap())
+            })
+            .collect();
+        for (i, served) in pending {
+            let call = &calls[(i / 10 % 2) as usize];
+            let expected = oracle.check("acme", "t", &context_of(i), call);
+            assert_eq!(served.wait().unwrap(), expected, "key {i}");
+        }
+        most_slots = most_slots.max(server.metrics().key_slots);
+    }
+    assert!(most_slots <= MAX_KEY_SLOTS as u64, "{most_slots} slots bound on one connection");
+    assert!(most_slots > 0);
+    // Keys seen again after the table wrapped rebind and still judge right.
+    let again = client.check("acme", "t", &context_of(0), &calls[0]).unwrap().wait().unwrap();
+    assert!(again.expect("key 0 has a policy").allowed);
+    drop(client);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while server.metrics().key_slots != 0 {
+        assert!(std::time::Instant::now() < deadline, "a closed connection's slots are released");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    server.shutdown();
+}
+
+#[test]
+fn key_slot_frames_before_hello_are_refused_and_the_connection_closes() {
+    for request in [bind(0, "t"), keyed(0, vec![call("send_email", &["alice"])])] {
+        let server = start();
+        let mut raw = server.connect_stream().unwrap();
+        send(&mut raw, request);
+        match read_response(&mut raw) {
+            Response::Error { code: c, .. } => assert_eq!(c, code::HANDSHAKE_REQUIRED),
+            other => panic!("expected HANDSHAKE_REQUIRED, got {other:?}"),
+        }
+        assert!(read_frame(&mut raw, 1 << 20).unwrap().is_none(), "server must close");
+        server.shutdown();
+    }
+}

@@ -271,6 +271,10 @@ fn an_error_then_close_fails_every_pending_request() {
             max,
         )
         .unwrap();
+        // The key's first check goes out behind its slot's bind.
+        let bind = read_frame(&mut stream, max).unwrap().expect("the key's bind");
+        let (_, bind) = conseca_serve::wire::unwrap_tagged(&bind).unwrap();
+        assert!(matches!(Request::decode(&bind).unwrap(), Request::BindKey { slot: 0, .. }));
         let oversized = read_frame(&mut stream, max).unwrap().expect("the oversized request");
         assert!(oversized.payload.len() + 1 > CAP as usize);
         for _ in 0..LATER {
