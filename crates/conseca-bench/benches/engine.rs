@@ -18,7 +18,8 @@ use conseca_core::{
     TrajectoryEnforcer, TrajectoryPolicy, TrustedContext,
 };
 use conseca_engine::{
-    decode_snapshot, CheckJob, CompiledPolicy, CompiledTrajectory, Engine, EngineKey,
+    check_parallel, decode_snapshot, CheckJob, CompiledPolicy, CompiledTrajectory, Engine,
+    EngineKey,
 };
 use conseca_llm::TemplatePolicyModel;
 use conseca_shell::ApiCall;
@@ -187,7 +188,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &threads| {
-            b.iter(|| engine.check_parallel(black_box(&jobs), threads).allowed)
+            b.iter(|| check_parallel(&engine, black_box(&jobs), threads).allowed)
         });
     }
     group.finish();

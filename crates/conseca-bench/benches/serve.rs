@@ -9,7 +9,7 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use conseca_core::{ArgConstraint, Policy, PolicyEntry, TrustedContext};
-use conseca_engine::Engine;
+use conseca_engine::{Billing, Engine, EngineKey};
 use conseca_serve::{AsyncClient, Client, ServeConfig, Server};
 use conseca_shell::ApiCall;
 
@@ -84,7 +84,12 @@ fn bench_round_trip(c: &mut Criterion) {
     let batch: Vec<ApiCall> = (0..16).map(send_call).collect();
     let mut group = c.benchmark_group("serve_batch_16");
     group.bench_function("engine_check_all_in_process", |b| {
-        b.iter(|| engine.check_all(black_box("acme"), black_box(&task), &ctx, black_box(&batch)))
+        b.iter(|| {
+            let key = EngineKey::new(black_box("acme"), black_box(&task), &ctx);
+            engine
+                .resolve("acme", &key, Billing::Authoritative)
+                .map(|r| r.check_all(None, black_box(&batch)))
+        })
     });
     group.bench_function("served_check_all_cached", |b| {
         b.iter(|| cached_client.check_all(&task, &ctx, black_box(&batch)).unwrap())

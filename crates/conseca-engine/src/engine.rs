@@ -154,7 +154,7 @@ pub struct ReloadReceipt {
     pub policy: Arc<CompiledPolicy>,
 }
 
-/// One unit of work for [`Engine::check_parallel`].
+/// One unit of work for [`check_parallel`].
 #[derive(Debug, Clone)]
 pub struct CheckJob {
     /// Tenant the check is attributed to.
@@ -201,9 +201,8 @@ impl ParallelReport {
     }
 }
 
-/// One session's trajectory progress, threaded through the engine's
-/// session-aware entry points ([`Engine::check_session`],
-/// [`Engine::check_all_session`]).
+/// One session's trajectory progress, threaded through
+/// [`Resolved::check`].
 ///
 /// The engine itself stays stateless per check; callers that want
 /// temporal constraints (call budgets, ordering rules, sliding windows)
@@ -249,6 +248,118 @@ impl SessionState {
             self.trajectory = policy.new_trajectory_state();
         }
     }
+}
+
+/// How [`Engine::resolve`] bills its one store lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Billing {
+    /// The engine's store is the authority for the key: bill the tenant
+    /// a hit or a miss.
+    Authoritative,
+    /// The engine is a cache above the authority (the served client's
+    /// L1): bill a hit, and bill nothing on a miss, not even the
+    /// tenant's row. The layer below bills that lookup; billing it here
+    /// too would count one logical lookup twice.
+    Cache,
+}
+
+/// A policy key resolved by [`Engine::resolve`]: the snapshot that
+/// governs it and the stats of the tenant its decisions are billed to.
+#[derive(Debug)]
+pub struct Resolved {
+    policy: Arc<CompiledPolicy>,
+    stats: Arc<TenantStats>,
+}
+
+impl Resolved {
+    /// Judges `call` and bills one decision: the engine's one compiled
+    /// decision function. The per-API entry judges first, so its
+    /// denials take precedence, matching the pipeline's layer order.
+    ///
+    /// With a `session`, the session first syncs to this snapshot; then
+    /// a call the entry allows is judged by the compiled trajectory and,
+    /// if allowed, **recorded** into the session. Session checks are
+    /// check-and-advance, because callers (the wire server, batch
+    /// harnesses) treat an allowed decision as authorisation to
+    /// execute. With `None` the check is stateless and the trajectory
+    /// block is ignored. A policy with no trajectory block costs
+    /// nothing beyond the stateless check.
+    pub fn check(&self, session: Option<&mut SessionState>, call: &ApiCall) -> Decision {
+        let mut decision = self.policy.check(call);
+        if let Some(session) = session {
+            session.sync(&self.policy);
+            if let (true, Some(trajectory), Some(state)) =
+                (decision.allowed, self.policy.trajectory(), session.trajectory.as_mut())
+            {
+                let verdict = trajectory.check(state, call);
+                if verdict.allowed {
+                    trajectory.record(state, call);
+                } else {
+                    decision = Decision {
+                        allowed: false,
+                        rationale: verdict.rationale,
+                        violation: verdict.violation,
+                    };
+                }
+            }
+        }
+        self.stats.record_decision(decision.allowed);
+        decision
+    }
+
+    /// [`check`](Self::check) on each call in order. A session advances
+    /// through the batch: call *n* sees the budgets spent by calls
+    /// *0..n*.
+    pub fn check_all(
+        &self,
+        mut session: Option<&mut SessionState>,
+        calls: &[ApiCall],
+    ) -> Vec<Decision> {
+        calls.iter().map(|call| self.check(session.as_deref_mut(), call)).collect()
+    }
+}
+
+/// Multi-threaded evaluation: `jobs` are striped across `threads`
+/// scoped workers sharing `engine`'s store. Each job is one stateless
+/// check under an authoritative [`Engine::resolve`]. A job whose key
+/// has no installed policy is denied by default (the paper's stance for
+/// anything outside a policy), billed as a miss plus a denied decision,
+/// and reported in [`ParallelReport::missing_policy`].
+pub fn check_parallel(engine: &Engine, jobs: &[CheckJob], threads: usize) -> ParallelReport {
+    let threads = threads.max(1);
+    let start = Instant::now();
+    let totals: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|worker| {
+                scope.spawn(move || {
+                    let (mut allowed, mut denied, mut missing) = (0u64, 0u64, 0u64);
+                    for job in jobs.iter().skip(worker).step_by(threads) {
+                        let resolved =
+                            engine.resolve(&job.tenant, &job.key, Billing::Authoritative);
+                        let verdict = match resolved {
+                            Some(resolved) => resolved.check(None, &job.call).allowed,
+                            None => {
+                                engine.tenant(&job.tenant).record_decision(false);
+                                missing += 1;
+                                false
+                            }
+                        };
+                        if verdict {
+                            allowed += 1;
+                        } else {
+                            denied += 1;
+                        }
+                    }
+                    (allowed, denied, missing)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("worker panicked")).collect()
+    });
+    let elapsed = start.elapsed();
+    let (allowed, denied, missing_policy) =
+        totals.into_iter().fold((0, 0, 0), |(a, d, m), (wa, wd, wm)| (a + wa, d + wd, m + wm));
+    ParallelReport { threads, checked: allowed + denied, allowed, denied, missing_policy, elapsed }
 }
 
 /// The concurrent multi-tenant enforcement engine.
@@ -375,18 +486,29 @@ impl Engine {
         Ok(compiled)
     }
 
+    /// Resolves `key` for `tenant` with one store lookup, billed as
+    /// `billing` says. `None` means no policy is installed for the key;
+    /// callers should generate and [`install`](Self::install) one.
+    pub fn resolve(&self, tenant: &str, key: &EngineKey, billing: Billing) -> Option<Resolved> {
+        let policy = self.store.get(key);
+        if policy.is_none() && billing == Billing::Cache {
+            return None;
+        }
+        let stats = self.tenant(tenant);
+        stats.record_lookup(policy.is_some());
+        Some(Resolved { policy: policy?, stats })
+    }
+
     /// Fetches the compiled policy for (`tenant`, `task`, `context`),
-    /// counting the hit or miss against the tenant.
+    /// billing the hit or miss against the tenant.
     pub fn lookup(
         &self,
         tenant: &str,
         task: &str,
         context: &TrustedContext,
     ) -> Option<Arc<CompiledPolicy>> {
-        let stats = self.tenant(tenant);
-        let found = self.store.get(&EngineKey::new(tenant, task, context));
-        stats.record_lookup(found.is_some());
-        found
+        let key = EngineKey::new(tenant, task, context);
+        self.resolve(tenant, &key, Billing::Authoritative).map(|resolved| resolved.policy)
     }
 
     /// Fetches the compiled policy, generating (via `make`) and compiling
@@ -422,24 +544,10 @@ impl Engine {
         crate::layer::CompiledPolicyLayer::with_stats(policy, self.tenant(tenant))
     }
 
-    /// Judges one call against an already-held snapshot, counting the
-    /// outcome against the tenant. The per-action hot path.
-    pub fn check_compiled(
-        &self,
-        tenant: &str,
-        policy: &CompiledPolicy,
-        call: &ApiCall,
-    ) -> Decision {
-        let decision = policy.check(call);
-        self.tenant(tenant).record_decision(decision.allowed);
-        decision
-    }
-
-    /// Single-check entry point: looks up the policy and judges `call`.
-    /// `None` means no policy is installed for the key (the store miss is
-    /// counted; callers should generate + [`install`](Self::install)).
-    /// The tenant-stats handle is resolved once for the lookup and the
-    /// decision together.
+    /// Judges one call statelessly: an authoritative
+    /// [`resolve`](Self::resolve), then [`Resolved::check`] with no
+    /// session. `None` means no policy is installed for the key (the
+    /// miss is billed).
     pub fn check(
         &self,
         tenant: &str,
@@ -447,263 +555,32 @@ impl Engine {
         context: &TrustedContext,
         call: &ApiCall,
     ) -> Option<Decision> {
-        let stats = self.tenant(tenant);
-        let found = self.store.get(&EngineKey::new(tenant, task, context));
-        stats.record_lookup(found.is_some());
-        let policy = found?;
-        let decision = policy.check(call);
-        stats.record_decision(decision.allowed);
-        Some(decision)
+        let key = EngineKey::new(tenant, task, context);
+        Some(self.resolve(tenant, &key, Billing::Authoritative)?.check(None, call))
     }
 
-    /// Batched [`check_compiled`](Self::check_compiled): the tenant's
-    /// stats handle is resolved once for the whole batch, not per call.
-    pub fn check_all_compiled(
+    /// Judges one call statelessly against an already-held snapshot.
+    /// No lookup is billed, only the decision.
+    pub fn check_compiled(
         &self,
         tenant: &str,
-        policy: &CompiledPolicy,
-        calls: &[ApiCall],
-    ) -> Vec<Decision> {
-        let stats = self.tenant(tenant);
-        calls
-            .iter()
-            .map(|call| {
-                let decision = policy.check(call);
-                stats.record_decision(decision.allowed);
-                decision
-            })
-            .collect()
-    }
-
-    /// Batch entry point: one store lookup and one stats-handle
-    /// resolution, then every call judged against the same snapshot.
-    pub fn check_all(
-        &self,
-        tenant: &str,
-        task: &str,
-        context: &TrustedContext,
-        calls: &[ApiCall],
-    ) -> Option<Vec<Decision>> {
-        let stats = self.tenant(tenant);
-        let found = self.store.get(&EngineKey::new(tenant, task, context));
-        stats.record_lookup(found.is_some());
-        let policy = found?;
-        Some(
-            calls
-                .iter()
-                .map(|call| {
-                    let decision = policy.check(call);
-                    stats.record_decision(decision.allowed);
-                    decision
-                })
-                .collect(),
-        )
-    }
-
-    /// Judges one call with both the per-API policy *and* the session's
-    /// trajectory state: the policy check runs first (its denials take
-    /// precedence, matching the pipeline's layer order), then the
-    /// compiled trajectory automata. An allowed decision is **recorded**
-    /// into `session` — session checks are check-and-advance, since the
-    /// engine's callers (the wire server, batch harnesses) treat an
-    /// allowed decision as authorisation to execute. Policies with no
-    /// trajectory block pay nothing beyond the stateless check.
-    fn judge_session(
-        policy: &CompiledPolicy,
-        session: &mut SessionState,
+        policy: &Arc<CompiledPolicy>,
         call: &ApiCall,
     ) -> Decision {
-        session.sync(policy);
-        let decision = policy.check(call);
-        if !decision.allowed {
-            return decision;
-        }
-        if let (Some(trajectory), Some(state)) = (policy.trajectory(), session.trajectory.as_mut())
-        {
-            let verdict = trajectory.check(state, call);
-            if !verdict.allowed {
-                return Decision {
-                    allowed: false,
-                    rationale: verdict.rationale,
-                    violation: verdict.violation,
-                };
-            }
-            trajectory.record(state, call);
-        }
-        decision
+        Resolved { policy: Arc::clone(policy), stats: self.tenant(tenant) }.check(None, call)
     }
 
-    /// Session-aware [`check_compiled`](Self::check_compiled): judges
-    /// `call` against an already-held snapshot plus the session's
-    /// trajectory state, counting the outcome against the tenant.
+    /// [`check_compiled`](Self::check_compiled) with the session's
+    /// trajectory state, as [`Resolved::check`] threads it.
     pub fn check_compiled_session(
         &self,
         tenant: &str,
-        policy: &CompiledPolicy,
+        policy: &Arc<CompiledPolicy>,
         session: &mut SessionState,
         call: &ApiCall,
     ) -> Decision {
-        let decision = Self::judge_session(policy, session, call);
-        self.tenant(tenant).record_decision(decision.allowed);
-        decision
-    }
-
-    /// Session-aware [`check`](Self::check): one store lookup, then the
-    /// policy and trajectory checks of
-    /// [`check_compiled_session`](Self::check_compiled_session). Billing
-    /// is identical to `check` — one lookup, one decision.
-    pub fn check_session(
-        &self,
-        tenant: &str,
-        task: &str,
-        context: &TrustedContext,
-        session: &mut SessionState,
-        call: &ApiCall,
-    ) -> Option<Decision> {
-        let stats = self.tenant(tenant);
-        let found = self.store.get(&EngineKey::new(tenant, task, context));
-        stats.record_lookup(found.is_some());
-        let policy = found?;
-        let decision = Self::judge_session(&policy, session, call);
-        stats.record_decision(decision.allowed);
-        Some(decision)
-    }
-
-    /// Session-aware [`check_all`](Self::check_all): one store lookup and
-    /// one stats-handle resolution, every call judged in order against
-    /// the same snapshot with the trajectory state advancing through the
-    /// batch (call *n* sees the budgets spent by calls *0..n*).
-    pub fn check_all_session(
-        &self,
-        tenant: &str,
-        task: &str,
-        context: &TrustedContext,
-        session: &mut SessionState,
-        calls: &[ApiCall],
-    ) -> Option<Vec<Decision>> {
-        self.check_all_session_key(tenant, &EngineKey::new(tenant, task, context), session, calls)
-    }
-
-    /// [`check_all_session`](Self::check_all_session) under an
-    /// already-computed key (`key` must be `tenant`'s key for the task
-    /// and context), for callers that need the key for their own
-    /// bookkeeping too: fingerprinting a context costs microseconds,
-    /// more than the check itself. Billing is identical.
-    pub fn check_all_session_key(
-        &self,
-        tenant: &str,
-        key: &EngineKey,
-        session: &mut SessionState,
-        calls: &[ApiCall],
-    ) -> Option<Vec<Decision>> {
-        let stats = self.tenant(tenant);
-        let found = self.store.get(key);
-        stats.record_lookup(found.is_some());
-        let policy = found?;
-        Some(
-            calls
-                .iter()
-                .map(|call| {
-                    let decision = Self::judge_session(&policy, session, call);
-                    stats.record_decision(decision.allowed);
-                    decision
-                })
-                .collect(),
-        )
-    }
-
-    /// [`check_all_session_key`](Self::check_all_session_key) for
-    /// engines that are the upper layer of a two-level cache (the served
-    /// client's local L1): a resolved key bills a hit plus one decision
-    /// per call exactly like `check_all_session_key`, but a miss bills
-    /// **nothing** and returns `None` — the authoritative lookup (and
-    /// its hit/miss accounting) happens at the layer below, and billing
-    /// the miss here too would count one logical lookup twice.
-    pub fn check_all_session_cached(
-        &self,
-        tenant: &str,
-        key: &EngineKey,
-        session: &mut SessionState,
-        calls: &[ApiCall],
-    ) -> Option<Vec<Decision>> {
-        let policy = self.store.get(key)?;
-        let stats = self.tenant(tenant);
-        stats.record_lookup(true);
-        Some(
-            calls
-                .iter()
-                .map(|call| {
-                    let decision = Self::judge_session(&policy, session, call);
-                    stats.record_decision(decision.allowed);
-                    decision
-                })
-                .collect(),
-        )
-    }
-
-    /// Multi-threaded evaluation: `jobs` are striped across `threads`
-    /// scoped workers, every worker sharing this engine's store. Jobs
-    /// whose key has no installed policy are denied by default (the
-    /// paper's stance for anything outside a policy) and reported in
-    /// [`ParallelReport::missing_policy`].
-    pub fn check_parallel(&self, jobs: &[CheckJob], threads: usize) -> ParallelReport {
-        let threads = threads.max(1);
-        let start = Instant::now();
-        let totals: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|worker| {
-                    scope.spawn(move || {
-                        let mut allowed = 0u64;
-                        let mut denied = 0u64;
-                        let mut missing = 0u64;
-                        // Per-worker caches: resolve each distinct policy
-                        // snapshot and tenant-stats handle once, not once
-                        // per job.
-                        let mut policies: HashMap<EngineKey, Option<Arc<CompiledPolicy>>> =
-                            HashMap::new();
-                        let mut stats: HashMap<Box<str>, Arc<TenantStats>> = HashMap::new();
-                        for job in jobs.iter().skip(worker).step_by(threads) {
-                            let policy =
-                                policies.entry(job.key).or_insert_with(|| self.store.get(&job.key));
-                            let resolved = policy.is_some();
-                            let verdict = match policy {
-                                Some(policy) => policy.allows(&job.call),
-                                None => {
-                                    missing += 1;
-                                    false
-                                }
-                            };
-                            if verdict {
-                                allowed += 1;
-                            } else {
-                                denied += 1;
-                            }
-                            let tenant_stats = stats
-                                .entry(job.tenant.clone())
-                                .or_insert_with(|| self.tenant(&job.tenant));
-                            // Attribute one logical lookup per job (the
-                            // memoized snapshot still served it), keeping
-                            // tenant hit/miss meaningful on this path too.
-                            tenant_stats.record_lookup(resolved);
-                            tenant_stats.record_decision(verdict);
-                        }
-                        (allowed, denied, missing)
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().expect("worker panicked")).collect()
-        });
-        let elapsed = start.elapsed();
-        let (allowed, denied, missing_policy) =
-            totals.into_iter().fold((0, 0, 0), |(a, d, m), (wa, wd, wm)| (a + wa, d + wd, m + wm));
-        ParallelReport {
-            threads,
-            checked: allowed + denied,
-            allowed,
-            denied,
-            missing_policy,
-            elapsed,
-        }
+        Resolved { policy: Arc::clone(policy), stats: self.tenant(tenant) }
+            .check(Some(session), call)
     }
 
     /// Drops every policy installed for `tenant` from the store,
@@ -826,6 +703,17 @@ mod tests {
         TrustedContext::for_user("alice")
     }
 
+    /// An authoritative session check of one call under acme's key.
+    fn session_check(
+        engine: &Engine,
+        task: &str,
+        session: &mut SessionState,
+        call: &ApiCall,
+    ) -> Option<Decision> {
+        let key = EngineKey::new("acme", task, &ctx());
+        Some(engine.resolve("acme", &key, Billing::Authoritative)?.check(Some(session), call))
+    }
+
     #[test]
     fn install_then_check_counts_per_tenant() {
         let engine = Engine::default();
@@ -872,7 +760,9 @@ mod tests {
         engine.install("acme", "t", &ctx(), &policy).unwrap();
         let calls =
             vec![call("send_email", &["alice"]), call("send_email", &["eve"]), call("ls", &[])];
-        let decisions = engine.check_all("acme", "t", &ctx(), &calls).unwrap();
+        let key = EngineKey::new("acme", "t", &ctx());
+        let decisions =
+            engine.resolve("acme", &key, Billing::Authoritative).unwrap().check_all(None, &calls);
         assert_eq!(
             decisions.iter().map(|d| d.allowed).collect::<Vec<_>>(),
             vec![true, false, false]
@@ -905,7 +795,7 @@ mod tests {
             EngineKey::new("acme", "uninstalled", &context),
             call("ls", &[]),
         ));
-        let report = engine.check_parallel(&jobs, 4);
+        let report = check_parallel(&engine, &jobs, 4);
         assert_eq!(report.checked, 101);
         assert_eq!(report.allowed, 80);
         assert_eq!(report.denied, 21);
@@ -1019,7 +909,7 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         let engine = Engine::default();
-        let report = engine.check_parallel(&[], 0);
+        let report = check_parallel(&engine, &[], 0);
         assert_eq!(report.threads, 1);
         assert_eq!(report.checked, 0);
     }
@@ -1039,12 +929,10 @@ mod tests {
         let mut session = SessionState::new();
         let list = call("list_emails", &["Inbox"]);
         for _ in 0..2 {
-            let d =
-                engine.check_session("acme", &policy.task, &ctx(), &mut session, &list).unwrap();
+            let d = session_check(&engine, &policy.task, &mut session, &list).unwrap();
             assert!(d.allowed);
         }
-        let third =
-            engine.check_session("acme", &policy.task, &ctx(), &mut session, &list).unwrap();
+        let third = session_check(&engine, &policy.task, &mut session, &list).unwrap();
         assert!(!third.allowed);
         assert_eq!(third.violation, Some(Violation::BudgetExhausted { max: 2 }));
         assert_eq!(session.steps(), 2, "denied calls do not advance the clock");
@@ -1060,9 +948,8 @@ mod tests {
         let policy = budgeted_policy(5);
         engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
-        let denied = engine
-            .check_session("acme", &policy.task, &ctx(), &mut session, &call("rm", &["-rf"]))
-            .unwrap();
+        let denied =
+            session_check(&engine, &policy.task, &mut session, &call("rm", &["-rf"])).unwrap();
         assert!(!denied.allowed, "unlisted APIs stay default-denied");
         assert_eq!(session.steps(), 0, "a policy denial must not consume trajectory budget");
     }
@@ -1074,20 +961,14 @@ mod tests {
         engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
         let list = call("list_emails", &["Inbox"]);
-        assert!(
-            engine
-                .check_session("acme", &policy.task, &ctx(), &mut session, &list)
-                .unwrap()
-                .allowed
-        );
+        assert!(session_check(&engine, &policy.task, &mut session, &list).unwrap().allowed);
         // Revoke, then reinstall the byte-identical policy (what a
         // warm-start from a snapshot does). Same fingerprint → the
         // session's spent state still governs.
         assert_eq!(engine.revoke_fingerprint("acme", policy.fingerprint()).unwrap(), 1);
-        assert!(engine.check_session("acme", &policy.task, &ctx(), &mut session, &list).is_none());
+        assert!(session_check(&engine, &policy.task, &mut session, &list).is_none());
         engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
-        let after =
-            engine.check_session("acme", &policy.task, &ctx(), &mut session, &list).unwrap();
+        let after = session_check(&engine, &policy.task, &mut session, &list).unwrap();
         assert!(!after.allowed, "reinstalling the same policy must not reset the budget");
         assert_eq!(after.violation, Some(Violation::BudgetExhausted { max: 1 }));
     }
@@ -1099,22 +980,12 @@ mod tests {
         engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
         let list = call("list_emails", &["Inbox"]);
-        assert!(
-            engine
-                .check_session("acme", &policy.task, &ctx(), &mut session, &list)
-                .unwrap()
-                .allowed
-        );
+        assert!(session_check(&engine, &policy.task, &mut session, &list).unwrap().allowed);
         let regenerated = budgeted_policy(3);
         assert_ne!(regenerated.fingerprint(), policy.fingerprint());
         engine.reload("acme", &policy.task, &ctx(), &regenerated).unwrap();
         // New semantics, new state: the budget-of-3 clock starts fresh.
-        assert!(
-            engine
-                .check_session("acme", &policy.task, &ctx(), &mut session, &list)
-                .unwrap()
-                .allowed
-        );
+        assert!(session_check(&engine, &policy.task, &mut session, &list).unwrap().allowed);
         assert_eq!(session.steps(), 1);
         assert_eq!(session.fingerprint(), Some(regenerated.fingerprint()));
     }
@@ -1128,8 +999,9 @@ mod tests {
         engine.install("acme", "t", &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
         let calls = vec![call("ping", &[]), call("ping", &[]), call("ping", &[])];
-        let decisions =
-            engine.check_all_session("acme", "t", &ctx(), &mut session, &calls).unwrap();
+        let key = EngineKey::new("acme", "t", &ctx());
+        let resolved = engine.resolve("acme", &key, Billing::Authoritative).unwrap();
+        let decisions = resolved.check_all(Some(&mut session), &calls);
         assert_eq!(
             decisions.iter().map(|d| d.allowed).collect::<Vec<_>>(),
             vec![true, true, false],
@@ -1147,28 +1019,168 @@ mod tests {
         let key = EngineKey::new("acme", &policy.task, &ctx());
         let send = call("send_email", &["alice"]);
         // Miss: no lookup billed at all — the layer below owns it.
-        assert!(engine
-            .check_all_session_cached("acme", &key, &mut session, std::slice::from_ref(&send))
-            .is_none());
+        assert!(engine.resolve("acme", &key, Billing::Cache).is_none());
         assert_eq!(engine.tenant_counters("acme"), TenantCounters::default());
-        // Hit: bills exactly like check_session — one hit, one decision.
+        // Hit: bills like an authoritative hit — one hit, one decision.
         engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
-        let d = engine
-            .check_all_session_cached("acme", &key, &mut session, std::slice::from_ref(&send))
-            .unwrap();
-        assert!(d[0].allowed);
+        let d =
+            engine.resolve("acme", &key, Billing::Cache).unwrap().check(Some(&mut session), &send);
+        assert!(d.allowed);
         let batch = engine
-            .check_all_session_cached(
-                "acme",
-                &key,
-                &mut session,
-                &[send.clone(), call("delete_email", &["1"])],
-            )
-            .unwrap();
+            .resolve("acme", &key, Billing::Cache)
+            .unwrap()
+            .check_all(Some(&mut session), &[send.clone(), call("delete_email", &["1"])]);
         assert_eq!(batch.iter().map(|d| d.allowed).collect::<Vec<_>>(), vec![true, false]);
         let counters = engine.tenant_counters("acme");
         assert_eq!((counters.hits, counters.misses), (2, 0));
         assert_eq!((counters.checks, counters.allowed, counters.denied), (3, 2, 1));
+    }
+
+    /// An allow entry, a deny entry and a one-call limit on the allowed
+    /// API: a session sees the limit, a stateless check does not.
+    fn billing_policy() -> Policy {
+        let mut policy = Policy::new("t");
+        policy.set("ls", PolicyEntry::allow_any("listing is the task"));
+        policy.set("rm", PolicyEntry::deny("no deletions"));
+        policy.set_trajectory(TrajectoryPolicy::new().limit("ls", 1, "one listing"));
+        policy
+    }
+
+    /// The billing table in docs/engine.md, one row per entry point: the
+    /// verdicts on `ls, ls, rm` and the exact counters billed, each row
+    /// on a fresh engine (an install bills nothing).
+    #[test]
+    fn every_entry_point_bills_its_row_of_the_billing_table() {
+        type Run = fn(&Engine, &str, &Arc<CompiledPolicy>, &[ApiCall]) -> Option<Vec<Decision>>;
+        type Verdicts = Option<Vec<Option<Violation>>>;
+        let calls = [call("ls", &[]), call("ls", &[]), call("rm", &[])];
+        let stateless = Some(vec![None, None, Some(Violation::CannotExecute)]);
+        let limited = Violation::RateLimited { api: "ls".into(), limit: 1, used: 1 };
+        let session = Some(vec![None, Some(limited), Some(Violation::CannotExecute)]);
+        let billed = |hits, misses, checks, allowed| TenantCounters {
+            hits,
+            misses,
+            checks,
+            allowed,
+            denied: checks - allowed,
+            ..TenantCounters::default()
+        };
+        fn key(task: &str) -> EngineKey {
+            EngineKey::new("acme", task, &ctx())
+        }
+        /// Checks every call, even after a miss, then collects.
+        fn each(
+            calls: &[ApiCall],
+            check: impl FnMut(&ApiCall) -> Option<Decision>,
+        ) -> Option<Vec<Decision>> {
+            calls.iter().map(check).collect::<Vec<_>>().into_iter().collect()
+        }
+        let rows: [(&str, Run, Verdicts, TenantCounters); 8] = [
+            (
+                "check",
+                |e, task, _, calls| each(calls, |call| e.check("acme", task, &ctx(), call)),
+                stateless.clone(),
+                billed(3, 0, 3, 2),
+            ),
+            (
+                "lookup",
+                |e, task, _, _| e.lookup("acme", task, &ctx()).map(|_| Vec::new()),
+                Some(Vec::new()),
+                billed(1, 0, 0, 0),
+            ),
+            (
+                "stateless batch",
+                |e, task, _, calls| {
+                    e.resolve("acme", &key(task), Billing::Authoritative)
+                        .map(|r| r.check_all(None, calls))
+                },
+                stateless.clone(),
+                billed(1, 0, 3, 2),
+            ),
+            (
+                "session, one call at a time",
+                |e, task, _, calls| {
+                    let mut session = SessionState::new();
+                    each(calls, |call| session_check(e, task, &mut session, call))
+                },
+                session.clone(),
+                billed(3, 0, 3, 1),
+            ),
+            (
+                "authoritative session batch",
+                |e, task, _, calls| {
+                    let mut session = SessionState::new();
+                    e.resolve("acme", &key(task), Billing::Authoritative)
+                        .map(|r| r.check_all(Some(&mut session), calls))
+                },
+                session.clone(),
+                billed(1, 0, 3, 1),
+            ),
+            (
+                "cache session batch",
+                |e, task, _, calls| {
+                    let mut session = SessionState::new();
+                    e.resolve("acme", &key(task), Billing::Cache)
+                        .map(|r| r.check_all(Some(&mut session), calls))
+                },
+                session.clone(),
+                billed(1, 0, 3, 1),
+            ),
+            (
+                "check_compiled",
+                |e, _, held, calls| {
+                    Some(calls.iter().map(|call| e.check_compiled("acme", held, call)).collect())
+                },
+                stateless.clone(),
+                billed(0, 0, 3, 2),
+            ),
+            (
+                "check_compiled_session",
+                |e, _, held, calls| {
+                    let mut session = SessionState::new();
+                    let check = |call| e.check_compiled_session("acme", held, &mut session, call);
+                    Some(calls.iter().map(check).collect())
+                },
+                session.clone(),
+                billed(0, 0, 3, 1),
+            ),
+        ];
+        let held = Arc::new(CompiledPolicy::compile(&billing_policy()));
+        let verdicts = |decisions: Option<Vec<Decision>>| {
+            decisions.map(|all| all.into_iter().map(|d| d.violation).collect::<Vec<_>>())
+        };
+        for (name, run, expected, counters) in &rows {
+            let engine = Engine::default();
+            engine.install("acme", "t", &ctx(), &billing_policy()).unwrap();
+            assert_eq!(verdicts(run(&engine, "t", &held, &calls)), *expected, "{name}");
+            assert_eq!(engine.tenant_counters("acme"), *counters, "{name}");
+        }
+
+        // A key with no policy: an authoritative lookup bills a miss
+        // wherever it billed a hit, and nothing else; a cache lookup
+        // bills nothing at all, not even the tenant's row.
+        for (name, run, _, installed) in &rows[..6] {
+            let engine = Engine::default();
+            engine.install("acme", "t", &ctx(), &billing_policy()).unwrap();
+            assert_eq!(verdicts(run(&engine, "missing", &held, &calls)), None, "{name}");
+            let misses = if *name == "cache session batch" { 0 } else { installed.hits };
+            assert_eq!(engine.tenant_counters("acme"), billed(0, misses, 0, 0), "{name}");
+            assert_eq!(engine.counters().is_empty(), misses == 0, "{name}");
+        }
+
+        // The parallel checker is stateless, bills one lookup per job,
+        // and bills a job on a missing key as a miss plus a denial.
+        let engine = Engine::default();
+        engine.install("acme", "t", &ctx(), &billing_policy()).unwrap();
+        let mut jobs: Vec<CheckJob> =
+            calls.iter().map(|call| CheckJob::new("acme", key("t"), call.clone())).collect();
+        jobs.push(CheckJob::new("acme", key("missing"), call("ls", &[])));
+        let report = check_parallel(&engine, &jobs, 2);
+        assert_eq!((report.allowed, report.denied, report.missing_policy), (2, 2, 1));
+        assert_eq!(
+            engine.tenant_counters("acme"),
+            TenantCounters { misses: 1, ..billed(3, 0, 4, 2) }
+        );
     }
 
     #[test]
@@ -1240,14 +1252,7 @@ mod tests {
         engine.install("acme", &policy.task, &ctx(), &policy).unwrap();
         let mut session = SessionState::new();
         for _ in 0..4 {
-            engine
-                .check_session(
-                    "acme",
-                    &policy.task,
-                    &ctx(),
-                    &mut session,
-                    &call("send_email", &["alice"]),
-                )
+            session_check(&engine, &policy.task, &mut session, &call("send_email", &["alice"]))
                 .unwrap();
         }
         assert_eq!(session.steps(), 0);

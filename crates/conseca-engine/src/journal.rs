@@ -255,11 +255,13 @@ pub struct RevocationJournal {
     path: Option<PathBuf>,
     options: JournalOptions,
     inner: Mutex<Inner>,
-    /// Appends that failed at the I/O layer. A failed revoke still
-    /// applies in memory and a failed reinstate does not — more
-    /// revocation is the safe direction — but durability was not
-    /// achieved; callers that must guarantee it inspect the `record_*`
-    /// result instead.
+    /// Appends and automatic compactions that failed at the I/O layer.
+    /// A failed revoke still applies in memory and a failed reinstate
+    /// does not — more revocation is the safe direction — but
+    /// durability was not achieved; callers that must guarantee it
+    /// inspect the `record_*` result instead. A failed automatic
+    /// compaction loses nothing (the journal stays longer but valid)
+    /// and is retried on the next append; only this count shows it.
     io_errors: AtomicU64,
     /// Total records appended over this journal's lifetime.
     appended_total: AtomicU64,
@@ -418,8 +420,11 @@ impl RevocationJournal {
         if threshold > 0 && inner.appended_since_compact >= threshold {
             // Best-effort: a failed auto-compaction leaves a longer but
             // still-valid journal behind the same handle (a rewrite
-            // never reopens), and the next append retries.
-            let _ = self.compact_locked(inner);
+            // never reopens), and the next append retries. The append
+            // succeeded, so the failure shows only in `io_errors`.
+            if self.compact_locked(inner).is_err() {
+                self.io_errors.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -492,7 +497,7 @@ impl RevocationJournal {
         self.compactions.load(Ordering::Relaxed)
     }
 
-    /// Appends that failed at the I/O layer.
+    /// Appends and automatic compactions that failed at the I/O layer.
     pub fn io_errors(&self) -> u64 {
         self.io_errors.load(Ordering::Relaxed)
     }
@@ -771,6 +776,31 @@ mod tests {
             journal.records()
         );
         assert!(journal.revoked_snapshot("acme").unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_failed_auto_compaction_is_counted_and_retried() {
+        let path = tmp_path("failed-compact");
+        let _cleanup = Cleanup(path.clone());
+        // A directory where the rewrite puts its temporary file: removing
+        // a stale one fails, so every compaction fails until it goes.
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        std::fs::create_dir(&tmp).unwrap();
+        let options = JournalOptions { resident_cap: 4096, compact_after: 4 };
+        let (journal, _) = RevocationJournal::open(&path, options).unwrap();
+        for fp in 0..4u64 {
+            journal.record_revoke("acme", fp).unwrap();
+        }
+        assert_eq!((journal.io_errors(), journal.compactions()), (1, 0));
+        let (reopened, report) = RevocationJournal::open(&path, options).unwrap();
+        assert_eq!((report.records, report.revoked), (4, 4), "nothing was lost");
+        assert_eq!(reopened.revoked_snapshot("acme").unwrap().len(), 4);
+        drop(reopened);
+        std::fs::remove_dir(&tmp).unwrap();
+        journal.record_revoke("acme", 4).unwrap();
+        assert_eq!((journal.io_errors(), journal.compactions()), (1, 1), "the next append retries");
+        assert_eq!(journal.revoked_snapshot("acme").unwrap().len(), 5);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!    (one `RwLock` + LRU per shard, `Arc<CompiledPolicy>` snapshots so
 //!    readers never deep-clone and never hold a lock during evaluation)
 //!    keyed by (tenant, task fingerprint, context fingerprint), behind an
-//!    [`Engine`] façade with single-check, batched, and multi-threaded
-//!    entry points plus per-tenant hit/miss/deny counters.
+//!    [`Engine`] façade whose one check core is [`Engine::resolve`] (one
+//!    billed store lookup) then [`Resolved::check`] (the one compiled
+//!    decision function), plus per-tenant hit/miss/deny counters.
 //!
 //! The pipeline stays the one reference monitor: [`CompiledPolicyLayer`]
 //! drops a compiled policy into any
@@ -68,7 +69,7 @@
 //!
 //! ```
 //! use conseca_core::{Policy, PolicyEntry, TrustedContext};
-//! use conseca_engine::Engine;
+//! use conseca_engine::{Billing, Engine, EngineKey};
 //! use conseca_shell::ApiCall;
 //!
 //! let engine = Engine::default();
@@ -81,16 +82,18 @@
 //!     ApiCall::new("email", "list_emails", vec!["Inbox".into()]),
 //!     ApiCall::new("email", "delete_email", vec!["3".into()]),
 //! ];
+//! let key = EngineKey::new("acme", "triage the inbox", &ctx);
 //! let decisions = engine
-//!     .check_all("acme", "triage the inbox", &ctx, &calls)
-//!     .expect("policy installed");
+//!     .resolve("acme", &key, Billing::Authoritative)
+//!     .expect("policy installed")
+//!     .check_all(None, &calls);
 //! assert!(decisions[0].allowed);
 //! assert!(!decisions[1].allowed); // unlisted: default deny
 //!
 //! // Trusted context changed? Flush the tenant; future lookups miss and
 //! // the caller regenerates against the new context.
 //! assert_eq!(engine.flush_tenant("acme"), 1);
-//! assert!(engine.check_all("acme", "triage the inbox", &ctx, &calls).is_none());
+//! assert!(engine.resolve("acme", &key, Billing::Authoritative).is_none());
 //! ```
 
 pub mod compile;
@@ -107,8 +110,8 @@ pub mod trajectory_compile;
 
 pub use compile::CompiledPolicy;
 pub use engine::{
-    CheckJob, Engine, Invalidation, InvalidationListener, ParallelReport, ReloadReceipt,
-    SessionState, TenantCounters,
+    check_parallel, Billing, CheckJob, Engine, Invalidation, InvalidationListener, ParallelReport,
+    ReloadReceipt, Resolved, SessionState, TenantCounters,
 };
 pub use journal::{
     decode_journal, CompactReport, JournalError, JournalOp, JournalOptions, JournalRecord,

@@ -501,7 +501,7 @@ mod tests {
 
     #[test]
     fn trajectory_policies_survive_warm_start_without_resurrecting_budgets() {
-        use crate::engine::SessionState;
+        use crate::engine::{Billing, SessionState};
         use conseca_core::TrajectoryPolicy;
 
         let source = Engine::default();
@@ -516,9 +516,9 @@ mod tests {
         // Spend the budget against the source engine's session.
         let mut session = SessionState::new();
         let send = call("send_email", &["alice"]);
-        assert!(
-            source.check_session("acme", &p.task, &ctx(), &mut session, &send).unwrap().allowed
-        );
+        let key = EngineKey::new("acme", &p.task, &ctx());
+        let resolve = |engine: &Engine| engine.resolve("acme", &key, Billing::Authoritative);
+        assert!(resolve(&source).unwrap().check(Some(&mut session), &send).allowed);
 
         let snapshot = source.store().export_snapshot("acme").unwrap();
         let fresh = Engine::default();
@@ -532,18 +532,13 @@ mod tests {
 
         // The session carried across the warm start still remembers the
         // spent budget — restoring policies must not restore allowances.
-        let denied = fresh.check_session("acme", &p.task, &ctx(), &mut session, &send).unwrap();
+        let denied = resolve(&fresh).unwrap().check(Some(&mut session), &send);
         assert!(!denied.allowed, "warm start must not resurrect a spent budget");
 
         // A genuinely new session against the restored snapshot starts
         // fresh, as it would have on the source engine.
         let mut fresh_session = SessionState::new();
-        assert!(
-            fresh
-                .check_session("acme", &p.task, &ctx(), &mut fresh_session, &send)
-                .unwrap()
-                .allowed
-        );
+        assert!(resolve(&fresh).unwrap().check(Some(&mut fresh_session), &send).allowed);
     }
 
     #[test]

@@ -337,6 +337,7 @@ impl ReloadCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Billing, EngineKey};
     use conseca_core::{AuditLog, CountingSink, PolicyEntry};
     use conseca_shell::ApiCall;
 
@@ -423,7 +424,8 @@ mod tests {
             coordinator.revoke("acme", "t", "operator request", &mut sink).unwrap().unwrap();
         assert_eq!(removed, 1);
         assert!(engine.check("acme", "t", &context, &ls()).is_none());
-        assert!(engine.check_all("acme", "t", &context, &[ls()]).is_none());
+        let key = EngineKey::new("acme", "t", &context);
+        assert!(engine.resolve("acme", &key, Billing::Authoritative).is_none());
         assert!(engine.lookup("acme", "t", &context).is_none());
         assert_eq!(coordinator.tracked(), 0);
         assert!(coordinator.revoke("acme", "t", "again", &mut sink).unwrap().is_none());

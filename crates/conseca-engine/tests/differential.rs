@@ -19,7 +19,9 @@ use conseca_core::pipeline::{PipelineBuilder, LAYER_POLICY};
 use conseca_core::{
     is_allowed, ArgConstraint, CmpOp, Policy, PolicyEntry, Predicate, TrustedContext,
 };
-use conseca_engine::{CheckJob, CompiledPolicy, CompiledPolicyLayer, Engine, EngineKey};
+use conseca_engine::{
+    check_parallel, CheckJob, CompiledPolicy, CompiledPolicyLayer, Engine, EngineKey,
+};
 use conseca_shell::ApiCall;
 use proptest::prelude::*;
 
@@ -268,7 +270,7 @@ fn parallel_engine_agrees_with_sequential_interpreter() {
         }
     }
     for threads in [1, 2, 4, 8] {
-        let report = engine.check_parallel(&jobs, threads);
+        let report = check_parallel(&engine, &jobs, threads);
         assert_eq!(report.checked, jobs.len() as u64, "{threads} threads");
         assert_eq!(report.allowed, expected_allowed, "{threads} threads");
         assert_eq!(report.missing_policy, 0, "{threads} threads");

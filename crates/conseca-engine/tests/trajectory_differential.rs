@@ -12,7 +12,8 @@
 //! `SameArgAsPrior` actually matches.
 //!
 //! A second property lifts the same comparison to the engine level:
-//! [`Engine::check_session`] against a hand-rolled interpreted reference
+//! [`Engine::resolve`] and a session [`Resolved::check`](conseca_engine::Resolved::check)
+//! against a hand-rolled interpreted reference
 //! (policy check, then trajectory check-and-record), decision for
 //! decision.
 //!
@@ -23,7 +24,7 @@ use conseca_core::trajectory::PriorCondition;
 use conseca_core::{
     is_allowed, Decision, Policy, PolicyEntry, TrajectoryEnforcer, TrajectoryPolicy, TrustedContext,
 };
-use conseca_engine::{CompiledTrajectory, Engine, SessionState};
+use conseca_engine::{Billing, CompiledTrajectory, Engine, EngineKey, SessionState};
 use conseca_shell::ApiCall;
 use proptest::prelude::*;
 
@@ -163,12 +164,14 @@ proptest! {
         let ctx = TrustedContext::for_user("alice");
         engine.install("acme", &policy.task, &ctx, &policy).unwrap();
         let mut session = SessionState::new();
+        let key = EngineKey::new("acme", &policy.task, &ctx);
 
         let mut reference = TrajectoryEnforcer::new(trajectory);
         for call in &calls {
             let compiled_decision = engine
-                .check_session("acme", &policy.task, &ctx, &mut session, call)
-                .expect("policy installed");
+                .resolve("acme", &key, Billing::Authoritative)
+                .expect("policy installed")
+                .check(Some(&mut session), call);
 
             let mut expected = is_allowed(call, &policy);
             if expected.allowed {

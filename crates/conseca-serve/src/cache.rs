@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use conseca_core::{CacheKey, Decision, Policy, TrustedContext};
-use conseca_engine::{CompiledPolicy, Engine, EngineKey, SessionState, TenantCounters};
+use conseca_engine::{Billing, CompiledPolicy, Engine, EngineKey, SessionState, TenantCounters};
 use conseca_shell::ApiCall;
 
 use crate::aclient::AsyncClient;
@@ -210,7 +210,7 @@ impl fmt::Debug for LocalPolicyCache {
 /// See the module docs for the soundness argument. Compared to the
 /// plain client, two things moved client-side: compiled policies (the
 /// cache) and session state (trajectory budgets) — so checks look like
-/// [`Engine::check_session`](conseca_engine::Engine::check_session)
+/// an in-process [`Resolved::check`](conseca_engine::Resolved::check)
 /// with the store lookup occasionally answered by the server.
 pub struct CachedClient {
     /// The connection. Its demux task applies pushes to `cache` before
@@ -300,8 +300,8 @@ impl CachedClient {
     }
 
     /// Decisions for a batch of calls against one policy key: one
-    /// lookup (local or fetched) for the whole batch, like
-    /// [`Engine::check_all`](conseca_engine::Engine::check_all).
+    /// lookup (local or fetched) for the whole batch, like one
+    /// [`Engine::resolve`].
     ///
     /// # Errors
     ///
@@ -328,10 +328,10 @@ impl CachedClient {
         calls: &[ApiCall],
     ) -> Result<Option<Vec<Decision>>, ClientError> {
         // L1 hit: the whole batch resolves locally at engine speed.
-        let cached =
-            self.cache.engine().check_all_session_cached(self.cache.tenant(), key, session, calls);
-        if let Some(decisions) = cached {
-            return Ok(Some(decisions));
+        if let Some(resolved) =
+            self.cache.engine().resolve(self.cache.tenant(), key, Billing::Cache)
+        {
+            return Ok(Some(resolved.check_all(Some(session), calls)));
         }
         // Miss: observe the epoch, then ask the server (which bills the
         // authoritative hit or miss for this lookup).
@@ -353,12 +353,8 @@ impl CachedClient {
             }
         };
         let (engine, tenant) = (self.cache.engine(), self.cache.tenant());
-        Ok(Some(
-            calls
-                .iter()
-                .map(|call| engine.check_compiled_session(tenant, &compiled, session, call))
-                .collect(),
-        ))
+        let check = |call| engine.check_compiled_session(tenant, &compiled, session, call);
+        Ok(Some(calls.iter().map(check).collect()))
     }
 
     /// Compiles and installs `policy` for (task, context) on the

@@ -325,13 +325,13 @@ impl Client {
     }
 
     /// Decisions for a batch of calls against one policy key (one store
-    /// lookup server-side, like [`Engine::check_all`]).
+    /// lookup server-side, one [`Engine::resolve`]).
     ///
     /// # Errors
     ///
     /// Transport, protocol, or server errors.
     ///
-    /// [`Engine::check_all`]: conseca_engine::Engine::check_all
+    /// [`Engine::resolve`]: conseca_engine::Engine::resolve
     pub fn check_all(
         &mut self,
         tenant: &str,

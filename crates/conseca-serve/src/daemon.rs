@@ -188,7 +188,7 @@ pub struct DaemonCounters {
     /// Entries crash recovery refused because their fingerprint was
     /// revoked before the crash.
     pub recovered_skipped_revoked: u64,
-    /// Persistence I/O failures absorbed (journal appends, log writes).
+    /// Persistence I/O failures absorbed (journal appends and compactions, log writes).
     pub io_errors: u64,
 }
 

@@ -11,8 +11,8 @@
 //! budget is O(workers), not O(connections). Each connection's read
 //! task **answers its checks itself**: it reads frames through a
 //! buffer and evaluates a check together with the same-key checks
-//! already buffered behind it as one
-//! [`check_all_session_key`](conseca_engine::Engine::check_all_session_key),
+//! already buffered behind it under one
+//! [`Engine::resolve`](conseca_engine::Engine::resolve),
 //! so a pipelined agent amortises store lookups instead of multiplying
 //! them, and no check waits in a shared queue. Mutations and admin
 //! requests go through one dispatcher task, which answers one job at a

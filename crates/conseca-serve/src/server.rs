@@ -53,7 +53,7 @@
 //! [`ServeMetrics::coalesced_checks`]). The dispatcher answers a queued
 //! check through the same function, as a group of one. The engine
 //! itself is untouched — every verdict is produced by the same session
-//! check the in-process path uses ([`Engine::check_all_session_key`]),
+//! check the in-process path uses ([`Resolved::check`](conseca_engine::Resolved::check)),
 //! which is what keeps served decisions byte-identical.
 //!
 //! # Pipelining (wire v7)
@@ -99,7 +99,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 use conseca_core::TrustedContext;
-use conseca_engine::{Engine, EngineKey, Invalidation, JournalError, SessionState, SnapshotError};
+use conseca_engine::{
+    Billing, Engine, EngineKey, Invalidation, JournalError, SessionState, SnapshotError,
+};
 use conseca_shell::ApiCall;
 use futures::channel::mpsc::{self, TryRecvError};
 use futures::channel::oneshot;
@@ -311,7 +313,7 @@ fn bad_slot(slot: u32, why: &str) -> Refusal {
 struct Conn {
     /// Trajectory sessions by policy key. Checks against a
     /// trajectory-carrying policy advance the same [`SessionState`] the
-    /// engine's in-process callers thread through `check_session`.
+    /// engine's in-process callers thread through `Resolved::check`.
     sessions: Mutex<HashMap<EngineKey, SessionState>>,
     /// Jobs handed to the dispatcher and not yet answered. While any are
     /// out, the connection's checks queue behind them too, so effects
@@ -1229,12 +1231,12 @@ fn answer_group(
     if group.pending.len() > 1 {
         state.metrics.coalesced_checks.fetch_add(group.calls.len() as u64, Ordering::Relaxed);
     }
-    let decisions = {
+    let mut decisions = {
         let mut sessions = conn.sessions.lock().unwrap_or_else(|e| e.into_inner());
         let session = sessions.entry(group.key).or_default();
-        state.engine.check_all_session_key(&group.tenant, &group.key, session, &group.calls)
+        let resolved = state.engine.resolve(&group.tenant, &group.key, Billing::Authoritative);
+        resolved.map(|resolved| resolved.check_all(Some(session), &group.calls).into_iter())
     };
-    let mut decisions = decisions.map(Vec::into_iter);
     group
         .pending
         .into_iter()

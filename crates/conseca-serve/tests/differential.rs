@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use conseca_core::{ArgConstraint, CmpOp, Policy, PolicyEntry, Predicate, TrustedContext};
-use conseca_engine::Engine;
+use conseca_engine::{Billing, Engine, EngineKey};
 use conseca_serve::wire::{encode_decision, Request, Response};
 use conseca_serve::{ServeConfig, Server};
 use conseca_shell::ApiCall;
@@ -153,7 +153,10 @@ proptest! {
         }
 
         // The batch endpoint agrees with check_all.
-        let direct_batch = local.check_all("acme", &task, &ctx, &calls).expect("installed");
+        let direct_batch = local
+            .resolve("acme", &EngineKey::new("acme", &task, &ctx), Billing::Authoritative)
+            .expect("installed")
+            .check_all(None, &calls);
         let served_batch = client
             .check_all("acme", &task, &ctx, &calls)
             .expect("transport")

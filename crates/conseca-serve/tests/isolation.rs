@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use conseca_core::{Policy, PolicyEntry, TrajectoryPolicy, TrustedContext};
-use conseca_engine::{Engine, EngineKey, SessionState};
+use conseca_engine::{Billing, Engine, EngineKey, SessionState};
 use conseca_serve::wire::{read_frame, write_frame, Request, Response, DEFAULT_MAX_FRAME_LEN};
 use conseca_serve::{AsyncClient, ServeConfig, Server};
 use conseca_shell::ApiCall;
@@ -146,8 +146,9 @@ fn checks_queued_behind_a_wedged_revoke_keep_their_session_and_bill_one_lookup_e
     oracle.install("acme", "t", &context, &limited).unwrap();
     let key = EngineKey::new("acme", "t", &context);
     let expected = oracle
-        .check_all_session_key("acme", &key, &mut SessionState::default(), &vec![call(); 5])
-        .unwrap();
+        .resolve("acme", &key, Billing::Authoritative)
+        .unwrap()
+        .check_all(Some(&mut SessionState::default()), &vec![call(); 5]);
     assert_eq!(served, expected, "one session, advanced in arrival order");
     assert_eq!(engine.tenant_counters("acme").hits - hits_before, 4, "one lookup per request");
     server.shutdown();

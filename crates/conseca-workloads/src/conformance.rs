@@ -28,8 +28,8 @@ use conseca_agent::TaskReport;
 use conseca_core::pipeline::PipelineBuilder;
 use conseca_core::{render_policy, Decision, Policy, TrajectoryEnforcer, TrustedContext};
 use conseca_engine::{
-    decode_snapshot, decode_snapshot_log, merge_segments, recover, tenant_log_path, Engine,
-    RecoverOptions, RecoveryReport, SessionState, SnapshotLog, TenantCounters,
+    decode_snapshot, decode_snapshot_log, merge_segments, recover, tenant_log_path, Billing,
+    Engine, EngineKey, RecoverOptions, RecoveryReport, SessionState, SnapshotLog, TenantCounters,
 };
 use conseca_serve::wire::encode_decision;
 use conseca_serve::{DaemonConfig, ServeConfig, Server, ServerHandle, TenantClient};
@@ -268,7 +268,7 @@ fn run_pipeline(ops: &[PolicyOp], durable: bool) -> Vec<Vec<u8>> {
             })
             .collect()
     }
-    // Session semantics identical to `Engine::check_session`: sync the
+    // Session semantics identical to the engine's `Resolved::check`: sync the
     // session to the resolved policy first, screen per-API rules, then
     // let the trajectory enforcer judge — and record — allowed calls.
     fn screen_session(
@@ -424,6 +424,7 @@ fn run_engine(
     // One trajectory session per script run, matching the one-client
     // connection the served path holds for the whole script.
     let mut session = SessionState::new();
+    let key = EngineKey::new(tenant, task, context);
     let mut log: Option<SnapshotLog> = None;
     fn ensure_log<'a>(
         log: &'a mut Option<SnapshotLog>,
@@ -444,20 +445,16 @@ fn run_engine(
                     engine.install(tenant, task, context, policy).expect("install");
                     encode_install(policy)
                 }
-                PolicyOp::Check(call) => encode_opt_decision(&engine.check_session(
-                    tenant,
-                    task,
-                    context,
-                    &mut session,
-                    call,
-                )),
-                PolicyOp::CheckBatch(calls) => encode_opt_batch(&engine.check_all_session(
-                    tenant,
-                    task,
-                    context,
-                    &mut session,
-                    calls,
-                )),
+                PolicyOp::Check(call) => encode_opt_decision(
+                    &engine
+                        .resolve(tenant, &key, Billing::Authoritative)
+                        .map(|resolved| resolved.check(Some(&mut session), call)),
+                ),
+                PolicyOp::CheckBatch(calls) => encode_opt_batch(
+                    &engine
+                        .resolve(tenant, &key, Billing::Authoritative)
+                        .map(|resolved| resolved.check_all(Some(&mut session), calls)),
+                ),
                 PolicyOp::Revoke(fingerprint) => encode_count(
                     engine.revoke_fingerprint(tenant, *fingerprint).expect("revoke") as u64,
                 ),
@@ -1054,10 +1051,10 @@ mod tests {
             )
             .unwrap();
         let mut session = SessionState::new();
-        engine.check_session("acme", "t", &ctx(), &mut session, &call("ls", &[]));
-        let denied = engine
-            .check_session("acme", "t", &ctx(), &mut session, &call("ls", &[]))
-            .expect("installed");
+        let key = EngineKey::new("acme", "t", &ctx());
+        let resolve = || engine.resolve("acme", &key, Billing::Authoritative).expect("installed");
+        resolve().check(Some(&mut session), &call("ls", &[]));
+        let denied = resolve().check(Some(&mut session), &call("ls", &[]));
         assert_eq!(
             denied.violation,
             Some(Violation::RateLimited { api: "ls".into(), limit: 1, used: 1 })

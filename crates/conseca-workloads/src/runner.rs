@@ -85,7 +85,7 @@ pub fn screen_calls_compiled(
     let (compiled, _hit) = engine
         .store()
         .get_or_insert_with(key, || Arc::new(conseca_engine::CompiledPolicy::compile(policy)));
-    engine.check_all_compiled(tenant, &compiled, calls)
+    calls.iter().map(|call| engine.check_compiled(tenant, &compiled, call)).collect()
 }
 
 /// Runs one (task, trial, mode) cell and scores it.

@@ -6,14 +6,14 @@
 //! alone; trajectory constraints judge the *sequence*. The engine
 //! compiles them once per policy into counter tables and latched
 //! automata ([`conseca_engine::CompiledTrajectory`]), then threads a
-//! small per-session state through `check_session` — no per-check
+//! small per-session state through `Resolved::check` — no per-check
 //! allocation, byte-identical to the interpreted
 //! [`conseca_core::TrajectoryEnforcer`].
 //!
 //! Run with: `cargo run --example trajectory_budget`
 
 use conseca_core::{Policy, PolicyEntry, TrajectoryPolicy, TrustedContext};
-use conseca_engine::{Engine, SessionState};
+use conseca_engine::{Billing, Engine, EngineKey, SessionState};
 use conseca_shell::ApiCall;
 
 fn call(name: &str, args: &[&str]) -> ApiCall {
@@ -42,8 +42,10 @@ fn main() {
     // engine rebuilds it only when the resolved policy's fingerprint
     // changes.
     let mut session = SessionState::new();
+    let key = EngineKey::new("acme", &policy.task, &ctx);
     let judge = |c: &ApiCall, session: &mut SessionState| {
-        let d = engine.check_session("acme", &policy.task, &ctx, session, c).expect("installed");
+        let resolved = engine.resolve("acme", &key, Billing::Authoritative).expect("installed");
+        let d = resolved.check(Some(session), c);
         println!(
             "  step {:>2}  {:<28} -> {}{}",
             session.steps(),
