@@ -9,6 +9,7 @@
 //! is what the repo's throughput baselines need.
 
 use std::fmt::Display;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -86,7 +87,25 @@ impl Bencher {
     }
 }
 
+/// The row filter: the first argument that is not a flag (`cargo bench`
+/// passes `--bench` itself), as in `cargo bench --bench engine --
+/// engine_scaling`. `None` when there is none.
+fn filter_from(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|arg| !arg.starts_with('-'))
+}
+
+/// Whether the row `label` (`group/id`) runs under `filter`: every row
+/// runs without one, and a row whose label contains it runs with one.
+fn selected(filter: Option<&str>, label: &str) -> bool {
+    filter.is_none_or(|filter| label.contains(filter))
+}
+
 fn run_one(label: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {
+    static FILTER: OnceLock<Option<String>> = OnceLock::new();
+    let filter = FILTER.get_or_init(|| filter_from(std::env::args().skip(1)));
+    if !selected(filter.as_deref(), label) {
+        return;
+    }
     let mut b = Bencher { samples: Vec::new(), sample_size };
     f(&mut b);
     let p50 = b.percentile(0.50);
@@ -209,6 +228,25 @@ mod tests {
         assert_eq!(b.percentile(0.99), Duration::from_nanos(90));
         let mut empty = Bencher { samples: Vec::new(), sample_size: 0 };
         assert_eq!(empty.percentile(0.99), Duration::ZERO);
+    }
+
+    #[test]
+    fn the_filter_is_the_first_argument_that_is_not_a_flag() {
+        let args = |list: &[&str]| list.iter().map(|arg| arg.to_string()).collect::<Vec<_>>();
+        assert_eq!(filter_from(args(&[])), None);
+        assert_eq!(filter_from(args(&["--bench"])), None);
+        assert_eq!(
+            filter_from(args(&["--bench", "engine_scaling", "other"])).as_deref(),
+            Some("engine_scaling")
+        );
+    }
+
+    #[test]
+    fn a_filter_selects_rows_by_substring_and_none_selects_all() {
+        assert!(selected(None, "engine_scaling/20k"));
+        assert!(selected(Some("engine_scaling"), "engine_scaling/20k"));
+        assert!(selected(Some("20k"), "engine_scaling/20k"));
+        assert!(!selected(Some("engine_store"), "engine_scaling/20k"));
     }
 
     #[test]

@@ -17,14 +17,13 @@
 //! - [`reactor::Reactor`] — a global epoll-driven readiness reactor
 //!   (edge-triggered registrations, manual "virtual" registrations for
 //!   in-process transports, and deadline timers), so futures await I/O
-//!   readiness instead of parking OS threads;
-//! - [`future::select2`] — a biased two-way select ([`future::Either`]).
+//!   readiness instead of parking OS threads.
 //!
 //! Deviations from the real crate are deliberate and documented inline:
 //! no `Stream` trait (the receivers expose inherent methods instead), no
-//! `select!` macro (the biased [`future::select2`] covers the one use),
-//! and `JoinHandle` resolves to `None` — rather than panicking — when
-//! its task was dropped by a pool shutdown.
+//! `select!` (a task that waits on several sources polls each itself),
+//! and `JoinHandle` resolves to `None` — rather than panicking — when its
+//! task was dropped by a pool shutdown.
 
 use std::future::Future;
 use std::sync::Arc;
@@ -33,11 +32,9 @@ use std::thread::{self, Thread};
 
 pub mod channel;
 pub mod executor;
-pub mod future;
 pub mod reactor;
 
 pub use executor::{JoinHandle, ThreadPool};
-pub use future::{select2, Either};
 pub use reactor::{Reactor, Registration};
 
 /// Wakes a parked thread; the waker behind [`block_on`].

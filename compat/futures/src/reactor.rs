@@ -34,8 +34,9 @@
 //! exists for), and otherwise parks the task's waker for the next edge.
 //! Wakeups may be spurious (a new edge can land between the failed
 //! attempt and the await); the retry loop above absorbs them. Each
-//! direction supports **one** waiting task at a time — exactly the
-//! reader-task/writer-task split the serving layer uses.
+//! direction supports **one** waiting task at a time: a server
+//! connection's one task may wait on both, and an async client's demux
+//! task waits to read while its callers write.
 //!
 //! Two registration flavours share the protocol:
 //!
@@ -340,8 +341,7 @@ fn reactor_loop(shared: &Arc<Shared>) {
 // --------------------------------------------------------- registrations
 
 /// A registered readiness source. Clones share the same readiness
-/// record (the intended split: one clone in the reader task, one in the
-/// writer task).
+/// record (one clone per handle that reads or writes the stream).
 pub struct Registration {
     token: u64,
     fd: c_int,

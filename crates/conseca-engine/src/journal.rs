@@ -420,9 +420,12 @@ impl RevocationJournal {
         if threshold > 0 && inner.appended_since_compact >= threshold {
             // Best-effort: a failed auto-compaction leaves a longer but
             // still-valid journal behind the same handle (a rewrite
-            // never reopens), and the next append retries. The append
-            // succeeded, so the failure shows only in `io_errors`.
+            // never reopens). The retry waits another `compact_after`
+            // appends, so a persistent failure does not re-read the
+            // whole journal on every revoke. The append succeeded, so
+            // the failure shows only in `io_errors`.
             if self.compact_locked(inner).is_err() {
+                inner.appended_since_compact = 0;
                 self.io_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -798,9 +801,17 @@ mod tests {
         assert_eq!(reopened.revoked_snapshot("acme").unwrap().len(), 4);
         drop(reopened);
         std::fs::remove_dir(&tmp).unwrap();
-        journal.record_revoke("acme", 4).unwrap();
-        assert_eq!((journal.io_errors(), journal.compactions()), (1, 1), "the next append retries");
-        assert_eq!(journal.revoked_snapshot("acme").unwrap().len(), 5);
+        for fp in 4..7u64 {
+            journal.record_revoke("acme", fp).unwrap();
+            assert_eq!((journal.io_errors(), journal.compactions()), (1, 0), "no retry yet");
+        }
+        journal.record_revoke("acme", 7).unwrap();
+        assert_eq!(
+            (journal.io_errors(), journal.compactions()),
+            (1, 1),
+            "the compact_after-th append after the failure retries"
+        );
+        assert_eq!(journal.revoked_snapshot("acme").unwrap().len(), 8);
     }
 
     #[test]

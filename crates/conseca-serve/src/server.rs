@@ -7,51 +7,36 @@
 //!   epoll reactor (1 thread, process-wide)
 //!        │ readiness edges
 //!        ▼
-//!   accept task ──────────► per-connection READ task
-//!   (non-blocking listener,     │ buffered frame reads → decode;
-//!    woken by the reactor,      │ ANSWERS CHECKS ITSELF (each plus the
-//!    shutdown = one notify)     │ same-key checks buffered behind it, as
-//!                               │ one group), and handshake, envelope,
-//!                               │ framing and subscription traffic
-//!                               │
-//!                               │ mutations, admin requests, and checks
-//!                               ▼ queued behind an unanswered one
-//!                      mpsc job queue  ◄─── all connections share it
-//!                               │
-//!                               ▼
-//!                     dispatcher task (futures::ThreadPool)
-//!                        takes one job at a time and answers it
-//!                        through its oneshot: a mutation or admin
-//!                        request runs, a queued check is a group of one
-//!                               │
-//!                               ▼
-//!                      per-connection WRITE task
-//!                        two lanes, biased select: the ordered lane
-//!                        (responses in request order) and the
-//!                        out-of-band push lane (invalidation frames,
-//!                        which must never queue behind a response
-//!                        that is itself waiting on a push ack); all
-//!                        that is already answerable goes in one write
+//!   accept task ──────────► per-connection task (owns the socket both ways)
+//!   (non-blocking listener,   each turn: one buffered read → decode;
+//!    woken by the reactor,    ANSWERS CHECKS ITSELF (a same-key run as one
+//!    shutdown = one notify)   group), and handshake, envelope, framing and
+//!                             subscription traffic; writes every answer it
+//!                             can, in request order, in one write; parks
+//!                               │                          ▲
+//!                               │ mutations, admin         │ oneshot replies;
+//!                               ▼ requests, queued checks  │ pushes, written
+//!                      mpsc job queue (shared)             │ ahead of answers
+//!                               │                          │ still owed
+//!                               ▼                          │
+//!                     dispatcher task: one job at a time ──┘
 //! ```
 //!
-//! A connection is a *state machine driven by two cooperative tasks*,
-//! not a pair of OS threads: the read task awaits frame bytes, the
-//! write task awaits things to send, and both park on the reactor
-//! between edges. Thread count is O(worker pool), not O(connections) —
-//! a thousand idle connections cost two parked tasks each and zero
-//! threads.
+//! A connection is a *state machine driven by one cooperative task*,
+//! not an OS thread: a thousand idle connections cost one parked task
+//! each and zero threads.
 //!
 //! Checks — the per-action hot path — skip the dispatcher whenever the
-//! connection has nothing queued there: the read task evaluates them on
-//! the spot, with no queue hop, no oneshot and no extra task wake, and a
-//! mutation wedged on the dispatcher cannot stall them. A connection
-//! counts its unanswered dispatcher jobs; while any are out, its checks
-//! queue behind them, so effects keep arrival order. Only the read task
-//! coalesces: it answers a check together with the same-key checks
-//! buffered behind it, as one group with one store lookup and one
-//! tenant-stats resolution (visible in
-//! [`ServeMetrics::coalesced_checks`]). The dispatcher answers a queued
-//! check through the same function, as a group of one. The engine
+//! connection has nothing queued there: its task evaluates them on the
+//! spot and writes the answer itself, with no queue hop, no oneshot and
+//! no task wake, and a mutation wedged on the dispatcher cannot stall
+//! them. A connection keeps the answers it owes in request order; while
+//! a dispatcher reply heads them, its checks queue behind it, so effects
+//! keep arrival order. Only the connection task coalesces: it answers a
+//! check together with the same-key checks buffered behind it, as one
+//! group with one store lookup and one tenant-stats resolution (visible
+//! in [`ServeMetrics::coalesced_checks`]). The dispatcher answers a
+//! queued check through the same function, as a group of one. The engine
 //! itself is untouched — every verdict is produced by the same session
 //! check the in-process path uses ([`Resolved::check`](conseca_engine::Resolved::check)),
 //! which is what keeps served decisions byte-identical.
@@ -59,43 +44,46 @@
 //! # Pipelining (wire v7)
 //!
 //! A client may wrap requests in the v7 correlation envelope
-//! ([`crate::wire::wrap_tagged`]); the read task splits the id off
-//! before decoding and the write task wraps the answer in the same id.
-//! Enveloped and bare requests share one connection freely — responses
-//! are produced and written in arrival order either way, so bare
-//! clients lose nothing and enveloped clients get out-of-order-safe
-//! correlation for dozens of in-flight requests per socket.
+//! ([`crate::wire::wrap_tagged`]); the connection splits the id off
+//! before decoding and wraps the answer in the same id. Enveloped and
+//! bare requests share one connection freely — responses are produced
+//! and written in arrival order either way, so bare clients lose nothing
+//! and enveloped clients get out-of-order-safe correlation for dozens of
+//! in-flight requests per socket.
 //!
 //! # Key slots (wire v9)
 //!
 //! A client binds a policy key to a connection-local slot once
 //! ([`Request::BindKey`]) and then names the key by slot
-//! ([`Request::CheckKeyed`]), so a check carries no context. The read
-//! task owns the slot table: it answers a bind on the spot, fingerprinting
-//! the bind's task and context once, and resolves a keyed check to its
-//! (tenant, key) as it decodes the frame — a later rebind never reaches
-//! a check already read. Full-key checks get their key at decode too, so
-//! past decoding a check is a key and its calls, whatever frame carried
-//! it.
+//! ([`Request::CheckKeyed`]), so a check carries no context. The
+//! connection task owns the slot table: it answers a bind on the spot,
+//! fingerprinting the bind's task and context once, and resolves a keyed
+//! check to its (tenant, key) as it decodes the frame — a later rebind
+//! never reaches a check already read. Full-key checks get their key at
+//! decode too, so past decoding a check is a key and its calls, whatever
+//! frame carried it.
 //!
 //! # One record per connection
 //!
-//! Everything a connection owns lives in one record, `Conn`: its
-//! trajectory sessions (one [`SessionState`] per policy key), its count
-//! of unanswered dispatcher jobs, its push lane and close hook, and its
-//! subscription. Checks advance the sessions, so a policy's temporal
-//! constraints bind across the connection's whole conversation; two
-//! connections under one policy spend their own budgets, which is why
-//! checks coalesce by *(connection, key)*. The record dies with the
-//! connection, so a new one always starts empty. A re-Subscribe changes
-//! only the watched tenant: the push `seq` and the acks owed carry over.
+//! What a connection shares with the dispatcher and push fan-out lives
+//! in one record, `Conn`: its trajectory sessions (one [`SessionState`]
+//! per policy key), its push lane and close hook, and its subscription.
+//! Checks advance the sessions, so a policy's temporal constraints bind
+//! across the connection's whole conversation; two connections under one
+//! policy spend their own budgets, which is why checks coalesce by
+//! *(connection, key)*. The record dies with the connection, so a new one
+//! always starts empty. A re-Subscribe changes only the watched tenant:
+//! the push `seq` and the acks owed carry over.
 
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::future::{poll_fn, Future};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 use conseca_core::TrustedContext;
@@ -103,10 +91,10 @@ use conseca_engine::{
     Billing, Engine, EngineKey, Invalidation, JournalError, SessionState, SnapshotError,
 };
 use conseca_shell::ApiCall;
-use futures::channel::mpsc::{self, TryRecvError};
+use futures::channel::mpsc;
 use futures::channel::oneshot;
 use futures::reactor::{Reactor, Registration};
-use futures::{select2, Either, JoinHandle, ThreadPool};
+use futures::{JoinHandle, ThreadPool};
 
 use crate::client::{Client, ClientError};
 use crate::daemon::{DaemonConfig, LifecycleDaemon};
@@ -115,9 +103,6 @@ use crate::wire::{
     code, unwrap_tagged, wrap_tagged, Frame, FrameReadError, Request, Response, WireError,
     WireErrorCode, MAX_KEY_SLOTS, PROTOCOL_VERSION, TAG_TAGGED,
 };
-
-/// Most bytes the write task gathers into one write.
-const WRITE_BATCH: usize = 64 * 1024;
 
 /// Most checks a connection coalesces into one group.
 const MAX_BATCH: usize = 256;
@@ -159,8 +144,8 @@ impl Default for ServeConfig {
 /// Worker threads in the executor driving the dispatcher and the
 /// connection tasks: the detected core count, floored at two, because
 /// the dispatcher may *block* a worker inside a push-ack wait and the
-/// subscriber's connection tasks need a worker left to produce that
-/// very ack.
+/// subscriber's connection task needs a worker left to write the push
+/// and read that very ack.
 fn detected_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).max(2)
 }
@@ -237,7 +222,7 @@ impl CheckRequest {
 /// A connection's key slots (wire v9): the tenant and policy key each
 /// `BindKey` bound, by slot. A slot only names a key — the connection's
 /// trajectory sessions stay keyed by the key itself. Only the
-/// connection's read task touches the table, and it resolves a keyed
+/// connection's task touches the table, and it resolves a keyed
 /// check when it reads it, so a later rebind never changes a check
 /// already queued.
 #[derive(Default)]
@@ -307,33 +292,27 @@ fn bad_slot(slot: u32, why: &str) -> Refusal {
     }
 }
 
-/// One connection's state, in one record shared by its read and write
-/// tasks, its dispatcher jobs and push fan-out. It dies with the last
-/// of them.
+/// One connection's state, in one record shared by its task, its
+/// dispatcher jobs and push fan-out. It dies with the last of them.
 struct Conn {
     /// Trajectory sessions by policy key. Checks against a
     /// trajectory-carrying policy advance the same [`SessionState`] the
     /// engine's in-process callers thread through `Resolved::check`.
     sessions: Mutex<HashMap<EngineKey, SessionState>>,
-    /// Jobs handed to the dispatcher and not yet answered. While any are
-    /// out, the connection's checks queue behind them too, so effects
-    /// keep arrival order.
-    in_flight: AtomicUsize,
-    /// Out-of-band lane into the write task: pre-encoded push frames
-    /// travel here, bypassing the ordered response lane (a push must
-    /// never queue behind a response that is itself blocked on this
-    /// push's ack). The write task holds the record, so the lane stays
-    /// open for as long as that task runs.
+    /// Out-of-band lane into the connection task: pre-encoded push
+    /// frames travel here and are written ahead of every answer still
+    /// waiting behind a dispatcher reply (a push must never queue behind
+    /// a reply that is itself blocked on this push's ack). The task
+    /// holds the record, so the lane stays open for as long as it runs.
     push_tx: mpsc::UnboundedSender<Frame>,
-    /// Closes the transport under both tasks.
+    /// Closes the transport under the connection task.
     close: Box<dyn Fn() + Send + Sync>,
     watch: Mutex<Watch>,
     /// Signalled on every ack and on close.
     ack_cv: Condvar,
 }
 
-/// A connection's push subscription, fed by its read task and by
-/// fan-out.
+/// A connection's push subscription, fed by its task and by fan-out.
 #[derive(Default)]
 struct Watch {
     /// The tenant whose invalidations are pushed here, once subscribed.
@@ -343,8 +322,8 @@ struct Watch {
     seq: u64,
     /// Highest sequence the client has acknowledged.
     acked: u64,
-    /// Set when the read task exits or fan-out force-closes the
-    /// connection: no more pushes, and an ack wait fails at once.
+    /// Set when the connection stops reading or fan-out force-closes it:
+    /// no more pushes, and an ack wait fails at once.
     closed: bool,
 }
 
@@ -397,17 +376,14 @@ impl Conn {
     }
 }
 
-/// What the write task sends next on the ordered lane, in request
-/// order. `id` is the v7 correlation id when the request arrived
-/// enveloped (`None` for bare requests — the answer goes out bare too).
-enum Outgoing {
-    /// An answer the read task produced itself (checks, handshake,
-    /// framing and envelope errors, subscriptions).
-    Ready { id: Option<u64>, response: Response },
+/// An answer a connection owes, queued behind a dispatcher reply not
+/// yet produced.
+enum Owed {
+    /// An answer the connection produced itself (handshake, framing and
+    /// envelope errors, subscriptions, key binds).
+    Ready(Response),
     /// An answer the dispatcher will produce.
-    Pending { id: Option<u64>, reply: oneshot::Receiver<Response> },
-    /// Close the connection after everything queued so far is written.
-    Close,
+    Pending(oneshot::Receiver<Response>),
 }
 
 /// A request split off its frame: the correlation id and the work, or
@@ -460,7 +436,7 @@ struct ServerState {
     /// connection to re-check the stop flag.
     accept_reg: Option<Registration>,
     /// Every spawned connection: its record (for push fan-out and
-    /// shutdown) and its task handles.
+    /// shutdown) and its task handle.
     conns: Mutex<Vec<ConnEntry>>,
     metrics: Metrics,
     /// The lifecycle daemon, when this server was started with one.
@@ -470,11 +446,10 @@ struct ServerState {
 }
 
 struct ConnEntry {
-    /// Weak, so a closed connection's sessions go with its tasks rather
+    /// Weak, so a closed connection's sessions go with its task rather
     /// than waiting for the entry to be reaped.
     conn: Weak<Conn>,
-    read: JoinHandle<()>,
-    write: JoinHandle<()>,
+    task: JoinHandle<()>,
 }
 
 impl ServerState {
@@ -719,7 +694,7 @@ impl Drop for ServerHandle {
         }
         // Close every connection before draining the list: fan-out picks
         // its targets there, and must keep seeing a subscribed connection
-        // until its read task marks it closed.
+        // until its task marks it closed.
         let conns = {
             let mut conns = self.state.conns();
             for conn in conns.iter().filter_map(|entry| entry.conn.upgrade()) {
@@ -730,10 +705,9 @@ impl Drop for ServerHandle {
         // The pool is still running here, so the connection tasks
         // observe their close edges, drain, and complete.
         for conn in conns {
-            let _ = conn.read.join();
-            let _ = conn.write.join();
+            let _ = conn.task.join();
         }
-        // All read tasks are gone, so no new jobs can arrive; the pool
+        // All connection tasks are gone, so no new jobs can arrive; the pool
         // lets the dispatcher finish anything already queued, then parks
         // it, and shutdown cancels the parked task.
         self.pool.shutdown();
@@ -774,113 +748,171 @@ async fn accept_task(
 }
 
 fn spawn_connection<S: Stream>(state: &Arc<ServerState>, pool: &ThreadPool, stream: S) {
-    let Ok(reg) = stream.register() else {
-        stream.close();
-        return;
-    };
-    let Ok(write_half) = stream.try_split() else {
-        stream.close();
-        return;
-    };
-    let Ok(close_handle) = stream.try_split() else {
+    let (Ok(reg), Ok(write_half), Ok(close_handle)) =
+        (stream.register(), stream.try_split(), stream.try_split())
+    else {
         stream.close();
         return;
     };
     // The record's close hook is shared across threads; `Stream` does
     // not require `Sync`, so the handle travels in a mutex.
     let close_handle = Mutex::new(close_handle);
-    let (ordered_tx, ordered_rx) = mpsc::unbounded();
-    let (push_tx, push_rx) = mpsc::unbounded();
+    let (push_tx, pushes) = mpsc::unbounded();
     let conn = Arc::new(Conn {
         sessions: Mutex::default(),
-        in_flight: AtomicUsize::new(0),
         push_tx,
         close: Box::new(move || close_handle.lock().unwrap_or_else(|e| e.into_inner()).close()),
         watch: Mutex::default(),
         ack_cv: Condvar::new(),
     });
     // The list stays locked until the entry is in, so fan-out sees the
-    // connection before its read task can answer a Subscribe.
+    // connection before its task can answer a Subscribe.
     let mut conns = state.conns();
     // Reap connections whose tasks have already finished — without this
     // a long-running server accepting many short-lived connections would
     // accumulate one entry apiece.
-    conns.retain(|conn| !(conn.read.is_finished() && conn.write.is_finished()));
-    let read = pool.spawn(read_task(
-        Arc::clone(state),
-        Arc::clone(&conn),
-        NbReader::new(stream, reg.clone()),
-        ordered_tx,
-    ));
-    let max_frame_len = state.config.max_frame_len;
-    let write = pool.spawn(write_task(
-        NbWriter::new(write_half, reg),
-        ordered_rx,
-        push_rx,
-        max_frame_len,
-        Arc::clone(&conn),
-    ));
-    conns.push(ConnEntry { conn: Arc::downgrade(&conn), read, write });
+    conns.retain(|conn| !conn.task.is_finished());
+    let connection = Connection {
+        state: Arc::clone(state),
+        conn: Arc::clone(&conn),
+        reader: NbReader::new(stream, reg.clone()),
+        writer: NbWriter::new(write_half, reg.clone()),
+        reg,
+        pushes,
+        slots: KeySlots::default(),
+        greeted: false,
+        reading: true,
+        owed: VecDeque::new(),
+    };
+    let task = pool.spawn(connection.serve());
+    conns.push(ConnEntry { conn: Arc::downgrade(&conn), task });
 }
 
-async fn read_task<S: Stream>(
+/// One connection's task, which owns the socket in both directions.
+struct Connection<S> {
     state: Arc<ServerState>,
     conn: Arc<Conn>,
-    mut reader: NbReader<S>,
-    out: mpsc::UnboundedSender<Outgoing>,
-) {
-    let max = state.config.max_frame_len;
-    let mut greeted = false;
-    let mut slots = KeySlots::default();
-    // A request read ahead while coalescing checks; handled next.
-    let mut carried: Option<Inbound> = None;
-    loop {
-        let next = match carried.take() {
-            Some(inbound) => Ok(Some(inbound)),
-            None => {
-                let slots = greeted.then_some(&slots);
-                reader.read_frame(max).await.map(|frame| frame.map(|f| decode_inbound(f, slots)))
+    reader: NbReader<S>,
+    writer: NbWriter<S>,
+    /// The stream's reactor registration, shared with `reader` and
+    /// `writer`.
+    reg: Registration,
+    pushes: mpsc::UnboundedReceiver<Frame>,
+    slots: KeySlots,
+    greeted: bool,
+    /// Cleared by EOF, a transport error or a refusal; the answers still
+    /// owed are written after it.
+    reading: bool,
+    /// Answers owed in request order, headed by a dispatcher reply not
+    /// yet produced. While any are owed, checks queue behind them, so
+    /// effects keep arrival order (a job's oneshot orders its effects
+    /// before its reply).
+    owed: VecDeque<(Option<u64>, Owed)>,
+}
+
+impl<S: Stream> Connection<S> {
+    async fn serve(mut self) {
+        let _ = poll_fn(|cx| self.poll_turns(cx)).await;
+        // The conversation is over, however it ended: no more pushes, and
+        // any fan-out still waiting on this connection's ack fails now.
+        // Whatever was queued still goes out; the record, sessions
+        // included, goes with its last holder.
+        self.conn.mark_closed();
+        self.state.metrics.key_slots.fetch_sub(self.slots.len() as u64, Ordering::Relaxed);
+        let _ = self.writer.flush().await;
+        (self.conn.close)();
+    }
+
+    /// Runs turns until nothing is left to read or write (`Ok`) or the
+    /// connection fails (`Err`). Each turn reads once and handles every
+    /// frame that read completed, then queues the pushes that arrived and
+    /// every answer owed up to the first reply not yet produced, and
+    /// writes them all at once. It parks when no read found bytes and no
+    /// readiness edge is left to act on: the wakers then wait on the push
+    /// lane, the head reply, a readable edge and, while a write is
+    /// unfinished, a writable edge. The dispatcher may be blocked on this
+    /// connection's push ack, so pushes and reads are always waited on.
+    fn poll_turns(&mut self, cx: &mut Context<'_>) -> Poll<Result<(), ()>> {
+        let max = self.state.config.max_frame_len;
+        loop {
+            let mut again = self.reading && self.read(cx)?;
+            while let Poll::Ready(push) = Pin::new(&mut self.pushes.recv()).poll(cx) {
+                let push = push.expect("the connection's record holds a push-lane sender");
+                self.writer.queue_frame(&push, max).map_err(drop)?;
             }
-        };
-        let inbound = match next {
-            Ok(Some(inbound)) => inbound,
+            self.settle(cx)?;
+            if self.writer.queued() > 0 && !self.writer.try_flush().map_err(drop)? {
+                again |= Pin::new(&mut self.reg.writable()).poll(cx).is_ready();
+            }
+            if !self.reading && self.owed.is_empty() && self.writer.queued() == 0 {
+                return Poll::Ready(Ok(()));
+            }
+            if !again {
+                return Poll::Pending;
+            }
+        }
+    }
+
+    /// One read attempt, then every whole frame buffered. `Ok(true)` when
+    /// the next attempt must not wait: the read found bytes, or an edge
+    /// came after it found none.
+    fn read(&mut self, cx: &mut Context<'_>) -> Result<bool, ()> {
+        let max = self.state.config.max_frame_len;
+        match self.reader.try_fill(max) {
+            Ok(None) => return Ok(Pin::new(&mut self.reg.readable()).poll(cx).is_ready()),
             // Clean EOF, or a truncated frame / transport error: either
             // way the conversation is over and there is nobody to answer.
-            Ok(None) | Err(FrameReadError::Io(_)) => break,
-            Err(e @ FrameReadError::Oversized { .. }) => {
-                refuse(&out, None, code::FRAME_TOO_LARGE, e.to_string());
-                break;
+            Ok(Some(0)) | Err(_) => {
+                self.stop_reading();
+                return Ok(false);
             }
-            Err(e @ FrameReadError::Empty) => {
-                refuse(&out, None, code::MALFORMED, e.to_string());
-                break;
-            }
-        };
+            Ok(Some(_)) => {}
+        }
+        // A request read ahead while coalescing checks; handled next.
+        let mut carried = None;
+        while self.reading {
+            let inbound = match carried.take() {
+                Some(inbound) => inbound,
+                None => match self.reader.buffered_frame(max) {
+                    None => break,
+                    Some(Ok(frame)) => decode_inbound(frame, self.greeted.then_some(&self.slots)),
+                    Some(Err(e)) => {
+                        let code = match e {
+                            FrameReadError::Oversized { .. } => code::FRAME_TOO_LARGE,
+                            _ => code::MALFORMED,
+                        };
+                        self.refuse(None, code, e.to_string())?;
+                        break;
+                    }
+                },
+            };
+            carried = self.handle(inbound, cx)?;
+        }
+        Ok(true)
+    }
+
+    /// Answers one request here, or queues it to the dispatcher. Returns
+    /// a request read ahead while coalescing checks.
+    fn handle(&mut self, inbound: Inbound, cx: &mut Context<'_>) -> Result<Option<Inbound>, ()> {
         let (id, work) = match inbound {
             Ok(request) => request,
-            Err((id, refusal)) => {
-                // Unusable envelopes, unknown tags, undecodable payloads
-                // and bad key slots are answered and the conversation
-                // continues — the frame boundary is intact, so the
-                // stream is in sync.
-                let _ = out.send(Outgoing::Ready { id, response: refusal.response() });
-                continue;
-            }
+            // Unusable envelopes, unknown tags, undecodable payloads and
+            // bad key slots are answered and the conversation continues —
+            // the frame boundary is intact, so the stream is in sync.
+            Err((id, refusal)) => return self.answer(id, refusal.response()).map(|()| None),
         };
         match work {
             Work::Other(Request::Hello { version }) if version == PROTOCOL_VERSION => {
-                greeted = true;
-                let _ = out.send(Outgoing::Ready { id, response: Response::HelloOk { version } });
+                self.greeted = true;
+                self.answer(id, Response::HelloOk { version })?;
             }
             Work::Other(Request::Hello { version }) => {
                 let message =
                     format!("client speaks version {version}, server speaks {PROTOCOL_VERSION}");
-                refuse(&out, id, code::UNSUPPORTED_VERSION, message);
-                break;
+                self.refuse(id, code::UNSUPPORTED_VERSION, message)?;
             }
-            _ if !greeted => {
-                refuse(&out, id, code::HANDSHAKE_REQUIRED, "first frame must be Hello".into());
-                break;
+            _ if !self.greeted => {
+                self.refuse(id, code::HANDSHAKE_REQUIRED, "first frame must be Hello".into())?;
             }
             // Subscription traffic is handled here, never queued: the
             // dispatcher can be *blocked inside a mutation* waiting for
@@ -889,188 +921,132 @@ async fn read_task<S: Stream>(
             // Only the watched tenant changes: the connection's `seq` and
             // the acks it still owes carry over.
             Work::Other(Request::Subscribe { tenant }) => {
-                conn.watch().tenant = Some(tenant);
-                let _ = out.send(Outgoing::Ready { id, response: Response::Subscribed });
+                self.conn.watch().tenant = Some(tenant);
+                self.answer(id, Response::Subscribed)?;
             }
             // Acks answer pushes; they get no response of their own.
-            Work::Other(Request::PushAck { seq }) => conn.record_ack(seq),
-            // A bind touches only this task's slot table, so it is
+            Work::Other(Request::PushAck { seq }) => self.conn.record_ack(seq),
+            // A bind touches only this connection's slot table, so it is
             // answered here and never queued: the checks read after it
             // resolve under the new key, those read before it already
             // hold the old one.
             Work::Other(Request::BindKey { slot, tenant, task, context }) => {
-                let response = match slots.bind(slot, tenant, &task, &context) {
+                let response = match self.slots.bind(slot, tenant, &task, &context) {
                     Ok(fresh) => {
                         if fresh {
-                            state.metrics.key_slots.fetch_add(1, Ordering::Relaxed);
+                            self.state.metrics.key_slots.fetch_add(1, Ordering::Relaxed);
                         }
                         Response::KeyBound { slot }
                     }
                     Err(refusal) => refusal.response(),
                 };
-                let _ = out.send(Outgoing::Ready { id, response });
+                self.answer(id, response)?;
             }
-            // Nothing of this connection's is waiting on the dispatcher,
-            // so the check cannot overtake an effect: answer it here.
-            Work::Check(check) if conn.in_flight.load(Ordering::Acquire) == 0 => {
-                carried = answer_checks(&state, &conn, &mut reader, &slots, &out, id, check);
-            }
-            work => {
-                // Never awaited: the read task keeps reading (PushAcks
-                // above all) while the dispatcher works on this.
-                let (reply, answer) = oneshot::channel();
-                conn.in_flight.fetch_add(1, Ordering::Relaxed);
-                if state.jobs.send(Job { work, conn: Arc::clone(&conn), reply }).is_err() {
-                    // The dispatcher is gone: the server is shutting down.
-                    refuse(&out, id, code::SHUTTING_DOWN, "server is shutting down".into());
-                    break;
+            Work::Check(check) => {
+                // With every reply already produced taken, nothing owed
+                // means nothing of this connection's is waiting on the
+                // dispatcher, so the check cannot overtake an effect.
+                self.settle(cx)?;
+                if self.owed.is_empty() {
+                    return self.answer_checks(id, check);
                 }
-                if out.send(Outgoing::Pending { id, reply: answer }).is_err() {
-                    break;
-                }
+                self.dispatch(id, Work::Check(check))?;
             }
+            work => self.dispatch(id, work)?,
         }
+        Ok(None)
     }
-    // The conversation is over, however it ended: no more pushes, and
-    // any fan-out still waiting on this connection's ack fails now. The
-    // record, sessions included, goes with its last holder.
-    conn.mark_closed();
-    state.metrics.key_slots.fetch_sub(slots.len() as u64, Ordering::Relaxed);
-}
 
-/// Answers with a typed error, then closes the connection once
-/// everything queued before it is written: how the read task ends a
-/// conversation it cannot continue.
-fn refuse(out: &mpsc::UnboundedSender<Outgoing>, id: Option<u64>, code: u16, message: String) {
-    let _ = out.send(Outgoing::Ready { id, response: Response::Error { code, message } });
-    let _ = out.send(Outgoing::Close);
-}
+    /// Queues `work` to the dispatcher, never awaiting it: the connection
+    /// keeps reading (PushAcks above all) while the dispatcher works.
+    fn dispatch(&mut self, id: Option<u64>, work: Work) -> Result<(), ()> {
+        let (reply, answer) = oneshot::channel();
+        if self.state.jobs.send(Job { work, conn: Arc::clone(&self.conn), reply }).is_err() {
+            // The dispatcher is gone: the server is shutting down.
+            return self.refuse(id, code::SHUTTING_DOWN, "server is shutting down".into());
+        }
+        self.owed.push_back((id, Owed::Pending(answer)));
+        Ok(())
+    }
 
-/// The connection's write half: drains two lanes with a **biased**
-/// select — the out-of-band push lane always wins ties over the ordered
-/// response lane, and keeps being serviced even while a dispatcher
-/// answer is pending (the dispatcher may be blocked on this very
-/// connection's push ack). Whatever is already sendable when it wakes
-/// goes out in one write.
-async fn write_task<S: Stream>(
-    mut writer: NbWriter<S>,
-    mut ordered: mpsc::UnboundedReceiver<Outgoing>,
-    mut pushes: mpsc::UnboundedReceiver<Frame>,
-    max_len: u32,
-    // Holds the record's push-lane sender, so the lane never reads as
-    // "closed" mid-connection.
-    conn: Arc<Conn>,
-) {
-    let _ = write_loop(&mut writer, &mut ordered, &mut pushes, max_len).await;
-    // Whatever was queued before the loop stopped still goes out.
-    let _ = writer.flush().await;
-    (conn.close)();
-}
-
-/// The ordered lane's head while the dispatcher is still producing its
-/// answer: the correlation id and the answer's oneshot.
-type Waiting = (Option<u64>, oneshot::Receiver<Response>);
-
-/// Writes until the ordered lane closes (`Ok`) or the connection fails
-/// (`Err`).
-async fn write_loop<S: Write>(
-    writer: &mut NbWriter<S>,
-    ordered: &mut mpsc::UnboundedReceiver<Outgoing>,
-    pushes: &mut mpsc::UnboundedReceiver<Frame>,
-    max_len: u32,
-) -> Result<(), ()> {
-    const KEEPALIVE: &str = "the write task's record holds a push-lane sender";
-    let mut head: Option<Waiting> = None;
-    loop {
-        // Park until something is sendable: a push, or the ordered
-        // lane's next answer.
-        let open = match head.take() {
-            None => match select2(pushes.recv(), ordered.recv()).await {
-                Either::Left(push) => {
-                    writer.queue_frame(&push.expect(KEEPALIVE), max_len).map_err(drop)?;
-                    true
-                }
-                Either::Right(item) => take_item(writer, &mut head, item, max_len)?,
-            },
-            Some((id, mut reply)) => {
-                let next = select2(pushes.recv(), &mut reply).await;
-                match next {
-                    Either::Left(push) => {
-                        head = Some((id, reply));
-                        writer.queue_frame(&push.expect(KEEPALIVE), max_len).map_err(drop)?;
-                    }
-                    Either::Right(Ok(response)) => emit(writer, &response, id, max_len)?,
-                    // The dispatcher dropped the job (shutdown
-                    // mid-flight); nothing left to say here.
-                    Either::Right(Err(_)) => return Err(()),
-                }
-                true
-            }
-        };
-        if !open {
+    /// Queues an answer this task produced, behind every answer owed.
+    fn answer(&mut self, id: Option<u64>, response: Response) -> Result<(), ()> {
+        if !self.owed.is_empty() {
+            self.owed.push_back((id, Owed::Ready(response)));
             return Ok(());
         }
-        // Then gather everything else already sendable, without waiting,
-        // and write it all at once.
-        let open = gather(writer, ordered, pushes, &mut head, max_len).await?;
-        writer.flush().await.map_err(drop)?;
-        if !open {
-            return Ok(());
-        }
+        emit(&mut self.writer, &response, id, self.state.config.max_frame_len)
     }
-}
 
-/// Queues every push, then every ordered answer up to the first one
-/// still being produced (which becomes `head`), up to [`WRITE_BATCH`]
-/// bytes. `Ok(false)` once the ordered lane says to close.
-async fn gather<S: Write>(
-    writer: &mut NbWriter<S>,
-    ordered: &mut mpsc::UnboundedReceiver<Outgoing>,
-    pushes: &mut mpsc::UnboundedReceiver<Frame>,
-    head: &mut Option<Waiting>,
-    max_len: u32,
-) -> Result<bool, ()> {
-    while writer.queued() < WRITE_BATCH {
-        while let Ok(push) = pushes.try_recv() {
-            writer.queue_frame(&push, max_len).map_err(drop)?;
-        }
-        match head.take() {
-            Some((id, reply)) if reply.is_ready() => match reply.await {
-                Ok(response) => emit(writer, &response, id, max_len)?,
-                Err(_) => return Err(()),
-            },
-            Some(waiting) => {
-                *head = Some(waiting);
-                break;
-            }
-            None => match ordered.try_recv() {
-                Ok(item) => {
-                    if !take_item(writer, head, Some(item), max_len)? {
-                        return Ok(false);
+    /// Answers with a typed error and stops reading: how a connection
+    /// ends a conversation it cannot continue. The answers still owed
+    /// are written, this one last, and then the connection closes.
+    fn refuse(&mut self, id: Option<u64>, code: u16, message: String) -> Result<(), ()> {
+        self.stop_reading();
+        self.answer(id, Response::Error { code, message })
+    }
+
+    /// A connection that reads no more can never ack a push, so fan-out
+    /// stops waiting on it now.
+    fn stop_reading(&mut self) {
+        self.reading = false;
+        self.conn.mark_closed();
+    }
+
+    /// Queues the owed answers, in order, up to the first reply the
+    /// dispatcher has not produced yet.
+    fn settle(&mut self, cx: &mut Context<'_>) -> Result<(), ()> {
+        while let Some((id, owed)) = self.owed.pop_front() {
+            let response = match owed {
+                Owed::Ready(response) => response,
+                Owed::Pending(mut reply) => match Pin::new(&mut reply).poll(cx) {
+                    // `Err`: the dispatcher dropped the job (shutdown
+                    // mid-flight); nothing is left to say.
+                    Poll::Ready(answer) => answer.map_err(drop)?,
+                    Poll::Pending => {
+                        self.owed.push_front((id, Owed::Pending(reply)));
+                        break;
                     }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return Ok(false),
-            },
+                },
+            };
+            emit(&mut self.writer, &response, id, self.state.config.max_frame_len)?;
         }
+        Ok(())
     }
-    Ok(true)
-}
 
-/// Takes one ordered-lane item: a ready answer is queued, a pending one
-/// becomes `head`. `Ok(false)` when the lane says to close.
-fn take_item<S: Write>(
-    writer: &mut NbWriter<S>,
-    head: &mut Option<Waiting>,
-    item: Option<Outgoing>,
-    max_len: u32,
-) -> Result<bool, ()> {
-    match item {
-        Some(Outgoing::Ready { id, response }) => emit(writer, &response, id, max_len)?,
-        Some(Outgoing::Pending { id, reply }) => *head = Some((id, reply)),
-        Some(Outgoing::Close) | None => return Ok(false),
+    /// Answers a check here, together with the checks under the same
+    /// policy key already buffered behind it (no I/O is awaited), as one
+    /// group. Returns the first buffered request that did not join.
+    fn answer_checks(
+        &mut self,
+        id: Option<u64>,
+        first: CheckRequest,
+    ) -> Result<Option<Inbound>, ()> {
+        let max = self.state.config.max_frame_len;
+        let mut group = CheckGroup::open(id, first);
+        let mut carried = None;
+        while group.pending.len() < MAX_BATCH {
+            // A framing error stays in the reader for `read` to meet.
+            let Some(Ok(frame)) = self.reader.buffered_frame(max) else { break };
+            // A bind ends the group before the next frame is decoded, so
+            // every keyed check resolves against the binds read before it.
+            match decode_inbound(frame, Some(&self.slots)) {
+                Ok((id, Work::Check(next))) if group.admits(&next) => {
+                    group.push(id, next.calls, next.single)
+                }
+                other => {
+                    carried = Some(other);
+                    break;
+                }
+            }
+        }
+        self.state.metrics.batches.fetch_add(1, Ordering::Relaxed);
+        self.state.metrics.requests.fetch_add(group.pending.len() as u64, Ordering::Relaxed);
+        for (id, response) in answer_group(&self.state, &self.conn, group) {
+            emit(&mut self.writer, &response, id, max)?;
+        }
+        Ok(carried)
     }
-    Ok(true)
 }
 
 /// Encodes and queues one correlated response. Encoding happens against
@@ -1112,13 +1088,13 @@ fn emit<S: Write>(
 /// every healthy subscriber has applied the invalidation — that is what
 /// extends "once the revocation returns, no new check sees the stale
 /// snapshot" across subscribed caches. A subscriber that cannot take
-/// the push (dead write lane, encode failure, ack timeout) is
+/// the push (closed push lane, encode failure, ack timeout) is
 /// force-closed: its client observes the disconnect and flushes its
 /// whole cache, which is the fail-closed end of the same guarantee.
 ///
 /// Push frames are never enveloped (they answer no request) and travel
-/// the out-of-band lane into each connection's write task, which
-/// services that lane even while a correlated response is pending.
+/// the out-of-band lane into each connection's task, which services
+/// that lane even while a correlated response is pending.
 fn fan_out_push(state: &ServerState, event: &Invalidation) {
     let conns: Vec<Arc<Conn>> =
         state.conns().iter().filter_map(|entry| entry.conn.upgrade()).collect();
@@ -1219,7 +1195,7 @@ impl CheckGroup {
 
 /// Evaluates one check group from `conn` and pairs each member's
 /// correlation id with its response — the one check implementation
-/// behind both the read task and the dispatcher. The connection's
+/// behind both the connection task and the dispatcher. The connection's
 /// trajectory session for the key is advanced through the group's calls
 /// in order, under the connection's own session lock, which nothing else
 /// contends for.
@@ -1254,44 +1230,6 @@ fn answer_group(
         .collect()
 }
 
-/// Answers a check on the connection's own read task, together with the
-/// checks under the same policy key already buffered behind it (no I/O
-/// is awaited), as one group. Returns the first buffered request that
-/// did not join, for the read task to handle next.
-fn answer_checks<S: Read>(
-    state: &ServerState,
-    conn: &Conn,
-    reader: &mut NbReader<S>,
-    slots: &KeySlots,
-    out: &mpsc::UnboundedSender<Outgoing>,
-    id: Option<u64>,
-    first: CheckRequest,
-) -> Option<Inbound> {
-    let mut group = CheckGroup::open(id, first);
-    let mut carried = None;
-    while group.pending.len() < MAX_BATCH {
-        // A framing error stays in the reader for the read task to meet.
-        let Some(Ok(frame)) = reader.buffered_frame(state.config.max_frame_len) else { break };
-        // A bind ends the group before the next frame is decoded, so
-        // every keyed check resolves against the binds read before it.
-        match decode_inbound(frame, Some(slots)) {
-            Ok((id, Work::Check(next))) if group.admits(&next) => {
-                group.push(id, next.calls, next.single)
-            }
-            other => {
-                carried = Some(other);
-                break;
-            }
-        }
-    }
-    state.metrics.batches.fetch_add(1, Ordering::Relaxed);
-    state.metrics.requests.fetch_add(group.pending.len() as u64, Ordering::Relaxed);
-    for (id, response) in answer_group(state, conn, group) {
-        let _ = out.send(Outgoing::Ready { id, response });
-    }
-    carried
-}
-
 /// Takes the queued jobs one at a time, in arrival order, and answers
 /// each through its oneshot before it takes the next.
 async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job>) {
@@ -1308,10 +1246,6 @@ async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job
             Work::Other(request) => execute(&state, request),
         };
         let _ = reply.send(response);
-        // Release pairs with the read task's Acquire load: once it reads
-        // zero, the effects of every answered job (store, sessions) are
-        // visible to the checks it then answers itself.
-        conn.in_flight.fetch_sub(1, Ordering::Release);
     }
 }
 

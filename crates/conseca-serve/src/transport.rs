@@ -1,8 +1,9 @@
 //! Byte transports the protocol runs over.
 //!
-//! The server drives every connection as a pair of cooperative tasks
-//! (read task, write task) on a small worker pool, so a transport must
-//! hand out a second handle to the same stream ([`Stream::try_split`]),
+//! The server drives every connection as one cooperative task on a small
+//! worker pool, reading and writing through separate handles, so a
+//! transport must hand out a second handle to the same stream
+//! ([`Stream::try_split`]),
 //! support an out-of-band close that unblocks a parked reader
 //! ([`Stream::close`]), and plug into the readiness reactor
 //! ([`Stream::register`]) so those tasks can await I/O instead of
@@ -64,7 +65,7 @@ pub trait Stream: Read + Write + Send + 'static {
     /// to the same underlying stream** may return `WouldBlock`; callers
     /// must follow the reactor's attempt-then-await protocol (see
     /// [`futures::reactor`]). Call once per connection and clone the
-    /// registration into the reader and writer tasks.
+    /// registration into its reader and writer.
     ///
     /// # Errors
     ///
@@ -333,20 +334,26 @@ impl<S: Read> NbReader<S> {
             if let Some(frame) = self.buffered_frame(max_len) {
                 return frame.map(Some);
             }
-            if self.fill(max_len).await? == 0 {
-                let what = match self.end - self.start {
-                    0 => return Ok(None),
-                    1..=3 => "connection closed mid-length",
-                    _ => "connection closed mid-frame",
-                };
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, what).into());
+            match self.try_fill(max_len)? {
+                None => self.reg.readable().await,
+                Some(0) => {
+                    let what = match self.end - self.start {
+                        0 => return Ok(None),
+                        1..=3 => "connection closed mid-length",
+                        _ => "connection closed mid-frame",
+                    };
+                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, what).into());
+                }
+                Some(_) => {}
             }
         }
     }
 
-    /// Reads more bytes behind the buffered partial frame, first making
-    /// room for that whole frame. `Ok(0)` is EOF.
-    async fn fill(&mut self, max_len: u32) -> io::Result<usize> {
+    /// One read attempt behind the buffered partial frame, first making
+    /// room for that whole frame: `Ok(Some(0))` is EOF, and `Ok(None)`
+    /// means the stream would block. Call it only once every whole frame
+    /// buffered has been taken.
+    pub(crate) fn try_fill(&mut self, max_len: u32) -> io::Result<Option<usize>> {
         self.buf.copy_within(self.start..self.end, 0);
         self.end -= self.start;
         self.start = 0;
@@ -369,9 +376,9 @@ impl<S: Read> NbReader<S> {
             match self.stream.read(&mut self.buf[self.end..]) {
                 Ok(n) => {
                     self.end += n;
-                    return Ok(n);
+                    return Ok(Some(n));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.reg.readable().await,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -383,7 +390,9 @@ impl<S: Read> NbReader<S> {
 /// stream: [`queue_frame`](Self::queue_frame) appends a frame (with the
 /// [`wire::write_frame`](crate::wire::write_frame) encode-time length
 /// cap) and [`flush`](Self::flush) writes everything queued, so a batch
-/// of frames costs one syscall.
+/// of frames costs one syscall. [`try_flush`](Self::try_flush) writes
+/// what the stream takes without waiting, and frames queued behind a
+/// partial write go out after it.
 pub(crate) struct NbWriter<S> {
     stream: S,
     reg: Registration,
@@ -406,7 +415,7 @@ impl<S: Write> NbWriter<S> {
         append_frame(&mut self.buf, frame, max_len)
     }
 
-    /// Bytes queued and not yet flushed.
+    /// Bytes queued and not yet written.
     pub(crate) fn queued(&self) -> usize {
         self.buf.len()
     }
@@ -414,6 +423,17 @@ impl<S: Write> NbWriter<S> {
     /// Writes everything queued. The queue is emptied either way: after
     /// a failed write the stream is dead.
     pub(crate) async fn flush(&mut self) -> io::Result<()> {
+        while !self.try_flush()? {
+            self.reg.writable().await;
+        }
+        Ok(())
+    }
+
+    /// Writes as much of the queue as the stream takes now. `Ok(true)`
+    /// once it is all written; `Ok(false)` when the stream would block,
+    /// and the rest waits for the next call. After a failed write the
+    /// queue is emptied: the stream is dead.
+    pub(crate) fn try_flush(&mut self) -> io::Result<bool> {
         let mut written = 0;
         let result = loop {
             if written == self.buf.len() {
@@ -427,7 +447,10 @@ impl<S: Write> NbWriter<S> {
                     ))
                 }
                 Ok(n) => written += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.reg.writable().await,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.buf.drain(..written);
+                    return Ok(false);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => break Err(e),
             }
@@ -436,7 +459,7 @@ impl<S: Write> NbWriter<S> {
         if self.buf.capacity() > KEEP_BUF {
             self.buf = Vec::new();
         }
-        result
+        result.map(|()| true)
     }
 
     /// Queues and flushes one frame.

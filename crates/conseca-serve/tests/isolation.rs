@@ -1,7 +1,7 @@
 //! Isolation between connections and ordering within one: a mutation
 //! wedged on the dispatcher must not stall another tenant's checks, and
 //! a connection's own checks must still queue behind its unanswered
-//! mutation without the read task ever waiting on the dispatcher.
+//! mutation without the connection ever waiting on the dispatcher.
 
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -280,5 +280,35 @@ fn a_rebound_slot_never_changes_a_check_already_queued_behind_a_wedged_revoke() 
     assert!(allowed(&verdicts[0]), "the first check keeps task t, bound when it was read");
     assert!(matches!(verdicts[1], Response::KeyBound { slot: 0 }));
     assert!(!allowed(&verdicts[2]), "the second check judges under task u");
+    server.shutdown();
+}
+
+#[test]
+fn a_framing_error_behind_a_wedged_revoke_is_answered_after_the_revoke_then_closes() {
+    // The zero-length frame ends the conversation while the revoke is
+    // still waiting on a subscriber that never acks: the connection must
+    // still write the revoke's answer, then the framing error, and only
+    // then close.
+    let config =
+        ServeConfig { push_ack_timeout: Duration::from_millis(300), ..ServeConfig::default() };
+    let engine = Arc::new(Engine::default());
+    let server = Server::start(Arc::clone(&engine), config);
+    engine.install("acme", "t", &ctx(), &policy()).unwrap();
+    let mut wedged = server.connect_stream().unwrap();
+    subscribe(&mut wedged, "acme");
+
+    let mut raw = server.connect_stream().unwrap();
+    send(&mut raw, Request::Hello { version: conseca_serve::PROTOCOL_VERSION });
+    assert!(matches!(recv(&mut raw), Response::HelloOk { .. }));
+    let start = Instant::now();
+    send(&mut raw, Request::Revoke { tenant: "acme".into(), fingerprint: policy().fingerprint() });
+    raw.write_all(&[0, 0, 0, 0]).unwrap();
+    assert!(matches!(recv(&mut raw), Response::Revoked { removed: 1 }));
+    assert!(start.elapsed() >= Duration::from_millis(300), "the revoke was wedged");
+    assert!(matches!(
+        recv(&mut raw),
+        Response::Error { code: conseca_serve::wire::code::MALFORMED, .. }
+    ));
+    assert!(read_frame(&mut raw, 1 << 20).unwrap().is_none(), "a clean close after the error");
     server.shutdown();
 }
