@@ -124,23 +124,6 @@ impl TrustedContext {
         format!("/home/{}", self.current_user)
     }
 
-    /// Top-level folder names visible in the context's fs tree (e.g.
-    /// `Documents`, `Logs`). Parsed from the rendered name tree.
-    pub fn home_folders(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for line in self.fs_tree.lines() {
-            // Depth-1 entries are indented exactly once ("  name/").
-            if let Some(rest) = line.strip_prefix("  ") {
-                if !rest.starts_with(' ') {
-                    if let Some(dir) = rest.strip_suffix('/') {
-                        out.push(dir.to_owned());
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// FNV-1a over the canonical text both fingerprints hash, fed field
     /// by field with no intermediate string. Every value ends with a
     /// unit separator and every field (scalar or whole list) with a
@@ -301,18 +284,6 @@ mod tests {
         mixed.email_addresses.push("x@other.org".into());
         assert_eq!(mixed.common_email_domain(), None);
         assert_eq!(TrustedContext::default().common_email_domain(), None);
-    }
-
-    #[test]
-    fn home_folders_parsed_from_tree() {
-        assert_eq!(sample().home_folders(), vec!["Documents", "Logs"]);
-    }
-
-    #[test]
-    fn home_folders_ignore_deep_entries_and_files() {
-        let mut ctx = sample();
-        ctx.fs_tree = "alice/\n  Mail/\n    Inbox/\n  notes.txt\n".into();
-        assert_eq!(ctx.home_folders(), vec!["Mail"]);
     }
 
     #[test]

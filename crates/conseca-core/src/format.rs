@@ -313,7 +313,7 @@ fn parse_constraint(text: &str) -> Result<ArgConstraint, String> {
 }
 
 /// Parses a rendered [`Predicate`] (the DSL's `Display` output).
-pub fn parse_predicate(text: &str) -> Result<Predicate, String> {
+fn parse_predicate(text: &str) -> Result<Predicate, String> {
     let text = text.trim();
     if text == "any" {
         return Ok(Predicate::True);

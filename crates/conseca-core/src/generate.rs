@@ -230,7 +230,7 @@ pub fn render_prompt(request: &PolicyRequest) -> String {
 }
 
 /// Whitespace-token count used for size accounting.
-pub fn approximate_tokens(text: &str) -> usize {
+fn approximate_tokens(text: &str) -> usize {
     text.split_whitespace().count()
 }
 

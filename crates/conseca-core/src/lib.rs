@@ -27,7 +27,6 @@
 //! | Automated rationale/constraint verification (§7) | [`verify`] |
 //! | Trajectory policies: rate limits, sequencing (§7) | [`trajectory`] |
 //! | User override confirmation (§7) | [`confirm`] |
-//! | Output sanitisers growing trusted context (§7) | [`sanitize`] |
 //!
 //! # Examples
 //!
@@ -67,14 +66,12 @@ pub mod codec;
 pub mod confirm;
 pub mod constraint;
 pub mod context;
-pub mod diff;
 pub mod enforce;
 pub mod format;
 pub mod generate;
 pub mod jsonout;
 pub mod pipeline;
 pub mod policy;
-pub mod sanitize;
 pub mod trajectory;
 pub mod verify;
 
@@ -85,7 +82,6 @@ pub use confirm::{
 };
 pub use constraint::{ArgConstraint, CmpOp, Predicate};
 pub use context::{ContextFields, TrustedContext};
-pub use diff::{diff_policies, render_diff, PolicyChange};
 pub use enforce::{is_allowed, Decision, Violation};
 pub use format::{parse_policy, render_policy, FormatError};
 pub use generate::{
@@ -97,9 +93,8 @@ pub use pipeline::{
     SessionStats, TrajectoryLayer, Verdict,
 };
 pub use policy::{fnv1a, Policy, PolicyEntry};
-pub use sanitize::{default_sanitizers, SanitizerSet};
 pub use trajectory::{
     OrderRule, PriorCondition, RateLimit, SequenceRule, TrajectoryDecision, TrajectoryEnforcer,
     TrajectoryPolicy, WindowLimit,
 };
-pub use verify::{max_severity, verify_policy, Finding, Severity};
+pub use verify::{verify_policy, Finding, Severity};

@@ -182,11 +182,6 @@ fn constraint_literals(c: &ArgConstraint) -> Vec<String> {
     }
 }
 
-/// The highest severity present, if any findings exist.
-pub fn max_severity(findings: &[Finding]) -> Option<Severity> {
-    findings.iter().map(|f| f.severity).max()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,16 +313,5 @@ mod tests {
         );
         let findings2 = verify_policy(&p2, &reg);
         assert!(!findings2.iter().any(|f| f.message.contains("does not mention")));
-    }
-
-    #[test]
-    fn max_severity_orders() {
-        let findings = vec![
-            Finding { api: "a".into(), severity: Severity::Info, message: "i".into() },
-            Finding { api: "b".into(), severity: Severity::Error, message: "e".into() },
-            Finding { api: "c".into(), severity: Severity::Warning, message: "w".into() },
-        ];
-        assert_eq!(max_severity(&findings), Some(Severity::Error));
-        assert_eq!(max_severity(&[]), None);
     }
 }

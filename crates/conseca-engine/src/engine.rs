@@ -189,18 +189,6 @@ pub struct ParallelReport {
     pub elapsed: Duration,
 }
 
-impl ParallelReport {
-    /// Aggregate throughput over the run.
-    pub fn checks_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.checked as f64 / secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
 /// One session's trajectory progress, threaded through
 /// [`Resolved::check`].
 ///
@@ -804,7 +792,6 @@ mod tests {
         let globex = engine.tenant_counters("globex");
         assert_eq!(acme.checks, 51);
         assert_eq!(globex.checks, 50);
-        assert!(report.checks_per_second() > 0.0);
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl ReloadCoordinator {
     /// against a context that no longer matches `current` (semantically —
     /// the logical clock alone never counts as drift). Untracked keys are
     /// not stale: the coordinator only speaks for policies it watches.
-    pub fn is_stale(&self, tenant: &str, task: &str, current: &TrustedContext) -> bool {
+    fn is_stale(&self, tenant: &str, task: &str, current: &TrustedContext) -> bool {
         self.live
             .read()
             .get(&LiveKey::new(tenant, task))
@@ -198,36 +198,14 @@ impl ReloadCoordinator {
         removed.map(Some)
     }
 
-    /// The revoke → regenerate → reinstall sequence for one key, run only
-    /// when the context actually drifted. Returns `None` when the key is
-    /// untracked or its context still matches.
+    /// The revoke → regenerate → reinstall sequence for one key. Returns
+    /// `None` for untracked keys.
     ///
     /// Ordering is the fail-closed one: the stale snapshot is swept
     /// *before* `regenerate` runs, so while regeneration is in flight the
     /// key resolves nothing and checks are denied by default; the
     /// regenerated policy then lands atomically under the new context key
     /// via [`Engine::reload`].
-    ///
-    /// # Errors
-    ///
-    /// As [`reload_now`](Self::reload_now).
-    pub fn reload_if_stale(
-        &self,
-        tenant: &str,
-        task: &str,
-        current: &TrustedContext,
-        regenerate: impl FnOnce(&TrustedContext) -> Policy,
-        sink: &mut dyn AuditSink,
-    ) -> Result<Option<ReloadOutcome>, JournalError> {
-        if !self.is_stale(tenant, task, current) {
-            return Ok(None);
-        }
-        self.reload_now(tenant, task, current, regenerate, sink)
-    }
-
-    /// [`reload_if_stale`](Self::reload_if_stale) without the staleness
-    /// gate — the forced-reload path operators use after changing
-    /// generator configuration. Still `None` for untracked keys.
     ///
     /// A reload and a concurrent [`revoke`](Self::revoke) race by
     /// *claiming* the tracking entry: whichever removes it first wins and
@@ -243,7 +221,7 @@ impl ReloadCoordinator {
     /// As [`Engine::revoke_fingerprint`] (the stale snapshot was swept,
     /// nothing was reinstalled) or [`Engine::reload`]. Either way the
     /// key is no longer tracked and fails closed until reinstalled.
-    pub fn reload_now(
+    fn reload_now(
         &self,
         tenant: &str,
         task: &str,
@@ -294,11 +272,12 @@ impl ReloadCoordinator {
 
     /// The regeneration-watcher pass: re-resolves every tracked key's
     /// current context via `resolve`, reloads the drifted ones through
-    /// `regenerate`, and revokes keys whose context can no longer be
-    /// resolved at all. One call is one watch tick; deployments run it
-    /// from whatever cadence (timer, inotify-style hook, post-commit) the
-    /// context source supports. A journal failure on one key is counted
-    /// in [`SweepReport::journal_errors`] and the sweep moves on.
+    /// `regenerate` (a clock tick alone is not drift), and revokes keys
+    /// whose context can no longer be resolved at all. One call is one
+    /// watch tick; deployments run it from whatever cadence (timer,
+    /// inotify-style hook, post-commit) the context source supports. A
+    /// journal failure on one key is counted in
+    /// [`SweepReport::journal_errors`] and the sweep moves on.
     pub fn sweep(
         &self,
         resolve: impl Fn(&str, &str) -> Option<TrustedContext>,
@@ -309,7 +288,8 @@ impl ReloadCoordinator {
         let mut report = SweepReport { scanned: tracked.len(), ..SweepReport::default() };
         for key in tracked {
             match resolve(&key.tenant, &key.task) {
-                Some(current) => match self.reload_if_stale(
+                Some(current) if !self.is_stale(&key.tenant, &key.task, &current) => {}
+                Some(current) => match self.reload_now(
                     &key.tenant,
                     &key.task,
                     &current,
@@ -375,16 +355,15 @@ mod tests {
         let mut ticked = before.clone();
         ticked.time += 100;
         assert!(!coordinator.is_stale("acme", "t", &ticked));
-        assert!(coordinator
-            .reload_if_stale("acme", "t", &ticked, |c| policy_for("t", c), &mut log)
-            .unwrap()
-            .is_none());
+        let report =
+            coordinator.sweep(|_, _| Some(ticked.clone()), |_, t, c| policy_for(t, c), &mut log);
+        assert_eq!(report.reloaded, 0);
 
         // A grown fs tree is.
         let after = ctx("alice", "alice/\n  New/\n");
         assert!(coordinator.is_stale("acme", "t", &after));
         let outcome = coordinator
-            .reload_if_stale("acme", "t", &after, |c| policy_for("t", c), &mut log)
+            .reload_now("acme", "t", &after, |c| policy_for("t", c), &mut log)
             .unwrap()
             .expect("drift must reload");
         assert_eq!(outcome.old_fingerprint, policy.fingerprint());

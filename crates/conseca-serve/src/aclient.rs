@@ -58,11 +58,10 @@
 //! the client's — and then it closes the connection, so no check is
 //! ever judged behind a refused bind.
 //!
-//! [`ClientPool`] stacks connection pooling on top, routing each request
-//! by its policy key. Affinity is deliberate, not an optimisation: the
-//! server binds trajectory session state to *(connection, policy key)*,
-//! so all checks for one key must keep arriving on one connection for
-//! budgets and ordering constraints to accumulate coherently.
+//! The server binds trajectory session state to *(connection, policy
+//! key)*, so a caller that spreads one key's checks across several
+//! connections splits its budgets and ordering constraints into
+//! independent pots. Keep each key on one client.
 //!
 //! # Ordering
 //!
@@ -107,7 +106,7 @@ use crate::client::{
     flushed, hello_ok, installed, stats_ok, verdict_batch, verdict_one, ClientError,
     InstallReceipt, ResponseMap, ServerStats,
 };
-use crate::intern::{parts_hash, KeyInterner};
+use crate::intern::KeyInterner;
 use crate::transport::{NbReader, NbWriter, Stream};
 use crate::wire::{
     bind_key_frame, check_keyed_frame, unwrap_tagged, wrap_tagged, Frame, Request, Response,
@@ -616,89 +615,5 @@ impl<T> Future for Pending<T> {
         let this = self.get_mut();
         let map = this.map;
         Pin::new(&mut this.rx).poll(cx).map(|raw| finish(map, raw))
-    }
-}
-
-/// A fixed-size pool of [`AsyncClient`] connections with **policy-key
-/// affinity**: every request for one *(tenant, task, context)* key lands
-/// on the same connection. Affinity is what makes pooling sound here —
-/// the server binds trajectory session state to *(connection, key)*, so
-/// spraying one key across connections would split a policy's session
-/// budgets into independent pots.
-pub struct ClientPool {
-    clients: Vec<AsyncClient>,
-}
-
-impl ClientPool {
-    /// Opens `size` TCP connections (clamped to at least one) and
-    /// handshakes each.
-    ///
-    /// # Errors
-    ///
-    /// Connection or handshake failures.
-    pub fn connect(addr: &str, size: usize) -> Result<ClientPool, ClientError> {
-        let clients =
-            (0..size.max(1)).map(|_| AsyncClient::connect(addr)).collect::<Result<Vec<_>, _>>()?;
-        Ok(ClientPool { clients })
-    }
-
-    /// Builds a pool from already-connected clients (e.g. in-process
-    /// duplex connections from
-    /// [`ServerHandle::connect_stream`](crate::ServerHandle::connect_stream)).
-    ///
-    /// # Panics
-    ///
-    /// If `clients` is empty.
-    pub fn from_clients(clients: Vec<AsyncClient>) -> ClientPool {
-        assert!(!clients.is_empty(), "a client pool needs at least one connection");
-        ClientPool { clients }
-    }
-
-    /// How many connections the pool holds.
-    pub fn size(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// The connection that owns `(tenant, task, context)` — every
-    /// request for one key routes here, so the server-side trajectory
-    /// session for that key stays on one connection.
-    ///
-    /// Routing hashes the key's parts with the connections' own interner
-    /// hash, so it costs a hash, not a fingerprint.
-    pub fn client_for(&self, tenant: &str, task: &str, context: &TrustedContext) -> &AsyncClient {
-        let hash = parts_hash(tenant, task, context);
-        &self.clients[(hash % self.clients.len() as u64) as usize]
-    }
-
-    /// [`AsyncClient::check`] on the key's affine connection.
-    ///
-    /// # Errors
-    ///
-    /// Submission failures now; transport, protocol, or server errors at
-    /// the [`Pending`].
-    pub fn check(
-        &self,
-        tenant: &str,
-        task: &str,
-        context: &TrustedContext,
-        call: &ApiCall,
-    ) -> Result<Pending<Option<Decision>>, ClientError> {
-        self.client_for(tenant, task, context).check(tenant, task, context, call)
-    }
-
-    /// [`AsyncClient::check_all`] on the key's affine connection.
-    ///
-    /// # Errors
-    ///
-    /// Submission failures now; transport, protocol, or server errors at
-    /// the [`Pending`].
-    pub fn check_all(
-        &self,
-        tenant: &str,
-        task: &str,
-        context: &TrustedContext,
-        calls: &[ApiCall],
-    ) -> Result<Pending<Option<Vec<Decision>>>, ClientError> {
-        self.client_for(tenant, task, context).check_all(tenant, task, context, calls)
     }
 }

@@ -19,13 +19,12 @@ use conseca_engine::EngineKey;
 
 use crate::wire::MAX_KEY_SLOTS;
 
-/// The hash the interner files key parts under, and what a
-/// [`ClientPool`](crate::ClientPool) routes a key by. Word-at-a-time, so
+/// The hash the interner files key parts under. Word-at-a-time, so
 /// a few kilobytes of context hash in well under a microsecond; it is
 /// not collision-resistant, which is sound here because the interner
 /// compares the parts on every hash match and its keys are the client's
 /// own.
-pub(crate) fn parts_hash(tenant: &str, task: &str, context: &TrustedContext) -> u64 {
+fn parts_hash(tenant: &str, task: &str, context: &TrustedContext) -> u64 {
     let mut hasher = WordHasher(0);
     (tenant, task, context).hash(&mut hasher);
     hasher.finish()

@@ -44,8 +44,7 @@
 //!   the protocol v7 correlation envelope: submit-then-wait (or
 //!   `.await`) with responses matched by id by a demux task on a shared
 //!   two-thread pool, which is exactly the shape that keeps the server's
-//!   read buffers full of checks to coalesce. [`ClientPool`] fans that
-//!   out across connections with policy-key affinity. See [`aclient`].
+//!   read buffers full of checks to coalesce. See [`aclient`].
 //! - [`CachedClient`], for latency-sensitive callers, is an
 //!   `AsyncClient` plus a local L1 of compiled policies, so after a
 //!   one-time fetch each check runs at in-process engine speed. It
@@ -139,7 +138,7 @@ pub mod session;
 pub mod transport;
 pub mod wire;
 
-pub use aclient::{AsyncClient, ClientPool, Pending};
+pub use aclient::{AsyncClient, Pending};
 pub use cache::{CachedClient, LocalPolicyCache};
 pub use client::{
     Client, ClientError, InstallReceipt, ReloadReceipt, RestoreReceipt, ServerStats,

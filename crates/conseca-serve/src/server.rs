@@ -118,8 +118,11 @@ pub struct ServeConfig {
     /// that would exceed the cap at encode time (a large `SnapshotOk`,
     /// say) is replaced by a [`code::FRAME_TOO_LARGE`] error on a
     /// connection that stays open. Raise it — together with the
-    /// client's `with_max_frame_len` — as the sanctioned path for
-    /// oversized-but-legitimate payloads such as policy snapshots.
+    /// client's cap, set by [`Client::over_with`](crate::Client::over_with),
+    /// [`AsyncClient::over_with`](crate::AsyncClient::over_with) or
+    /// [`CachedClient::over_with`](crate::CachedClient::over_with) — as the
+    /// sanctioned path for oversized-but-legitimate payloads such as
+    /// policy snapshots.
     pub max_frame_len: u32,
     /// How long a push fan-out waits for subscribers'
     /// [`Request::PushAck`]s before force-closing the stragglers. The
@@ -1331,9 +1334,9 @@ fn execute(state: &ServerState, request: Request) -> Response {
             state.initiate_shutdown();
             Response::ShuttingDown
         }
-        // Handshakes and subscription traffic are answered by the read
-        // task, and checks never arrive as `Work::Other`; one reaching
-        // here is a server bug, not a client error.
+        // The connection task answers handshakes, subscription traffic
+        // and key binds itself, and checks never arrive as `Work::Other`;
+        // one reaching here is a server bug, not a client error.
         Request::Hello { .. } => Response::Error {
             code: code::MALFORMED,
             message: "Hello is handled during the handshake".into(),
@@ -1341,7 +1344,7 @@ fn execute(state: &ServerState, request: Request) -> Response {
         Request::Subscribe { .. } | Request::PushAck { .. } | Request::BindKey { .. } => {
             Response::Error {
                 code: code::MALFORMED,
-                message: "subscription and key-slot frames are handled by the connection reader"
+                message: "subscription and key-slot frames are handled by the connection task"
                     .into(),
             }
         }

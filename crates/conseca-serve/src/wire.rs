@@ -101,10 +101,13 @@ pub const PROTOCOL_VERSION: u16 = 9;
 /// Default cap on `length` (tag + payload) a peer will accept. Frames
 /// above the cap are answered with [`code::FRAME_TOO_LARGE`] and the
 /// connection is closed (the oversized payload is never read). Both
-/// sides can raise the cap — `ServeConfig::max_frame_len` server-side,
-/// `Client::with_max_frame_len` client-side — which is the sanctioned
-/// path for oversized-but-legitimate payloads such as large policy
-/// snapshots; see `docs/serving.md` §2.
+/// sides can raise the cap, which is the sanctioned path for
+/// oversized-but-legitimate payloads such as large policy snapshots
+/// (see `docs/serving.md` §2): the server through
+/// [`ServeConfig::max_frame_len`](crate::ServeConfig::max_frame_len), a
+/// client through [`Client::over_with`](crate::Client::over_with),
+/// [`AsyncClient::over_with`](crate::AsyncClient::over_with) or
+/// [`CachedClient::over_with`](crate::CachedClient::over_with).
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 1 << 20;
 
 /// Key slots one connection may bind (v9): a [`Request::BindKey`] or

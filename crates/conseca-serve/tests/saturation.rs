@@ -14,8 +14,7 @@ use conseca_core::{ArgConstraint, Policy, PolicyEntry, TrustedContext};
 use conseca_engine::Engine;
 use conseca_serve::wire::{read_frame, unwrap_tagged, wrap_tagged, Request, Response};
 use conseca_serve::{
-    transport::duplex, AsyncClient, CachedClient, Client, ClientError, ClientPool, ServeConfig,
-    Server,
+    transport::duplex, AsyncClient, CachedClient, Client, ClientError, ServeConfig, Server,
 };
 use conseca_shell::ApiCall;
 
@@ -315,40 +314,4 @@ fn an_error_then_close_fails_every_pending_request() {
         assert!(matches!(outcome, Err(ClientError::Closed)), "got {outcome:?}");
     }
     mock.join().expect("mock server");
-}
-
-#[test]
-fn a_client_pool_keeps_policy_keys_affine_and_checks_correct() {
-    let server = Server::start(Arc::new(Engine::default()), ServeConfig::default());
-    let clients: Vec<AsyncClient> = (0..4)
-        .map(|_| AsyncClient::over(server.connect_stream().unwrap()).expect("handshake"))
-        .collect();
-    let pool = ClientPool::from_clients(clients);
-    assert_eq!(pool.size(), 4);
-    let context = ctx();
-
-    // Install through the key's affine connection; checks for the same
-    // key route to the same place, whatever thread asks.
-    pool.client_for("acme", "t", &context)
-        .install("acme", "t", &context, &policy())
-        .expect("submit")
-        .wait()
-        .expect("install");
-    let pending: Vec<_> = (0..64)
-        .map(|i| {
-            let args: &[&str] = if i % 2 == 0 { &["alice"] } else { &["eve"] };
-            (i, pool.check("acme", "t", &context, &call(args)).expect("submit"))
-        })
-        .collect();
-    for (i, p) in pending {
-        let decision = p.wait().expect("verdict").expect("policy installed");
-        assert_eq!(decision.allowed, i % 2 == 0);
-    }
-
-    // Affinity is deterministic: the same key always names the same
-    // connection (pointer identity).
-    let a = pool.client_for("acme", "t", &context) as *const _;
-    let b = pool.client_for("acme", "t", &context) as *const _;
-    assert_eq!(a, b, "one key must always route to one connection");
-    server.shutdown();
 }

@@ -1,5 +1,5 @@
 //! Pipelined async client quickstart: many checks in flight on one
-//! socket, and a pooled front-end for multi-connection fan-out.
+//! socket.
 //!
 //! Starts a policy-decision server over a fresh engine, installs the
 //! paper's §4.1 policy through the pipelined [`AsyncClient`], then
@@ -7,9 +7,7 @@
 //! on any of them. With the whole window in flight, the server's
 //! connection task finds same-key checks already buffered and answers
 //! each run as one engine batch — the amortisation the `serve_concurrent` rows in
-//! `BENCH_serve.json` measure. A second act routes the same work
-//! through a [`ClientPool`], which keeps every policy key on one
-//! affine connection so trajectory sessions stay coherent.
+//! `BENCH_serve.json` measure.
 //!
 //! Run with: `cargo run --example async_client`
 
@@ -17,7 +15,7 @@ use std::sync::Arc;
 
 use conseca_core::{ArgConstraint, Policy, PolicyEntry, TrustedContext};
 use conseca_engine::Engine;
-use conseca_serve::{AsyncClient, ClientPool, ServeConfig, Server};
+use conseca_serve::{AsyncClient, ServeConfig, Server};
 use conseca_shell::ApiCall;
 
 fn paper_policy() -> Policy {
@@ -85,37 +83,10 @@ fn main() {
     let stats = client.stats_full("acme").expect("submit").wait().expect("stats");
     let metrics = server.metrics();
     println!(
-        "tenant 'acme': {} checks ({} coalesced into batches), {} server workers\n",
+        "tenant 'acme': {} checks ({} coalesced into batches), {} server workers",
         stats.counters.checks, metrics.coalesced_checks, stats.workers
     );
     client.close();
-
-    // A pool fans the same API across several connections. Routing is
-    // by policy key, so one key always lands on one connection — the
-    // server keeps trajectory sessions per (connection, key).
-    let pool = ClientPool::from_clients(
-        (0..4)
-            .map(|_| {
-                AsyncClient::over(server.connect_stream().expect("stream")).expect("handshake")
-            })
-            .collect(),
-    );
-    pool.client_for("acme", &task, &ctx)
-        .install("acme", &task, &ctx, &policy)
-        .expect("submit")
-        .wait()
-        .expect("install");
-    let pending: Vec<_> =
-        calls.iter().map(|call| pool.check("acme", &task, &ctx, call).expect("submit")).collect();
-    let allowed: usize = pending
-        .into_iter()
-        .map(|p| p.wait().expect("verdict").expect("policy installed").allowed as usize)
-        .sum();
-    println!(
-        "pooled across {} connections: {allowed} allowed, {} denied",
-        pool.size(),
-        64 - allowed
-    );
 
     server.shutdown();
     println!("server stopped.");
