@@ -1,4 +1,7 @@
-//! A minimal multi-threaded task executor.
+//! A minimal multi-threaded task executor, for work that may block a
+//! thread: the serving layer's dispatcher, which waits on push acks,
+//! runs here. Tasks that only ever await — connection and client I/O —
+//! run on the reactor's loop instead ([`Reactor::spawn`](crate::Reactor::spawn)).
 //!
 //! Tasks are `Arc`-wrapped futures; the task *is* its own waker
 //! (`std::task::Wake`), and waking re-enqueues the task on the pool's
@@ -58,13 +61,18 @@ impl Wake for Task {
 /// A handle to a spawned task's eventual output.
 ///
 /// Resolves to `None` if the task was canceled before completing (the
-/// pool shut down while it was still pending). `join` blocks the calling
-/// thread; the handle is also a [`Future`] for use inside other tasks.
+/// pool shut down while it was still pending) or, on the reactor's
+/// loop, panicked. `join` blocks the calling thread; the handle is also
+/// a [`Future`] for use inside other tasks.
 pub struct JoinHandle<T> {
     receiver: oneshot::Receiver<T>,
 }
 
 impl<T> JoinHandle<T> {
+    pub(crate) fn new(receiver: oneshot::Receiver<T>) -> Self {
+        JoinHandle { receiver }
+    }
+
     /// Blocks until the task completes (or is canceled).
     pub fn join(self) -> Option<T> {
         crate::block_on(self.receiver).ok()
@@ -136,7 +144,7 @@ impl ThreadPool {
                 .insert(task.id, Arc::clone(&task));
         }
         self.inner.push(task);
-        JoinHandle { receiver: rx }
+        JoinHandle::new(rx)
     }
 
     /// Graceful shutdown: lets queued tasks finish their current poll,

@@ -6,9 +6,9 @@
 //!
 //! - [`block_on`] — drive a future to completion on the current thread
 //!   (thread-park waker, like `futures::executor::block_on`);
-//! - [`executor::ThreadPool`] — a multi-threaded task executor whose
-//!   [`spawn`](executor::ThreadPool::spawn) returns a
-//!   [`JoinHandle`] (the shape of
+//! - [`executor::ThreadPool`] — a multi-threaded task executor for work
+//!   that may block, whose [`spawn`](executor::ThreadPool::spawn)
+//!   returns a [`JoinHandle`] (the shape of
 //!   `SpawnExt::spawn_with_handle`) and which shuts down gracefully;
 //! - [`channel::mpsc`] — an unbounded multi-producer channel with an
 //!   async `recv` and a non-blocking `try_recv`;
@@ -17,13 +17,15 @@
 //! - [`reactor::Reactor`] — a global epoll-driven readiness reactor
 //!   (edge-triggered registrations, manual "virtual" registrations for
 //!   in-process transports, and deadline timers), so futures await I/O
-//!   readiness instead of parking OS threads.
+//!   readiness instead of parking OS threads; its thread is also an
+//!   event loop that runs the tasks [`Reactor::spawn`] hands it, on the
+//!   thread that sees their readiness edges.
 //!
 //! Deviations from the real crate are deliberate and documented inline:
 //! no `Stream` trait (the receivers expose inherent methods instead), no
 //! `select!` (a task that waits on several sources polls each itself),
 //! and `JoinHandle` resolves to `None` — rather than panicking — when its
-//! task was dropped by a pool shutdown.
+//! task was dropped by a pool shutdown or panicked on the loop.
 
 use std::future::Future;
 use std::sync::Arc;
@@ -35,7 +37,7 @@ pub mod executor;
 pub mod reactor;
 
 pub use executor::{JoinHandle, ThreadPool};
-pub use reactor::{Reactor, Registration};
+pub use reactor::{Counters, Reactor, Registration};
 
 /// Wakes a parked thread; the waker behind [`block_on`].
 struct ThreadWaker(Thread);
@@ -48,7 +50,16 @@ impl Wake for ThreadWaker {
 
 /// Runs a future to completion on the calling thread, parking between
 /// polls. Spurious unparks are tolerated (the loop simply re-polls).
+///
+/// # Panics
+///
+/// When called on the reactor's loop thread: parking it would park every
+/// loop task in the process, the one that would wake it included.
 pub fn block_on<F: Future>(future: F) -> F::Output {
+    assert!(
+        !reactor::on_loop(),
+        "block_on called on the reactor's loop thread, where nothing may block"
+    );
     let waker = Waker::from(Arc::new(ThreadWaker(thread::current())));
     let mut cx = Context::from_waker(&waker);
     let mut future = std::pin::pin!(future);

@@ -1,17 +1,37 @@
-//! A readiness-driven I/O reactor: the piece that lets futures await
-//! "this file descriptor has bytes" instead of parking an OS thread in
-//! a blocking `read`.
+//! A readiness-driven I/O reactor and the event loop that runs on it:
+//! the piece that lets futures await "this file descriptor has bytes"
+//! instead of parking an OS thread in a blocking `read`.
 //!
 //! # Architecture
 //!
-//! One process-wide reactor thread sits in `epoll_wait` over every
+//! One process-wide loop thread sits in `epoll_wait` over every
 //! registered descriptor (edge-triggered, read + write interest) plus
-//! an `eventfd` used to interrupt the wait when a timer is (re)armed.
+//! an `eventfd` that other threads write to interrupt the wait.
 //! Registering a descriptor yields a [`Registration`]: a token-mapped
 //! readiness record holding one *ready bit* and one parked [`Waker`]
-//! per direction. When the kernel reports an edge, the reactor sets the
-//! bit and wakes the parked task — nothing else happens on the reactor
-//! thread, so a slow consumer can never back it up.
+//! per direction. When the kernel reports an edge, the loop sets the
+//! bit and wakes the parked task.
+//!
+//! The loop also runs tasks of its own, spawned with
+//! [`Reactor::spawn`]. A loop task woken by an edge is polled on the
+//! same thread, in the same turn, so the task that owns a socket reads
+//! it, acts and writes without handing the work to another thread:
+//!
+//! - a wake on the loop thread pushes the task onto a thread-local run
+//!   queue — no lock, no syscall;
+//! - a wake from another thread pushes it onto an injector queue, and
+//!   writes the `eventfd` only when the loop is in, or about to enter,
+//!   `epoll_wait`;
+//! - each turn takes the injector, polls every task ready at the start
+//!   of the turn, then waits — with a zero timeout while any task is
+//!   still ready;
+//! - each poll runs under `catch_unwind`: a task that panics is dropped
+//!   and its [`JoinHandle`] resolves to `None`, and the loop goes on.
+//!
+//! The rule that keeps one thread enough: **nothing that blocks runs on
+//! the loop.** A loop task does bounded work per poll and awaits the
+//! rest; [`block_on`](crate::block_on) panics when called on the loop
+//! thread, because parking it would park every task in the process.
 //!
 //! # The readiness protocol
 //!
@@ -52,20 +72,31 @@
 //! driven by the same `epoll_wait` (its timeout is the earliest armed
 //! deadline). Dropping the future disarms the timer.
 //!
+//! # Counters
+//!
+//! [`Reactor::counters`] reads three relaxed totals — loop-task wakes
+//! from other threads, `epoll_wait` returns and interrupts of the loop's
+//! wait — so tests can pin how many thread handoffs a request costs.
+//!
 //! Linux-only by construction (`epoll`, `eventfd` via direct syscall
 //! bindings — the build has no libc crate); the rest of the crate is
 //! portable.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::future::Future;
 use std::io;
 use std::os::raw::{c_int, c_void};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
+
+use crate::channel::oneshot;
+use crate::executor::JoinHandle;
 
 // ------------------------------------------------------------ epoll ABI
 
@@ -158,15 +189,102 @@ impl Source {
     }
 }
 
+// ------------------------------------------------------------ loop tasks
+
+type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+
+thread_local! {
+    /// The loop's run queue: `Some` on the loop thread only, which is
+    /// how a wake tells where it runs.
+    static RUN_QUEUE: RefCell<Option<VecDeque<Arc<Task>>>> = const { RefCell::new(None) };
+}
+
+/// Whether the calling thread is the reactor's loop thread.
+pub(crate) fn on_loop() -> bool {
+    RUN_QUEUE.try_with(|queue| queue.borrow().is_some()).unwrap_or(false)
+}
+
+/// A task spawned on the loop; the task is its own waker.
+struct Task {
+    /// `None` once the task completed or panicked. Only the loop thread
+    /// polls it; the lock only makes the task shareable with wakers.
+    future: Mutex<Option<BoxFuture>>,
+    /// Set from a wake until the loop takes the task off its queue, so
+    /// a task is queued at most once at a time.
+    queued: AtomicBool,
+    shared: Arc<Shared>,
+}
+
+impl Task {
+    fn schedule(self: &Arc<Self>) {
+        if !self.queued.swap(true, Ordering::AcqRel) {
+            self.shared.schedule(Arc::clone(self), true);
+        }
+    }
+
+    /// Polls the task once, on the loop thread.
+    fn run(self: Arc<Self>) {
+        self.queued.store(false, Ordering::Release);
+        let waker = Waker::from(Arc::clone(&self));
+        let mut cx = Context::from_waker(&waker);
+        let mut slot = self.future.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(future) = slot.as_mut() else { return };
+        // A panic ends this task and nothing else: the unwind stops
+        // here, and dropping the future drops the sender its
+        // `JoinHandle` waits on.
+        let done = !matches!(
+            catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))),
+            Ok(Poll::Pending)
+        );
+        if done {
+            let future = slot.take();
+            drop(slot);
+            let _ = catch_unwind(AssertUnwindSafe(move || drop(future)));
+        }
+    }
+}
+
+impl Wake for Task {
+    fn wake(self: Arc<Self>) {
+        self.schedule();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.schedule();
+    }
+}
+
+/// Point-in-time totals of the loop's thread handoffs (see
+/// [`Reactor::counters`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Loop tasks woken from a thread other than the loop's.
+    pub remote_wakes: u64,
+    /// Returns from `epoll_wait`, zero-timeout polls included.
+    pub epoll_returns: u64,
+    /// Interruptions of the loop's wait by another thread: writes to
+    /// its wake `eventfd`.
+    pub interrupts: u64,
+}
+
 struct Shared {
     epfd: c_int,
     wake_fd: c_int,
-    /// Kernel-backed registrations by token, so the reactor thread can
-    /// route events. Virtual registrations never enter the map.
+    /// Kernel-backed registrations by token, so the loop can route
+    /// events. Virtual registrations never enter the map.
     sources: Mutex<HashMap<u64, Arc<Source>>>,
     /// Armed timers, ordered by deadline (the id breaks ties).
     timers: Mutex<BTreeMap<(Instant, u64), Waker>>,
     next_token: AtomicU64,
+    /// Loop tasks scheduled from other threads, taken every turn.
+    injector: Mutex<VecDeque<Arc<Task>>>,
+    /// Set while the loop is in, or about to enter, a blocking
+    /// `epoll_wait`. The first injection after it is set interrupts the
+    /// wait.
+    parked: AtomicBool,
+    remote_wakes: AtomicU64,
+    epoll_returns: AtomicU64,
+    interrupts: AtomicU64,
 }
 
 impl Shared {
@@ -178,19 +296,71 @@ impl Shared {
         self.timers.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Interrupts a parked `epoll_wait` so it recomputes its timeout.
-    fn wake_reactor(&self) {
+    fn injector(&self) -> std::sync::MutexGuard<'_, VecDeque<Arc<Task>>> {
+        self.injector.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Interrupts the loop's `epoll_wait` with a write to its `eventfd`.
+    fn interrupt(&self) {
         let one: u64 = 1;
         unsafe {
             let _ = write(self.wake_fd, (&one as *const u64).cast(), 8);
+        }
+        self.interrupts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Queues a task for the loop: locally when called on the loop
+    /// thread, otherwise through the injector. `woken` counts an
+    /// injection as a cross-thread wake (a spawn is not one).
+    fn schedule(&self, task: Arc<Task>, woken: bool) {
+        let mut task = Some(task);
+        let _ = RUN_QUEUE.try_with(|queue| {
+            if let Some(queue) = queue.borrow_mut().as_mut() {
+                queue.extend(task.take());
+            }
+        });
+        let Some(task) = task else { return };
+        if woken {
+            self.remote_wakes.fetch_add(1, Ordering::Relaxed);
+        }
+        self.injector().push_back(task);
+        // The loop sets `parked` before its last look at the injector,
+        // so either it sees this task or this sees the flag.
+        if self.parked.swap(false, Ordering::SeqCst) {
+            self.interrupt();
+        }
+    }
+
+    /// The `epoll_wait` timeout for this turn: zero while a task is
+    /// ready, else the earliest armed timer (or forever). `parked` is set
+    /// before the last look at the injector, so an injection is either
+    /// seen here or finds the flag and interrupts the wait.
+    fn timeout(&self, ready: bool) -> c_int {
+        if ready {
+            return 0;
+        }
+        self.parked.store(true, Ordering::SeqCst);
+        if !self.injector().is_empty() {
+            self.parked.store(false, Ordering::Relaxed);
+            return 0;
+        }
+        match self.timers().keys().next() {
+            Some((deadline, _)) => {
+                // Rounded up: a wait that ends just short of the deadline
+                // would only spin back into a zero-timeout poll.
+                let until = deadline.saturating_duration_since(Instant::now());
+                until.as_micros().div_ceil(1000).min(i32::MAX as u128) as c_int
+            }
+            None => -1,
         }
     }
 }
 
 // ----------------------------------------------------------- the reactor
 
-/// The readiness reactor. One global instance drives every registered
-/// descriptor; see the module docs for the protocol.
+/// The readiness reactor and its event loop. One global instance drives
+/// every registered descriptor and every loop task; see the module docs
+/// for the protocol.
 pub struct Reactor {
     shared: Arc<Shared>,
 }
@@ -222,12 +392,46 @@ impl Reactor {
             sources: Mutex::new(HashMap::new()),
             timers: Mutex::new(BTreeMap::new()),
             next_token: AtomicU64::new(0),
+            injector: Mutex::new(VecDeque::new()),
+            parked: AtomicBool::new(false),
+            remote_wakes: AtomicU64::new(0),
+            epoll_returns: AtomicU64::new(0),
+            interrupts: AtomicU64::new(0),
         });
-        let driver = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("futures-reactor".into())
-            .spawn(move || reactor_loop(&driver))?;
+        let looped = Arc::clone(&shared);
+        thread::Builder::new().name("futures-reactor".into()).spawn(move || event_loop(&looped))?;
         Ok(Reactor { shared })
+    }
+
+    /// Spawns a task on the loop thread, returning a handle to its
+    /// output. The task is only ever polled there, so it must never
+    /// block (see the module docs). A task that panics is dropped and
+    /// its handle resolves to `None`.
+    pub fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
+    where
+        F: Future + Send + 'static,
+        F::Output: Send + 'static,
+    {
+        let (tx, rx) = oneshot::channel();
+        let task = Arc::new(Task {
+            future: Mutex::new(Some(Box::pin(async move {
+                let _ = tx.send(future.await);
+            }))),
+            queued: AtomicBool::new(true),
+            shared: Arc::clone(&self.shared),
+        });
+        self.shared.schedule(task, false);
+        JoinHandle::new(rx)
+    }
+
+    /// The loop's handoff totals so far (relaxed reads; see
+    /// [`Counters`]).
+    pub fn counters(&self) -> Counters {
+        Counters {
+            remote_wakes: self.shared.remote_wakes.load(Ordering::Relaxed),
+            epoll_returns: self.shared.epoll_returns.load(Ordering::Relaxed),
+            interrupts: self.shared.interrupts.load(Ordering::Relaxed),
+        }
     }
 
     /// Registers a descriptor (edge-triggered, read + write interest).
@@ -288,36 +492,58 @@ impl Reactor {
     }
 }
 
-fn reactor_loop(shared: &Arc<Shared>) {
+fn event_loop(shared: &Shared) {
+    RUN_QUEUE.with(|queue| *queue.borrow_mut() = Some(VecDeque::new()));
+    let pop = || RUN_QUEUE.with(|queue| queue.borrow_mut().as_mut().and_then(VecDeque::pop_front));
     let mut events = [EpollEvent { events: 0, data: 0 }; 64];
+    // Whether the wake `eventfd` fired and still needs its counter read.
+    let mut woken = false;
     loop {
-        // The wait's timeout is the earliest armed timer (or forever).
-        let timeout_ms: c_int = match shared.timers().keys().next() {
-            Some((deadline, _)) => {
-                let until = deadline.saturating_duration_since(Instant::now());
-                until.as_millis().min(i32::MAX as u128) as c_int
+        // Take what other threads scheduled, then poll every task ready
+        // at the start of the turn; one woken during the turn runs next
+        // turn, after the loop has looked for I/O again.
+        let ready = RUN_QUEUE.with(|queue| {
+            let mut queue = queue.borrow_mut();
+            let queue = queue.as_mut().expect("the loop thread owns a run queue");
+            queue.extend(shared.injector().drain(..));
+            queue.len()
+        });
+        for _ in 0..ready {
+            match pop() {
+                Some(task) => task.run(),
+                None => break,
             }
-            None => -1,
-        };
+        }
+        // Reset the wake counter only after the woken tasks ran: every
+        // write is a fresh edge, so reading it late loses no wake and
+        // keeps the syscall off the woken task's path.
+        if std::mem::take(&mut woken) {
+            let mut buf = 0u64;
+            unsafe {
+                let _ = read(shared.wake_fd, (&mut buf as *mut u64).cast(), 8);
+            }
+        }
+        let still_ready =
+            RUN_QUEUE.with(|queue| queue.borrow().as_ref().is_some_and(|q| !q.is_empty()));
+        let timeout_ms = shared.timeout(still_ready);
         let n = unsafe {
             epoll_wait(shared.epfd, events.as_mut_ptr(), events.len() as c_int, timeout_ms)
         };
+        shared.parked.store(false, Ordering::Relaxed);
+        shared.epoll_returns.fetch_add(1, Ordering::Relaxed);
         if n < 0 {
             if io::Error::last_os_error().kind() == io::ErrorKind::Interrupted {
                 continue;
             }
-            // The epoll descriptor itself failed; readiness can no
-            // longer be driven. Parked tasks stay parked (their owners
-            // hold close handles), and there is nobody to report to.
+            // The epoll descriptor itself failed; readiness can no longer
+            // be driven. Parked tasks stay parked (their owners hold
+            // close handles), and there is nobody to report to.
             return;
         }
-        for ev in &events[..n.max(0) as usize] {
+        for ev in &events[..n as usize] {
             let (mask, token) = (ev.events, ev.data);
             if token == WAKE_TOKEN {
-                let mut buf = 0u64;
-                unsafe {
-                    let _ = read(shared.wake_fd, (&mut buf as *mut u64).cast(), 8);
-                }
+                woken = true;
                 continue;
             }
             let source = shared.sources().get(&token).cloned();
@@ -329,8 +555,12 @@ fn reactor_loop(shared: &Arc<Shared>) {
         let now = Instant::now();
         let due: Vec<Waker> = {
             let mut timers = shared.timers();
-            let later = timers.split_off(&(now, u64::MAX));
-            std::mem::replace(&mut *timers, later).into_values().collect()
+            if timers.keys().next().is_some_and(|(deadline, _)| *deadline <= now) {
+                let later = timers.split_off(&(now, u64::MAX));
+                std::mem::replace(&mut *timers, later).into_values().collect()
+            } else {
+                Vec::new()
+            }
         };
         for waker in due {
             waker.wake();
@@ -483,18 +713,29 @@ impl Future for Sleep {
             }
             return Poll::Ready(());
         }
-        let key = match self.key {
-            Some(key) => key,
-            None => {
-                let key = (self.deadline, self.shared.next_token.fetch_add(1, Ordering::Relaxed));
-                self.key = Some(key);
-                key
+        if let Some(key) = self.key {
+            // Already armed: the deadline stands, only the waker may
+            // have changed.
+            if let Some(waker) = self.shared.timers().get_mut(&key) {
+                if !waker.will_wake(cx.waker()) {
+                    *waker = cx.waker().clone();
+                }
             }
+            return Poll::Pending;
+        }
+        let key = (self.deadline, self.shared.next_token.fetch_add(1, Ordering::Relaxed));
+        self.key = Some(key);
+        let earliest = {
+            let mut timers = self.shared.timers();
+            timers.insert(key, cx.waker().clone());
+            timers.keys().next() == Some(&key)
         };
-        self.shared.timers().insert(key, cx.waker().clone());
-        // Re-arm the wait: the new deadline may be earlier than whatever
-        // the reactor is currently sleeping toward.
-        self.shared.wake_reactor();
+        // The loop recomputes its timeout every turn, so only a deadline
+        // armed elsewhere that moves a wait already entered earlier must
+        // interrupt it.
+        if earliest && !on_loop() && self.shared.parked.load(Ordering::SeqCst) {
+            self.shared.interrupt();
+        }
         Poll::Pending
     }
 }
@@ -514,12 +755,83 @@ mod tests {
     use std::io::{Read as _, Write as _};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
+    use std::panic::catch_unwind;
 
     fn socket_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (b, _) = listener.accept().unwrap();
         (a, b)
+    }
+
+    /// Joins `handle` from a helper thread, failing the test instead of
+    /// hanging it if the task never resolves.
+    fn join_within<T: Send + 'static>(handle: JoinHandle<T>, limit: Duration) -> Option<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(handle.join());
+        });
+        rx.recv_timeout(limit).expect("the loop task never resolved: the loop is stuck")
+    }
+
+    #[test]
+    fn a_panicking_loop_task_resolves_to_none_and_the_loop_keeps_serving() {
+        let crashed = Reactor::global().spawn(async {
+            panic!("a loop task fails");
+        });
+        assert_eq!(join_within(crashed, Duration::from_secs(10)), None::<()>);
+
+        // A second task on the same loop still parks on a socket and
+        // completes when its bytes arrive.
+        let (mut a, mut b) = socket_pair();
+        b.set_nonblocking(true).unwrap();
+        let reg = Reactor::global().register_fd(b.as_raw_fd()).unwrap();
+        let reader = Reactor::global().spawn(async move {
+            let mut buf = [0u8; 5];
+            let mut got = 0;
+            while got < buf.len() {
+                match b.read(&mut buf[got..]) {
+                    Ok(0) => break,
+                    Ok(n) => got += n,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => reg.readable().await,
+                    Err(e) => panic!("{e}"),
+                }
+            }
+            buf
+        });
+        thread::sleep(Duration::from_millis(20));
+        a.write_all(b"alive").unwrap();
+        assert_eq!(join_within(reader, Duration::from_secs(10)), Some(*b"alive"));
+    }
+
+    #[test]
+    fn block_on_inside_a_loop_task_panics_instead_of_hanging() {
+        // Were `block_on` to park the loop thread, this pending future
+        // would never be polled again and every loop task would hang.
+        let probe = Reactor::global()
+            .spawn(async { catch_unwind(|| block_on(std::future::pending::<()>())).is_err() });
+        assert_eq!(join_within(probe, Duration::from_secs(10)), Some(true));
+        // A task that does not catch the panic is dropped like any other
+        // panicking task.
+        let uncaught = Reactor::global().spawn(async { block_on(async { 1 }) });
+        assert_eq!(join_within(uncaught, Duration::from_secs(10)), None);
+    }
+
+    #[test]
+    fn loop_tasks_wake_each_other_and_are_woken_from_other_threads() {
+        let (tx, rx) = crate::channel::oneshot::channel::<u32>();
+        let (done_tx, done_rx) = crate::channel::oneshot::channel::<u32>();
+        // One loop task waits on another thread; a second waits on the
+        // first, so its wake happens on the loop.
+        let waiter = Reactor::global().spawn(async move {
+            let v = rx.await.unwrap();
+            done_tx.send(v + 1).unwrap();
+        });
+        let chained = Reactor::global().spawn(async move { done_rx.await.unwrap() * 2 });
+        thread::sleep(Duration::from_millis(10));
+        tx.send(20).unwrap();
+        assert_eq!(join_within(chained, Duration::from_secs(10)), Some(42));
+        assert_eq!(join_within(waiter, Duration::from_secs(10)), Some(()));
     }
 
     #[test]

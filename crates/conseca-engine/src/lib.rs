@@ -125,7 +125,7 @@ pub use persist::{
 pub use recovery::{
     ledger_path, recover, tenant_log_path, RecoverOptions, Recovery, RecoveryReport,
 };
-pub use reload::{ReloadCoordinator, ReloadOutcome, SweepReport};
+pub use reload::{ReloadCoordinator, SweepReport};
 pub use snaplog::{
     decode_snapshot_log, merge_segments, segments_tenant, LogSegment, SnapshotLog,
     SnapshotLogError, SNAPSHOT_LOG_MAGIC, SNAPSHOT_LOG_VERSION,

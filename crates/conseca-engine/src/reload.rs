@@ -63,20 +63,6 @@ struct LiveEntry {
     policy_fp: u64,
 }
 
-/// Receipt for one coordinated reload.
-#[derive(Debug, Clone)]
-pub struct ReloadOutcome {
-    /// Fingerprint of the policy that was revoked.
-    pub old_fingerprint: u64,
-    /// Fingerprint of the regenerated policy now in force.
-    pub new_fingerprint: u64,
-    /// Store entries the revocation sweep removed (can exceed 1 when the
-    /// stale policy was installed under several context keys).
-    pub revoked_entries: usize,
-    /// The freshly compiled snapshot.
-    pub policy: Arc<CompiledPolicy>,
-}
-
 /// What one [`ReloadCoordinator::sweep`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepReport {
@@ -199,7 +185,7 @@ impl ReloadCoordinator {
     }
 
     /// The revoke → regenerate → reinstall sequence for one key. Returns
-    /// `None` for untracked keys.
+    /// `false` for untracked keys.
     ///
     /// Ordering is the fail-closed one: the stale snapshot is swept
     /// *before* `regenerate` runs, so while regeneration is in flight the
@@ -211,8 +197,8 @@ impl ReloadCoordinator {
     /// *claiming* the tracking entry: whichever removes it first wins and
     /// the loser no-ops. In particular a completed revocation can never
     /// be silently undone by an in-flight reload reinstalling the key —
-    /// the reload finds the entry gone and returns `None`. (A revocation
-    /// that arrives *after* a reload has claimed the entry also returns
+    /// the reload finds the entry gone and returns `false`. (A revocation
+    /// that arrives *after* a reload has claimed the entry returns
     /// `None`; the operator then sees the key untracked and can revoke
     /// the reloaded fingerprint explicitly.)
     ///
@@ -228,31 +214,31 @@ impl ReloadCoordinator {
         current: &TrustedContext,
         regenerate: impl FnOnce(&TrustedContext) -> Policy,
         sink: &mut dyn AuditSink,
-    ) -> Result<Option<ReloadOutcome>, JournalError> {
+    ) -> Result<bool, JournalError> {
         // 0. Claim the entry. Reading without removing would let a
         // racing revoke() complete in the window before our reinstall,
         // which this reload would then reverse.
         let Some(stale) = self.live.write().remove(&LiveKey::new(tenant, task)) else {
-            return Ok(None);
+            return Ok(false);
         };
         // 1. Fail closed: sweep the stale snapshot before regenerating —
         // the engine journals the revoke first, so a crash anywhere in
         // this sequence leaves the stale fingerprint durably revoked.
-        let revoked_entries = self.engine.revoke_fingerprint(tenant, stale.policy_fp);
+        let revoked = self.engine.revoke_fingerprint(tenant, stale.policy_fp);
         sink.record(AuditEvent::PolicyRevoked {
             task: task.to_owned(),
             fingerprint: stale.policy_fp,
             context_fingerprint: stale.context_fp,
             reason: "trusted context drifted".to_owned(),
         });
-        let revoked_entries = revoked_entries?;
+        revoked?;
         // 2. Regenerate against the current context and reinstall. The
         // reload reinstates the new fingerprint, so a regeneration that
         // came out identical leaves nothing revoked; otherwise the old
         // fingerprint stays revoked.
         let policy = regenerate(current);
         let new_fingerprint = policy.fingerprint();
-        let receipt = self.engine.reload(tenant, task, current, &policy)?;
+        self.engine.reload(tenant, task, current, &policy)?;
         sink.record(AuditEvent::PolicyReloaded {
             task: task.to_owned(),
             old_fingerprint: stale.policy_fp,
@@ -262,12 +248,7 @@ impl ReloadCoordinator {
         });
         // 3. Keep watching under the new identity.
         self.track(tenant, task, current, new_fingerprint);
-        Ok(Some(ReloadOutcome {
-            old_fingerprint: stale.policy_fp,
-            new_fingerprint,
-            revoked_entries,
-            policy: receipt.policy,
-        }))
+        Ok(true)
     }
 
     /// The regeneration-watcher pass: re-resolves every tracked key's
@@ -296,8 +277,8 @@ impl ReloadCoordinator {
                     |ctx| regenerate(&key.tenant, &key.task, ctx),
                     sink,
                 ) {
-                    Ok(Some(_)) => report.reloaded += 1,
-                    Ok(None) => {}
+                    Ok(true) => report.reloaded += 1,
+                    Ok(false) => {}
                     Err(_) => report.journal_errors += 1,
                 },
                 None => {
@@ -362,12 +343,9 @@ mod tests {
         // A grown fs tree is.
         let after = ctx("alice", "alice/\n  New/\n");
         assert!(coordinator.is_stale("acme", "t", &after));
-        let outcome = coordinator
-            .reload_now("acme", "t", &after, |c| policy_for("t", c), &mut log)
-            .unwrap()
-            .expect("drift must reload");
-        assert_eq!(outcome.old_fingerprint, policy.fingerprint());
-        assert_eq!(outcome.revoked_entries, 1);
+        let reloaded =
+            coordinator.reload_now("acme", "t", &after, |c| policy_for("t", c), &mut log).unwrap();
+        assert!(reloaded, "drift must reload");
 
         // The old key is gone; the new key serves.
         assert!(engine.check("acme", "t", &before, &ls()).is_none(), "stale key fails closed");
@@ -381,6 +359,7 @@ mod tests {
                 AuditEvent::PolicyRevoked { fingerprint, context_fingerprint, .. },
                 AuditEvent::PolicyReloaded { old_fingerprint, old_context, new_context, .. },
             ) => {
+                assert_eq!(*fingerprint, policy.fingerprint(), "the stale policy is revoked");
                 assert_eq!(fingerprint, old_fingerprint);
                 assert_eq!(context_fingerprint, old_context);
                 assert_eq!(*new_context, after.fingerprint());
@@ -389,6 +368,11 @@ mod tests {
         }
         let counters = engine.tenant_counters("acme");
         assert_eq!((counters.reloads, counters.revoked), (1, 1));
+
+        // The drift revoke swept exactly the one stale entry: the store
+        // holds only the reloaded policy, under the new key.
+        assert_eq!(engine.store().len(), 1);
+        assert!(engine.store().is_live(&EngineKey::new("acme", "t", &after)));
     }
 
     #[test]
@@ -411,10 +395,9 @@ mod tests {
         // A reload that lost the claim race to the revocation must not
         // reinstall the key — the revocation stands.
         assert!(
-            coordinator
+            !coordinator
                 .reload_now("acme", "t", &context, |c| policy_for("t", c), &mut sink)
-                .unwrap()
-                .is_none(),
+                .unwrap(),
             "an in-flight reload must not undo a completed revocation"
         );
         assert!(engine.check("acme", "t", &context, &ls()).is_none());
@@ -476,7 +459,7 @@ mod tests {
         // semantically different policy (same-fingerprint regenerations
         // stay restorable — see the next test).
         let after = ctx("alice", "alice/\n  New/\n");
-        coordinator
+        let reloaded = coordinator
             .reload_now(
                 "acme",
                 "t",
@@ -488,8 +471,8 @@ mod tests {
                 },
                 &mut sink,
             )
-            .unwrap()
-            .expect("tracked key reloads");
+            .unwrap();
+        assert!(reloaded, "tracked key reloads");
 
         // The engine journaled the displaced fingerprint, so a warm start
         // cannot resurrect it.
@@ -520,10 +503,9 @@ mod tests {
         let snapshot = engine.store().export_snapshot("acme").unwrap();
         let after = ctx("alice", "alice/\n  New/\n");
         let rekeyed = fixed.clone();
-        coordinator
-            .reload_now("acme", "t", &after, move |_| rekeyed, &mut sink)
-            .unwrap()
-            .expect("tracked key reloads");
+        let reloaded =
+            coordinator.reload_now("acme", "t", &after, move |_| rekeyed, &mut sink).unwrap();
+        assert!(reloaded, "tracked key reloads");
         engine.flush_tenant("acme");
         assert_eq!(
             engine.import_snapshot("acme", &snapshot.bytes).unwrap().skipped_revoked,
@@ -542,11 +524,11 @@ mod tests {
         let mut tightened = Policy::new("t");
         tightened.set("ls", PolicyEntry::deny("operator lockdown"));
         let fp = tightened.fingerprint();
-        let outcome = coordinator
-            .reload_now("acme", "t", &context, move |_| tightened, &mut sink)
-            .unwrap()
-            .expect("tracked key reloads on demand");
-        assert_eq!(outcome.new_fingerprint, fp);
+        let reloaded =
+            coordinator.reload_now("acme", "t", &context, move |_| tightened, &mut sink).unwrap();
+        assert!(reloaded, "tracked key reloads on demand");
+        let live = engine.lookup("acme", "t", &context).expect("the reloaded policy serves");
+        assert_eq!(live.fingerprint(), fp);
         assert!(!engine.check("acme", "t", &context, &ls()).unwrap().allowed);
     }
 }

@@ -9,12 +9,12 @@
 //! [`AsyncClient`] keeps **many requests in flight on one socket**. Each
 //! request is wrapped in the wire v7 correlation envelope
 //! ([`crate::wire::wrap_tagged`]) with a connection-unique id; a
-//! background *demux task* (one per client, parked on the reactor, zero
-//! dedicated threads) reads response envelopes as they arrive and
-//! completes the matching [`Pending`] by id. Submitting is cheap —
-//! encode, stamp, write — so a caller can queue dozens of checks and
-//! collect the verdicts afterwards, overlapping its own work with the
-//! server's:
+//! background *demux task* (one per client, run on the reactor's event
+//! loop, zero dedicated threads) reads response envelopes on the thread
+//! that sees them arrive and completes the matching [`Pending`] by id.
+//! Submitting is cheap — encode, stamp, write — so a caller can queue
+//! dozens of checks and collect the verdicts afterwards, overlapping its
+//! own work with the server's:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -86,20 +86,27 @@
 //! demux task acknowledges pushes immediately: with nothing cached there
 //! is nothing to invalidate, and a prompt ack keeps the server's
 //! fan-out from stalling on us.
+//!
+//! The demux task runs on the loop, so it never waits for the socket's
+//! writer: a submitter may hold it while parked on a full socket buffer,
+//! and only the loop can deliver the edge that unparks it. The task
+//! writes an ack itself when the writer is free, and otherwise leaves it
+//! owed; whoever holds the writer writes every owed ack before letting
+//! go. Acks are cumulative, so one ack covers every push before it.
 
 use std::collections::{HashMap, VecDeque};
-use std::future::Future;
+use std::future::{poll_fn, Future};
 use std::net::TcpStream;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::task::{Context, Poll};
 
 use conseca_core::{Decision, Policy, TrustedContext};
 use conseca_engine::EngineKey;
 use conseca_shell::ApiCall;
 use futures::channel::oneshot;
-use futures::ThreadPool;
+use futures::Reactor;
 
 use crate::cache::LocalPolicyCache;
 use crate::client::{
@@ -109,17 +116,9 @@ use crate::client::{
 use crate::intern::KeyInterner;
 use crate::transport::{NbReader, NbWriter, Stream};
 use crate::wire::{
-    bind_key_frame, check_keyed_frame, unwrap_tagged, wrap_tagged, Frame, Request, Response,
+    bind_key_frame, check_keyed_frame, unwrap_tagged, wrap_tagged, Request, Response,
     DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION, TAG_TAGGED_OK,
 };
-
-/// The executor that drives every client's demux task. Demux tasks are
-/// cooperative (they park on the reactor between frames), so two workers
-/// serve any number of clients; the pool lives for the process.
-fn demux_pool() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| ThreadPool::new(2))
-}
 
 /// In-flight requests awaiting their correlated responses.
 struct PendingState {
@@ -207,28 +206,81 @@ struct Outbound {
     keys: KeyInterner,
 }
 
-type SharedWriter = Arc<Mutex<Outbound>>;
-
-fn lock(writer: &SharedWriter) -> std::sync::MutexGuard<'_, Outbound> {
-    writer.lock().unwrap_or_else(|e| e.into_inner())
+/// What submitters and the demux task share to write to the socket.
+struct Link {
+    out: Mutex<Outbound>,
+    /// The highest push `seq` applied and not yet queued for an ack; 0
+    /// when none is owed.
+    ack_owed: AtomicU64,
+    max_frame_len: u32,
 }
 
-/// Writes one frame through the shared writer. The mutex serialises
-/// whole frames (submitters and the demux task's push acks share one
-/// socket); the brief `block_on` inside parks only on a full socket
-/// buffer, woken by the reactor.
-fn write_shared(writer: &SharedWriter, frame: &Frame, max_len: u32) -> Result<(), ClientError> {
-    futures::block_on(lock(writer).writer.write_frame(frame, max_len)).map_err(ClientError::from)
+impl Link {
+    /// Runs `queue` on the writer, then writes everything queued — owed
+    /// acks included — before letting the writer go. Parks the calling
+    /// thread while the socket buffer is full, so only submitters call
+    /// it, never the demux task. A failed write leaves the stream
+    /// unusable; the caller closes it.
+    fn send<R>(&self, queue: impl FnOnce(&mut Outbound) -> R) -> (R, Result<(), ClientError>) {
+        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
+        let queued = queue(&mut out);
+        loop {
+            let written = self.queue_owed_ack(&mut out).and_then(|()| {
+                // Parking (and `block_on`'s waker) only when the socket
+                // pushes back.
+                match out.writer.try_flush()? {
+                    true => Ok(()),
+                    false => Ok(futures::block_on(out.writer.flush())?),
+                }
+            });
+            drop(out);
+            // An ack owed while the writer was held was left to us (the
+            // demux task's `try_lock` failed): look once more after
+            // letting go.
+            fence(Ordering::SeqCst);
+            if written.is_err() || self.ack_owed.load(Ordering::Relaxed) == 0 {
+                return (queued, written);
+            }
+            out = self.out.lock().unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    fn queue_owed_ack(&self, out: &mut Outbound) -> Result<(), ClientError> {
+        let seq = self.ack_owed.swap(0, Ordering::AcqRel);
+        if seq == 0 {
+            return Ok(());
+        }
+        let ack = Request::PushAck { seq }.encode_limited(self.max_frame_len)?;
+        Ok(out.writer.queue_frame(&ack, self.max_frame_len)?)
+    }
+
+    /// The demux task's ack write, which never waits for the writer:
+    /// `Ready(Ok)` once nothing owed is left to this task — written, or
+    /// left to the submitter holding the writer. `Pending` parks on the
+    /// writable edge, which no submitter can be parked on: parking there
+    /// takes the writer, and this holds it.
+    fn poll_acks(&self, cx: &mut Context<'_>) -> Poll<Result<(), ClientError>> {
+        // Between recording the ack and trying the writer; pairs with the
+        // fence in `send`, so a failed `try_lock` means the holder sees
+        // the ack once it lets go.
+        fence(Ordering::SeqCst);
+        let mut out = match self.out.try_lock() {
+            Ok(out) => out,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return Poll::Ready(Ok(())),
+        };
+        self.queue_owed_ack(&mut out)?;
+        out.writer.poll_flush(cx).map_err(ClientError::from)
+    }
 }
 
 /// A pipelined, correlation-id multiplexed policy-decision client. See
 /// the [module docs](self) for the model; one instance is `Sync` — many
 /// threads can submit on it concurrently, sharing the socket.
 pub struct AsyncClient {
-    writer: SharedWriter,
+    link: Arc<Link>,
     pending: Arc<PendingMap>,
     next_id: AtomicU64,
-    max_frame_len: u32,
     /// Closes the underlying stream out-of-band (wakes the demux task
     /// with EOF).
     closer: Box<dyn Fn() + Send + Sync>,
@@ -287,10 +339,14 @@ impl AsyncClient {
         let write_half: Box<dyn Stream> = Box::new(stream.try_split()?);
         let close_half = stream.try_split()?;
         let mut reader = NbReader::new(Box::new(stream) as Box<dyn Stream>, reg.clone());
-        let writer: SharedWriter = Arc::new(Mutex::new(Outbound {
-            writer: NbWriter::new(write_half, reg),
-            keys: KeyInterner::default(),
-        }));
+        let link = Arc::new(Link {
+            out: Mutex::new(Outbound {
+                writer: NbWriter::new(write_half, reg),
+                keys: KeyInterner::default(),
+            }),
+            ack_owed: AtomicU64::new(0),
+            max_frame_len,
+        });
 
         // Handshake bare, before the demux task exists: the very first
         // response frame on a connection is the HelloOk (or a typed
@@ -298,28 +354,28 @@ impl AsyncClient {
         let hello = Request::Hello { version: PROTOCOL_VERSION }
             .encode_limited(max_frame_len)
             .map_err(ClientError::Wire)?;
-        write_shared(&writer, &hello, max_frame_len)?;
+        let (queued, written) = link.send(|out| out.writer.queue_frame(&hello, max_frame_len));
+        queued?;
+        written?;
         let frame =
             futures::block_on(reader.read_frame(max_frame_len))?.ok_or(ClientError::Closed)?;
         hello_ok(Response::decode(&frame)?)?;
 
         let pending = PendingMap::new();
-        let demux = demux_pool().spawn(demux_task(
+        let demux = Reactor::global().spawn(demux_task(
             reader,
-            Arc::clone(&writer),
+            Arc::clone(&link),
             Arc::clone(&pending),
             cache,
-            max_frame_len,
         ));
         let closer: Box<dyn Fn() + Send + Sync> = {
             let close_half = Mutex::new(close_half);
             Box::new(move || close_half.lock().unwrap_or_else(|e| e.into_inner()).close())
         };
         Ok(AsyncClient {
-            writer,
+            link,
             pending,
             next_id: AtomicU64::new(1),
-            max_frame_len,
             closer,
             demux: Mutex::new(Some(demux)),
         })
@@ -347,7 +403,7 @@ impl AsyncClient {
         // The inner frame must leave room for the 9-byte envelope
         // header, so the wrapped frame respects the shared cap.
         let inner = request
-            .encode_limited(self.max_frame_len.saturating_sub(9))
+            .encode_limited(self.link.max_frame_len.saturating_sub(9))
             .map_err(ClientError::Wire)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let frame = wrap_tagged(id, &inner);
@@ -355,7 +411,9 @@ impl AsyncClient {
         // Registered before the bytes leave: a response can never race
         // an absent slot.
         self.pending.insert(id, tx)?;
-        if write_shared(&self.writer, &frame, self.max_frame_len).is_err() {
+        let (queued, written) =
+            self.link.send(|out| out.writer.queue_frame(&frame, self.link.max_frame_len));
+        if queued.is_err() || written.is_err() {
             // A failed write can leave part of a frame on the wire, so
             // the stream is unusable: close it. The demux task exits on
             // the close (flushing a cache first) and this request
@@ -410,29 +468,31 @@ impl AsyncClient {
         calls: &[ApiCall],
         map: ResponseMap<T>,
     ) -> Result<Pending<T>, ClientError> {
-        let cap = self.max_frame_len.saturating_sub(9);
-        let mut out = lock(&self.writer);
-        let (slot, unbound) = out.keys.slot(tenant, task, context);
-        let bind = match unbound {
-            true => Some(bind_key_frame(slot, tenant, task, context, cap)?),
-            false => None,
-        };
-        let check = check_keyed_frame(slot, calls, cap)?;
+        let max = self.link.max_frame_len;
+        let cap = max.saturating_sub(9);
         let (tx, rx) = oneshot::channel();
-        // The bind gets an id but no slot in the pending map: its
-        // `KeyBound` is dropped on arrival, and a bare error can only
-        // ever be pinned on the check.
-        let bind =
-            bind.map(|bind| wrap_tagged(self.next_id.fetch_add(1, Ordering::Relaxed), &bind));
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.pending.insert(id, tx)?;
-        let max = self.max_frame_len;
-        let queued = bind
-            .iter()
-            .chain([&wrap_tagged(id, &check)])
-            .try_for_each(|frame| out.writer.queue_frame(frame, max));
-        out.keys.set_bound(slot, true);
-        if queued.is_err() || futures::block_on(out.writer.flush()).is_err() {
+        let (queued, written) = self.link.send(|out| {
+            let (slot, unbound) = out.keys.slot(tenant, task, context);
+            let bind = match unbound {
+                true => Some(bind_key_frame(slot, tenant, task, context, cap)?),
+                false => None,
+            };
+            let check = check_keyed_frame(slot, calls, cap)?;
+            // The bind gets an id but no slot in the pending map: its
+            // `KeyBound` is dropped on arrival, and a bare error can only
+            // ever be pinned on the check.
+            let bind =
+                bind.map(|bind| wrap_tagged(self.next_id.fetch_add(1, Ordering::Relaxed), &bind));
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            self.pending.insert(id, tx)?;
+            let queued = bind
+                .iter()
+                .chain([&wrap_tagged(id, &check)])
+                .try_for_each(|frame| out.writer.queue_frame(frame, max));
+            out.keys.set_bound(slot, true);
+            Ok::<_, ClientError>(queued.is_ok())
+        });
+        if !queued? || written.is_err() {
             // As in `submit`: the stream is unusable, so close it and
             // let this request resolve as `Closed`.
             (self.closer)();
@@ -443,7 +503,7 @@ impl AsyncClient {
     /// The engine key for (tenant, task, context), through this
     /// connection's interner: no fingerprint once the key is known.
     pub(crate) fn key(&self, tenant: &str, task: &str, context: &TrustedContext) -> EngineKey {
-        lock(&self.writer).keys.key(tenant, task, context)
+        self.link.send(|out| out.keys.key(tenant, task, context)).0
     }
 
     /// Pipelined [`Client::install`](crate::Client::install).
@@ -516,13 +576,25 @@ impl Drop for AsyncClient {
 /// stream is a dead stream, not a guessing game).
 async fn demux_task(
     mut reader: NbReader<Box<dyn Stream>>,
-    writer: SharedWriter,
+    link: Arc<Link>,
     pending: Arc<PendingMap>,
     cache: Option<Arc<LocalPolicyCache>>,
-    max_frame_len: u32,
 ) {
+    let max_frame_len = link.max_frame_len;
+    // Set while an ack may still be the task's to write.
+    let mut acking = false;
     loop {
-        let frame = match reader.read_frame(max_frame_len).await {
+        let next = poll_fn(|cx| {
+            if acking {
+                match link.poll_acks(cx) {
+                    Poll::Ready(Ok(())) => acking = false,
+                    Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
+                    Poll::Pending => {}
+                }
+            }
+            reader.poll_frame(cx, max_frame_len).map_err(ClientError::from)
+        });
+        let frame = match next.await {
             Ok(Some(frame)) => frame,
             Ok(None) | Err(_) => break,
         };
@@ -540,16 +612,13 @@ async fn demux_task(
             ) => {
                 // Applied before acked: once the server hears the ack
                 // (and lets the mutation return), the stale snapshot is
-                // gone from the cache. Acks are always bare.
+                // gone from the cache. Acks are always bare, and go out
+                // on the next poll above.
                 if let Some(cache) = &cache {
                     cache.apply_push(&push);
                 }
-                let Ok(ack) = Request::PushAck { seq }.encode_limited(max_frame_len) else {
-                    break;
-                };
-                if write_shared(&writer, &ack, max_frame_len).is_err() {
-                    break;
-                }
+                link.ack_owed.fetch_max(seq, Ordering::SeqCst);
+                acking = true;
             }
             Ok(response @ Response::Error { .. }) => {
                 // A bare error answers a frame the server could not

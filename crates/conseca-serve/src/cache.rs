@@ -12,7 +12,7 @@
 //! can never outlive the truth. The client therefore subscribes to the
 //! server's **push invalidation channel** (wire protocol v5). The
 //! connection is an [`AsyncClient`] whose demux task
-//! (on the shared demux pool; the client owns no thread) separates
+//! (on the reactor's event loop; the client owns no thread) separates
 //! server-initiated `PushRevoke` / `PushReload` / `PushFlush` frames
 //! from correlated responses, applies each push to the local cache, and
 //! only then acknowledges it. The server does not let
@@ -173,22 +173,29 @@ impl LocalPolicyCache {
         self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Installs a fetched policy iff no invalidation was applied since
-    /// `epoch` was observed (which was before the fetch was sent) —
-    /// otherwise the fetched bytes may predate a revocation and the
-    /// caller must not cache them.
+    /// Compiles a fetched policy and caches it iff no invalidation was
+    /// applied since `epoch` was observed (which was before the fetch
+    /// was sent) — otherwise the fetched bytes may predate a revocation
+    /// and must not be cached. Returns the compiled policy and whether
+    /// it was cached.
+    ///
+    /// The compile runs before `sync` is taken: pushes take that lock on
+    /// the reactor loop, which must never wait out a compile.
     fn install_if_epoch(
         &self,
         task: &str,
         context: &TrustedContext,
         policy: &Policy,
         epoch: u64,
-    ) -> Option<Arc<CompiledPolicy>> {
+    ) -> (Arc<CompiledPolicy>, bool) {
+        let compiled = Arc::new(CompiledPolicy::compile(policy));
+        let key = EngineKey::new(&self.tenant, task, context);
         let _guard = self.sync.lock().unwrap_or_else(|e| e.into_inner());
-        if self.epoch.load(Ordering::SeqCst) != epoch {
-            return None;
+        let cached = self.epoch.load(Ordering::SeqCst) == epoch;
+        if cached {
+            self.engine.store().insert(key, Arc::clone(&compiled));
         }
-        self.engine.install(&self.tenant, task, context, policy).ok()
+        (compiled, cached)
     }
 }
 
@@ -221,7 +228,7 @@ pub struct CachedClient {
     /// Per-key session state — **client-owned** and deliberately not
     /// flushed by invalidations; see the module docs.
     sessions: HashMap<EngineKey, SessionState>,
-    /// Checks that judged against an uncached ad-hoc compile because an
+    /// Checks that judged against an uncached compile because an
     /// invalidation raced the fetch (observability; billing unchanged).
     fallbacks: u64,
 }
@@ -266,7 +273,7 @@ impl CachedClient {
         &self.cache
     }
 
-    /// How many checks fell back to an uncached ad-hoc compile because
+    /// How many checks fell back to an uncached compile because
     /// an invalidation raced their policy fetch.
     pub fn fallbacks(&self) -> u64 {
         self.fallbacks
@@ -339,19 +346,15 @@ impl CachedClient {
         let Some(policy) = self.fetch_policy(task, context)? else {
             return Ok(None);
         };
-        let compiled = match self.cache.install_if_epoch(task, context, &policy, epoch) {
-            Some(compiled) => compiled,
-            None => {
-                // An invalidation raced the fetch. The fetched policy is
-                // still a legal basis for *this* batch — the check
-                // started before the invalidation was acknowledged, the
-                // same window an in-flight in-process check has — but it
-                // must not enter the cache, so judge from an ad-hoc
-                // compile and let the next check re-fetch fresh truth.
-                self.fallbacks += 1;
-                Arc::new(CompiledPolicy::compile(&policy))
-            }
-        };
+        let (compiled, cached) = self.cache.install_if_epoch(task, context, &policy, epoch);
+        if !cached {
+            // An invalidation raced the fetch. The fetched policy is
+            // still a legal basis for *this* batch — the check started
+            // before the invalidation was acknowledged, the same window
+            // an in-flight in-process check has — but it stayed out of
+            // the cache, so the next check re-fetches fresh truth.
+            self.fallbacks += 1;
+        }
         let (engine, tenant) = (self.cache.engine(), self.cache.tenant());
         let check = |call| engine.check_compiled_session(tenant, &compiled, session, call);
         Ok(Some(calls.iter().map(check).collect()))

@@ -7,8 +7,8 @@
 //! reference monitor. A [`Server`] wraps an
 //! [`Engine`](conseca_engine::Engine) in an event-driven core: every
 //! connection is one cooperative task that owns its socket both ways,
-//! parked on an epoll reactor and run on a small fixed worker pool — the
-//! thread budget is O(workers), not O(connections). Each connection's
+//! run on the process-wide epoll event loop, on the thread that sees its
+//! readiness — the thread budget is O(1), not O(connections). Each connection's
 //! task **answers its checks itself**: it reads frames through a
 //! buffer and evaluates a check together with the same-key checks
 //! already buffered behind it under one

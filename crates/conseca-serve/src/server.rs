@@ -1,30 +1,36 @@
 //! The policy-decision server: an event-driven task layer over
-//! [`Engine`], multiplexing every connection onto a small worker pool.
+//! [`Engine`], running every connection on the reactor's event loop.
 //!
 //! # Architecture
 //!
 //! ```text
-//!   epoll reactor (1 thread, process-wide)
-//!        │ readiness edges
-//!        ▼
-//!   accept task ──────────► per-connection task (owns the socket both ways)
-//!   (non-blocking listener,   each turn: one buffered read → decode;
-//!    woken by the reactor,    ANSWERS CHECKS ITSELF (a same-key run as one
-//!    shutdown = one notify)   group), and handshake, envelope, framing and
-//!                             subscription traffic; writes every answer it
-//!                             can, in request order, in one write; parks
-//!                               │                          ▲
-//!                               │ mutations, admin         │ oneshot replies;
-//!                               ▼ requests, queued checks  │ pushes, written
-//!                      mpsc job queue (shared)             │ ahead of answers
-//!                               │                          │ still owed
-//!                               ▼                          │
-//!                     dispatcher task: one job at a time ──┘
+//!   reactor event loop (1 thread, process-wide): epoll_wait, then poll
+//!   every task an edge woke, on the same thread
+//!   ┌──────────────────────────────────────────────────────────────────┐
+//!   │ accept task ──────────► per-connection task (owns the socket     │
+//!   │ (non-blocking listener,   both ways); each turn: one buffered    │
+//!   │  shutdown = one notify)   read → decode; ANSWERS CHECKS ITSELF   │
+//!   │                           (a same-key run as one group), and     │
+//!   │                           handshake, envelope, framing and       │
+//!   │                           subscription traffic; writes every     │
+//!   │                           answer it can, in request order, in    │
+//!   │                           one write; parks                       │
+//!   └──────────────────────────────│──────────────────────────▲────────┘
+//!                                  │ mutations, admin         │ oneshot replies;
+//!                                  ▼ requests, queued checks  │ pushes, written
+//!                         mpsc job queue (shared)             │ ahead of answers
+//!                                  │                          │ still owed
+//!                                  ▼                          │
+//!              dispatcher task, on its own one-thread pool:   │
+//!              one job at a time; may block on push acks ─────┘
 //! ```
 //!
 //! A connection is a *state machine driven by one cooperative task*,
 //! not an OS thread: a thousand idle connections cost one parked task
-//! each and zero threads.
+//! each and zero threads. A check's bytes are read, judged and answered
+//! on the loop thread that saw them arrive, with no handoff to another
+//! thread. Nothing on the loop blocks; the dispatcher, which can wait
+//! on a subscriber's push ack, runs on a thread of its own.
 //!
 //! Checks — the per-action hot path — skip the dispatcher whenever the
 //! connection has nothing queued there: its task evaluates them on the
@@ -107,9 +113,9 @@ use crate::wire::{
 /// Most checks a connection coalesces into one group.
 const MAX_BATCH: usize = 256;
 
-/// Server limits. The worker pool is not configured here: it runs one
-/// thread per detected core, and never fewer than two (see
-/// [`ServeMetrics::workers`]).
+/// Server limits. Threads are not configured here: connections run on
+/// the reactor's one event loop, and the dispatcher on one thread of its
+/// own (see [`ServeMetrics::workers`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Largest frame (tag + payload) this server accepts *and emits*.
@@ -144,14 +150,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// Worker threads in the executor driving the dispatcher and the
-/// connection tasks: the detected core count, floored at two, because
-/// the dispatcher may *block* a worker inside a push-ack wait and the
-/// subscriber's connection task needs a worker left to write the push
-/// and read that very ack.
-fn detected_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).max(2)
-}
+/// Threads in the pool that runs the dispatcher. One: the dispatcher
+/// takes one job at a time, and the connection tasks it may wait on run
+/// on the reactor's loop, not here.
+const DISPATCHER_THREADS: usize = 1;
 
 /// Point-in-time serving counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -168,9 +170,10 @@ pub struct ServeMetrics {
     /// The dispatcher never coalesces: a check queued there is a group
     /// of one.
     pub coalesced_checks: u64,
-    /// Worker threads the server is running (the detected core count,
-    /// floored at two) — not a counter, surfaced here and in the wire
-    /// `StatsOk` so operators can see the pool size a measurement ran
+    /// Threads the server runs of its own: the dispatcher's pool, one
+    /// thread. Connection tasks share the process-wide reactor loop
+    /// thread, which is not counted. Not a counter; surfaced here and in
+    /// the wire `StatsOk` so operators can see what a measurement ran
     /// against.
     pub workers: u64,
     /// Key slots bound on the connections open now (wire v9) — a gauge,
@@ -191,8 +194,15 @@ struct Metrics {
 struct Job {
     work: Work,
     conn: Arc<Conn>,
-    reply: oneshot::Sender<Response>,
+    reply: oneshot::Sender<Reply>,
 }
+
+/// The dispatcher's answer, and the request it answered handed back so
+/// the connection frees it on the loop thread that decoded it. A decoded
+/// `Install` is hundreds of small allocations, and freeing them on the
+/// dispatcher — the one serial stage of a policy load — costs it remote
+/// frees into the loop's allocator arena.
+type Reply = (Response, Option<Request>);
 
 /// What a decoded request asks for: checks, which a connection may
 /// answer itself, or anything else.
@@ -386,7 +396,7 @@ enum Owed {
     /// envelope errors, subscriptions, key binds).
     Ready(Response),
     /// An answer the dispatcher will produce.
-    Pending(oneshot::Receiver<Response>),
+    Pending(oneshot::Receiver<Reply>),
 }
 
 /// A request split off its frame: the correlation id and the work, or
@@ -444,8 +454,6 @@ struct ServerState {
     metrics: Metrics,
     /// The lifecycle daemon, when this server was started with one.
     daemon: Option<Arc<LifecycleDaemon>>,
-    /// Threads in the worker pool (see [`detected_workers`]).
-    workers: usize,
 }
 
 struct ConnEntry {
@@ -568,7 +576,6 @@ impl Server {
             conns: Mutex::new(Vec::new()),
             metrics: Metrics::default(),
             daemon,
-            workers: detected_workers(),
         });
         // Fan invalidations out to subscribed connections. The listener
         // holds the state weakly (the engine outlives the server and is
@@ -584,13 +591,11 @@ impl Server {
                 fan_out_push(&state, event);
             }
         }));
-        let pool = Arc::new(ThreadPool::new(state.workers));
+        let pool = ThreadPool::new(DISPATCHER_THREADS);
         let dispatcher = Arc::clone(&state);
         pool.spawn(async move { dispatch(dispatcher, jobs_rx).await });
         let accept = listener.map(|(listener, _, reg)| {
-            let state = Arc::clone(&state);
-            let conn_pool = Arc::clone(&pool);
-            pool.spawn(accept_task(state, conn_pool, listener, reg))
+            Reactor::global().spawn(accept_task(Arc::clone(&state), listener, reg))
         });
         Ok(ServerHandle { state, pool, accept })
     }
@@ -599,7 +604,8 @@ impl Server {
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     state: Arc<ServerState>,
-    pool: Arc<ThreadPool>,
+    /// Runs the dispatcher.
+    pool: ThreadPool,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -615,13 +621,13 @@ impl ServerHandle {
     }
 
     /// Dispatcher counters (request/batch/coalescing totals so far),
-    /// plus the effective worker-pool size.
+    /// plus the server's own thread count.
     pub fn metrics(&self) -> ServeMetrics {
         ServeMetrics {
             requests: self.state.metrics.requests.load(Ordering::Relaxed),
             batches: self.state.metrics.batches.load(Ordering::Relaxed),
             coalesced_checks: self.state.metrics.coalesced_checks.load(Ordering::Relaxed),
-            workers: self.state.workers as u64,
+            workers: DISPATCHER_THREADS as u64,
             key_slots: self.state.metrics.key_slots.load(Ordering::Relaxed),
         }
     }
@@ -669,7 +675,7 @@ impl ServerHandle {
             });
         }
         let (client_end, server_end) = duplex();
-        spawn_connection(&self.state, &self.pool, server_end);
+        spawn_connection(&self.state, server_end);
         Ok(client_end)
     }
 
@@ -705,8 +711,9 @@ impl Drop for ServerHandle {
             }
             std::mem::take(&mut *conns)
         };
-        // The pool is still running here, so the connection tasks
-        // observe their close edges, drain, and complete.
+        // The loop runs the connection tasks, and the dispatcher still
+        // answers the jobs they wait on, so they observe their close
+        // edges, drain, and complete.
         for conn in conns {
             let _ = conn.task.join();
         }
@@ -723,16 +730,11 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Accepts TCP connections until shutdown. Parks on the reactor while
-/// the listener is idle; [`ServerState::initiate_shutdown`] wakes it
-/// with a manual readiness notify, so shutdown latency is bounded by a
-/// scheduler hop, not by the next incoming connection.
-async fn accept_task(
-    state: Arc<ServerState>,
-    pool: Arc<ThreadPool>,
-    listener: TcpListener,
-    reg: Registration,
-) {
+/// Accepts TCP connections until shutdown, on the reactor's loop. Parks
+/// while the listener is idle; [`ServerState::initiate_shutdown`] wakes
+/// it with a manual readiness notify, so shutdown latency is bounded by
+/// a scheduler hop, not by the next incoming connection.
+async fn accept_task(state: Arc<ServerState>, listener: TcpListener, reg: Registration) {
     loop {
         if state.shutting_down.load(Ordering::Acquire) {
             return;
@@ -740,7 +742,7 @@ async fn accept_task(
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                spawn_connection(&state, &pool, stream);
+                spawn_connection(&state, stream);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => reg.readable().await,
             // Transient per-connection accept failures (e.g. the peer
@@ -750,7 +752,7 @@ async fn accept_task(
     }
 }
 
-fn spawn_connection<S: Stream>(state: &Arc<ServerState>, pool: &ThreadPool, stream: S) {
+fn spawn_connection<S: Stream>(state: &Arc<ServerState>, stream: S) {
     let (Ok(reg), Ok(write_half), Ok(close_handle)) =
         (stream.register(), stream.try_split(), stream.try_split())
     else {
@@ -787,11 +789,12 @@ fn spawn_connection<S: Stream>(state: &Arc<ServerState>, pool: &ThreadPool, stre
         reading: true,
         owed: VecDeque::new(),
     };
-    let task = pool.spawn(connection.serve());
+    let task = Reactor::global().spawn(connection.serve());
     conns.push(ConnEntry { conn: Arc::downgrade(&conn), task });
 }
 
-/// One connection's task, which owns the socket in both directions.
+/// One connection's task, which owns the socket in both directions and
+/// runs on the reactor's loop.
 struct Connection<S> {
     state: Arc<ServerState>,
     conn: Arc<Conn>,
@@ -856,20 +859,20 @@ impl<S: Stream> Connection<S> {
         }
     }
 
-    /// One read attempt, then every whole frame buffered. `Ok(true)` when
-    /// the next attempt must not wait: the read found bytes, or an edge
-    /// came after it found none.
+    /// One read once the stream is readable, then every whole frame
+    /// buffered. `Ok(true)` when the read found bytes, so the next
+    /// attempt must not wait.
     fn read(&mut self, cx: &mut Context<'_>) -> Result<bool, ()> {
         let max = self.state.config.max_frame_len;
-        match self.reader.try_fill(max) {
-            Ok(None) => return Ok(Pin::new(&mut self.reg.readable()).poll(cx).is_ready()),
+        match self.reader.poll_fill(cx, max) {
+            Poll::Pending => return Ok(false),
             // Clean EOF, or a truncated frame / transport error: either
             // way the conversation is over and there is nobody to answer.
-            Ok(Some(0)) | Err(_) => {
+            Poll::Ready(Ok(0) | Err(_)) => {
                 self.stop_reading();
                 return Ok(false);
             }
-            Ok(Some(_)) => {}
+            Poll::Ready(Ok(_)) => {}
         }
         // A request read ahead while coalescing checks; handled next.
         let mut carried = None;
@@ -1005,7 +1008,7 @@ impl<S: Stream> Connection<S> {
                 Owed::Pending(mut reply) => match Pin::new(&mut reply).poll(cx) {
                     // `Err`: the dispatcher dropped the job (shutdown
                     // mid-flight); nothing is left to say.
-                    Poll::Ready(answer) => answer.map_err(drop)?,
+                    Poll::Ready(answer) => answer.map_err(drop)?.0,
                     Poll::Pending => {
                         self.owed.push_front((id, Owed::Pending(reply)));
                         break;
@@ -1239,16 +1242,17 @@ async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job
     while let Some(Job { work, conn, reply }) = jobs.recv().await {
         state.metrics.batches.fetch_add(1, Ordering::Relaxed);
         state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let response = match work {
+        let answer = match work {
             // A check queued behind its connection's unanswered job: a
             // group of one, whose answer rides the oneshot, not an id.
             Work::Check(check) => {
                 let group = CheckGroup::open(None, check);
-                answer_group(&state, &conn, group).pop().expect("a group of one has one answer").1
+                let answers = answer_group(&state, &conn, group);
+                (answers.into_iter().next().expect("a group of one has one answer").1, None)
             }
-            Work::Other(request) => execute(&state, request),
+            Work::Other(request) => (execute(&state, &request), Some(request)),
         };
-        let _ = reply.send(response);
+        let _ = reply.send(answer);
     }
 }
 
@@ -1257,7 +1261,7 @@ fn persistence_error(what: &str, e: JournalError) -> Response {
 }
 
 /// Executes one mutating or admin request on the dispatcher.
-fn execute(state: &ServerState, request: Request) -> Response {
+fn execute(state: &ServerState, request: &Request) -> Response {
     let engine = &state.engine;
     match request {
         Request::Install { tenant, task, context, policy } => {
@@ -1265,28 +1269,28 @@ fn execute(state: &ServerState, request: Request) -> Response {
             let entries = policy.len() as u64;
             // The engine journals the reinstatement: a deliberately
             // reinstalled fingerprint is live (and restorable) again.
-            if let Err(e) = engine.install(&tenant, &task, &context, &policy) {
+            if let Err(e) = engine.install(tenant, task, context, policy) {
                 return persistence_error("install refused", e);
             }
             if let Some(daemon) = &state.daemon {
-                daemon.on_installed(&tenant, &task, &context, fingerprint);
+                daemon.on_installed(tenant, task, context, fingerprint);
             }
             Response::Installed { fingerprint, entries }
         }
         Request::FetchPolicy { tenant, task, context } => {
             let policy = engine
-                .lookup(&tenant, &task, &context)
+                .lookup(tenant, task, context)
                 .map(|compiled| (*compiled.source_handle()).clone());
             Response::PolicyOk { policy }
         }
         Request::Flush { tenant } => {
-            Response::Flushed { removed: engine.flush_tenant(&tenant) as u64 }
+            Response::Flushed { removed: engine.flush_tenant(tenant) as u64 }
         }
         // The engine journals the revoke before it sweeps. A revoke it
         // cannot journal is still applied in memory (fail closed), but
         // the client is told the durability guarantee does not hold.
         Request::Revoke { tenant, fingerprint } => {
-            match engine.revoke_fingerprint(&tenant, fingerprint) {
+            match engine.revoke_fingerprint(tenant, *fingerprint) {
                 Ok(removed) => Response::Revoked { removed: removed as u64 },
                 Err(e) => persistence_error("revocation applied in memory but not journaled", e),
             }
@@ -1294,16 +1298,16 @@ fn execute(state: &ServerState, request: Request) -> Response {
         Request::Reload { tenant, task, context, policy } => {
             let fingerprint = policy.fingerprint();
             let entries = policy.len() as u64;
-            let receipt = match engine.reload(&tenant, &task, &context, &policy) {
+            let receipt = match engine.reload(tenant, task, context, policy) {
                 Ok(receipt) => receipt,
                 Err(e) => return persistence_error("reload refused", e),
             };
             if let Some(daemon) = &state.daemon {
-                daemon.on_installed(&tenant, &task, &context, fingerprint);
+                daemon.on_installed(tenant, task, context, fingerprint);
             }
             Response::Reloaded { old_fingerprint: receipt.old_fingerprint, fingerprint, entries }
         }
-        Request::Snapshot { tenant } => match engine.store().export_snapshot(&tenant) {
+        Request::Snapshot { tenant } => match engine.store().export_snapshot(tenant) {
             Ok(snapshot) => {
                 Response::SnapshotOk { entries: snapshot.entries as u64, snapshot: snapshot.bytes }
             }
@@ -1311,10 +1315,10 @@ fn execute(state: &ServerState, request: Request) -> Response {
         },
         // The engine gates the import on its own revocation journal and
         // refuses it outright when the journal cannot be read.
-        Request::Restore { tenant, snapshot } => match engine.import_snapshot(&tenant, &snapshot) {
+        Request::Restore { tenant, snapshot } => match engine.import_snapshot(tenant, snapshot) {
             Ok(report) => {
                 if let Some(daemon) = &state.daemon {
-                    daemon.register_tenant(&tenant);
+                    daemon.register_tenant(tenant);
                 }
                 Response::Restored {
                     installed: report.installed as u64,
@@ -1326,9 +1330,9 @@ fn execute(state: &ServerState, request: Request) -> Response {
             Err(e) => Response::Error { code: code::BAD_SNAPSHOT, message: e.to_string() },
         },
         Request::Stats { tenant } => Response::StatsOk {
-            counters: engine.tenant_counters(&tenant),
+            counters: engine.tenant_counters(tenant),
             daemon: state.daemon.as_ref().map(|d| d.counters()),
-            workers: state.workers as u64,
+            workers: DISPATCHER_THREADS as u64,
         },
         Request::Shutdown => {
             state.initiate_shutdown();

@@ -1,7 +1,7 @@
 //! Byte transports the protocol runs over.
 //!
-//! The server drives every connection as one cooperative task on a small
-//! worker pool, reading and writing through separate handles, so a
+//! The server drives every connection as one cooperative task on the
+//! reactor's event loop, reading and writing through separate handles, so a
 //! transport must hand out a second handle to the same stream
 //! ([`Stream::try_split`]),
 //! support an out-of-band close that unblocks a parked reader
@@ -31,11 +31,14 @@
 //! [`wire::write_frame`](crate::wire::write_frame).
 
 use std::collections::VecDeque;
+use std::future::{poll_fn, Future};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::task::{ready, Context, Poll};
 
 use futures::reactor::{Reactor, Registration};
 
@@ -303,11 +306,15 @@ pub(crate) struct NbReader<S> {
     buf: Vec<u8>,
     start: usize,
     end: usize,
+    /// Set when a read found nothing: the next poll first waits for the
+    /// readable edge, which also takes the ready bit of the edge that
+    /// woke it, so a wake costs one read attempt, not two.
+    awaiting_edge: bool,
 }
 
 impl<S: Read> NbReader<S> {
     pub(crate) fn new(stream: S, reg: Registration) -> Self {
-        NbReader { stream, reg, buf: Vec::new(), start: 0, end: 0 }
+        NbReader { stream, reg, buf: Vec::new(), start: 0, end: 0, awaiting_edge: false }
     }
 
     /// The next frame, if it is already whole in the buffer — no I/O.
@@ -330,21 +337,48 @@ impl<S: Read> NbReader<S> {
         &mut self,
         max_len: u32,
     ) -> Result<Option<Frame>, FrameReadError> {
+        poll_fn(|cx| self.poll_frame(cx, max_len)).await
+    }
+
+    /// [`read_frame`](Self::read_frame) as a poll: `Pending` parks the
+    /// task's waker on the next readable edge.
+    pub(crate) fn poll_frame(
+        &mut self,
+        cx: &mut Context<'_>,
+        max_len: u32,
+    ) -> Poll<Result<Option<Frame>, FrameReadError>> {
         loop {
             if let Some(frame) = self.buffered_frame(max_len) {
-                return frame.map(Some);
+                return Poll::Ready(frame.map(Some));
+            }
+            if ready!(self.poll_fill(cx, max_len))? == 0 {
+                let what = match self.end - self.start {
+                    0 => return Poll::Ready(Ok(None)),
+                    1..=3 => "connection closed mid-length",
+                    _ => "connection closed mid-frame",
+                };
+                return Poll::Ready(Err(io::Error::new(io::ErrorKind::UnexpectedEof, what).into()));
+            }
+        }
+    }
+
+    /// One read behind the buffered partial frame, once the stream is
+    /// readable: `Ready(Ok(0))` is EOF, and `Pending` parks the task's
+    /// waker on the next readable edge. Call it only once every whole
+    /// frame buffered has been taken.
+    pub(crate) fn poll_fill(
+        &mut self,
+        cx: &mut Context<'_>,
+        max_len: u32,
+    ) -> Poll<io::Result<usize>> {
+        loop {
+            if self.awaiting_edge {
+                ready!(Pin::new(&mut self.reg.readable()).poll(cx));
+                self.awaiting_edge = false;
             }
             match self.try_fill(max_len)? {
-                None => self.reg.readable().await,
-                Some(0) => {
-                    let what = match self.end - self.start {
-                        0 => return Ok(None),
-                        1..=3 => "connection closed mid-length",
-                        _ => "connection closed mid-frame",
-                    };
-                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, what).into());
-                }
-                Some(_) => {}
+                Some(n) => return Poll::Ready(Ok(n)),
+                None => self.awaiting_edge = true,
             }
         }
     }
@@ -353,7 +387,7 @@ impl<S: Read> NbReader<S> {
     /// room for that whole frame: `Ok(Some(0))` is EOF, and `Ok(None)`
     /// means the stream would block. Call it only once every whole frame
     /// buffered has been taken.
-    pub(crate) fn try_fill(&mut self, max_len: u32) -> io::Result<Option<usize>> {
+    fn try_fill(&mut self, max_len: u32) -> io::Result<Option<usize>> {
         self.buf.copy_within(self.start..self.end, 0);
         self.end -= self.start;
         self.start = 0;
@@ -423,10 +457,16 @@ impl<S: Write> NbWriter<S> {
     /// Writes everything queued. The queue is emptied either way: after
     /// a failed write the stream is dead.
     pub(crate) async fn flush(&mut self) -> io::Result<()> {
+        poll_fn(|cx| self.poll_flush(cx)).await
+    }
+
+    /// [`flush`](Self::flush) as a poll: `Pending` parks the task's
+    /// waker on the next writable edge.
+    pub(crate) fn poll_flush(&mut self, cx: &mut Context<'_>) -> Poll<io::Result<()>> {
         while !self.try_flush()? {
-            self.reg.writable().await;
+            ready!(Pin::new(&mut self.reg.writable()).poll(cx));
         }
-        Ok(())
+        Poll::Ready(Ok(()))
     }
 
     /// Writes as much of the queue as the stream takes now. `Ok(true)`
@@ -460,17 +500,6 @@ impl<S: Write> NbWriter<S> {
             self.buf = Vec::new();
         }
         result.map(|()| true)
-    }
-
-    /// Queues and flushes one frame.
-    pub(crate) async fn write_frame(
-        &mut self,
-        frame: &Frame,
-        max_len: u32,
-    ) -> Result<(), FrameWriteError> {
-        self.queue_frame(frame, max_len)?;
-        self.flush().await?;
-        Ok(())
     }
 }
 
@@ -598,7 +627,8 @@ mod tests {
         let mut reader = NbReader::new(b, reg_b);
         let frame = Frame { tag: 0x42, payload: vec![1, 2, 3, 4, 5] };
         block_on(async {
-            writer.write_frame(&frame, 1024).await.unwrap();
+            writer.queue_frame(&frame, 1024).unwrap();
+            writer.flush().await.unwrap();
             let got = reader.read_frame(1024).await.unwrap().unwrap();
             assert_eq!(got, frame);
         });
@@ -704,9 +734,11 @@ mod tests {
         let big = Frame { tag: 0x05, payload: vec![3u8; 4 * KEEP_BUF] };
         let small = Frame { tag: 0x06, payload: vec![1, 2] };
         block_on(async {
-            writer.write_frame(&big, 1 << 20).await.unwrap();
+            writer.queue_frame(&big, 1 << 20).unwrap();
+            writer.flush().await.unwrap();
             assert_eq!(reader.read_frame(1 << 20).await.unwrap().unwrap(), big);
-            writer.write_frame(&small, 1 << 20).await.unwrap();
+            writer.queue_frame(&small, 1 << 20).unwrap();
+            writer.flush().await.unwrap();
             assert_eq!(reader.read_frame(1 << 20).await.unwrap().unwrap(), small);
         });
         assert!(reader.buf.len() <= KEEP_BUF, "an idle reader keeps a small buffer");
@@ -816,7 +848,8 @@ mod tests {
         let send = frame.clone();
         let writer_thread = thread::spawn(move || {
             block_on(async move {
-                writer.write_frame(&send, 1 << 20).await.unwrap();
+                writer.queue_frame(&send, 1 << 20).unwrap();
+                writer.flush().await.unwrap();
             });
         });
         block_on(async {

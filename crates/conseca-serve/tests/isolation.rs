@@ -7,10 +7,14 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use conseca_core::{Policy, PolicyEntry, TrajectoryPolicy, TrustedContext};
-use conseca_engine::{Billing, Engine, EngineKey, SessionState};
-use conseca_serve::wire::{read_frame, write_frame, Request, Response, DEFAULT_MAX_FRAME_LEN};
-use conseca_serve::{AsyncClient, ServeConfig, Server};
+use conseca_core::{
+    ArgConstraint, Policy, PolicyEntry, Predicate, TrajectoryPolicy, TrustedContext,
+};
+use conseca_engine::{Billing, CompiledPolicy, Engine, EngineKey, SessionState};
+use conseca_serve::wire::{
+    read_frame, unwrap_tagged, wrap_tagged, write_frame, Request, Response, DEFAULT_MAX_FRAME_LEN,
+};
+use conseca_serve::{AsyncClient, CachedClient, ServeConfig, Server};
 use conseca_shell::ApiCall;
 
 fn ctx() -> TrustedContext {
@@ -310,5 +314,202 @@ fn a_framing_error_behind_a_wedged_revoke_is_answered_after_the_revoke_then_clos
         Response::Error { code: conseca_serve::wire::code::MALFORMED, .. }
     ));
     assert!(read_frame(&mut raw, 1 << 20).unwrap().is_none(), "a clean close after the error");
+    server.shutdown();
+}
+
+#[test]
+fn a_push_ack_behind_a_parked_submitter_stalls_no_other_client_and_still_goes_out() {
+    // A mock server that handshakes, then stops reading: the client's
+    // submitter fills the socket and parks in its flush holding the
+    // writer, waiting on a writable edge that only the reactor loop can
+    // deliver. A push then arrives on the same loop. The client's demux
+    // task must not wait for the writer (that would park the loop, and
+    // with it every connection in the process), yet its ack must still
+    // go out once the peer reads again.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (resume_tx, resume_rx) = std::sync::mpsc::channel::<()>();
+    let (push_tx, push_rx) = std::sync::mpsc::channel::<()>();
+    let mock = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let max = DEFAULT_MAX_FRAME_LEN;
+        let hello = read_frame(&mut stream, max).unwrap().expect("hello");
+        assert!(matches!(Request::decode(&hello).unwrap(), Request::Hello { .. }));
+        let hello_ok = Response::HelloOk { version: conseca_serve::PROTOCOL_VERSION };
+        write_frame(&mut stream, &hello_ok.encode(), max).unwrap();
+        // Wedged: read nothing until told to push, then until told to
+        // resume.
+        push_rx.recv().unwrap();
+        let push = Response::PushRevoke { seq: 7, tenant: "acme".into(), fingerprint: 1 };
+        write_frame(&mut stream, &push.encode(), max).unwrap();
+        resume_rx.recv().unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        loop {
+            let frame = read_frame(&mut stream, max).expect("the client keeps writing");
+            let frame = frame.expect("the ack arrives before the client closes");
+            if let Ok(Request::PushAck { seq }) = Request::decode(&frame) {
+                return seq;
+            }
+        }
+    });
+
+    let wedged = Arc::new(AsyncClient::connect(&addr.to_string()).expect("handshake"));
+    let submitted = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let submitter = {
+        let (wedged, submitted, stop) =
+            (Arc::clone(&wedged), Arc::clone(&submitted), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let tenant = "x".repeat(64 * 1024);
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                drop(wedged.flush(&tenant).expect("submit"));
+                submitted.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+        })
+    };
+    // The submitter is parked once its count stops moving.
+    let mut last = u64::MAX;
+    loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = submitted.load(std::sync::atomic::Ordering::SeqCst);
+        if now == last {
+            break;
+        }
+        last = now;
+    }
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    push_tx.send(()).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+
+    // Another client in the same process, on the same loop, is served.
+    // Its server lives on the helper thread, so a stuck loop fails this
+    // test at the deadline instead of hanging the server's shutdown.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let server =
+            Server::bind(Arc::new(Engine::default()), "127.0.0.1:0", ServeConfig::default())
+                .unwrap();
+        let other =
+            AsyncClient::connect(&server.local_addr().unwrap().to_string()).expect("handshake");
+        let context = ctx();
+        other.install("acme", "t", &context, &policy()).unwrap().wait().unwrap();
+        for _ in 0..10 {
+            let decision = other.check("acme", "t", &context, &call()).unwrap().wait().unwrap();
+            assert!(decision.expect("installed").allowed);
+        }
+        done_tx.send(()).unwrap();
+        drop(other);
+        server.shutdown();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("a client on the same loop stalled behind another client's parked submitter");
+
+    // The peer reads again: the parked submit completes, and the ack
+    // owed meanwhile follows it without another submission.
+    resume_tx.send(()).unwrap();
+    assert_eq!(mock.join().expect("mock server"), 7, "the owed push ack reached the peer");
+    submitter.join().expect("submitter");
+}
+
+#[test]
+fn a_push_during_a_cached_clients_policy_compile_stalls_no_other_client() {
+    // A policy whose compile takes long enough to overlap a push. The
+    // push is applied on the reactor loop; were the compile to hold the
+    // cache's lock that pushes take, the loop — and every connection in
+    // the process — would wait out the compile.
+    const MAX: u32 = 8 << 20;
+    let mut big = policy();
+    for i in 0..20_000 {
+        let pred = Predicate::All(
+            (0..10)
+                .map(|j| Predicate::Not(Box::new(Predicate::Contains(format!("{i}.{j}")))))
+                .collect(),
+        );
+        big.set(&format!("api_{i}"), PolicyEntry::allow(vec![ArgConstraint::Dsl(pred)], "r"));
+    }
+    let answer = Response::PolicyOk { policy: Some(big.clone()) }.encode();
+    // The fastest of three runs, so the push lands early in the compile.
+    let fastest = |work: &dyn Fn()| {
+        (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                work();
+                started.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let decode = fastest(&|| drop(Response::decode(&answer).unwrap()));
+    let compile = fastest(&|| drop(CompiledPolicy::compile(&big)));
+
+    // The mock server answers the fetch, then pushes a revoke a quarter of
+    // the way into the client's compile.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (pushed_tx, pushed_rx) = std::sync::mpsc::channel::<()>();
+    let mock = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = read_frame(&mut stream, MAX).unwrap().expect("hello");
+        assert!(matches!(Request::decode(&hello).unwrap(), Request::Hello { .. }));
+        let hello_ok = Response::HelloOk { version: conseca_serve::PROTOCOL_VERSION };
+        write_frame(&mut stream, &hello_ok.encode(), MAX).unwrap();
+        loop {
+            let frame = read_frame(&mut stream, MAX).unwrap().expect("the client stays connected");
+            if let Ok(Request::PushAck { seq }) = Request::decode(&frame) {
+                return seq;
+            }
+            let (id, inner) = unwrap_tagged(&frame).expect("an enveloped request");
+            match Request::decode(&inner).unwrap() {
+                Request::Subscribe { .. } => {
+                    write_frame(&mut stream, &wrap_tagged(id, &Response::Subscribed.encode()), MAX)
+                        .unwrap();
+                }
+                Request::FetchPolicy { .. } => {
+                    write_frame(&mut stream, &wrap_tagged(id, &answer), MAX).unwrap();
+                    std::thread::sleep(decode + compile / 4);
+                    let push =
+                        Response::PushRevoke { seq: 1, tenant: "acme".into(), fingerprint: 1 };
+                    write_frame(&mut stream, &push.encode(), MAX).unwrap();
+                    pushed_tx.send(()).unwrap();
+                }
+                other => panic!("unexpected request {other:?}"),
+            }
+        }
+    });
+
+    let server =
+        Server::bind(Arc::new(Engine::default()), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let other = AsyncClient::connect(&server.local_addr().unwrap().to_string()).expect("handshake");
+    let context = ctx();
+    other.install("acme", "t", &context, &policy()).unwrap().wait().unwrap();
+    other.check("acme", "t", &context, &call()).unwrap().wait().unwrap();
+
+    let fetcher = std::thread::spawn(move || {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut cached = CachedClient::over_with(stream, "acme", MAX).expect("handshake");
+        let decision = cached.check("t", &ctx(), &call()).expect("check");
+        assert!(decision.expect("fetched").allowed);
+        cached
+    });
+    pushed_rx.recv_timeout(Duration::from_secs(60)).expect("the mock pushed");
+    std::thread::sleep(Duration::from_millis(10));
+    let started = Instant::now();
+    let decision = other.check("acme", "t", &context, &call()).unwrap().wait().unwrap();
+    let waited = started.elapsed();
+    assert!(decision.expect("installed").allowed);
+    assert!(
+        waited < compile / 4,
+        "a check on the same loop waited {waited:?}, out of another client's policy compile \
+         (decode {decode:?}, compile {compile:?})"
+    );
+
+    // The push raced the fetch, so the compiled policy judged its check
+    // but stayed out of the cache; the push was acked.
+    let cached = fetcher.join().expect("fetcher");
+    assert_eq!(cached.fallbacks(), 1);
+    assert_eq!(cached.cache().policies(), 0);
+    assert_eq!(mock.join().expect("mock server"), 1);
+    drop((other, cached));
     server.shutdown();
 }

@@ -64,7 +64,7 @@ fn a_thousand_connections_cost_no_threads_and_counters_reconcile_exactly() {
     assert!(
         with_all_open <= baseline + 4,
         "{CONNS} open connections grew the thread count from {baseline} to {with_all_open}; \
-         the serving core must be O(workers), not O(connections)"
+         the serving core must be O(1) threads, not O(connections)"
     );
 
     // Every connection does real work while all the others stay open,

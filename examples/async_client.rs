@@ -83,7 +83,7 @@ fn main() {
     let stats = client.stats_full("acme").expect("submit").wait().expect("stats");
     let metrics = server.metrics();
     println!(
-        "tenant 'acme': {} checks ({} coalesced into batches), {} server workers",
+        "tenant 'acme': {} checks ({} coalesced into batches), server threads: {}",
         stats.counters.checks, metrics.coalesced_checks, stats.workers
     );
     client.close();
