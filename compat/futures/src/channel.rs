@@ -1,7 +1,7 @@
 //! Async channels: unbounded mpsc and oneshot.
 
 /// An unbounded multi-producer, single-consumer channel with an async
-/// `recv` and a non-blocking `try_recv`.
+/// `recv`.
 pub mod mpsc {
     use std::collections::VecDeque;
     use std::future::Future;
@@ -40,15 +40,6 @@ pub mod mpsc {
     /// The receiver was dropped; the value comes back in the error.
     #[derive(Debug, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
-
-    /// Why [`UnboundedReceiver::try_recv`] returned no value.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// No value queued right now, but senders remain.
-        Empty,
-        /// No value queued and every sender is gone.
-        Disconnected,
-    }
 
     /// Creates an unbounded channel.
     pub fn unbounded<T>() -> (UnboundedSender<T>, UnboundedReceiver<T>) {
@@ -114,22 +105,6 @@ pub mod mpsc {
         /// and every sender has been dropped.
         pub fn recv(&mut self) -> Recv<'_, T> {
             Recv { receiver: self }
-        }
-
-        /// Pops a queued value without waiting.
-        ///
-        /// # Errors
-        ///
-        /// [`TryRecvError::Empty`] if nothing is queued,
-        /// [`TryRecvError::Disconnected`] if additionally no sender
-        /// remains.
-        pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
-            let mut state = self.shared.lock();
-            match state.queue.pop_front() {
-                Some(value) => Ok(value),
-                None if state.senders == 0 => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
-            }
         }
     }
 
@@ -308,17 +283,8 @@ mod tests {
         tx.send(2).unwrap();
         drop(tx);
         assert_eq!(block_on(rx.recv()), Some(1));
-        assert_eq!(rx.try_recv(), Ok(2));
-        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        assert_eq!(block_on(rx.recv()), Some(2));
         assert_eq!(block_on(rx.recv()), None);
-    }
-
-    #[test]
-    fn mpsc_try_recv_empty_while_senders_remain() {
-        let (tx, mut rx) = mpsc::unbounded::<u8>();
-        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Empty));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
     }
 
     #[test]

@@ -96,7 +96,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::channel::oneshot;
-use crate::executor::JoinHandle;
 
 // ------------------------------------------------------------ epoll ABI
 
@@ -251,6 +250,35 @@ impl Wake for Task {
 
     fn wake_by_ref(self: &Arc<Self>) {
         self.schedule();
+    }
+}
+
+/// A handle to a loop task's eventual output.
+///
+/// Resolves to `None` if the task panicked. `join` blocks the calling
+/// thread; the handle is also a [`Future`] for use inside other tasks.
+pub struct JoinHandle<T> {
+    receiver: oneshot::Receiver<T>,
+}
+
+impl<T> JoinHandle<T> {
+    /// Blocks until the task completes (or panics).
+    pub fn join(self) -> Option<T> {
+        crate::block_on(self.receiver).ok()
+    }
+
+    /// Whether the task has completed or panicked — i.e.
+    /// [`join`](Self::join) would return without blocking.
+    pub fn is_finished(&self) -> bool {
+        self.receiver.is_ready()
+    }
+}
+
+impl<T> Future for JoinHandle<T> {
+    type Output = Option<T>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        Pin::new(&mut self.receiver).poll(cx).map(|r| r.ok())
     }
 }
 
@@ -421,7 +449,7 @@ impl Reactor {
             shared: Arc::clone(&self.shared),
         });
         self.shared.schedule(task, false);
-        JoinHandle::new(rx)
+        JoinHandle { receiver: rx }
     }
 
     /// The loop's handoff totals so far (relaxed reads; see

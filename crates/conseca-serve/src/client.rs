@@ -152,7 +152,8 @@ pub struct ServerStats {
     pub counters: TenantCounters,
     /// Lifecycle-daemon counters, when the server runs one.
     pub daemon: Option<crate::daemon::DaemonCounters>,
-    /// Worker threads in the server's executor pool — context for
+    /// Threads the server runs of its own (its dispatcher's one; the
+    /// process-wide event loop is not counted) — context for
     /// interpreting throughput numbers measured against this server.
     pub workers: u64,
 }
@@ -482,7 +483,7 @@ impl Client {
 
     /// Reads everything the server's `StatsOk` carries: `tenant`'s
     /// counters, the lifecycle-daemon counters (`None` without a
-    /// daemon), and the server's worker-pool size.
+    /// daemon), and the server's own thread count.
     ///
     /// # Errors
     ///

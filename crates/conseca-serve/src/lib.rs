@@ -42,9 +42,9 @@
 //!   caller's thread, with no handoff.
 //! - [`AsyncClient`] keeps many requests in flight on one socket using
 //!   the protocol v7 correlation envelope: submit-then-wait (or
-//!   `.await`) with responses matched by id by a demux task on a shared
-//!   two-thread pool, which is exactly the shape that keeps the server's
-//!   read buffers full of checks to coalesce. See [`aclient`].
+//!   `.await`) with responses matched by id by a demux task on the
+//!   reactor's event loop, which is exactly the shape that keeps the
+//!   server's read buffers full of checks to coalesce. See [`aclient`].
 //! - [`CachedClient`], for latency-sensitive callers, is an
 //!   `AsyncClient` plus a local L1 of compiled policies, so after a
 //!   one-time fetch each check runs at in-process engine speed. It

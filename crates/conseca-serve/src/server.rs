@@ -21,7 +21,7 @@
 //!                         mpsc job queue (shared)             │ ahead of answers
 //!                                  │                          │ still owed
 //!                                  ▼                          │
-//!              dispatcher task, on its own one-thread pool:   │
+//!              dispatcher, a thread of its own:               │
 //!              one job at a time; may block on push acks ─────┘
 //! ```
 //!
@@ -90,6 +90,7 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::task::{Context, Poll};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use conseca_core::TrustedContext;
@@ -100,7 +101,7 @@ use conseca_shell::ApiCall;
 use futures::channel::mpsc;
 use futures::channel::oneshot;
 use futures::reactor::{Reactor, Registration};
-use futures::{JoinHandle, ThreadPool};
+use futures::JoinHandle;
 
 use crate::client::{Client, ClientError};
 use crate::daemon::{DaemonConfig, LifecycleDaemon};
@@ -150,11 +151,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Threads in the pool that runs the dispatcher. One: the dispatcher
-/// takes one job at a time, and the connection tasks it may wait on run
-/// on the reactor's loop, not here.
-const DISPATCHER_THREADS: usize = 1;
-
 /// Point-in-time serving counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
@@ -170,10 +166,10 @@ pub struct ServeMetrics {
     /// The dispatcher never coalesces: a check queued there is a group
     /// of one.
     pub coalesced_checks: u64,
-    /// Threads the server runs of its own: the dispatcher's pool, one
-    /// thread. Connection tasks share the process-wide reactor loop
-    /// thread, which is not counted. Not a counter; surfaced here and in
-    /// the wire `StatsOk` so operators can see what a measurement ran
+    /// Threads the server runs of its own: one, the dispatcher's.
+    /// Connection tasks share the process-wide reactor loop thread,
+    /// which is not counted. Not a counter; surfaced here and in the
+    /// wire `StatsOk` so operators can see what a measurement ran
     /// against.
     pub workers: u64,
     /// Key slots bound on the connections open now (wire v9) — a gauge,
@@ -440,7 +436,9 @@ fn decode_inbound(frame: Frame, slots: Option<&KeySlots>) -> Inbound {
 struct ServerState {
     engine: Arc<Engine>,
     config: ServeConfig,
-    jobs: mpsc::UnboundedSender<Job>,
+    /// The dispatcher's queue. `None` tells it to stop once it has
+    /// answered every job queued before it.
+    jobs: std::sync::mpsc::Sender<Option<Job>>,
     shutting_down: AtomicBool,
     /// Where the TCP listener ended up (None for in-process-only servers).
     tcp_addr: Option<SocketAddr>,
@@ -565,7 +563,7 @@ impl Server {
             }
             None => None,
         };
-        let (jobs_tx, jobs_rx) = mpsc::unbounded();
+        let (jobs_tx, jobs_rx) = std::sync::mpsc::channel();
         let state = Arc::new(ServerState {
             engine,
             config,
@@ -591,21 +589,21 @@ impl Server {
                 fan_out_push(&state, event);
             }
         }));
-        let pool = ThreadPool::new(DISPATCHER_THREADS);
-        let dispatcher = Arc::clone(&state);
-        pool.spawn(async move { dispatch(dispatcher, jobs_rx).await });
+        let dispatched = Arc::clone(&state);
+        let dispatcher = thread::Builder::new()
+            .name("conseca-dispatch".into())
+            .spawn(move || dispatch(&dispatched, &jobs_rx))?;
         let accept = listener.map(|(listener, _, reg)| {
             Reactor::global().spawn(accept_task(Arc::clone(&state), listener, reg))
         });
-        Ok(ServerHandle { state, pool, accept })
+        Ok(ServerHandle { state, dispatcher: Some(dispatcher), accept })
     }
 }
 
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     state: Arc<ServerState>,
-    /// Runs the dispatcher.
-    pool: ThreadPool,
+    dispatcher: Option<thread::JoinHandle<()>>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -627,7 +625,7 @@ impl ServerHandle {
             requests: self.state.metrics.requests.load(Ordering::Relaxed),
             batches: self.state.metrics.batches.load(Ordering::Relaxed),
             coalesced_checks: self.state.metrics.coalesced_checks.load(Ordering::Relaxed),
-            workers: DISPATCHER_THREADS as u64,
+            workers: 1,
             key_slots: self.state.metrics.key_slots.load(Ordering::Relaxed),
         }
     }
@@ -686,8 +684,8 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, close every connection, join
-    /// all connection tasks, finish queued dispatcher work, stop the
-    /// executor.
+    /// all connection tasks, finish queued dispatcher work, join the
+    /// dispatcher thread.
     pub fn shutdown(self) {
         // Dropping runs the same sequence; this method exists so call
         // sites read as what they are.
@@ -717,13 +715,15 @@ impl Drop for ServerHandle {
         for conn in conns {
             let _ = conn.task.join();
         }
-        // All connection tasks are gone, so no new jobs can arrive; the pool
-        // lets the dispatcher finish anything already queued, then parks
-        // it, and shutdown cancels the parked task.
-        self.pool.shutdown();
+        // All connection tasks are gone, so no new jobs can arrive; the
+        // dispatcher answers anything already queued, then stops.
+        let _ = self.state.jobs.send(None);
+        if let Some(dispatcher) = self.dispatcher.take() {
+            let _ = dispatcher.join();
+        }
         // Stop the daemon last: the dispatcher may have been feeding it
-        // install notifications until the pool drained. The
-        // journal stays valid on disk — stop only halts the ticks.
+        // install notifications until it stopped. The journal stays
+        // valid on disk — stop only halts the ticks.
         if let Some(daemon) = &self.state.daemon {
             daemon.stop();
         }
@@ -967,7 +967,7 @@ impl<S: Stream> Connection<S> {
     /// keeps reading (PushAcks above all) while the dispatcher works.
     fn dispatch(&mut self, id: Option<u64>, work: Work) -> Result<(), ()> {
         let (reply, answer) = oneshot::channel();
-        if self.state.jobs.send(Job { work, conn: Arc::clone(&self.conn), reply }).is_err() {
+        if self.state.jobs.send(Some(Job { work, conn: Arc::clone(&self.conn), reply })).is_err() {
             // The dispatcher is gone: the server is shutting down.
             return self.refuse(id, code::SHUTTING_DOWN, "server is shutting down".into());
         }
@@ -1236,10 +1236,11 @@ fn answer_group(
         .collect()
 }
 
-/// Takes the queued jobs one at a time, in arrival order, and answers
-/// each through its oneshot before it takes the next.
-async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job>) {
-    while let Some(Job { work, conn, reply }) = jobs.recv().await {
+/// The dispatcher thread: takes the queued jobs one at a time, in
+/// arrival order, and answers each through its oneshot before it takes
+/// the next, until told to stop.
+fn dispatch(state: &ServerState, jobs: &std::sync::mpsc::Receiver<Option<Job>>) {
+    while let Ok(Some(Job { work, conn, reply })) = jobs.recv() {
         state.metrics.batches.fetch_add(1, Ordering::Relaxed);
         state.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let answer = match work {
@@ -1247,10 +1248,10 @@ async fn dispatch(state: Arc<ServerState>, mut jobs: mpsc::UnboundedReceiver<Job
             // group of one, whose answer rides the oneshot, not an id.
             Work::Check(check) => {
                 let group = CheckGroup::open(None, check);
-                let answers = answer_group(&state, &conn, group);
+                let answers = answer_group(state, &conn, group);
                 (answers.into_iter().next().expect("a group of one has one answer").1, None)
             }
-            Work::Other(request) => (execute(&state, &request), Some(request)),
+            Work::Other(request) => (execute(state, &request), Some(request)),
         };
         let _ = reply.send(answer);
     }
@@ -1332,7 +1333,7 @@ fn execute(state: &ServerState, request: &Request) -> Response {
         Request::Stats { tenant } => Response::StatsOk {
             counters: engine.tenant_counters(tenant),
             daemon: state.daemon.as_ref().map(|d| d.counters()),
-            workers: DISPATCHER_THREADS as u64,
+            workers: 1,
         },
         Request::Shutdown => {
             state.initiate_shutdown();

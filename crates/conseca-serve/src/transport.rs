@@ -173,7 +173,7 @@ impl Pipe {
                 return Ok(0); // EOF
             }
             if self.nonblocking.load(Ordering::Relaxed) {
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "duplex would block"));
+                return Err(io::ErrorKind::WouldBlock.into());
             }
             state = self.readable.wait(state).unwrap_or_else(|e| e.into_inner());
         }

@@ -102,8 +102,9 @@ fn cached_subscribers_cost_no_threads_and_a_revoke_still_reaches_every_cache() {
     let server = Server::start(Arc::new(Engine::default()), config);
     let mut admin = server.connect().unwrap();
     admin.install("acme", "t", &ctx(), &policy()).unwrap();
-    // Any client-side pool threads exist before the baseline, so the
-    // bound below measures what each subscriber costs.
+    // The reactor's loop thread, which runs every client demux task,
+    // exists before the baseline, so the bound below measures what each
+    // subscriber costs.
     drop(AsyncClient::over(server.connect_stream().unwrap()).expect("handshake"));
     let baseline = thread_count();
     assert!(baseline > 0, "/proc/self/task must be readable for this test");
