@@ -16,7 +16,10 @@
 //!   readiness instead of parking OS threads; its thread is also an
 //!   event loop that runs the tasks [`Reactor::spawn`] hands it, on the
 //!   thread that sees their readiness edges, and whose [`JoinHandle`]
-//!   has the shape of `SpawnExt::spawn_with_handle`.
+//!   has the shape of `SpawnExt::spawn_with_handle`;
+//! - [`spin_budget`] — how long a thread about to park polls first, the
+//!   loop's and an in-process duplex reader's one budget (zero on a
+//!   one-CPU host).
 //!
 //! Deviations from the real crate are deliberate and documented inline:
 //! no `Stream` trait (the receivers expose inherent methods instead), no
@@ -33,7 +36,7 @@ use std::thread::{self, Thread};
 pub mod channel;
 pub mod reactor;
 
-pub use reactor::{Counters, JoinHandle, Reactor, Registration};
+pub use reactor::{spin_budget, Counters, JoinHandle, Reactor, Registration};
 
 /// Wakes a parked thread; the waker behind [`block_on`].
 struct ThreadWaker(Thread);

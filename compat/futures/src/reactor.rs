@@ -25,6 +25,14 @@
 //! - each turn takes the injector, polls every task ready at the start
 //!   of the turn, then waits — with a zero timeout while any task is
 //!   still ready;
+//! - a turn that took a task from the injector does not park at once:
+//!   the loop first polls for up to [`spin_budget`] — each poll a look
+//!   at the injector, one zero-timeout `epoll_wait` and a yield of the
+//!   CPU to any thread waiting for it — so the next
+//!   wake from a busy peer thread (an in-process client's next request,
+//!   say) lands in the injector with no `eventfd` write and no thread
+//!   wake. A turn fed only by its own edges and wakes parks as before,
+//!   so socket-only traffic never polls;
 //! - each poll runs under `catch_unwind`: a task that panics is dropped
 //!   and its [`JoinHandle`] resolves to `None`, and the loop goes on.
 //!
@@ -74,9 +82,21 @@
 //!
 //! # Counters
 //!
-//! [`Reactor::counters`] reads three relaxed totals — loop-task wakes
-//! from other threads, `epoll_wait` returns and interrupts of the loop's
-//! wait — so tests can pin how many thread handoffs a request costs.
+//! [`Reactor::counters`] reads four relaxed totals — loop-task wakes
+//! from other threads, `epoll_wait` returns, interrupts of the loop's
+//! wait and turns that polled before parking — so tests can pin how
+//! many thread handoffs a request costs.
+//!
+//! # The spin budget
+//!
+//! [`spin_budget`] is how long a thread about to park polls first: the
+//! loop here, and a blocking in-process duplex reader in
+//! `conseca-serve`. It is 30 µs, or zero on a host with one CPU, where
+//! a thread that spins only holds off the thread it waits for. Both
+//! pollers yield the CPU between polls, so two threads that the
+//! scheduler put on one CPU of a larger host hand it back and forth
+//! instead of each spinning out the budget. It is computed once, at
+//! first use, and is not configurable.
 //!
 //! Linux-only by construction (`epoll`, `eventfd` via direct syscall
 //! bindings — the build has no libc crate); the rest of the crate is
@@ -282,17 +302,33 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
+/// How long a thread about to park polls first for work that a busy
+/// peer thread is about to hand it: 30 µs, or zero when the process may
+/// run on one CPU only, where the spin would hold off the very thread
+/// it waits for. Computed once, at first use; see the module docs.
+pub fn spin_budget() -> Duration {
+    static BUDGET: OnceLock<Duration> = OnceLock::new();
+    *BUDGET.get_or_init(|| match thread::available_parallelism() {
+        Ok(cpus) if cpus.get() > 1 => Duration::from_micros(30),
+        _ => Duration::ZERO,
+    })
+}
+
 /// Point-in-time totals of the loop's thread handoffs (see
 /// [`Reactor::counters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Loop tasks woken from a thread other than the loop's.
     pub remote_wakes: u64,
-    /// Returns from `epoll_wait`, zero-timeout polls included.
+    /// Returns from `epoll_wait`, zero-timeout polls included (those
+    /// made while polling before parking among them).
     pub epoll_returns: u64,
     /// Interruptions of the loop's wait by another thread: writes to
     /// its wake `eventfd`.
     pub interrupts: u64,
+    /// Turns that polled for up to [`spin_budget`] before parking,
+    /// because they took a task from the injector.
+    pub polls: u64,
 }
 
 struct Shared {
@@ -313,6 +349,7 @@ struct Shared {
     remote_wakes: AtomicU64,
     epoll_returns: AtomicU64,
     interrupts: AtomicU64,
+    polls: AtomicU64,
 }
 
 impl Shared {
@@ -356,6 +393,52 @@ impl Shared {
         // so either it sees this task or this sees the flag.
         if self.parked.swap(false, Ordering::SeqCst) {
             self.interrupt();
+        }
+    }
+
+    /// One `epoll_wait` into `events`, counted.
+    fn wait(&self, events: &mut [EpollEvent], timeout_ms: c_int) -> c_int {
+        // SAFETY: the kernel writes at most `events.len()` entries into
+        // the exclusively borrowed buffer, and `epfd` stays open for as
+        // long as the reactor (and so `self`) lives.
+        let n = unsafe {
+            epoll_wait(self.epfd, events.as_mut_ptr(), events.len() as c_int, timeout_ms)
+        };
+        self.epoll_returns.fetch_add(1, Ordering::Relaxed);
+        n
+    }
+
+    /// Polls for up to [`spin_budget`], stopping early at the earliest
+    /// armed timer, instead of parking at once. Each poll looks at the
+    /// injector, makes one zero-timeout `epoll_wait`, then yields the
+    /// CPU. `parked`
+    /// stays clear throughout, so a wake from another thread lands in
+    /// the injector without an `eventfd` write. The last wait's result
+    /// once a poll finds work; `None` when the budget ran out and the
+    /// loop should park.
+    fn poll_before_park(&self, events: &mut [EpollEvent]) -> Option<c_int> {
+        let budget = spin_budget();
+        if budget.is_zero() {
+            return None;
+        }
+        self.polls.fetch_add(1, Ordering::Relaxed);
+        let mut until = Instant::now() + budget;
+        if let Some((deadline, _)) = self.timers().keys().next() {
+            until = until.min(*deadline);
+        }
+        loop {
+            if !self.injector().is_empty() {
+                return Some(0);
+            }
+            let n = self.wait(events, 0);
+            if n != 0 {
+                return Some(n);
+            }
+            if Instant::now() >= until {
+                return None;
+            }
+            // Should the peer thread share this CPU, let it run now.
+            thread::yield_now();
         }
     }
 
@@ -425,6 +508,7 @@ impl Reactor {
             remote_wakes: AtomicU64::new(0),
             epoll_returns: AtomicU64::new(0),
             interrupts: AtomicU64::new(0),
+            polls: AtomicU64::new(0),
         });
         let looped = Arc::clone(&shared);
         thread::Builder::new().name("futures-reactor".into()).spawn(move || event_loop(&looped))?;
@@ -459,6 +543,7 @@ impl Reactor {
             remote_wakes: self.shared.remote_wakes.load(Ordering::Relaxed),
             epoll_returns: self.shared.epoll_returns.load(Ordering::Relaxed),
             interrupts: self.shared.interrupts.load(Ordering::Relaxed),
+            polls: self.shared.polls.load(Ordering::Relaxed),
         }
     }
 
@@ -526,6 +611,9 @@ fn event_loop(shared: &Shared) {
     let mut events = [EpollEvent { events: 0, data: 0 }; 64];
     // Whether the wake `eventfd` fired and still needs its counter read.
     let mut woken = false;
+    // Set by a turn that took a task from the injector; the loop polls
+    // before it next parks.
+    let mut poll_due = false;
     loop {
         // Take what other threads scheduled, then poll every task ready
         // at the start of the turn; one woken during the turn runs next
@@ -533,7 +621,9 @@ fn event_loop(shared: &Shared) {
         let ready = RUN_QUEUE.with(|queue| {
             let mut queue = queue.borrow_mut();
             let queue = queue.as_mut().expect("the loop thread owns a run queue");
-            queue.extend(shared.injector().drain(..));
+            let mut injector = shared.injector();
+            poll_due |= !injector.is_empty();
+            queue.extend(injector.drain(..));
             queue.len()
         });
         for _ in 0..ready {
@@ -553,12 +643,20 @@ fn event_loop(shared: &Shared) {
         }
         let still_ready =
             RUN_QUEUE.with(|queue| queue.borrow().as_ref().is_some_and(|q| !q.is_empty()));
-        let timeout_ms = shared.timeout(still_ready);
-        let n = unsafe {
-            epoll_wait(shared.epfd, events.as_mut_ptr(), events.len() as c_int, timeout_ms)
+        // A peer thread that just handed the loop work is likely to hand
+        // it more within the budget: poll for it before parking. A turn
+        // that leaves a task ready does not park, so the poll waits for
+        // the first turn that would.
+        let polled = if !still_ready && std::mem::take(&mut poll_due) {
+            shared.poll_before_park(&mut events)
+        } else {
+            None
         };
-        shared.parked.store(false, Ordering::Relaxed);
-        shared.epoll_returns.fetch_add(1, Ordering::Relaxed);
+        let n = polled.unwrap_or_else(|| {
+            let n = shared.wait(&mut events, shared.timeout(still_ready));
+            shared.parked.store(false, Ordering::Relaxed);
+            n
+        });
         if n < 0 {
             if io::Error::last_os_error().kind() == io::ErrorKind::Interrupted {
                 continue;

@@ -41,6 +41,7 @@ fn since(before: Counters) -> Counters {
         remote_wakes: now.remote_wakes - before.remote_wakes,
         epoll_returns: now.epoll_returns - before.epoll_returns,
         interrupts: now.interrupts - before.interrupts,
+        polls: now.polls - before.polls,
     }
 }
 

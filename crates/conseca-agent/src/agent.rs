@@ -98,6 +98,10 @@ pub struct Agent<M: PolicyModel> {
     audit: AuditLog,
     /// Where policies are stored and per-action checks are answered.
     backend: Backend,
+    /// What [`keyed_task`](Self::keyed_task) puts before the task text,
+    /// built once: mode, registry and generator are fixed at
+    /// construction.
+    key_prefix: String,
 }
 
 /// An agent's one enforcement backend; the last `with_*` call sets it.
@@ -162,6 +166,12 @@ impl<M: PolicyModel> Agent<M> {
         config: AgentConfig,
     ) -> Self {
         let executor = Executor::new(vfs.clone(), mail.clone(), user);
+        let key_prefix = format!(
+            "{}\u{1f}{:016x}\u{1f}{:016x}\u{1f}",
+            config.policy_mode.label(),
+            conseca_core::fnv1a(registry.documentation().as_bytes()),
+            generator.config_fingerprint(),
+        );
         Agent {
             config,
             registry,
@@ -172,6 +182,7 @@ impl<M: PolicyModel> Agent<M> {
             confirmation: None,
             audit: AuditLog::new(),
             backend: Backend::Local,
+            key_prefix,
         }
     }
 
@@ -278,14 +289,9 @@ impl<M: PolicyModel> Agent<M> {
     /// snapshots across any configuration difference (U+001F cannot
     /// occur in user task text). Shared by the engine-backed and served
     /// resolution paths, so the two stores can never key the same
-    /// artifact differently.
+    /// artifact differently. Snapshot keys on disk depend on these bytes.
     fn keyed_task(&self, task: &str) -> String {
-        format!(
-            "{}\u{1f}{:016x}\u{1f}{:016x}\u{1f}{task}",
-            self.config.policy_mode.label(),
-            conseca_core::fnv1a(self.registry.documentation().as_bytes()),
-            self.generator.config_fingerprint(),
-        )
+        [self.key_prefix.as_str(), task].concat()
     }
 
     /// Resolves the policy for a task under the configured mode, keyed
@@ -782,6 +788,19 @@ mod tests {
     use conseca_vfs::Vfs;
 
     fn setup(mode: PolicyMode) -> Agent<TemplatePolicyModel> {
+        let registry = conseca_shell::default_registry();
+        let generator = PolicyGenerator::new(TemplatePolicyModel::new(), &registry)
+            .with_golden_examples(vec![conseca_core::GoldenExample {
+                task: "example".into(),
+                policy_text: "API Call: ls\n  Can Execute: true".into(),
+            }]);
+        setup_with(mode, generator)
+    }
+
+    fn setup_with(
+        mode: PolicyMode,
+        generator: PolicyGenerator<TemplatePolicyModel>,
+    ) -> Agent<TemplatePolicyModel> {
         let mut fs = Vfs::new();
         for u in ["alice", "bob", "employee"] {
             fs.add_user(u, false).unwrap();
@@ -793,12 +812,26 @@ mod tests {
             mail.ensure_mailbox(u).unwrap();
         }
         let registry = conseca_shell::default_registry();
-        let generator = PolicyGenerator::new(TemplatePolicyModel::new(), &registry)
-            .with_golden_examples(vec![conseca_core::GoldenExample {
-                task: "example".into(),
-                policy_text: "API Call: ls\n  Can Execute: true".into(),
-            }]);
         Agent::new(vfs, mail, "alice", registry, generator, AgentConfig::for_mode(mode))
+    }
+
+    #[test]
+    fn the_keyed_task_is_byte_identical_to_the_per_task_formula() {
+        // Snapshot keys on disk are derived from these bytes, so the
+        // prefix built at construction must reproduce what each task
+        // used to rebuild.
+        for mode in PolicyMode::all() {
+            let agent = setup(mode);
+            for task in ["", "Summarize my notes"] {
+                let formula = format!(
+                    "{}\u{1f}{:016x}\u{1f}{:016x}\u{1f}{task}",
+                    mode.label(),
+                    conseca_core::fnv1a(agent.registry.documentation().as_bytes()),
+                    agent.generator.config_fingerprint(),
+                );
+                assert_eq!(agent.keyed_task(task), formula);
+            }
+        }
     }
 
     fn simple_planner(cmds: Vec<&str>) -> ScriptedPlanner {
@@ -1165,8 +1198,7 @@ mod tests {
         let task = "do some file work";
         let mut first = setup(PolicyMode::Conseca).with_engine(Arc::clone(&engine), "acme");
         first.run_task(task, simple_planner(vec!["ls /home/alice"]));
-        let mut reconfigured = setup(PolicyMode::Conseca);
-        reconfigured.generator = {
+        let generator = {
             let registry = conseca_shell::default_registry();
             PolicyGenerator::new(TemplatePolicyModel::new(), &registry).with_golden_examples(vec![
                 conseca_core::GoldenExample {
@@ -1175,7 +1207,8 @@ mod tests {
                 },
             ])
         };
-        let mut reconfigured = reconfigured.with_engine(Arc::clone(&engine), "acme");
+        let mut reconfigured =
+            setup_with(PolicyMode::Conseca, generator).with_engine(Arc::clone(&engine), "acme");
         let report = reconfigured.run_task(task, simple_planner(vec!["ls /home/alice"]));
         assert!(
             !report.generation.cache_hit,

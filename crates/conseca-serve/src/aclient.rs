@@ -116,8 +116,8 @@ use crate::client::{
 use crate::intern::KeyInterner;
 use crate::transport::{NbReader, NbWriter, Stream};
 use crate::wire::{
-    bind_key_frame, check_keyed_frame, unwrap_tagged, wrap_tagged, Request, Response,
-    DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION, TAG_TAGGED_OK,
+    bind_key_frame, check_keyed_frame, install_frame, unwrap_tagged, wrap_tagged, Frame, Request,
+    Response, WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION, TAG_TAGGED_OK,
 };
 
 /// In-flight requests awaiting their correlated responses.
@@ -400,11 +400,19 @@ impl AsyncClient {
         request: &Request,
         map: ResponseMap<T>,
     ) -> Result<Pending<T>, ClientError> {
+        self.submit_with(|cap| request.encode_limited(cap), map)
+    }
+
+    /// [`submit`](Self::submit) for a request frame that `build` encodes
+    /// under the frame cap it is given.
+    pub(crate) fn submit_with<T>(
+        &self,
+        build: impl FnOnce(u32) -> Result<Frame, WireError>,
+        map: ResponseMap<T>,
+    ) -> Result<Pending<T>, ClientError> {
         // The inner frame must leave room for the 9-byte envelope
         // header, so the wrapped frame respects the shared cap.
-        let inner = request
-            .encode_limited(self.link.max_frame_len.saturating_sub(9))
-            .map_err(ClientError::Wire)?;
+        let inner = build(self.link.max_frame_len.saturating_sub(9))?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let frame = wrap_tagged(id, &inner);
         let (tx, rx) = oneshot::channel();
@@ -519,15 +527,7 @@ impl AsyncClient {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<Pending<InstallReceipt>, ClientError> {
-        self.submit(
-            &Request::Install {
-                tenant: tenant.into(),
-                task: task.into(),
-                context: context.clone(),
-                policy: policy.clone(),
-            },
-            installed,
-        )
+        self.submit_with(|cap| install_frame(tenant, task, context, policy, cap), installed)
     }
 
     /// Pipelined [`Client::flush`](crate::Client::flush): drops all of

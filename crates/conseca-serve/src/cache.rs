@@ -56,7 +56,9 @@ use crate::client::{
     ClientError, InstallReceipt, ReloadReceipt, ResponseMap, RestoreReceipt, SnapshotReceipt,
 };
 use crate::transport::Stream;
-use crate::wire::{Request, Response, DEFAULT_MAX_FRAME_LEN};
+use crate::wire::{
+    fetch_policy_frame, install_frame, reload_frame, Request, Response, DEFAULT_MAX_FRAME_LEN,
+};
 
 /// The client-side policy cache: a private single-tenant [`Engine`]
 /// that push frames may only ever shrink.
@@ -376,13 +378,10 @@ impl CachedClient {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<InstallReceipt, ClientError> {
-        let request = Request::Install {
-            tenant: self.cache.tenant().into(),
-            task: task.into(),
-            context: context.clone(),
-            policy: policy.clone(),
-        };
-        self.call(&request, installed)
+        let tenant = self.cache.tenant();
+        self.core
+            .submit_with(|cap| install_frame(tenant, task, context, policy, cap), installed)?
+            .wait()
     }
 
     /// Retrieves the source policy installed server-side for (task,
@@ -396,12 +395,10 @@ impl CachedClient {
         task: &str,
         context: &TrustedContext,
     ) -> Result<Option<Policy>, ClientError> {
-        let request = Request::FetchPolicy {
-            tenant: self.cache.tenant().into(),
-            task: task.into(),
-            context: context.clone(),
-        };
-        self.call(&request, policy_ok)
+        let tenant = self.cache.tenant();
+        self.core
+            .submit_with(|cap| fetch_policy_frame(tenant, task, context, cap), policy_ok)?
+            .wait()
     }
 
     /// Revokes every snapshot carrying `fingerprint` server-side. By
@@ -429,13 +426,10 @@ impl CachedClient {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<ReloadReceipt, ClientError> {
-        let request = Request::Reload {
-            tenant: self.cache.tenant().into(),
-            task: task.into(),
-            context: context.clone(),
-            policy: policy.clone(),
-        };
-        self.call(&request, reloaded)
+        let tenant = self.cache.tenant();
+        self.core
+            .submit_with(|cap| reload_frame(tenant, task, context, policy, cap), reloaded)?
+            .wait()
     }
 
     /// Exports everything the tenant has installed server-side as a

@@ -20,8 +20,9 @@ use conseca_shell::ApiCall;
 use crate::intern::KeyInterner;
 use crate::transport::Stream;
 use crate::wire::{
-    append_frame, bind_key_frame, check_keyed_frame, read_frame, write_frame, FrameReadError,
-    FrameWriteError, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    append_frame, bind_key_frame, check_keyed_frame, fetch_policy_frame, install_frame, read_frame,
+    reload_frame, write_frame, Frame, FrameReadError, FrameWriteError, Request, Response,
+    WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// Why a client call failed.
@@ -260,10 +261,20 @@ impl Client {
     /// One request, answered on the caller's thread: no handoff, so a
     /// one-at-a-time caller pays only the wire.
     fn roundtrip<T>(&mut self, request: &Request, map: ResponseMap<T>) -> Result<T, ClientError> {
+        self.roundtrip_with(|cap| request.encode_limited(cap), map)
+    }
+
+    /// [`roundtrip`](Self::roundtrip) for a request frame that `build`
+    /// encodes under the frame cap it is given.
+    fn roundtrip_with<T>(
+        &mut self,
+        build: impl FnOnce(u32) -> Result<Frame, WireError>,
+        map: ResponseMap<T>,
+    ) -> Result<T, ClientError> {
         // The cap is enforced while encoding, so an oversized request is
         // a typed local error naming the field — not a server-side
         // rejection after the bytes crossed the wire.
-        let frame = request.encode_limited(self.max_frame_len).map_err(ClientError::Wire)?;
+        let frame = build(self.max_frame_len)?;
         write_frame(&mut self.conn, &frame, self.max_frame_len)?;
         map(self.read_response()?)
     }
@@ -357,13 +368,7 @@ impl Client {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<InstallReceipt, ClientError> {
-        let request = Request::Install {
-            tenant: tenant.into(),
-            task: task.into(),
-            context: context.clone(),
-            policy: policy.clone(),
-        };
-        self.roundtrip(&request, installed)
+        self.roundtrip_with(|cap| install_frame(tenant, task, context, policy, cap), installed)
     }
 
     /// Retrieves the source policy installed for (tenant, task, context),
@@ -378,12 +383,7 @@ impl Client {
         task: &str,
         context: &TrustedContext,
     ) -> Result<Option<Policy>, ClientError> {
-        let request = Request::FetchPolicy {
-            tenant: tenant.into(),
-            task: task.into(),
-            context: context.clone(),
-        };
-        self.roundtrip(&request, policy_ok)
+        self.roundtrip_with(|cap| fetch_policy_frame(tenant, task, context, cap), policy_ok)
     }
 
     /// Revokes every snapshot `tenant` has installed whose source policy
@@ -416,13 +416,7 @@ impl Client {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<ReloadReceipt, ClientError> {
-        let request = Request::Reload {
-            tenant: tenant.into(),
-            task: task.into(),
-            context: context.clone(),
-            policy: policy.clone(),
-        };
-        self.roundtrip(&request, reloaded)
+        self.roundtrip_with(|cap| reload_frame(tenant, task, context, policy, cap), reloaded)
     }
 
     /// Asks the server to export everything `tenant` has installed as a

@@ -9,17 +9,19 @@
 //!   ┌──────────────────────────────────────────────────────────────────┐
 //!   │ accept task ──────────► per-connection task (owns the socket     │
 //!   │ (non-blocking listener,   both ways); each turn: one buffered    │
-//!   │  shutdown = one notify)   read → decode; ANSWERS CHECKS ITSELF   │
-//!   │                           (a same-key run as one group), and     │
+//!   │  shutdown = one notify)   read → decode; ANSWERS CHECKS AND      │
+//!   │                           READS ITSELF (a same-key check run as  │
+//!   │                           one group; FetchPolicy, Stats), and    │
 //!   │                           handshake, envelope, framing and       │
 //!   │                           subscription traffic; writes every     │
 //!   │                           answer it can, in request order, in    │
-//!   │                           one write; parks                       │
+//!   │                           one write; polls, then parks           │
 //!   └──────────────────────────────│──────────────────────────▲────────┘
-//!                                  │ mutations, admin         │ oneshot replies;
-//!                                  ▼ requests, queued checks  │ pushes, written
-//!                         mpsc job queue (shared)             │ ahead of answers
-//!                                  │                          │ still owed
+//!                                  │ mutations, Snapshot,     │ oneshot replies;
+//!                                  ▼ Shutdown; checks and     │ pushes, written
+//!                                    reads queued behind one  │ ahead of answers
+//!                         mpsc job queue (shared)             │ still owed
+//!                                  │                          │
 //!                                  ▼                          │
 //!              dispatcher, a thread of its own:               │
 //!              one job at a time; may block on push acks ─────┘
@@ -30,19 +32,29 @@
 //! each and zero threads. A check's bytes are read, judged and answered
 //! on the loop thread that saw them arrive, with no handoff to another
 //! thread. Nothing on the loop blocks; the dispatcher, which can wait
-//! on a subscriber's push ack, runs on a thread of its own.
+//! on a subscriber's push ack, runs on a thread of its own. An
+//! in-process duplex request does cross from the client's thread, but
+//! the loop polls before it parks after such a turn, and a blocking
+//! duplex reader polls its pipe before it parks (see
+//! [`futures::spin_budget`]), so while both threads are busy a round
+//! trip costs no thread wake.
 //!
 //! Checks — the per-action hot path — skip the dispatcher whenever the
 //! connection has nothing queued there: its task evaluates them on the
 //! spot and writes the answer itself, with no queue hop, no oneshot and
 //! no task wake, and a mutation wedged on the dispatcher cannot stall
-//! them. A connection keeps the answers it owes in request order; while
-//! a dispatcher reply heads them, its checks queue behind it, so effects
-//! keep arrival order. Only the connection task coalesces: it answers a
-//! check together with the same-key checks buffered behind it, as one
-//! group with one store lookup and one tenant-stats resolution (visible
-//! in [`ServeMetrics::coalesced_checks`]). The dispatcher answers a
-//! queued check through the same function, as a group of one. The engine
+//! them. The reads `FetchPolicy` (a store lookup and a clone of the
+//! source policy) and `Stats` (atomics under the tenants read lock)
+//! follow the same rule. A connection keeps the answers it owes in
+//! request order; while a dispatcher reply heads them, its checks and
+//! reads queue behind it, so effects keep arrival order and a read
+//! never overtakes its own connection's mutation. The dispatcher takes
+//! only mutations, `Snapshot`, `Shutdown` and such queued work. Only
+//! the connection task coalesces: it answers a check together with the
+//! same-key checks buffered behind it, as one group with one store
+//! lookup and one tenant-stats resolution (visible in
+//! [`ServeMetrics::coalesced_checks`]). The dispatcher answers a queued
+//! check through the same function, as a group of one. The engine
 //! itself is untouched — every verdict is produced by the same session
 //! check the in-process path uses ([`Resolved::check`](conseca_engine::Resolved::check)),
 //! which is what keeps served decisions byte-identical.
@@ -958,6 +970,17 @@ impl<S: Stream> Connection<S> {
                 }
                 self.dispatch(id, Work::Check(check))?;
             }
+            // Reads are answered here under the rule checks follow: a
+            // lookup and a clone, or atomics under the tenants read lock.
+            Work::Other(request @ (Request::FetchPolicy { .. } | Request::Stats { .. })) => {
+                self.settle(cx)?;
+                if !self.owed.is_empty() {
+                    return self.dispatch(id, Work::Other(request)).map(|()| None);
+                }
+                self.state.metrics.requests.fetch_add(1, Ordering::Relaxed);
+                let response = execute(&self.state, &request);
+                self.answer(id, response)?;
+            }
             work => self.dispatch(id, work)?,
         }
         Ok(None)
@@ -1261,7 +1284,8 @@ fn persistence_error(what: &str, e: JournalError) -> Response {
     Response::Error { code: code::PERSISTENCE, message: format!("{what}: {e}") }
 }
 
-/// Executes one mutating or admin request on the dispatcher.
+/// Executes one mutating or admin request on the dispatcher, or a read
+/// (`FetchPolicy`, `Stats`) on whichever side answers it.
 fn execute(state: &ServerState, request: &Request) -> Response {
     let engine = &state.engine;
     match request {

@@ -39,6 +39,7 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{ready, Context, Poll};
+use std::time::Instant;
 
 use futures::reactor::{Reactor, Registration};
 
@@ -101,11 +102,20 @@ struct Pipe {
     /// condvar. Flipped by [`DuplexStream::register`] on the reading
     /// end's inbound pipe only, so the peer keeps blocking semantics.
     nonblocking: AtomicBool,
+    /// Set while a read would not park: bytes are buffered or the pipe
+    /// is closed. Written under the state lock; a blocking reader polls
+    /// it without the lock before it parks, then takes the lock, which
+    /// decides. It publishes nothing, so a stale read costs at most one
+    /// budget of spinning.
+    ready: AtomicBool,
 }
 
 struct PipeState {
     buf: VecDeque<u8>,
     closed: bool,
+    /// Readers parked on `readable`: a write or close notifies the
+    /// condvar only when there is one, sparing the futex call.
+    parked: usize,
     /// Reactor registration of the end that reads this pipe; notified
     /// on every write and close so a parked async reader wakes.
     watcher: Option<Registration>,
@@ -114,9 +124,15 @@ struct PipeState {
 impl Pipe {
     fn new() -> Arc<Self> {
         Arc::new(Pipe {
-            state: Mutex::new(PipeState { buf: VecDeque::new(), closed: false, watcher: None }),
+            state: Mutex::new(PipeState {
+                buf: VecDeque::new(),
+                closed: false,
+                parked: 0,
+                watcher: None,
+            }),
             readable: Condvar::new(),
             nonblocking: AtomicBool::new(false),
+            ready: AtomicBool::new(false),
         })
     }
 
@@ -125,31 +141,35 @@ impl Pipe {
     }
 
     fn close(&self) {
-        let watcher = {
-            let mut state = self.lock();
-            state.closed = true;
-            state.watcher.clone()
-        };
-        self.readable.notify_all();
-        if let Some(watcher) = watcher {
-            watcher.notify_readable();
-        }
+        let mut state = self.lock();
+        state.closed = true;
+        self.wake_readers(state);
     }
 
     fn write(&self, data: &[u8]) -> io::Result<usize> {
-        let watcher = {
-            let mut state = self.lock();
-            if state.closed {
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "duplex peer closed"));
-            }
-            state.buf.extend(data);
-            state.watcher.clone()
-        };
-        self.readable.notify_all();
+        let mut state = self.lock();
+        if state.closed {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "duplex peer closed"));
+        }
+        state.buf.extend(data);
+        self.wake_readers(state);
+        Ok(data.len())
+    }
+
+    /// After a write or close: marks the pipe ready, then, with the lock
+    /// released, wakes the readers parked on the condvar, if any, and
+    /// the async reader's registration.
+    fn wake_readers(&self, state: MutexGuard<'_, PipeState>) {
+        self.ready.store(true, Ordering::Relaxed);
+        let parked = state.parked > 0;
+        let watcher = state.watcher.clone();
+        drop(state);
+        if parked {
+            self.readable.notify_all();
+        }
         if let Some(watcher) = watcher {
             watcher.notify_readable();
         }
-        Ok(data.len())
     }
 
     fn read(&self, out: &mut [u8]) -> io::Result<usize> {
@@ -157,6 +177,7 @@ impl Pipe {
             return Ok(0);
         }
         let mut state = self.lock();
+        let mut polled = false;
         loop {
             if !state.buf.is_empty() {
                 // Bulk copy from both halves of the ring: one read takes
@@ -167,6 +188,9 @@ impl Pipe {
                 out[..from_front].copy_from_slice(&front[..from_front]);
                 out[from_front..n].copy_from_slice(&back[..n - from_front]);
                 state.buf.drain(..n);
+                if state.buf.is_empty() && !state.closed {
+                    self.ready.store(false, Ordering::Relaxed);
+                }
                 return Ok(n);
             }
             if state.closed {
@@ -175,7 +199,33 @@ impl Pipe {
             if self.nonblocking.load(Ordering::Relaxed) {
                 return Err(io::ErrorKind::WouldBlock.into());
             }
+            // Poll before parking, once per read: a peer that is busy
+            // answering usually writes within the budget, and a reader
+            // that catches it spinning costs the writer no thread wake.
+            if !std::mem::replace(&mut polled, true) {
+                drop(state);
+                self.poll_ready();
+                state = self.lock();
+                continue;
+            }
+            state.parked += 1;
             state = self.readable.wait(state).unwrap_or_else(|e| e.into_inner());
+            state.parked -= 1;
+        }
+    }
+
+    /// Polls, without the lock, for up to the spin budget or until the
+    /// pipe turns ready. Each poll yields the CPU, so a writer that the
+    /// scheduler put on this reader's CPU runs instead of waiting out
+    /// the budget.
+    fn poll_ready(&self) {
+        let budget = futures::spin_budget();
+        if budget.is_zero() {
+            return;
+        }
+        let until = Instant::now() + budget;
+        while !self.ready.load(Ordering::Relaxed) && Instant::now() < until {
+            std::thread::yield_now();
         }
     }
 }

@@ -532,9 +532,52 @@ fn put_check_keyed(w: &mut Writer, slot: u32, calls: &[ApiCall]) -> Result<(), W
     Ok(())
 }
 
-/// The frame [`Request::BindKey`] encodes to, built from borrowed parts
-/// under the frame cap `max_frame_len` — so a client binds a key without
-/// first cloning its context into a request.
+fn put_fetch_policy(
+    w: &mut Writer,
+    tenant: &str,
+    task: &str,
+    context: &TrustedContext,
+) -> Result<(), WireError> {
+    w.str_(tenant, "fetch.tenant")?;
+    w.str_(task, "fetch.task")?;
+    codec::put_context(w, context)
+}
+
+/// An `Install` or `Reload` body; `what` names the fields in errors.
+fn put_policy_load(
+    w: &mut Writer,
+    what: [&'static str; 2],
+    tenant: &str,
+    task: &str,
+    context: &TrustedContext,
+    policy: &Policy,
+) -> Result<(), WireError> {
+    w.str_(tenant, what[0])?;
+    w.str_(task, what[1])?;
+    codec::put_context(w, context)?;
+    codec::put_policy(w, policy)
+}
+
+const INSTALL_FIELDS: [&str; 2] = ["install.tenant", "install.task"];
+const RELOAD_FIELDS: [&str; 2] = ["reload.tenant", "reload.task"];
+
+/// A request frame whose payload `put` writes under the frame cap
+/// `max_frame_len` (tag byte included).
+fn request_frame(
+    tag: u8,
+    max_frame_len: u32,
+    put: impl FnOnce(&mut Writer) -> Result<(), WireError>,
+) -> Result<Frame, WireError> {
+    let mut w = Writer::with_limit((max_frame_len as u64).saturating_sub(1));
+    put(&mut w)?;
+    Ok(Frame { tag, payload: w.finish() })
+}
+
+// The borrowed builders below produce exactly the frame the matching
+// `Request` encodes to, so a client sends a key, context or policy it
+// only borrows without first cloning it into a request.
+
+/// The frame [`Request::BindKey`] encodes to.
 pub(crate) fn bind_key_frame(
     slot: u32,
     tenant: &str,
@@ -542,21 +585,52 @@ pub(crate) fn bind_key_frame(
     context: &TrustedContext,
     max_frame_len: u32,
 ) -> Result<Frame, WireError> {
-    let mut w = Writer::with_limit((max_frame_len as u64).saturating_sub(1));
-    put_bind_key(&mut w, slot, tenant, task, context)?;
-    Ok(Frame { tag: TAG_BIND_KEY, payload: w.finish() })
+    request_frame(TAG_BIND_KEY, max_frame_len, |w| put_bind_key(w, slot, tenant, task, context))
 }
 
-/// The frame [`Request::CheckKeyed`] encodes to, built from borrowed
-/// calls under the frame cap `max_frame_len`.
+/// The frame [`Request::CheckKeyed`] encodes to.
 pub(crate) fn check_keyed_frame(
     slot: u32,
     calls: &[ApiCall],
     max_frame_len: u32,
 ) -> Result<Frame, WireError> {
-    let mut w = Writer::with_limit((max_frame_len as u64).saturating_sub(1));
-    put_check_keyed(&mut w, slot, calls)?;
-    Ok(Frame { tag: TAG_CHECK_KEYED, payload: w.finish() })
+    request_frame(TAG_CHECK_KEYED, max_frame_len, |w| put_check_keyed(w, slot, calls))
+}
+
+/// The frame [`Request::FetchPolicy`] encodes to.
+pub(crate) fn fetch_policy_frame(
+    tenant: &str,
+    task: &str,
+    context: &TrustedContext,
+    max_frame_len: u32,
+) -> Result<Frame, WireError> {
+    request_frame(TAG_FETCH_POLICY, max_frame_len, |w| put_fetch_policy(w, tenant, task, context))
+}
+
+/// The frame [`Request::Install`] encodes to.
+pub(crate) fn install_frame(
+    tenant: &str,
+    task: &str,
+    context: &TrustedContext,
+    policy: &Policy,
+    max_frame_len: u32,
+) -> Result<Frame, WireError> {
+    request_frame(TAG_INSTALL, max_frame_len, |w| {
+        put_policy_load(w, INSTALL_FIELDS, tenant, task, context, policy)
+    })
+}
+
+/// The frame [`Request::Reload`] encodes to.
+pub(crate) fn reload_frame(
+    tenant: &str,
+    task: &str,
+    context: &TrustedContext,
+    policy: &Policy,
+    max_frame_len: u32,
+) -> Result<Frame, WireError> {
+    request_frame(TAG_RELOAD, max_frame_len, |w| {
+        put_policy_load(w, RELOAD_FIELDS, tenant, task, context, policy)
+    })
 }
 
 // --------------------------------------------------------------- messages
@@ -884,16 +958,11 @@ impl Request {
                 TAG_CHECK_BATCH
             }
             Request::Install { tenant, task, context, policy } => {
-                w.str_(tenant, "install.tenant")?;
-                w.str_(task, "install.task")?;
-                codec::put_context(&mut w, context)?;
-                codec::put_policy(&mut w, policy)?;
+                put_policy_load(&mut w, INSTALL_FIELDS, tenant, task, context, policy)?;
                 TAG_INSTALL
             }
             Request::FetchPolicy { tenant, task, context } => {
-                w.str_(tenant, "fetch.tenant")?;
-                w.str_(task, "fetch.task")?;
-                codec::put_context(&mut w, context)?;
+                put_fetch_policy(&mut w, tenant, task, context)?;
                 TAG_FETCH_POLICY
             }
             Request::Flush { tenant } => {
@@ -911,10 +980,7 @@ impl Request {
                 TAG_REVOKE
             }
             Request::Reload { tenant, task, context, policy } => {
-                w.str_(tenant, "reload.tenant")?;
-                w.str_(task, "reload.task")?;
-                codec::put_context(&mut w, context)?;
-                codec::put_policy(&mut w, policy)?;
+                put_policy_load(&mut w, RELOAD_FIELDS, tenant, task, context, policy)?;
                 TAG_RELOAD
             }
             Request::Snapshot { tenant } => {
@@ -1456,6 +1522,35 @@ mod tests {
         let check = check_keyed_frame(5, &calls, DEFAULT_MAX_FRAME_LEN).unwrap();
         assert_eq!(check, Request::CheckKeyed { slot: 5, calls }.encode());
         assert!(check_keyed_frame(5, &[], 4).is_err(), "the cap holds while encoding");
+    }
+
+    #[test]
+    fn borrowed_fetch_and_load_frames_equal_the_request_encodings() {
+        let (context, policy) = (sample_context(), sample_policy());
+        let (tenant, task) = (String::from("acme"), String::from("t"));
+        let fetch = Request::FetchPolicy {
+            tenant: tenant.clone(),
+            task: task.clone(),
+            context: context.clone(),
+        };
+        let install = Request::Install {
+            tenant: tenant.clone(),
+            task: task.clone(),
+            context: context.clone(),
+            policy: policy.clone(),
+        };
+        let reload =
+            Request::Reload { tenant, task, context: context.clone(), policy: policy.clone() };
+        // Byte-identical under the default cap, and refused with the
+        // same typed error (naming the same field) under small ones.
+        let agree = |request: Request, build: &dyn Fn(u32) -> Result<Frame, WireError>| {
+            for cap in [DEFAULT_MAX_FRAME_LEN, 40, 8, 1] {
+                assert_eq!(build(cap), request.encode_limited(cap), "{request:?} at cap {cap}");
+            }
+        };
+        agree(fetch, &|cap| fetch_policy_frame("acme", "t", &context, cap));
+        agree(install, &|cap| install_frame("acme", "t", &context, &policy, cap));
+        agree(reload, &|cap| reload_frame("acme", "t", &context, &policy, cap));
     }
 
     #[test]

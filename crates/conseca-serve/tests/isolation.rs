@@ -86,6 +86,74 @@ fn a_wedged_revoke_on_one_tenant_does_not_stall_another_tenants_checks() {
 }
 
 #[test]
+fn a_wedged_revoke_on_one_tenant_does_not_stall_another_tenants_fetches_or_stats() {
+    // Reads are answered on the connection task, not queued behind the
+    // dispatcher's wedged revoke; before that they waited out the ack
+    // timeout.
+    let config =
+        ServeConfig { push_ack_timeout: Duration::from_millis(1500), ..ServeConfig::default() };
+    let server = Server::start(Arc::new(Engine::default()), config);
+    let context = ctx();
+    let mut admin = server.connect().unwrap();
+    admin.install("tenant-a", "t", &context, &policy()).unwrap();
+    admin.install("tenant-b", "t", &context, &policy()).unwrap();
+    let mut wedged = server.connect_stream().unwrap();
+    subscribe(&mut wedged, "tenant-a");
+    let mut fetcher = server.connect().unwrap();
+    let mut reader = server.connect().unwrap();
+
+    // One connection pipelines a revoke that wedges, an install queued
+    // behind it, and a fetch of what that install installs: were the
+    // fetch to overtake its own connection's mutations, it would find
+    // nothing.
+    let mut raw = server.connect_stream().unwrap();
+    send(&mut raw, Request::Hello { version: conseca_serve::PROTOCOL_VERSION });
+    assert!(matches!(recv(&mut raw), Response::HelloOk { .. }));
+    let start = Instant::now();
+    let (tenant, task) = (String::from("tenant-c"), String::from("t"));
+    for request in [
+        Request::Revoke { tenant: "tenant-a".into(), fingerprint: policy().fingerprint() },
+        Request::Install {
+            tenant: tenant.clone(),
+            task: task.clone(),
+            context: context.clone(),
+            policy: policy(),
+        },
+        Request::FetchPolicy { tenant, task, context: context.clone() },
+    ] {
+        send(&mut raw, request);
+    }
+    // The push reaching the subscriber means the revoke is now waiting
+    // for an ack that never comes.
+    let push = read_frame(&mut wedged, 1 << 20).unwrap().expect("the revoke's push");
+    assert!(matches!(Response::decode(&push).unwrap(), Response::PushRevoke { .. }));
+    for _ in 0..10 {
+        let started = Instant::now();
+        let fetched = fetcher.fetch_policy("tenant-b", "t", &context).unwrap();
+        let took = started.elapsed();
+        assert_eq!(fetched, Some(policy()));
+        assert!(took < Duration::from_millis(100), "tenant B's fetch took {took:?}");
+        let started = Instant::now();
+        let stats = reader.stats("tenant-b").unwrap();
+        let took = started.elapsed();
+        assert!(stats.hits > 0);
+        assert!(took < Duration::from_millis(100), "tenant B's stats took {took:?}");
+    }
+    assert!(start.elapsed() < Duration::from_millis(1500), "the reads must overlap the wedge");
+
+    assert!(matches!(recv(&mut raw), Response::Revoked { removed: 1 }));
+    assert!(start.elapsed() >= Duration::from_millis(1500), "the revoke was wedged");
+    assert!(matches!(recv(&mut raw), Response::Installed { .. }));
+    assert_eq!(
+        recv(&mut raw),
+        Response::PolicyOk { policy: Some(policy()) },
+        "the fetch ran after its connection's install"
+    );
+    assert!(read_frame(&mut wedged, 1 << 20).unwrap().is_none(), "the subscriber was closed");
+    server.shutdown();
+}
+
+#[test]
 fn a_subscribed_connection_pipelines_a_check_behind_its_own_revoke() {
     // The check is queued behind the revoke, and the revoke waits for
     // this very connection's push ack: the connection must keep reading
