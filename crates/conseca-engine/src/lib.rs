@@ -122,9 +122,7 @@ pub use persist::{
     decode_snapshot, Snapshot, SnapshotEntry, SnapshotError, TenantSnapshot, WarmStartReport,
     SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use recovery::{
-    ledger_path, recover, tenant_log_path, RecoverOptions, Recovery, RecoveryReport,
-};
+pub use recovery::{ledger_path, recover, tenant_log_path, Recovery, RecoveryReport};
 pub use reload::{ReloadCoordinator, SweepReport};
 pub use snaplog::{
     decode_snapshot_log, merge_segments, segments_tenant, LogSegment, SnapshotLog,

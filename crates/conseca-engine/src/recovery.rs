@@ -33,13 +33,6 @@ pub fn ledger_path(data_dir: &Path) -> PathBuf {
     data_dir.join("ledger.csj")
 }
 
-/// Tuning for [`recover`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecoverOptions {
-    /// Passed through to [`RevocationJournal::open`].
-    pub journal: JournalOptions,
-}
-
 /// What [`recover`] found and did.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
@@ -86,7 +79,8 @@ pub struct Recovery {
 /// re-compiling from verified source. A snapshot log that fails
 /// verification is renamed aside with a `.corrupt` suffix and its
 /// tenant starts cold: a policy that cannot be verified is regenerated,
-/// never loaded.
+/// never loaded. `journal` tunes the ledger as
+/// [`RevocationJournal::open`] does.
 ///
 /// # Errors
 ///
@@ -95,11 +89,10 @@ pub struct Recovery {
 pub fn recover(
     engine: &Engine,
     data_dir: &Path,
-    options: RecoverOptions,
+    journal: JournalOptions,
 ) -> Result<Recovery, JournalError> {
     std::fs::create_dir_all(data_dir)?;
-    let (journal, journal_report) =
-        RevocationJournal::open(ledger_path(data_dir), options.journal)?;
+    let (journal, journal_report) = RevocationJournal::open(ledger_path(data_dir), journal)?;
     let journal = Arc::new(journal);
     engine.attach_journal(Arc::clone(&journal))?;
     let mut report = RecoveryReport { journal: journal_report, ..Default::default() };

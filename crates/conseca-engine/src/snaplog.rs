@@ -289,7 +289,7 @@ mod tests {
     use crate::engine::Engine;
     use crate::journal::{JournalOptions, RevocationJournal};
     use crate::record::{checksum, HEADER_LEN};
-    use crate::recovery::{ledger_path, recover, tenant_log_path, RecoverOptions};
+    use crate::recovery::{ledger_path, recover, tenant_log_path};
     use conseca_core::{Policy, PolicyEntry, TrustedContext};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -456,7 +456,7 @@ mod tests {
         let fp_triage = install(&engine, "acme", "triage", "mail.read");
         let fp_summarise = install(&engine, "acme", "summarise", "docs.read");
         engine.revoke_fingerprint("acme", 0xdead).unwrap();
-        let booted = recover(&engine, &dir, RecoverOptions::default()).unwrap();
+        let booted = recover(&engine, &dir, JournalOptions::default()).unwrap();
         assert!(
             booted.journal.revoked_snapshot("acme").unwrap().contains(&0xdead),
             "in-memory revokes carry over"
@@ -471,7 +471,7 @@ mod tests {
 
         // Crash. Restart from disk alone.
         let fresh = Engine::default();
-        let recovery = recover(&fresh, &dir, RecoverOptions::default()).unwrap();
+        let recovery = recover(&fresh, &dir, JournalOptions::default()).unwrap();
         assert_eq!(recovery.report.journal.revoked, 2);
         assert_eq!(recovery.report.corrupt_logs, 0);
         assert_eq!(recovery.report.installed(), 1, "only the unrevoked policy restores");
@@ -501,7 +501,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let fresh = Engine::default();
-        let recovery = recover(&fresh, &dir, RecoverOptions::default()).unwrap();
+        let recovery = recover(&fresh, &dir, JournalOptions::default()).unwrap();
         assert_eq!(recovery.report.corrupt_logs, 1);
         assert!(recovery.report.tenants.is_empty(), "nothing unverifiable may load");
         assert!(!path.exists(), "the corrupt log must be set aside");
@@ -523,7 +523,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let fresh = Engine::default();
         assert!(
-            recover(&fresh, &dir, RecoverOptions::default()).is_err(),
+            recover(&fresh, &dir, JournalOptions::default()).is_err(),
             "recovery must refuse to run against unverifiable revocation state"
         );
     }
@@ -540,7 +540,7 @@ mod tests {
         std::fs::write(ledger_path(&dir), b"").unwrap();
         std::fs::write(&log, b"").unwrap();
         let engine = Engine::default();
-        let recovery = recover(&engine, &dir, RecoverOptions::default()).unwrap();
+        let recovery = recover(&engine, &dir, JournalOptions::default()).unwrap();
         assert_eq!(recovery.report.journal.revoked, 0);
         assert!(recovery.report.journal.repaired_torn_tail);
         assert_eq!(recovery.report.corrupt_logs, 0, "an empty log is not set aside");
@@ -551,7 +551,7 @@ mod tests {
         assert!(segments.is_empty());
         opened.append_flush().unwrap();
         drop((recovery, opened, engine));
-        let recovery = recover(&Engine::default(), &dir, RecoverOptions::default()).unwrap();
+        let recovery = recover(&Engine::default(), &dir, JournalOptions::default()).unwrap();
         assert_eq!(recovery.report.journal.revoked, 1);
         assert!(!recovery.report.journal.repaired_torn_tail);
         assert_eq!(recovery.report.corrupt_logs, 0);

@@ -113,11 +113,11 @@ use crate::client::{
     flushed, hello_ok, installed, stats_ok, verdict_batch, verdict_one, ClientError,
     InstallReceipt, ResponseMap, ServerStats,
 };
-use crate::intern::KeyInterner;
+use crate::intern::{KeyInterner, KeyParts};
 use crate::transport::{NbReader, NbWriter, Stream};
 use crate::wire::{
-    bind_key_frame, check_keyed_frame, install_frame, unwrap_tagged, wrap_tagged, Frame, Request,
-    Response, WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION, TAG_TAGGED_OK,
+    check_keyed_frame, install_frame, read_frame, unwrap_tagged, wrap_tagged, write_frame, Frame,
+    Request, Response, WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION, TAG_TAGGED_OK,
 };
 
 /// In-flight requests awaiting their correlated responses.
@@ -335,10 +335,19 @@ impl AsyncClient {
         max_frame_len: u32,
         cache: Option<Arc<LocalPolicyCache>>,
     ) -> Result<AsyncClient, ClientError> {
+        // Handshake bare and blocking, before the stream is registered:
+        // the very first response frame on a connection is the HelloOk
+        // (or a typed refusal), and `read_frame` reads no further.
+        let mut stream = stream;
+        let hello = Request::Hello { version: PROTOCOL_VERSION }.encode_limited(max_frame_len)?;
+        write_frame(&mut stream, &hello, max_frame_len)?;
+        let frame = read_frame(&mut stream, max_frame_len)?.ok_or(ClientError::Closed)?;
+        hello_ok(Response::decode(&frame)?)?;
+
         let reg = stream.register()?;
         let write_half: Box<dyn Stream> = Box::new(stream.try_split()?);
         let close_half = stream.try_split()?;
-        let mut reader = NbReader::new(Box::new(stream) as Box<dyn Stream>, reg.clone());
+        let reader = NbReader::new(Box::new(stream) as Box<dyn Stream>, reg.clone());
         let link = Arc::new(Link {
             out: Mutex::new(Outbound {
                 writer: NbWriter::new(write_half, reg),
@@ -347,19 +356,6 @@ impl AsyncClient {
             ack_owed: AtomicU64::new(0),
             max_frame_len,
         });
-
-        // Handshake bare, before the demux task exists: the very first
-        // response frame on a connection is the HelloOk (or a typed
-        // refusal), so reading it inline is unambiguous.
-        let hello = Request::Hello { version: PROTOCOL_VERSION }
-            .encode_limited(max_frame_len)
-            .map_err(ClientError::Wire)?;
-        let (queued, written) = link.send(|out| out.writer.queue_frame(&hello, max_frame_len));
-        queued?;
-        written?;
-        let frame =
-            futures::block_on(reader.read_frame(max_frame_len))?.ok_or(ClientError::Closed)?;
-        hello_ok(Response::decode(&frame)?)?;
 
         let pending = PendingMap::new();
         let demux = Reactor::global().spawn(demux_task(
@@ -400,28 +396,46 @@ impl AsyncClient {
         request: &Request,
         map: ResponseMap<T>,
     ) -> Result<Pending<T>, ClientError> {
-        self.submit_with(|cap| request.encode_limited(cap), map)
+        self.submit_with(None, |_, cap| request.encode_limited(cap), map)
     }
 
-    /// [`submit`](Self::submit) for a request frame that `build` encodes
-    /// under the frame cap it is given.
+    /// Submits the request `build(slot, cap)` encodes under the frame
+    /// cap, for the slot of `key` when the request names a policy key.
+    /// A key new to the connection is bound in the same write, its
+    /// `BindKey` ahead of the request.
     pub(crate) fn submit_with<T>(
         &self,
-        build: impl FnOnce(u32) -> Result<Frame, WireError>,
+        key: Option<KeyParts<'_>>,
+        build: impl FnOnce(u32, u32) -> Result<Frame, WireError>,
         map: ResponseMap<T>,
     ) -> Result<Pending<T>, ClientError> {
-        // The inner frame must leave room for the 9-byte envelope
-        // header, so the wrapped frame respects the shared cap.
-        let inner = build(self.link.max_frame_len.saturating_sub(9))?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = wrap_tagged(id, &inner);
+        let max = self.link.max_frame_len;
+        // The inner frames must leave room for the 9-byte envelope
+        // header, so the wrapped frames respect the shared cap.
+        let cap = max.saturating_sub(9);
         let (tx, rx) = oneshot::channel();
-        // Registered before the bytes leave: a response can never race
-        // an absent slot.
-        self.pending.insert(id, tx)?;
-        let (queued, written) =
-            self.link.send(|out| out.writer.queue_frame(&frame, self.link.max_frame_len));
-        if queued.is_err() || written.is_err() {
+        let (queued, written) = self.link.send(|out| {
+            let (slot, bind) = out.keys.bind(key, cap)?;
+            let request = build(slot, cap)?;
+            // The bind gets an id but no slot in the pending map: its
+            // `KeyBound` is dropped on arrival, and a bare error can only
+            // ever be pinned on the request.
+            let bind =
+                bind.map(|bind| wrap_tagged(self.next_id.fetch_add(1, Ordering::Relaxed), &bind));
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            // Registered before the bytes leave: a response can never
+            // race an absent slot.
+            self.pending.insert(id, tx)?;
+            let queued = bind
+                .iter()
+                .chain([&wrap_tagged(id, &request)])
+                .try_for_each(|frame| out.writer.queue_frame(frame, max));
+            if bind.is_some() {
+                out.keys.set_bound(slot, true);
+            }
+            Ok::<_, ClientError>(queued.is_ok())
+        });
+        if !queued? || written.is_err() {
             // A failed write can leave part of a frame on the wire, so
             // the stream is unusable: close it. The demux task exits on
             // the close (flushing a cache first) and this request
@@ -446,7 +460,8 @@ impl AsyncClient {
         context: &TrustedContext,
         call: &ApiCall,
     ) -> Result<Pending<Option<Decision>>, ClientError> {
-        self.submit_keyed(tenant, task, context, std::slice::from_ref(call), verdict_one)
+        let (key, calls) = (Some((tenant, task, context)), std::slice::from_ref(call));
+        self.submit_with(key, |slot, cap| check_keyed_frame(slot, calls, cap), verdict_one)
     }
 
     /// Pipelined [`Client::check_all`](crate::Client::check_all):
@@ -463,49 +478,8 @@ impl AsyncClient {
         context: &TrustedContext,
         calls: &[ApiCall],
     ) -> Result<Pending<Option<Vec<Decision>>>, ClientError> {
-        self.submit_keyed(tenant, task, context, calls, verdict_batch)
-    }
-
-    /// Submits a `CheckKeyed` for `calls` under the key's slot, preceded
-    /// in the same write by the slot's `BindKey` when the key is new.
-    fn submit_keyed<T>(
-        &self,
-        tenant: &str,
-        task: &str,
-        context: &TrustedContext,
-        calls: &[ApiCall],
-        map: ResponseMap<T>,
-    ) -> Result<Pending<T>, ClientError> {
-        let max = self.link.max_frame_len;
-        let cap = max.saturating_sub(9);
-        let (tx, rx) = oneshot::channel();
-        let (queued, written) = self.link.send(|out| {
-            let (slot, unbound) = out.keys.slot(tenant, task, context);
-            let bind = match unbound {
-                true => Some(bind_key_frame(slot, tenant, task, context, cap)?),
-                false => None,
-            };
-            let check = check_keyed_frame(slot, calls, cap)?;
-            // The bind gets an id but no slot in the pending map: its
-            // `KeyBound` is dropped on arrival, and a bare error can only
-            // ever be pinned on the check.
-            let bind =
-                bind.map(|bind| wrap_tagged(self.next_id.fetch_add(1, Ordering::Relaxed), &bind));
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            self.pending.insert(id, tx)?;
-            let queued = bind
-                .iter()
-                .chain([&wrap_tagged(id, &check)])
-                .try_for_each(|frame| out.writer.queue_frame(frame, max));
-            out.keys.set_bound(slot, true);
-            Ok::<_, ClientError>(queued.is_ok())
-        });
-        if !queued? || written.is_err() {
-            // As in `submit`: the stream is unusable, so close it and
-            // let this request resolve as `Closed`.
-            (self.closer)();
-        }
-        Ok(Pending { rx, map })
+        let key = Some((tenant, task, context));
+        self.submit_with(key, |slot, cap| check_keyed_frame(slot, calls, cap), verdict_batch)
     }
 
     /// The engine key for (tenant, task, context), through this
@@ -527,7 +501,8 @@ impl AsyncClient {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<Pending<InstallReceipt>, ClientError> {
-        self.submit_with(|cap| install_frame(tenant, task, context, policy, cap), installed)
+        let build = |_, cap| install_frame(tenant, task, context, policy, cap);
+        self.submit_with(None, build, installed)
     }
 
     /// Pipelined [`Client::flush`](crate::Client::flush): drops all of

@@ -379,9 +379,8 @@ impl CachedClient {
         policy: &Policy,
     ) -> Result<InstallReceipt, ClientError> {
         let tenant = self.cache.tenant();
-        self.core
-            .submit_with(|cap| install_frame(tenant, task, context, policy, cap), installed)?
-            .wait()
+        let build = |_, cap| install_frame(tenant, task, context, policy, cap);
+        self.core.submit_with(None, build, installed)?.wait()
     }
 
     /// Retrieves the source policy installed server-side for (task,
@@ -396,9 +395,8 @@ impl CachedClient {
         context: &TrustedContext,
     ) -> Result<Option<Policy>, ClientError> {
         let tenant = self.cache.tenant();
-        self.core
-            .submit_with(|cap| fetch_policy_frame(tenant, task, context, cap), policy_ok)?
-            .wait()
+        let build = |_, cap| fetch_policy_frame(tenant, task, context, cap);
+        self.core.submit_with(None, build, policy_ok)?.wait()
     }
 
     /// Revokes every snapshot carrying `fingerprint` server-side. By
@@ -427,9 +425,8 @@ impl CachedClient {
         policy: &Policy,
     ) -> Result<ReloadReceipt, ClientError> {
         let tenant = self.cache.tenant();
-        self.core
-            .submit_with(|cap| reload_frame(tenant, task, context, policy, cap), reloaded)?
-            .wait()
+        let build = |_, cap| reload_frame(tenant, task, context, policy, cap);
+        self.core.submit_with(None, build, reloaded)?.wait()
     }
 
     /// Exports everything the tenant has installed server-side as a

@@ -7,7 +7,10 @@
 //! and a sequential client keeps error attribution exact.) The one
 //! exception is a check on a policy key new to the connection: the
 //! key's `BindKey` (wire v9) goes out in the same write as the check,
-//! and its `KeyBound` is read before the verdict.
+//! and its `KeyBound` is read before the verdict. Answers are read
+//! through one [`FrameDecoder`] kept across calls. An error that may
+//! leave the stream out of step closes it, so every later call is
+//! [`ClientError::Closed`], never an answer meant for another request.
 
 use core::fmt;
 use std::io;
@@ -17,12 +20,12 @@ use conseca_core::{Decision, Policy, TrustedContext};
 use conseca_engine::TenantCounters;
 use conseca_shell::ApiCall;
 
-use crate::intern::KeyInterner;
+use crate::intern::{KeyInterner, KeyParts};
 use crate::transport::Stream;
 use crate::wire::{
-    append_frame, bind_key_frame, check_keyed_frame, fetch_policy_frame, install_frame, read_frame,
-    reload_frame, write_frame, Frame, FrameReadError, FrameWriteError, Request, Response,
-    WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    append_frame, check_keyed_frame, fetch_policy_frame, install_frame, reload_frame, Frame,
+    FrameDecoder, FrameError, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN, KEEP_BUF,
+    PROTOCOL_VERSION,
 };
 
 /// Why a client call failed.
@@ -81,22 +84,11 @@ impl From<WireError> for ClientError {
     }
 }
 
-impl From<FrameReadError> for ClientError {
-    fn from(e: FrameReadError) -> Self {
+impl From<FrameError> for ClientError {
+    fn from(e: FrameError) -> Self {
         match e {
-            FrameReadError::Io(e) => ClientError::Io(e),
+            FrameError::Io(e) => ClientError::Io(e),
             other => ClientError::Io(io::Error::new(io::ErrorKind::InvalidData, other.to_string())),
-        }
-    }
-}
-
-impl From<FrameWriteError> for ClientError {
-    fn from(e: FrameWriteError) -> Self {
-        match e {
-            FrameWriteError::Io(e) => ClientError::Io(e),
-            FrameWriteError::Oversized { len, max } => {
-                ClientError::Wire(WireError::Oversized { what: "frame", len, max: max as u64 })
-            }
         }
     }
 }
@@ -212,6 +204,11 @@ pub struct Client {
     max_frame_len: u32,
     /// The key slots this connection has bound.
     keys: KeyInterner,
+    /// The request's frames, written at once; kept across calls.
+    out: Vec<u8>,
+    answers: FrameDecoder,
+    /// Cleared, and the stream closed, once it may be out of step.
+    open: bool,
 }
 
 impl fmt::Debug for Client {
@@ -252,72 +249,83 @@ impl Client {
     ///
     /// Handshake failures.
     pub fn over_with<S: Stream>(stream: S, max_frame_len: u32) -> Result<Client, ClientError> {
-        let mut client =
-            Client { conn: Box::new(stream), max_frame_len, keys: KeyInterner::default() };
-        client.roundtrip(&Request::Hello { version: PROTOCOL_VERSION }, hello_ok)?;
+        let mut client = Client {
+            conn: Box::new(stream),
+            max_frame_len,
+            keys: KeyInterner::default(),
+            out: Vec::new(),
+            answers: FrameDecoder::default(),
+            open: true,
+        };
+        let hello = Request::Hello { version: PROTOCOL_VERSION };
+        client.exchange(None, |_, cap| hello.encode_limited(cap), hello_ok)?;
         Ok(client)
     }
 
-    /// One request, answered on the caller's thread: no handoff, so a
-    /// one-at-a-time caller pays only the wire.
-    fn roundtrip<T>(&mut self, request: &Request, map: ResponseMap<T>) -> Result<T, ClientError> {
-        self.roundtrip_with(|cap| request.encode_limited(cap), map)
-    }
-
-    /// [`roundtrip`](Self::roundtrip) for a request frame that `build`
-    /// encodes under the frame cap it is given.
-    fn roundtrip_with<T>(
+    /// The one wire loop: one request, answered on the caller's thread,
+    /// so a one-at-a-time caller pays only the wire.
+    ///
+    /// `build(slot, cap)` encodes the request under the frame cap, for
+    /// the slot of `key` when the request names a policy key, so an
+    /// oversized request is a typed local error and nothing is written. A key new
+    /// to the connection is bound in the same write, its `BindKey` ahead
+    /// of the request. A refused bind is returned as the error (and the
+    /// key binds again next time) once the request's own answer has been
+    /// read, so the stream stays in step.
+    ///
+    /// A failed write, or an answer that cannot be read, framed or
+    /// decoded, may leave the stream out of step: the client closes it,
+    /// returns that error, and answers every later call `Closed`.
+    fn exchange<T>(
         &mut self,
-        build: impl FnOnce(u32) -> Result<Frame, WireError>,
+        key: Option<KeyParts<'_>>,
+        build: impl FnOnce(u32, u32) -> Result<Frame, WireError>,
         map: ResponseMap<T>,
     ) -> Result<T, ClientError> {
-        // The cap is enforced while encoding, so an oversized request is
-        // a typed local error naming the field — not a server-side
-        // rejection after the bytes crossed the wire.
-        let frame = build(self.max_frame_len)?;
-        write_frame(&mut self.conn, &frame, self.max_frame_len)?;
-        map(self.read_response()?)
-    }
-
-    fn read_response(&mut self) -> Result<Response, ClientError> {
-        let frame = read_frame(&mut self.conn, self.max_frame_len)?.ok_or(ClientError::Closed)?;
-        Ok(Response::decode(&frame)?)
-    }
-
-    /// A `CheckKeyed` round trip for `calls` under the key's slot. A key
-    /// new to the connection is bound first, in the same write; a
-    /// refused bind is returned as the error (and the key binds again
-    /// next time), after the check's own answer has been read so the
-    /// stream stays in step.
-    fn check_keyed<T>(
-        &mut self,
-        tenant: &str,
-        task: &str,
-        context: &TrustedContext,
-        calls: &[ApiCall],
-        map: ResponseMap<T>,
-    ) -> Result<T, ClientError> {
-        let max = self.max_frame_len;
-        let (slot, unbound) = self.keys.slot(tenant, task, context);
-        let mut bytes = Vec::new();
-        if unbound {
-            append_frame(&mut bytes, &bind_key_frame(slot, tenant, task, context, max)?, max)?;
+        if !self.open {
+            return Err(ClientError::Closed);
         }
-        append_frame(&mut bytes, &check_keyed_frame(slot, calls, max)?, max)?;
-        self.conn.write_all(&bytes)?;
-        self.conn.flush()?;
-        let bound = match unbound {
-            true => match self.read_response()? {
+        let max = self.max_frame_len;
+        let (slot, bind) = self.keys.bind(key, max)?;
+        let request = build(slot, max)?;
+        for frame in bind.iter().chain([&request]) {
+            append_frame(&mut self.out, frame, max)?;
+        }
+        let written = self.conn.write_all(&self.out).and_then(|()| self.conn.flush());
+        self.out.clear();
+        self.out.shrink_to(KEEP_BUF);
+        if let Err(e) = written {
+            return Err(self.fail(e.into()));
+        }
+        let mut bound = Ok(());
+        if bind.is_some() {
+            bound = match self.answer()? {
                 Response::KeyBound { slot: bound } if bound == slot => Ok(()),
                 Response::Error { code, message } => Err(ClientError::Server { code, message }),
                 _ => Err(ClientError::Unexpected { expected: "KeyBound" }),
-            },
-            false => Ok(()),
-        };
-        self.keys.set_bound(slot, bound.is_ok());
-        let answer = self.read_response()?;
+            };
+            self.keys.set_bound(slot, bound.is_ok());
+        }
+        let answer = self.answer()?;
         bound?;
         map(answer)
+    }
+
+    /// The next answer off the stream, failing closed.
+    fn answer(&mut self) -> Result<Response, ClientError> {
+        let answer = match self.answers.read_frame(&mut self.conn, self.max_frame_len) {
+            Ok(Some(frame)) => Response::decode(&frame).map_err(ClientError::Wire),
+            Ok(None) => Err(ClientError::Closed),
+            Err(e) => Err(e.into()),
+        };
+        answer.map_err(|e| self.fail(e))
+    }
+
+    /// Closes a stream that may be out of step, and passes `e` on.
+    fn fail(&mut self, e: ClientError) -> ClientError {
+        self.open = false;
+        self.conn.close();
+        e
     }
 
     /// One policy decision for one call. `Ok(None)` means no policy is
@@ -333,7 +341,8 @@ impl Client {
         context: &TrustedContext,
         call: &ApiCall,
     ) -> Result<Option<Decision>, ClientError> {
-        self.check_keyed(tenant, task, context, std::slice::from_ref(call), verdict_one)
+        let (key, calls) = (Some((tenant, task, context)), std::slice::from_ref(call));
+        self.exchange(key, |slot, cap| check_keyed_frame(slot, calls, cap), verdict_one)
     }
 
     /// Decisions for a batch of calls against one policy key (one store
@@ -351,7 +360,8 @@ impl Client {
         context: &TrustedContext,
         calls: &[ApiCall],
     ) -> Result<Option<Vec<Decision>>, ClientError> {
-        self.check_keyed(tenant, task, context, calls, verdict_batch)
+        let key = Some((tenant, task, context));
+        self.exchange(key, |slot, cap| check_keyed_frame(slot, calls, cap), verdict_batch)
     }
 
     /// Compiles and installs `policy` for (tenant, task, context) on the
@@ -368,7 +378,7 @@ impl Client {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<InstallReceipt, ClientError> {
-        self.roundtrip_with(|cap| install_frame(tenant, task, context, policy, cap), installed)
+        self.exchange(None, |_, cap| install_frame(tenant, task, context, policy, cap), installed)
     }
 
     /// Retrieves the source policy installed for (tenant, task, context),
@@ -383,7 +393,7 @@ impl Client {
         task: &str,
         context: &TrustedContext,
     ) -> Result<Option<Policy>, ClientError> {
-        self.roundtrip_with(|cap| fetch_policy_frame(tenant, task, context, cap), policy_ok)
+        self.exchange(None, |_, cap| fetch_policy_frame(tenant, task, context, cap), policy_ok)
     }
 
     /// Revokes every snapshot `tenant` has installed whose source policy
@@ -398,7 +408,8 @@ impl Client {
     ///
     /// Transport, protocol, or server errors.
     pub fn revoke(&mut self, tenant: &str, fingerprint: u64) -> Result<u64, ClientError> {
-        self.roundtrip(&Request::Revoke { tenant: tenant.into(), fingerprint }, revoked)
+        let request = Request::Revoke { tenant: tenant.into(), fingerprint };
+        self.exchange(None, |_, cap| request.encode_limited(cap), revoked)
     }
 
     /// Revoke-and-replace in one round-trip: atomically swaps `policy` in
@@ -416,7 +427,7 @@ impl Client {
         context: &TrustedContext,
         policy: &Policy,
     ) -> Result<ReloadReceipt, ClientError> {
-        self.roundtrip_with(|cap| reload_frame(tenant, task, context, policy, cap), reloaded)
+        self.exchange(None, |_, cap| reload_frame(tenant, task, context, policy, cap), reloaded)
     }
 
     /// Asks the server to export everything `tenant` has installed as a
@@ -431,7 +442,8 @@ impl Client {
     /// the snapshot exceeds the frame cap (raise it on both sides; see
     /// [`over_with`](Self::over_with)).
     pub fn snapshot(&mut self, tenant: &str) -> Result<SnapshotReceipt, ClientError> {
-        self.roundtrip(&Request::Snapshot { tenant: tenant.into() }, snapshot_ok)
+        let request = Request::Snapshot { tenant: tenant.into() };
+        self.exchange(None, |_, cap| request.encode_limited(cap), snapshot_ok)
     }
 
     /// Warm-starts `tenant` on the server from snapshot bytes. The
@@ -453,7 +465,8 @@ impl Client {
         tenant: &str,
         snapshot: Vec<u8>,
     ) -> Result<RestoreReceipt, ClientError> {
-        self.roundtrip(&Request::Restore { tenant: tenant.into(), snapshot }, restored)
+        let request = Request::Restore { tenant: tenant.into(), snapshot };
+        self.exchange(None, |_, cap| request.encode_limited(cap), restored)
     }
 
     /// Drops every policy installed for `tenant`, returning how many
@@ -463,7 +476,8 @@ impl Client {
     ///
     /// Transport, protocol, or server errors.
     pub fn flush(&mut self, tenant: &str) -> Result<u64, ClientError> {
-        self.roundtrip(&Request::Flush { tenant: tenant.into() }, flushed)
+        let request = Request::Flush { tenant: tenant.into() };
+        self.exchange(None, |_, cap| request.encode_limited(cap), flushed)
     }
 
     /// Reads `tenant`'s counters.
@@ -483,7 +497,8 @@ impl Client {
     ///
     /// Transport, protocol, or server errors.
     pub fn stats_full(&mut self, tenant: &str) -> Result<ServerStats, ClientError> {
-        self.roundtrip(&Request::Stats { tenant: tenant.into() }, stats_ok)
+        let request = Request::Stats { tenant: tenant.into() };
+        self.exchange(None, |_, cap| request.encode_limited(cap), stats_ok)
     }
 
     /// Asks the server to stop accepting new connections. This
@@ -493,7 +508,8 @@ impl Client {
     ///
     /// Transport, protocol, or server errors.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        self.roundtrip(&Request::Shutdown, shutting_down)
+        let request = Request::Shutdown;
+        self.exchange(None, |_, cap| request.encode_limited(cap), shutting_down)
     }
 
     /// Closes the connection.

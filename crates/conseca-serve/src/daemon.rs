@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use conseca_core::{CountingSink, Policy, TrustedContext};
 use conseca_engine::{
-    recover, tenant_log_path, Engine, Invalidation, JournalOptions, RecoverOptions, RecoveryReport,
+    recover, tenant_log_path, Engine, Invalidation, JournalOptions, RecoveryReport,
     ReloadCoordinator, RevocationJournal, SnapshotLog, SweepReport,
 };
 
@@ -284,8 +284,7 @@ impl LifecycleDaemon {
         engine: Arc<Engine>,
         config: DaemonConfig,
     ) -> Result<Arc<Self>, conseca_engine::JournalError> {
-        let recovery =
-            recover(&engine, &config.data_dir, RecoverOptions { journal: config.journal })?;
+        let recovery = recover(&engine, &config.data_dir, config.journal)?;
         let daemon = Arc::new(LifecycleDaemon {
             engine: Arc::clone(&engine),
             config,

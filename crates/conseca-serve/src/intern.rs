@@ -17,7 +17,10 @@ use std::hash::{Hash, Hasher};
 use conseca_core::TrustedContext;
 use conseca_engine::EngineKey;
 
-use crate::wire::MAX_KEY_SLOTS;
+use crate::wire::{bind_key_frame, Frame, WireError, MAX_KEY_SLOTS};
+
+/// A policy key as a request names it: tenant, task and context.
+pub(crate) type KeyParts<'a> = (&'a str, &'a str, &'a TrustedContext);
 
 /// The hash the interner files key parts under. Word-at-a-time, so
 /// a few kilobytes of context hash in well under a microsecond; it is
@@ -119,6 +122,20 @@ impl KeyInterner {
         if let Some(entry) = self.entries.get_mut(slot as usize) {
             entry.bound = bound;
         }
+    }
+
+    /// The slot a request under `key` names (0 when it names none), and
+    /// while that slot is unbound the `BindKey` to send ahead of the
+    /// request, encoded under `cap`.
+    pub(crate) fn bind(
+        &mut self,
+        key: Option<KeyParts<'_>>,
+        cap: u32,
+    ) -> Result<(u32, Option<Frame>), WireError> {
+        let Some((tenant, task, context)) = key else { return Ok((0, None)) };
+        let (slot, unbound) = self.slot(tenant, task, context);
+        let bind = unbound.then(|| bind_key_frame(slot, tenant, task, context, cap)).transpose()?;
+        Ok((slot, bind))
     }
 }
 

@@ -150,10 +150,7 @@ pub use daemon::{
 pub use server::{ServeConfig, ServeMetrics, Server, ServerHandle};
 pub use session::{RemoteSessionLayer, TenantClient};
 pub use transport::{duplex, DuplexStream, Stream};
-pub use wire::{
-    Frame, FrameReadError, FrameWriteError, Request, Response, WireError, WireErrorCode,
-    PROTOCOL_VERSION,
-};
+pub use wire::{Frame, FrameError, Request, Response, WireError, WireErrorCode, PROTOCOL_VERSION};
 
 #[cfg(test)]
 mod tests {

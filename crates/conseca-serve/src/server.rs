@@ -119,7 +119,7 @@ use crate::client::{Client, ClientError};
 use crate::daemon::{DaemonConfig, LifecycleDaemon};
 use crate::transport::{duplex, DuplexStream, NbReader, NbWriter, Stream};
 use crate::wire::{
-    code, unwrap_tagged, wrap_tagged, Frame, FrameReadError, Request, Response, WireError,
+    code, unwrap_tagged, wrap_tagged, Frame, FrameError, Request, Response, WireError,
     WireErrorCode, MAX_KEY_SLOTS, PROTOCOL_VERSION, TAG_TAGGED,
 };
 
@@ -891,12 +891,12 @@ impl<S: Stream> Connection<S> {
         while self.reading {
             let inbound = match carried.take() {
                 Some(inbound) => inbound,
-                None => match self.reader.buffered_frame(max) {
+                None => match self.reader.frames.next_frame(max) {
                     None => break,
                     Some(Ok(frame)) => decode_inbound(frame, self.greeted.then_some(&self.slots)),
                     Some(Err(e)) => {
                         let code = match e {
-                            FrameReadError::Oversized { .. } => code::FRAME_TOO_LARGE,
+                            FrameError::Oversized { .. } => code::FRAME_TOO_LARGE,
                             _ => code::MALFORMED,
                         };
                         self.refuse(None, code, e.to_string())?;
@@ -1056,7 +1056,7 @@ impl<S: Stream> Connection<S> {
         let mut carried = None;
         while group.pending.len() < MAX_BATCH {
             // A framing error stays in the reader for `read` to meet.
-            let Some(Ok(frame)) = self.reader.buffered_frame(max) else { break };
+            let Some(Ok(frame)) = self.reader.frames.next_frame(max) else { break };
             // A bind ends the group before the next frame is decoded, so
             // every keyed check resolves against the binds read before it.
             match decode_inbound(frame, Some(&self.slots)) {

@@ -22,13 +22,16 @@
 //! path still does plain blocking reads.
 //!
 //! `NbReader` / `NbWriter` adapt a registered stream to *buffered*
-//! async frame I/O. The reader pulls in whatever the transport has with
-//! one syscall and hands out every complete frame from its buffer, so a
-//! pipelined burst of frames costs one read, not three or four per
-//! frame; its framing errors are those of
-//! [`wire::read_frame`](crate::wire::read_frame). The writer queues
-//! frames and flushes them with one write, through the same encoder as
-//! [`wire::write_frame`](crate::wire::write_frame).
+//! async frame I/O. The reader is the non-blocking drive of the one
+//! [`FrameDecoder`]: it pulls in whatever the transport has with one
+//! syscall and hands out every complete frame from the decoder's
+//! buffer, so a pipelined burst of frames costs one read, not three or
+//! four per frame, and its framing rules and errors are those of
+//! [`wire::read_frame`](crate::wire::read_frame), the decoder's
+//! blocking drive. The writer queues frames and flushes them with one
+//! write, through the same encoder as
+//! [`wire::write_frame`](crate::wire::write_frame); the sync client
+//! queues and writes its frames the same way.
 
 use std::collections::VecDeque;
 use std::future::{poll_fn, Future};
@@ -43,7 +46,7 @@ use std::time::Instant;
 
 use futures::reactor::{Reactor, Registration};
 
-use crate::wire::{announced_len, append_frame, Frame, FrameReadError, FrameWriteError};
+use crate::wire::{append_frame, Frame, FrameDecoder, FrameError, KEEP_BUF};
 
 /// A connection transport: a byte stream that can be split into
 /// independently owned reader/writer handles, closed out-of-band, and
@@ -323,39 +326,19 @@ impl Stream for DuplexStream {
 
 // ------------------------------------------------------ async frame I/O
 
-/// Size a reader's buffer starts at: a few typical frames.
-const READ_BUF: usize = 4 * 1024;
-
-/// Largest buffer an idle reader or writer keeps; one grown past this
-/// for a large frame is released once that frame is done.
-const KEEP_BUF: usize = 64 * 1024;
-
 /// Buffered async frame reader over a [`register`](Stream::register)ed
-/// stream.
-///
-/// Each read syscall pulls in as many bytes as the buffer holds, and
-/// every complete frame already buffered is handed out with no syscall
-/// at all ([`buffered_frame`](Self::buffered_frame)). The buffer starts
-/// at [`READ_BUF`] and grows only to fit the frame in progress.
+/// stream: the non-blocking drive of the one [`FrameDecoder`], whose
+/// whole buffered frames callers also take directly (`frames`).
 ///
 /// Reads follow the reactor's attempt-then-await protocol: the reader
 /// awaits readiness only after a read returned `WouldBlock`, never
 /// after a merely short one. One edge can carry both the peer's last
 /// bytes and its close, and no further edge follows the close, so only
 /// a read that finds nothing proves the next edge is still to come.
-///
-/// Framing semantics are the wire's: `Ok(None)` for a clean close at a
-/// frame boundary, `UnexpectedEof` mid-length or mid-frame,
-/// [`FrameReadError::Empty`] for a zero-length prefix, and
-/// [`FrameReadError::Oversized`] as soon as the prefix is in — *before*
-/// the payload is read.
 pub(crate) struct NbReader<S> {
     stream: S,
     reg: Registration,
-    /// Bytes read but not yet handed out live in `buf[start..end]`.
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
+    pub(crate) frames: FrameDecoder,
     /// Set when a read found nothing: the next poll first waits for the
     /// readable edge, which also takes the ready bit of the edge that
     /// woke it, so a wake costs one read attempt, not two.
@@ -364,52 +347,17 @@ pub(crate) struct NbReader<S> {
 
 impl<S: Read> NbReader<S> {
     pub(crate) fn new(stream: S, reg: Registration) -> Self {
-        NbReader { stream, reg, buf: Vec::new(), start: 0, end: 0, awaiting_edge: false }
+        NbReader { stream, reg, frames: FrameDecoder::default(), awaiting_edge: false }
     }
 
-    /// The next frame, if it is already whole in the buffer — no I/O.
-    /// `None` means more bytes are needed. A bad length prefix is
-    /// reported (and left in place) as soon as its four bytes are in.
-    pub(crate) fn buffered_frame(&mut self, max_len: u32) -> Option<Result<Frame, FrameReadError>> {
-        let pending = &self.buf[self.start..self.end];
-        let len = match announced_len(pending, max_len)? {
-            Ok(len) => len,
-            Err(e) => return Some(Err(e)),
-        };
-        let body = pending.get(4..4 + len)?;
-        let frame = Frame { tag: body[0], payload: body[1..].to_vec() };
-        self.start += 4 + len;
-        Some(Ok(frame))
-    }
-
-    /// Reads one frame; see the type docs for semantics.
-    pub(crate) async fn read_frame(
-        &mut self,
-        max_len: u32,
-    ) -> Result<Option<Frame>, FrameReadError> {
-        poll_fn(|cx| self.poll_frame(cx, max_len)).await
-    }
-
-    /// [`read_frame`](Self::read_frame) as a poll: `Pending` parks the
-    /// task's waker on the next readable edge.
+    /// The next frame, as a poll: `Pending` parks the task's waker on
+    /// the next readable edge.
     pub(crate) fn poll_frame(
         &mut self,
         cx: &mut Context<'_>,
         max_len: u32,
-    ) -> Poll<Result<Option<Frame>, FrameReadError>> {
-        loop {
-            if let Some(frame) = self.buffered_frame(max_len) {
-                return Poll::Ready(frame.map(Some));
-            }
-            if ready!(self.poll_fill(cx, max_len))? == 0 {
-                let what = match self.end - self.start {
-                    0 => return Poll::Ready(Ok(None)),
-                    1..=3 => "connection closed mid-length",
-                    _ => "connection closed mid-frame",
-                };
-                return Poll::Ready(Err(io::Error::new(io::ErrorKind::UnexpectedEof, what).into()));
-            }
-        }
+    ) -> Poll<Result<Option<Frame>, FrameError>> {
+        self.poll_readable(cx, |frames, stream| frames.read_frame(stream, max_len))
     }
 
     /// One read behind the buffered partial frame, once the stream is
@@ -420,51 +368,27 @@ impl<S: Read> NbReader<S> {
         &mut self,
         cx: &mut Context<'_>,
         max_len: u32,
-    ) -> Poll<io::Result<usize>> {
+    ) -> Poll<Result<usize, FrameError>> {
+        self.poll_readable(cx, |frames, stream| Ok(frames.fill(stream, max_len)?))
+    }
+
+    /// Runs `attempt` on the decoder, awaiting the next readable edge
+    /// each time it would block.
+    fn poll_readable<T>(
+        &mut self,
+        cx: &mut Context<'_>,
+        mut attempt: impl FnMut(&mut FrameDecoder, &mut S) -> Result<T, FrameError>,
+    ) -> Poll<Result<T, FrameError>> {
         loop {
             if self.awaiting_edge {
                 ready!(Pin::new(&mut self.reg.readable()).poll(cx));
                 self.awaiting_edge = false;
             }
-            match self.try_fill(max_len)? {
-                Some(n) => return Poll::Ready(Ok(n)),
-                None => self.awaiting_edge = true,
-            }
-        }
-    }
-
-    /// One read attempt behind the buffered partial frame, first making
-    /// room for that whole frame: `Ok(Some(0))` is EOF, and `Ok(None)`
-    /// means the stream would block. Call it only once every whole frame
-    /// buffered has been taken.
-    fn try_fill(&mut self, max_len: u32) -> io::Result<Option<usize>> {
-        self.buf.copy_within(self.start..self.end, 0);
-        self.end -= self.start;
-        self.start = 0;
-        let frame = match announced_len(&self.buf[..self.end], max_len) {
-            Some(Ok(len)) => 4 + len,
-            _ => 0,
-        };
-        let want = frame.max(READ_BUF);
-        if self.buf.len() > want.max(KEEP_BUF) {
-            self.buf.truncate(want);
-            self.buf.shrink_to_fit();
-        }
-        if self.buf.len() < want {
-            self.buf.resize(want, 0);
-        }
-        // Room is guaranteed: a buffer holding `want` bytes would have
-        // held a whole frame, and `buffered_frame` would have taken it.
-        debug_assert!(self.end < self.buf.len());
-        loop {
-            match self.stream.read(&mut self.buf[self.end..]) {
-                Ok(n) => {
-                    self.end += n;
-                    return Ok(Some(n));
+            match attempt(&mut self.frames, &mut self.stream) {
+                Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.awaiting_edge = true
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                done => return Poll::Ready(done),
             }
         }
     }
@@ -491,11 +415,7 @@ impl<S: Write> NbWriter<S> {
 
     /// Queues one frame, bound-checking its length against `max_len`
     /// first; a refused frame queues nothing.
-    pub(crate) fn queue_frame(
-        &mut self,
-        frame: &Frame,
-        max_len: u32,
-    ) -> Result<(), FrameWriteError> {
+    pub(crate) fn queue_frame(&mut self, frame: &Frame, max_len: u32) -> Result<(), FrameError> {
         append_frame(&mut self.buf, frame, max_len)
     }
 
@@ -560,7 +480,14 @@ mod tests {
     use futures::block_on;
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::future::poll_fn;
     use std::thread;
+
+    impl<S: Read> NbReader<S> {
+        async fn read_frame(&mut self, max_len: u32) -> Result<Option<Frame>, FrameError> {
+            poll_fn(|cx| self.poll_frame(cx, max_len)).await
+        }
+    }
 
     #[test]
     fn duplex_carries_bytes_both_ways() {
@@ -694,7 +621,7 @@ mod tests {
         a2.write_all(&100u32.to_be_bytes()).unwrap();
         block_on(async {
             match reader.read_frame(10).await {
-                Err(FrameReadError::Oversized { len: 100, max: 10 }) => {}
+                Err(FrameError::Oversized { len: 100, max: 10 }) => {}
                 other => panic!("expected Oversized, got {other:?}"),
             }
         });
@@ -739,12 +666,12 @@ mod tests {
         block_on(writer.flush()).unwrap();
         assert_eq!(writer.queued(), 0);
         // ...and one read takes them all in: the rest come from the buffer.
-        assert!(reader.buffered_frame(1024).is_none(), "nothing read yet");
+        assert!(reader.frames.next_frame(1024).is_none(), "nothing read yet");
         let first = block_on(reader.read_frame(1024)).unwrap().unwrap();
         assert_eq!(first, frames[0]);
-        assert_eq!(reader.buffered_frame(1024).unwrap().unwrap(), frames[1]);
-        assert_eq!(reader.buffered_frame(1024).unwrap().unwrap(), frames[2]);
-        assert!(reader.buffered_frame(1024).is_none());
+        assert_eq!(reader.frames.next_frame(1024).unwrap().unwrap(), frames[1]);
+        assert_eq!(reader.frames.next_frame(1024).unwrap().unwrap(), frames[2]);
+        assert!(reader.frames.next_frame(1024).is_none());
     }
 
     #[test]
@@ -791,7 +718,7 @@ mod tests {
             writer.flush().await.unwrap();
             assert_eq!(reader.read_frame(1 << 20).await.unwrap().unwrap(), small);
         });
-        assert!(reader.buf.len() <= KEEP_BUF, "an idle reader keeps a small buffer");
+        assert!(reader.frames.capacity() <= KEEP_BUF, "an idle reader keeps a small buffer");
     }
 
     #[test]
@@ -804,7 +731,7 @@ mod tests {
         drop(a2);
         drop(a);
         match block_on(reader.read_frame(1024)) {
-            Err(FrameReadError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
             other => panic!("expected UnexpectedEof, got {other:?}"),
         }
     }
@@ -821,7 +748,7 @@ mod tests {
         drop(a);
         block_on(async {
             match reader.read_frame(1024).await {
-                Err(FrameReadError::Io(e)) => {
+                Err(FrameError::Io(e)) => {
                     assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
                 }
                 other => panic!("expected UnexpectedEof, got {other:?}"),
@@ -910,7 +837,7 @@ mod tests {
         writer_thread.join().unwrap();
     }
 
-    // ------------------------------------------- NbReader vs read_frame
+    // ------------------------------- the decoder's two drives, side by side
 
     /// Frame cap for the fuzzed streams: small, so over-cap lengths and
     /// frames near the cap are both common.
@@ -962,10 +889,10 @@ mod tests {
 
     /// How a reader stopped: a clean `None`, or the error (I/O errors
     /// by kind).
-    fn end_of(result: Result<Option<Frame>, FrameReadError>) -> Result<(), String> {
+    fn end_of(result: Result<Option<Frame>, FrameError>) -> Result<(), String> {
         match result {
             Ok(_) => Ok(()),
-            Err(FrameReadError::Io(e)) => Err(format!("io {:?}", e.kind())),
+            Err(FrameError::Io(e)) => Err(format!("io {:?}", e.kind())),
             Err(e) => Err(e.to_string()),
         }
     }
@@ -973,12 +900,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
-        /// The reader the server runs agrees with the sync `read_frame`
-        /// on the unsplit bytes, however the transport splits them and
-        /// whenever it would block, and whether frames come from
-        /// `read_frame` or are drained with `buffered_frame`.
+        /// The non-blocking drive of the one frame decoder (the reader
+        /// the server runs) agrees with its blocking drive
+        /// (`wire::read_frame`) on the unsplit bytes, however the
+        /// transport splits them and whenever it would block, and whether
+        /// frames come from `read_frame` or are drained with
+        /// `next_frame`.
         #[test]
-        fn nb_reader_agrees_with_read_frame_on_any_split(
+        fn blocking_and_nonblocking_drives_agree_on_any_split(
             input in (
                 vec(stream_piece(), 0..6),
                 any::<u64>(),
@@ -1015,7 +944,7 @@ mod tests {
                 loop {
                     round += 1;
                     if drains[round % drains.len()] {
-                        if let Some(Ok(frame)) = reader.buffered_frame(FUZZ_CAP) {
+                        if let Some(Ok(frame)) = reader.frames.next_frame(FUZZ_CAP) {
                             got.push(frame);
                             continue;
                         }

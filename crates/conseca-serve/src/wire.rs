@@ -20,6 +20,8 @@
 //!   [`write_frame`] refuses to emit a frame over the cap — oversized
 //!   messages surface as typed errors on the sending side, never as a
 //!   silently wrapped length prefix the receiver chokes on.
+//! - Every frame reader drives the one [`FrameDecoder`], blocking or
+//!   not, and a framing failure either way is a [`FrameError`].
 //!
 //! The serialisation of the core types ([`conseca_core::Policy`],
 //! [`conseca_core::TrustedContext`], [`conseca_shell::ApiCall`],
@@ -233,76 +235,42 @@ impl WireErrorCode for WireError {
     }
 }
 
-/// Why a frame could not be read off the transport.
+/// Why a frame could not be read or written.
 #[derive(Debug)]
-pub enum FrameReadError {
-    /// Transport failure — including `UnexpectedEof` when the peer closed
-    /// mid-frame (a truncated frame).
+pub enum FrameError {
+    /// Transport failure: on read, `UnexpectedEof` for a peer that closed
+    /// mid-frame, and a non-blocking stream's `WouldBlock`.
     Io(io::Error),
-    /// The announced length exceeds the receiver's cap. The payload was
-    /// not read; the connection must close.
+    /// The frame's length (tag + payload) exceeds the cap. A frame read
+    /// is refused before its payload is, and its connection must close;
+    /// a frame written is refused before any byte goes out.
     Oversized {
-        /// The announced length.
-        len: u32,
-        /// The receiver's cap.
+        /// The frame's length, which on write may exceed `u32`.
+        len: u64,
+        /// The cap it exceeds.
         max: u32,
     },
     /// The announced length was zero — a frame must at least carry a tag.
     Empty,
 }
 
-impl fmt::Display for FrameReadError {
+impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FrameReadError::Io(e) => write!(f, "frame read failed: {e}"),
-            FrameReadError::Oversized { len, max } => {
+            FrameError::Io(e) => write!(f, "frame I/O failed: {e}"),
+            FrameError::Oversized { len, max } => {
                 write!(f, "frame of {len} bytes exceeds the {max}-byte cap")
             }
-            FrameReadError::Empty => write!(f, "zero-length frame (no tag byte)"),
+            FrameError::Empty => write!(f, "zero-length frame (no tag byte)"),
         }
     }
 }
 
-impl std::error::Error for FrameReadError {}
+impl std::error::Error for FrameError {}
 
-impl From<io::Error> for FrameReadError {
+impl From<io::Error> for FrameError {
     fn from(e: io::Error) -> Self {
-        FrameReadError::Io(e)
-    }
-}
-
-/// Why a frame could not be written to the transport.
-#[derive(Debug)]
-pub enum FrameWriteError {
-    /// Transport failure.
-    Io(io::Error),
-    /// The frame (tag + payload) exceeds `max_len` — the sender-side
-    /// twin of [`FrameReadError::Oversized`]. Nothing was written; a
-    /// silently wrapped length prefix can never reach the wire.
-    Oversized {
-        /// The frame's length (tag + payload), which may exceed `u32`.
-        len: u64,
-        /// The cap it exceeds.
-        max: u32,
-    },
-}
-
-impl fmt::Display for FrameWriteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameWriteError::Io(e) => write!(f, "frame write failed: {e}"),
-            FrameWriteError::Oversized { len, max } => {
-                write!(f, "refusing to write a {len}-byte frame over the {max}-byte cap")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameWriteError {}
-
-impl From<io::Error> for FrameWriteError {
-    fn from(e: io::Error) -> Self {
-        FrameWriteError::Io(e)
+        FrameError::Io(e)
     }
 }
 
@@ -311,13 +279,13 @@ impl From<io::Error> for FrameWriteError {
 /// The length is bound-checked against `max_len` *before* anything is
 /// written (in widened arithmetic, so a payload near `u32::MAX` cannot
 /// wrap into a corrupt prefix), and a frame the peer's cap would reject
-/// is refused here with a typed [`FrameWriteError::Oversized`] instead
-/// of being encoded only to die on the other side.
+/// is refused here with a typed [`FrameError::Oversized`] instead of
+/// being encoded only to die on the other side.
 ///
 /// # Errors
 ///
-/// [`FrameWriteError::Oversized`] or transport failures.
-pub fn write_frame(w: &mut impl Write, frame: &Frame, max_len: u32) -> Result<(), FrameWriteError> {
+/// [`FrameError::Oversized`] or transport failures.
+pub fn write_frame(w: &mut impl Write, frame: &Frame, max_len: u32) -> Result<(), FrameError> {
     // One contiguous write: one syscall (one TCP segment, one wake of a
     // duplex peer) per frame, not one per field.
     let mut buf = Vec::new();
@@ -329,15 +297,15 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame, max_len: u32) -> Result<()
 
 /// Appends one frame's wire bytes (length prefix, tag, payload) to
 /// `buf`, bound-checking the length first; on error `buf` is untouched.
-/// The one encoder behind both [`write_frame`] and the async writer.
+/// The one encoder behind every frame writer.
 pub(crate) fn append_frame(
     buf: &mut Vec<u8>,
     frame: &Frame,
     max_len: u32,
-) -> Result<(), FrameWriteError> {
+) -> Result<(), FrameError> {
     let len = 1u64 + frame.payload.len() as u64;
     if len > max_len as u64 {
-        return Err(FrameWriteError::Oversized { len, max: max_len });
+        return Err(FrameError::Oversized { len, max: max_len });
     }
     buf.reserve(4 + len as usize);
     buf.extend_from_slice(&(len as u32).to_be_bytes());
@@ -346,44 +314,142 @@ pub(crate) fn append_frame(
     Ok(())
 }
 
-/// Reads one frame. `Ok(None)` means the peer closed cleanly at a frame
-/// boundary; EOF *inside* a frame surfaces as
-/// [`FrameReadError::Io`] with `UnexpectedEof` (a truncated frame).
-pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Frame>, FrameReadError> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_bytes[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(FrameReadError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-length",
-                )))
-            }
-            n => filled += n,
-        }
-    }
-    let len = announced_len(&len_bytes, max_len).expect("the prefix is four bytes")?;
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    let mut payload = vec![0u8; len - 1];
-    r.read_exact(&mut payload)?;
-    Ok(Some(Frame { tag: tag[0], payload }))
+/// Reads one frame and no byte past it, so repeated calls read a raw
+/// stream frame by frame: a [`FrameDecoder`] that lives for one frame.
+///
+/// # Errors
+///
+/// See [`FrameDecoder`].
+pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Frame>, FrameError> {
+    FrameDecoder { exact: true, ..FrameDecoder::default() }.read_frame(r, max_len)
 }
 
-/// The announced length (tag + payload) of the frame `pending` starts
-/// with, once its four prefix bytes are in (`None` before that). A
-/// zero length is [`FrameReadError::Empty`] and one over `max_len` is
-/// [`FrameReadError::Oversized`] — reported before any payload is read.
-/// The one length check behind [`read_frame`] and the async reader.
-pub(crate) fn announced_len(pending: &[u8], max_len: u32) -> Option<Result<usize, FrameReadError>> {
-    let prefix: [u8; 4] = pending.get(..4)?.try_into().expect("four bytes");
-    Some(match u32::from_be_bytes(prefix) {
-        0 => Err(FrameReadError::Empty),
-        len if len > max_len => Err(FrameReadError::Oversized { len, max: max_len }),
-        len => Ok(len as usize),
-    })
+/// Size a decoder's buffer starts at: a few typical frames.
+const READ_BUF: usize = 4 * 1024;
+
+/// Largest buffer an idle decoder or writer keeps; one grown past this
+/// for a large frame is released once that frame is done.
+pub(crate) const KEEP_BUF: usize = 64 * 1024;
+
+/// The one frame decoder, behind every frame reader, so the framing
+/// rules of `docs/serving.md` §2 are written once:
+///
+/// - a close at a frame boundary is `Ok(None)`;
+/// - a close mid-length or mid-frame is [`FrameError::Io`] with
+///   `UnexpectedEof`;
+/// - a zero length is [`FrameError::Empty`];
+/// - a length over the cap is [`FrameError::Oversized`], before any
+///   payload is read.
+///
+/// A read takes in as many bytes as the buffer holds, which starts at
+/// 4 KiB and grows only to fit the frame in progress, and every whole
+/// frame buffered is handed out with no read at all. Over a blocking
+/// stream [`read_frame`](Self::read_frame) blocks until a frame is
+/// whole; a non-blocking stream's `WouldBlock` comes back as
+/// [`FrameError::Io`], and the decoder keeps what it read for the next
+/// call.
+#[derive(Debug, Default)]
+pub struct FrameDecoder {
+    /// Bytes read but not yet handed out live in `buf[start..end]`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Set when no read may take a byte past the frame in progress.
+    exact: bool,
+}
+
+impl FrameDecoder {
+    /// The next frame: one already whole in the buffer, else what reads
+    /// from `r` complete.
+    ///
+    /// # Errors
+    ///
+    /// See the type docs.
+    pub fn read_frame(
+        &mut self,
+        r: &mut impl Read,
+        max_len: u32,
+    ) -> Result<Option<Frame>, FrameError> {
+        loop {
+            if let Some(frame) = self.next_frame(max_len) {
+                return frame.map(Some);
+            }
+            if self.fill(r, max_len)? == 0 {
+                let what = match self.end - self.start {
+                    0 => return Ok(None),
+                    1..=3 => "connection closed mid-length",
+                    _ => "connection closed mid-frame",
+                };
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, what).into());
+            }
+        }
+    }
+
+    /// The next frame, if it is already whole in the buffer — no I/O.
+    /// `None` means more bytes are needed. A bad length is reported (and
+    /// left in place) as soon as its four bytes are in.
+    pub(crate) fn next_frame(&mut self, max_len: u32) -> Option<Result<Frame, FrameError>> {
+        let len = match self.announced_len(max_len)? {
+            Ok(len) => len,
+            Err(e) => return Some(Err(e)),
+        };
+        let body = self.buf[self.start..self.end].get(4..4 + len)?;
+        let frame = Frame { tag: body[0], payload: body[1..].to_vec() };
+        self.start += 4 + len;
+        Some(Ok(frame))
+    }
+
+    /// The one length check, once the frame in progress has its four
+    /// length bytes in.
+    fn announced_len(&self, max_len: u32) -> Option<Result<usize, FrameError>> {
+        let prefix = self.buf[self.start..self.end].get(..4)?;
+        Some(match u32::from_be_bytes(prefix.try_into().expect("four bytes")) {
+            0 => Err(FrameError::Empty),
+            len if len > max_len => Err(FrameError::Oversized { len: len.into(), max: max_len }),
+            len => Ok(len as usize),
+        })
+    }
+
+    /// One read from `r` behind the buffered bytes, first making room
+    /// for the whole frame in progress: `Ok(0)` is EOF. Call it only
+    /// when [`next_frame`](Self::next_frame) has nothing to hand out.
+    pub(crate) fn fill(&mut self, r: &mut impl Read, max_len: u32) -> io::Result<usize> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let frame = match self.announced_len(max_len) {
+            Some(Ok(len)) => 4 + len,
+            _ => 4,
+        };
+        let want = if self.exact { frame } else { frame.max(READ_BUF) };
+        if self.buf.len() > want.max(KEEP_BUF) {
+            self.buf.truncate(want);
+            self.buf.shrink_to_fit();
+        }
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        // Room is guaranteed: `want` bytes would have held a whole
+        // frame, and `next_frame` would have taken it. An exact decoder
+        // lives for one frame, so its buffer never outgrows that frame.
+        debug_assert!(self.end < self.buf.len());
+        loop {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The buffer's size, read or not.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.len()
+    }
 }
 
 // ------------------------------------------------- v7 pipelining envelope
@@ -1690,7 +1756,7 @@ mod tests {
         bytes.extend_from_slice(&(64u32).to_be_bytes());
         bytes.push(TAG_STATS);
         match read_frame(&mut bytes.as_slice(), 16) {
-            Err(FrameReadError::Oversized { len: 64, max: 16 }) => {}
+            Err(FrameError::Oversized { len: 64, max: 16 }) => {}
             other => panic!("expected Oversized, got {other:?}"),
         }
     }
@@ -1703,7 +1769,7 @@ mod tests {
         let frame = Frame { tag: TAG_INSTALL, payload: vec![0u8; 64] };
         let mut out = Vec::new();
         match write_frame(&mut out, &frame, 16) {
-            Err(FrameWriteError::Oversized { len: 65, max: 16 }) => {}
+            Err(FrameError::Oversized { len: 65, max: 16 }) => {}
             other => panic!("expected Oversized, got {other:?}"),
         }
         assert!(out.is_empty(), "no partial frame may be written");
@@ -1721,7 +1787,7 @@ mod tests {
         let frame = Frame { tag: TAG_STATS, payload: vec![0u8; 4096] };
         let mut out = Vec::new();
         match write_frame(&mut out, &frame, 4096) {
-            Err(FrameWriteError::Oversized { len: 4097, .. }) => {}
+            Err(FrameError::Oversized { len: 4097, .. }) => {}
             other => panic!("expected Oversized, got {other:?}"),
         }
     }
@@ -1773,7 +1839,7 @@ mod tests {
     #[test]
     fn zero_length_frames_are_refused() {
         let bytes = 0u32.to_be_bytes();
-        assert!(matches!(read_frame(&mut bytes.as_slice(), 16), Err(FrameReadError::Empty)));
+        assert!(matches!(read_frame(&mut bytes.as_slice(), 16), Err(FrameError::Empty)));
     }
 
     #[test]
@@ -1783,12 +1849,48 @@ mod tests {
         write_frame(&mut full, &Request::Shutdown.encode(), 16).unwrap();
         for cut in 1..full.len() {
             match read_frame(&mut &full[..cut], 16) {
-                Err(FrameReadError::Io(e)) => {
+                Err(FrameError::Io(e)) => {
                     assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}")
                 }
                 other => panic!("cut at {cut}: expected truncation, got {other:?}"),
             }
         }
+    }
+
+    /// Two frames then junk, as one byte string.
+    fn two_frames_and_junk() -> (Vec<Frame>, Vec<u8>) {
+        let frames = vec![
+            Frame { tag: TAG_STATS, payload: vec![1, 2, 3] },
+            Frame { tag: TAG_FLUSH, payload: vec![9; 40] },
+        ];
+        let mut bytes = Vec::new();
+        for frame in &frames {
+            append_frame(&mut bytes, frame, 64).unwrap();
+        }
+        bytes.extend_from_slice(&[0xAB; 7]);
+        (frames, bytes)
+    }
+
+    #[test]
+    fn read_frame_leaves_the_bytes_after_its_frame_unread() {
+        let (frames, bytes) = two_frames_and_junk();
+        let mut rest = bytes.as_slice();
+        assert_eq!(read_frame(&mut rest, 64).unwrap().unwrap(), frames[0]);
+        assert_eq!(rest, &bytes[8..], "only the first frame's 8 bytes were taken");
+        assert_eq!(read_frame(&mut rest, 64).unwrap().unwrap(), frames[1]);
+        assert_eq!(rest, &[0xAB; 7], "only the second frame's bytes were taken");
+    }
+
+    #[test]
+    fn one_fill_takes_in_every_buffered_frame() {
+        let (frames, bytes) = two_frames_and_junk();
+        let mut decoder = FrameDecoder::default();
+        let mut stream = bytes.as_slice();
+        assert_eq!(decoder.read_frame(&mut stream, 64).unwrap().unwrap(), frames[0]);
+        assert!(stream.is_empty(), "one read took everything");
+        assert_eq!(decoder.next_frame(64).unwrap().unwrap(), frames[1]);
+        let junk = decoder.next_frame(64);
+        assert!(matches!(junk, Some(Err(FrameError::Oversized { .. }))), "got {junk:?}");
     }
 
     #[test]

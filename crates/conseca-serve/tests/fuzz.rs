@@ -3,7 +3,7 @@
 //!
 //! The decoders sit on the trust boundary — any peer can hand them any
 //! bytes — so "malformed input" must always surface as a [`WireError`]
-//! (which the server maps to an error code) or a [`FrameReadError`],
+//! (which the server maps to an error code) or a [`FrameError`],
 //! and never as a panic that takes the connection thread down. The
 //! properties below drive >10k generated cases per run through
 //! `Request::decode`, `Response::decode`, and `read_frame`:
@@ -12,15 +12,20 @@
 //! - valid frames truncated at every possible and at random offsets;
 //! - valid frames with a corrupted (bit-flipped) interior byte;
 //! - valid frames with junk appended (length-exactness: must error);
-//! - arbitrary byte streams fed to the frame reader under several caps.
+//! - arbitrary byte streams fed to the frame reader under several caps;
+//! - arbitrary byte streams split into random chunks with would-blocks
+//!   between them, read through the frame decoder's two drives.
 //!
 //! Failures reproduce exactly: the harness prints the failing seed, and
 //! `CONSECA_PROPTEST_SEED=<seed>` replays it.
 
 use conseca_core::{ArgConstraint, Policy, PolicyEntry, Predicate, TrustedContext};
 use conseca_engine::TenantCounters;
+use std::io::{self, Read};
+
 use conseca_serve::wire::{
-    read_frame, write_frame, Frame, Request, Response, DEFAULT_MAX_FRAME_LEN,
+    read_frame, write_frame, Frame, FrameDecoder, FrameError, Request, Response,
+    DEFAULT_MAX_FRAME_LEN,
 };
 use conseca_shell::ApiCall;
 use proptest::collection::vec;
@@ -248,6 +253,91 @@ proptest! {
             Ok(Some(_)) => prop_assert!(false, "a truncated stream yielded a frame"),
             Err(_) => {}
         }
+    }
+}
+
+/// A non-blocking `Read` over fixed bytes: hands them out in the given
+/// chunk sizes, cycling, and answers `WouldBlock` for a zero chunk.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    chunks: Vec<usize>,
+    next: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let chunk = self.chunks[self.next % self.chunks.len()];
+        self.next += 1;
+        if chunk == 0 {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let n = chunk.min(out.len());
+        self.bytes.read(&mut out[..n])
+    }
+}
+
+/// One piece of a fuzzed stream: arbitrary bytes, or a whole frame.
+fn stream_piece() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        vec(any::<u8>(), 0..24),
+        (any::<u8>(), vec(any::<u8>(), 0..48)).prop_map(|(tag, payload)| {
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &Frame { tag, payload }, u32::MAX).unwrap();
+            framed
+        }),
+    ]
+}
+
+/// How a drive of the decoder stopped: a clean close, or the error
+/// (I/O errors by kind).
+fn ending(result: Result<Option<Frame>, FrameError>) -> String {
+    match result {
+        Ok(_) => "clean close".into(),
+        Err(FrameError::Io(e)) => format!("io {:?}", e.kind()),
+        Err(e) => e.to_string(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// The frame decoder's blocking drive (`read_frame`, one frame at a
+    /// time, on the unsplit bytes) and its non-blocking drive (one
+    /// decoder kept across chunked reads and would-blocks) hand out the
+    /// same frames and stop with the same error kind, under a cap that
+    /// refuses most lengths, one that refuses some, and the default.
+    #[test]
+    fn both_drives_of_the_frame_decoder_agree_on_split_streams(
+        input in (vec(stream_piece(), 0..6), vec(0usize..17, 1..8), 0usize..3)
+    ) {
+        let (pieces, mut chunks, cap) = input;
+        let cap = [8, 64, DEFAULT_MAX_FRAME_LEN][cap];
+        let bytes = pieces.concat();
+        if chunks.iter().all(|&chunk| chunk == 0) {
+            chunks.push(1);
+        }
+
+        let mut unsplit = bytes.as_slice();
+        let mut expected = Vec::new();
+        let expected_end = loop {
+            match read_frame(&mut unsplit, cap) {
+                Ok(Some(frame)) => expected.push(frame),
+                other => break ending(other),
+            }
+        };
+
+        let mut stream = Chunked { bytes: &bytes, chunks, next: 0 };
+        let mut decoder = FrameDecoder::default();
+        let mut got = Vec::new();
+        let got_end = loop {
+            match decoder.read_frame(&mut stream, cap) {
+                Ok(Some(frame)) => got.push(frame),
+                Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {}
+                other => break ending(other),
+            }
+        };
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(got_end, expected_end);
     }
 }
 

@@ -942,3 +942,49 @@ fn key_slot_frames_before_hello_are_refused_and_the_connection_closes() {
         server.shutdown();
     }
 }
+
+#[test]
+fn a_client_that_cannot_frame_an_answer_fails_closed() {
+    // An answer over the client's cap is refused once its length is in,
+    // and its payload is left on the stream. A client that kept going
+    // would read that payload, and then the answers behind it, out of
+    // step: a denied call could come back with an allowed call's
+    // verdict. It must close instead, and answer every later call
+    // `Closed` (docs/serving.md §2).
+    let server = start();
+    let context = ctx();
+    let mut wide = Policy::new("t");
+    wide.set("ls", PolicyEntry::allow_any("listing is fine"));
+    wide.set("rm", PolicyEntry::deny("no deletions"));
+    for i in 0..160 {
+        let rationale = "a rationale that takes up a fair amount of room in the policy";
+        wide.set(&format!("api_{i:03}"), PolicyEntry::allow_any(rationale));
+    }
+    server.connect().unwrap().install("acme", "t", &context, &wide).unwrap();
+
+    let mut client = Client::over_with(server.connect_stream().unwrap(), 2048).unwrap();
+    match client.fetch_policy("acme", "t", &context) {
+        Err(e) if e.to_string().contains("exceeds the 2048-byte cap") => {}
+        other => panic!("expected the answer to exceed the 2048-byte cap, got {other:?}"),
+    }
+    let (ls, rm) = (call("ls", &[]), call("rm", &["-rf", "/"]));
+    let (mut closed, mut right, mut wrong, mut other) = (0, 0, 0, 0);
+    for i in 0..2_000 {
+        let (call, allowed) = if i % 2 == 0 { (&ls, true) } else { (&rm, false) };
+        match client.check("acme", "t", &context, call) {
+            Err(conseca_serve::ClientError::Closed) => closed += 1,
+            Ok(Some(decision)) if decision.allowed == allowed => right += 1,
+            Ok(Some(_)) => wrong += 1,
+            _ => other += 1,
+        }
+    }
+    assert_eq!(
+        (closed, right, wrong, other),
+        (2_000, 0, 0, 0),
+        "after the refused answer: closed, right verdicts, wrong verdicts, other errors"
+    );
+    // The connection was closed, not the server.
+    let mut fresh = server.connect().unwrap();
+    assert!(!fresh.check("acme", "t", &context, &rm).unwrap().unwrap().allowed);
+    server.shutdown();
+}

@@ -29,7 +29,7 @@ use conseca_core::pipeline::PipelineBuilder;
 use conseca_core::{render_policy, Decision, Policy, TrajectoryEnforcer, TrustedContext};
 use conseca_engine::{
     decode_snapshot, decode_snapshot_log, merge_segments, recover, tenant_log_path, Billing,
-    Engine, EngineKey, RecoverOptions, RecoveryReport, SessionState, SnapshotLog, TenantCounters,
+    Engine, EngineKey, JournalOptions, RecoveryReport, SessionState, SnapshotLog, TenantCounters,
 };
 use conseca_serve::wire::encode_decision;
 use conseca_serve::{DaemonConfig, ServeConfig, Server, ServerHandle, TenantClient};
@@ -418,7 +418,7 @@ fn run_engine(
     // store empties, every tick is a full segment.
     let mut engine = Engine::default();
     if let Some(dir) = data_dir {
-        recover(&engine, dir, RecoverOptions::default()).expect("data dir opens");
+        recover(&engine, dir, JournalOptions::default()).expect("data dir opens");
     }
     let mut snapshot: Option<Vec<u8>> = None;
     // One trajectory session per script run, matching the one-client
@@ -505,7 +505,7 @@ fn run_engine(
                     engine = Engine::default();
                     session = SessionState::new();
                     let recovery =
-                        recover(&engine, dir, RecoverOptions::default()).expect("crash recovery");
+                        recover(&engine, dir, JournalOptions::default()).expect("crash recovery");
                     encode_recovery(&recovery.report)
                 }
             })

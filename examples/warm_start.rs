@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use conseca_core::{PolicyGenerator, TrustedContext};
 use conseca_engine::{
-    recover, tenant_log_path, Engine, RecoverOptions, ReloadCoordinator, SnapshotLog,
+    recover, tenant_log_path, Engine, JournalOptions, ReloadCoordinator, SnapshotLog,
 };
 use conseca_llm::TemplatePolicyModel;
 use conseca_shell::{default_registry, parse_command};
@@ -40,7 +40,7 @@ fn main() {
     // ---- process one: generate, install, snapshot, revoke ----------
     // Attaching the data directory's journal makes every revoke durable.
     let engine = Arc::new(Engine::default());
-    recover(&engine, &data_dir, RecoverOptions::default()).expect("open the data directory");
+    recover(&engine, &data_dir, JournalOptions::default()).expect("open the data directory");
     let coordinator = ReloadCoordinator::new(Arc::clone(&engine));
     let mut generator = PolicyGenerator::new(TemplatePolicyModel::new(), &registry)
         .with_golden_examples(golden_examples());
@@ -74,7 +74,7 @@ fn main() {
     drop((log, coordinator, engine));
     let fresh = Arc::new(Engine::default());
     let recovery =
-        recover(&fresh, &data_dir, RecoverOptions::default()).expect("recover the data directory");
+        recover(&fresh, &data_dir, JournalOptions::default()).expect("recover the data directory");
     let report = &recovery.report;
     println!(
         "\nwarm start: installed={} skipped_revoked={} corrupt_logs={}",
